@@ -16,7 +16,7 @@ type Config struct {
 	Offloader Offloader
 	// Budget bounds the bytes submitted for offload per micro-batch
 	// (Alg. 1's is_offload_amount_reached); 0 means unlimited. Use
-	// PlanBudget to derive it from the Fig 3 workflow inputs.
+	// PlanHierarchyBudget to derive it from the Fig 3 workflow inputs.
 	Budget units.Bytes
 	// MinElems is the small-tensor passthrough threshold in elements
 	// (Alg. 1 line 2: math.prod(t.size()) < 2**20).

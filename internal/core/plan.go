@@ -6,28 +6,6 @@ import (
 	"ssdtrain/internal/units"
 )
 
-// PlanInputs are the Fig 3 workflow inputs: what SSDTrain retrieves from
-// the model instance and the hardware before setting the offload amount.
-type PlanInputs struct {
-	// ForwardTime is the estimated forward-propagation time per
-	// micro-batch (from the performance model or a profiled step).
-	ForwardTime time.Duration
-	// BackwardTime is the estimated backward-propagation time.
-	BackwardTime time.Duration
-	// EligibleBytes is the per-micro-batch activation volume the pack hook
-	// would see (excluding weights and small tensors).
-	EligibleBytes units.Bytes
-	// LastModuleBytes is the activation volume of the final module, which
-	// is kept resident because backward consumes it immediately (Fig 2 ④).
-	LastModuleBytes units.Bytes
-	// WriteBandwidth/ReadBandwidth are the offloader's path rates.
-	WriteBandwidth units.Bandwidth
-	ReadBandwidth  units.Bandwidth
-	// SafetyFactor derates the drainable volume to absorb queueing jitter;
-	// values in (0,1]. Zero selects the default 0.9.
-	SafetyFactor float64
-}
-
 // ModulePlan describes the graph at module granularity for the planner:
 // parallel slices of per-module saved-activation bytes and backward
 // compute time, in forward order.
@@ -109,18 +87,17 @@ func PlanModuleBudget(in ModulePlan) units.Bytes {
 }
 
 // TierPlan describes one rung of an offload hierarchy for budget
-// planning: its path bandwidths, its byte capacity (0 = unbounded), an
-// optional cap on its share of the planned volume (split placement;
-// 0 = no share cap), and whether the runtime can spill past it. A
-// Strict bounded rung (no spill below, e.g. a lone pinned pool) caps
-// the whole budget at its derated capacity — planning more than the
-// pool holds would only overflow it at run time.
+// planning: its path bandwidths, its byte capacity (0 = unbounded) and
+// an optional cap on its share of the planned volume (split placement;
+// 0 = no share cap). Nothing spills below the last rung of a stack, so
+// a bounded last rung (a lone pinned pool) caps the whole budget at its
+// derated capacity — planning more than the pool holds would only
+// overflow it at run time.
 type TierPlan struct {
 	WriteBandwidth units.Bandwidth
 	ReadBandwidth  units.Bandwidth
 	Capacity       units.Bytes
 	Fraction       float64
-	Strict         bool
 	// WriteReserve/ReadReserve are per-step byte volumes competing traffic
 	// (the offloaded optimizer's gradient/state/parameter shuttles) will
 	// push through the same rung each step. The planner derates the rung's
@@ -179,7 +156,8 @@ func (t TierPlan) volumeCap(v units.Bytes) units.Bytes {
 // small DRAM pool cannot promise more drain than it can hold.
 //
 // A mix that degenerates to a single used rung reduces, bit for bit, to
-// PlanModuleBudget on that rung's bandwidths: the paper's single-target
+// PlanModuleBudget on that rung's bandwidths (clamped to its capacity
+// when it is the bounded last rung): the paper's single-target
 // strategies re-expressed as one-tier stacks plan the same budgets.
 func PlanHierarchyBudget(in ModulePlan, tiers []TierPlan) units.Bytes {
 	if len(tiers) == 0 {
@@ -235,7 +213,11 @@ func PlanHierarchyBudget(in ModulePlan, tiers []TierPlan) units.Bytes {
 		}
 		in.ReadBandwidth = tiers[idx].ReadBandwidth
 		in.WriteBandwidth = tiers[idx].WriteBandwidth
-		return strictClamp(PlanModuleBudget(in), tiers[idx], in.SafetyFactor)
+		budget := PlanModuleBudget(in)
+		if idx == len(tiers)-1 {
+			budget = lastRungClamp(budget, tiers[idx], in.SafetyFactor)
+		}
+		return budget
 	}
 	// Blended read bandwidth: reloads of a mixed placement drain each
 	// rung in proportion, so the harmonic mean over placed fractions is
@@ -272,19 +254,16 @@ func PlanHierarchyBudget(in ModulePlan, tiers []TierPlan) units.Bytes {
 	if writable < budget {
 		budget = writable
 	}
-	if last := tiers[len(tiers)-1]; last.Strict {
-		// No spill below the final rung: the whole plan must fit it.
-		budget = strictClamp(budget, last, in.SafetyFactor)
-	}
-	return budget
+	return lastRungClamp(budget, tiers[len(tiers)-1], in.SafetyFactor)
 }
 
-// strictClamp caps a budget at a strict bounded rung's derated capacity:
-// residency tracks the offloaded volume closely, and the safety factor
-// leaves headroom for the one-tensor budget overshoot and in-flight
-// reload buffers.
-func strictClamp(budget units.Bytes, tier TierPlan, safetyFactor float64) units.Bytes {
-	if !tier.Strict || tier.Capacity <= 0 {
+// lastRungClamp caps a budget at the last rung's derated capacity, since
+// nothing spills below it: residency tracks the offloaded volume
+// closely, and the safety factor leaves headroom for the one-tensor
+// budget overshoot and in-flight reload buffers. An unbounded last rung
+// leaves the budget alone.
+func lastRungClamp(budget units.Bytes, tier TierPlan, safetyFactor float64) units.Bytes {
+	if tier.Capacity <= 0 {
 		return budget
 	}
 	sf := safetyFactor
@@ -293,35 +272,6 @@ func strictClamp(budget units.Bytes, tier TierPlan, safetyFactor float64) units.
 	}
 	if derated := units.Bytes(sf * float64(tier.Capacity)); derated < budget {
 		return derated
-	}
-	return budget
-}
-
-// PlanBudget sets the activation offload amount (the "Set: offload size"
-// box of Fig 3): offload no more than the store queue can drain while
-// forward compute proceeds, no more than the load queue can feed back
-// during backward, and never the last module's activations.
-func PlanBudget(in PlanInputs) units.Bytes {
-	sf := in.SafetyFactor
-	if sf <= 0 || sf > 1 {
-		sf = 0.9
-	}
-	budget := in.EligibleBytes - in.LastModuleBytes
-	if budget < 0 {
-		budget = 0
-	}
-	// Stores must drain while forward (and the early part of backward)
-	// still runs; by the time a tensor is reloaded its store must long be
-	// complete. The drain window is forward plus half of backward.
-	drainWindow := in.ForwardTime + in.BackwardTime/2
-	writable := units.Bytes(sf * float64(in.WriteBandwidth) * drainWindow.Seconds())
-	if writable < budget {
-		budget = writable
-	}
-	// Reloads must keep up with backward consumption.
-	readable := units.Bytes(sf * float64(in.ReadBandwidth) * in.BackwardTime.Seconds())
-	if readable < budget {
-		budget = readable
 	}
 	return budget
 }

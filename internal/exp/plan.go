@@ -47,8 +47,7 @@ type Plan struct {
 	// strings on the sweep path.
 	devNames []string
 
-	// budgetByKey memoizes the Fig 3 budget per (bandwidth share,
-	// placement, DRAM capacity, split ratio) combination; budgetFlight
+	// budgetByKey memoizes the Fig 3 budget per budgetKey; budgetFlight
 	// coalesces concurrent planner runs for one uncached key.
 	mu             sync.Mutex
 	budgetByKey    map[budgetKey]units.Bytes
@@ -105,9 +104,7 @@ func shapeKey(cfg RunConfig) RunConfig {
 // defaulted twin share one simulation.
 func Normalize(cfg RunConfig) (RunConfig, error) {
 	cfg = cfg.withDefaults()
-	switch cfg.Strategy {
-	case NoOffload, Recompute, SSDTrain, CPUOffload, HybridOffload, OptimOffload:
-	default:
+	if _, ok := presets[cfg.Strategy]; !ok {
 		return RunConfig{}, fmt.Errorf("exp: unknown strategy %q", cfg.Strategy)
 	}
 	if err := validateKnobs(cfg); err != nil {
@@ -219,32 +216,25 @@ func validateKnobs(cfg RunConfig) error {
 		// (or skipping) full simulation would be invisible in results.
 		return fmt.Errorf("exp: unknown steady-state mode %q", cfg.SteadyState)
 	}
-	switch cfg.Strategy {
-	case HybridOffload, OptimOffload:
+	t := presets[cfg.Strategy]
+	if t.stacked() {
 		switch cfg.Placement {
 		case PlacementSSDOnly, PlacementDRAMFirst, PlacementSplit:
 		default:
 			return fmt.Errorf("exp: unknown placement %q", cfg.Placement)
 		}
-	case CPUOffload:
-		if cfg.Placement != "" {
-			return fmt.Errorf("exp: placement %q only applies to the %s strategy", cfg.Placement, HybridOffload)
-		}
-	default:
-		if cfg.Placement != "" {
-			return fmt.Errorf("exp: placement %q only applies to the %s strategy", cfg.Placement, HybridOffload)
-		}
-		if cfg.DRAMCapacity != 0 {
-			return fmt.Errorf("exp: DRAM capacity only applies to the %s and %s strategies", HybridOffload, CPUOffload)
-		}
+	} else if cfg.Placement != "" {
+		return fmt.Errorf("exp: placement %q only applies to the %s strategy", cfg.Placement, HybridOffload)
 	}
-	if cfg.SplitRatio != 0 &&
-		((cfg.Strategy != HybridOffload && cfg.Strategy != OptimOffload) || cfg.Placement != PlacementSplit) {
+	if !t.dram && cfg.DRAMCapacity != 0 {
+		return fmt.Errorf("exp: DRAM capacity only applies to the %s and %s strategies", HybridOffload, CPUOffload)
+	}
+	if cfg.SplitRatio != 0 && (!t.stacked() || cfg.Placement != PlacementSplit) {
 		// A silently ignored ratio would still defeat Sweep's dedup
 		// (configs differing only in the dead knob measure twice).
 		return fmt.Errorf("exp: split ratio only applies to the %s and %s strategies with %s placement", HybridOffload, OptimOffload, PlacementSplit)
 	}
-	if cfg.Strategy == OptimOffload {
+	if t.optim {
 		switch core.OptimKind(cfg.OptimKind) {
 		case core.OptimAdam, core.OptimSGD:
 		default:
@@ -266,7 +256,7 @@ func validateKnobs(cfg RunConfig) error {
 		}
 	}
 	if !cfg.Faults.Empty() {
-		if cfg.Strategy != SSDTrain && cfg.Strategy != HybridOffload && cfg.Strategy != OptimOffload {
+		if !t.nvme {
 			return fmt.Errorf("exp: fault injection only applies to the %s, %s and %s strategies", SSDTrain, HybridOffload, OptimOffload)
 		}
 		devices := cfg.SSD.Count
@@ -285,9 +275,7 @@ func compile(key RunConfig) (*Plan, error) {
 	mcfg := key.Model
 	mcfg.Checkpoint = key.Strategy == Recompute
 
-	switch key.Strategy {
-	case NoOffload, Recompute, SSDTrain, CPUOffload, HybridOffload, OptimOffload:
-	default:
+	if _, ok := presets[key.Strategy]; !ok {
 		return nil, fmt.Errorf("exp: unknown strategy %q", key.Strategy)
 	}
 
@@ -338,40 +326,13 @@ func (p *Plan) LastModuleBytes() units.Bytes { return p.lastModule }
 // WeightBytes returns the per-GPU parameter volume.
 func (p *Plan) WeightBytes() units.Bytes { return p.weightBytes }
 
-// plannedBudget returns the Fig 3 budget for the given single-target
-// bandwidths, memoized per bandwidth share.
-func (p *Plan) plannedBudget(share float64, readBW, writeBW units.Bandwidth) units.Bytes {
-	return p.memoBudget(budgetKey{share: share}, func() units.Bytes {
-		return core.PlanModuleBudget(p.modulePlan(readBW, writeBW))
-	})
-}
-
-// plannedHierarchyBudget returns the Fig 3 budget for a tier mix,
-// memoized per (share, placement, DRAM capacity, split ratio).
-func (p *Plan) plannedHierarchyBudget(key budgetKey, tiers []core.TierPlan) units.Bytes {
-	return p.memoBudget(key, func() units.Bytes {
-		return core.PlanHierarchyBudget(p.modulePlan(0, 0), tiers)
-	})
-}
-
-// modulePlan assembles the module-granularity planner input.
-func (p *Plan) modulePlan(readBW, writeBW units.Bandwidth) core.ModulePlan {
-	return core.ModulePlan{
-		SavedBytes:     p.saved,
-		BwdTime:        p.bwd,
-		ReadBandwidth:  readBW,
-		WriteBandwidth: writeBW,
-		ForwardTime:    p.fwdTime,
-		BackwardTime:   p.bwdTime,
-	}
-}
-
-// memoBudget caches one planned budget per key. Concurrent computes of
-// one uncached key are coalesced through a singleflight: a fleet Prime
-// fans the same (share, grant) keys across its workers, and without the
-// flight every worker would run the full Fig 3 planner just to overwrite
-// the same memo entry (last write wins, work wasted).
-func (p *Plan) memoBudget(key budgetKey, compute func() units.Bytes) units.Bytes {
+// plannedBudget returns the Fig 3 budget for a tier mix, memoized per
+// budget key: the tiers are read only on a memo miss. Concurrent
+// computes of one uncached key are coalesced through a singleflight: a
+// fleet Prime fans the same (share, grant) keys across its workers, and
+// without the flight every worker would run the full Fig 3 planner just
+// to overwrite the same memo entry (last write wins, work wasted).
+func (p *Plan) plannedBudget(key budgetKey, tiers []core.TierPlan) units.Bytes {
 	p.mu.Lock()
 	if b, ok := p.budgetByKey[key]; ok {
 		p.mu.Unlock()
@@ -388,7 +349,12 @@ func (p *Plan) memoBudget(key budgetKey, compute func() units.Bytes) units.Bytes
 		}
 		p.mu.Unlock()
 		p.budgetComputes.Add(1)
-		b := compute()
+		b := core.PlanHierarchyBudget(core.ModulePlan{
+			SavedBytes:   p.saved,
+			BwdTime:      p.bwd,
+			ForwardTime:  p.fwdTime,
+			BackwardTime: p.bwdTime,
+		}, tiers)
 		p.mu.Lock()
 		p.budgetByKey[key] = b
 		p.mu.Unlock()

@@ -28,7 +28,8 @@ import (
 
 // Strategy is an activation placement strategy — the three points of the
 // paper's recompute-offload-keep design space (§IV-C) plus the CPU
-// offloader variant.
+// offloader variant. Each offloading strategy is a preset of one tier
+// stack: a row of the presets table naming the rungs it builds.
 type Strategy string
 
 // Strategies.
@@ -233,10 +234,11 @@ func (c RunConfig) withDefaults() RunConfig {
 		// on the second pass.
 		c.KeepLastModules = -1
 	}
-	if (c.Strategy == HybridOffload || c.Strategy == OptimOffload) && c.Placement == "" {
+	t := presets[c.Strategy]
+	if t.stacked() && c.Placement == "" {
 		c.Placement = PlacementDRAMFirst
 	}
-	if c.Strategy == OptimOffload {
+	if t.optim {
 		if c.OptimKind == "" {
 			c.OptimKind = string(core.OptimAdam)
 		}

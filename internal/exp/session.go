@@ -43,21 +43,26 @@ type Session struct {
 	// hooks (no-offload, recompute).
 	cache     *core.TensorCache
 	offloader *core.TieredOffloader
-	// ssdTier/cpuTier are the arena's rungs; the hybrid strategy builds
-	// both and Execute assembles the per-call stack from them (a zero
-	// DRAM grant excludes the DRAM rung, as a fresh build would).
+	// ssdTier/cpuTier are the arena's rungs, built per the strategy's
+	// tier preset; Execute assembles the per-call stack from them (a zero
+	// DRAM grant excludes the DRAM rung of a DRAM+NVMe stack).
 	ssdTier *core.SSDOffloader
 	cpuTier *core.CPUOffloader
-	// stack is the per-call tier assembly scratch.
+	// stack and plans are the per-call tier assembly and budget-planner
+	// scratch; plans is an array because an arena has at most two
+	// activation rungs, so even a single-use arena plans without
+	// allocating.
 	stack []core.Tier
+	plans [2]core.TierPlan
 
-	// optim and its rungs exist only for the OptimOffload strategy: the
-	// offloaded-optimizer pipeline's DRAM and NVMe tiers share the arena's
-	// PCIe links and NVMe array (optimizer traffic contends with
-	// activation offload and lands in the same wear ledger) but keep their
-	// own queues, block stores, and — for NVMe — an empty GDS registry, so
-	// optimizer shuttles ride the host-mediated bounce path as
-	// ZeRO-Offload's CPU-owned update prescribes.
+	// optim and its rungs exist only when the strategy's preset has
+	// optimizer rungs (OptimOffload): the offloaded-optimizer pipeline's
+	// DRAM and NVMe tiers share the arena's PCIe links and NVMe array
+	// (optimizer traffic contends with activation offload and lands in
+	// the same wear ledger) but keep their own queues, block stores, and
+	// — for NVMe — an empty GDS registry, so optimizer shuttles ride the
+	// host-mediated bounce path as ZeRO-Offload's CPU-owned update
+	// prescribes.
 	optim     *core.OptimOffloader
 	optimDRAM *core.CPUOffloader
 	optimNVMe *core.SSDOffloader
@@ -68,29 +73,26 @@ type Session struct {
 // reused one run the identical code path.
 func NewSession(p *Plan) (*Session, error) {
 	shape := p.shape
+	preset, ok := presets[shape.Strategy]
+	if !ok {
+		return nil, fmt.Errorf("exp: unknown strategy %q", shape.Strategy)
+	}
 	rt := autograd.NewRuntime(shape.GPU)
 	graph := p.tmpl.CloneWithFreshWeights()
 	s := &Session{plan: p, rt: rt, graph: graph, weights: graph.Weights()}
 
 	var hooks autograd.Hooks = autograd.NoHooks{}
-	switch shape.Strategy {
-	case NoOffload, Recompute:
-		// No offload stack: the executor keeps (or recomputes) everything.
-	case SSDTrain, CPUOffload, HybridOffload, OptimOffload:
+	if preset.dram || preset.nvme {
 		var host, link *pcie.Link
 		var array *ssd.Array
-		if shape.Strategy != SSDTrain {
-			// DRAM rung over the host DMA path. The hybrid arena builds it
+		if preset.dram {
+			// DRAM rung over the host DMA path. A DRAM+NVMe arena builds it
 			// even though zero-grant calls exclude it from the stack: the
 			// rung is wiring, and an unused tier schedules nothing.
-			name := "pcie0"
-			if shape.Strategy != CPUOffload {
-				name = "pcie-host"
-			}
-			host = pcie.NewLink(rt.Eng, name, pcie.DefaultGen4x16())
+			host = pcie.NewLink(rt.Eng, preset.hostLink, pcie.DefaultGen4x16())
 			s.cpuTier = core.NewCPUOffloader(rt.Eng, "/dev/shm", host, 0)
 		}
-		if shape.Strategy != CPUOffload {
+		if preset.nvme {
 			// NVMe rung over the GDS peer-to-peer path: striped device
 			// array, malloc-hook registry. Devices are built with the base
 			// spec; Execute re-derates them per call's bandwidth share.
@@ -107,7 +109,7 @@ func NewSession(p *Plan) (*Session, error) {
 			rt.Alloc.AddHook(hook)
 			s.ssdTier = core.NewSSDOffloader(rt.Eng, "/mnt/md1", link, array, registry)
 		}
-		if shape.Strategy == OptimOffload {
+		if preset.optim {
 			// Optimizer rungs: own queues and block stores over the shared
 			// physical paths. The NVMe rung's registry stays empty, so its
 			// transfers take the bounce (host-mediated) path at the derated
@@ -138,8 +140,6 @@ func NewSession(p *Plan) (*Session, error) {
 			NoDedup:         shape.NoDedup,
 		})
 		hooks = s.cache
-	default:
-		return nil, fmt.Errorf("exp: unknown strategy %q", shape.Strategy)
 	}
 
 	exec, err := autograd.NewExecutor(rt, graph, hooks, autograd.ExecConfig{
@@ -245,59 +245,30 @@ func (s *Session) Execute(cfg RunConfig) (*RunResult, error) {
 		if s.cpuTier != nil {
 			s.cpuTier.Reset(actDRAM)
 		}
+		// The DRAM rung joins the stack when it is the only rung, or when
+		// grant is left after the optimizer states: a zero grant — or one
+		// the optimizer consumed entirely — degenerates DRAM+NVMe to
+		// NVMe-only. Each rung drains over its own PCIe path.
 		stack := s.stack[:0]
-		var policy core.PlacementPolicy
-		switch cfg.Strategy {
-		case SSDTrain:
-			stack = append(stack, s.ssdTier)
-			policy = core.SSDOnlyPolicy()
-		case CPUOffload:
+		if s.cpuTier != nil && (s.ssdTier == nil || actDRAM > 0) {
 			stack = append(stack, s.cpuTier)
-			policy = core.DRAMFirstPolicy()
-		case HybridOffload, OptimOffload:
-			// DRAM rung (host DMA path) first, NVMe rung (GDS path) below
-			// it; each rung drains over its own PCIe path. A zero DRAM
-			// grant — or one the optimizer states consumed entirely —
-			// degenerates the stack to NVMe-only.
-			if actDRAM > 0 {
-				stack = append(stack, s.cpuTier)
-			}
+		}
+		if s.ssdTier != nil {
 			stack = append(stack, s.ssdTier)
-			switch cfg.Placement {
-			case PlacementSSDOnly:
-				policy = core.SSDOnlyPolicy()
-			case PlacementSplit:
-				policy = core.SplitPolicy(cfg.SplitRatio)
-			default:
-				policy = core.DRAMFirstPolicy()
-			}
 		}
 		s.stack = stack
-		s.offloader.Reset(policy, stack...)
+		s.offloader.Reset(placementPolicy(cfg), stack...)
 
 		budget := cfg.Budget
 		if budget == 0 {
-			switch cfg.Strategy {
-			case HybridOffload, OptimOffload:
-				key := budgetKey{share: cfg.SSDBandwidthShare, placement: cfg.Placement, dramCap: cfg.DRAMCapacity, optim: cfg.OptimKind}
-				if cfg.Placement == PlacementSplit {
-					key.ratio = cfg.SplitRatio
-				}
-				budget = p.plannedHierarchyBudget(key, hierarchyPlans(cfg, stack, optimPlaced))
-			case CPUOffload:
-				// A bounded pinned pool has no spill rung, so the plan
-				// must fit it (Strict); capacity 0 reduces bit-for-bit to
-				// the unbounded single-target plan.
-				key := budgetKey{share: cfg.SSDBandwidthShare, dramCap: cfg.DRAMCapacity}
-				budget = p.plannedHierarchyBudget(key, []core.TierPlan{{
-					WriteBandwidth: s.offloader.WriteBandwidth(),
-					ReadBandwidth:  s.offloader.ReadBandwidth(),
-					Capacity:       cfg.DRAMCapacity,
-					Strict:         true,
-				}})
-			default:
-				budget = p.plannedBudget(cfg.SSDBandwidthShare, s.offloader.ReadBandwidth(), s.offloader.WriteBandwidth())
+			key := budgetKey{
+				share:     cfg.SSDBandwidthShare,
+				placement: cfg.Placement,
+				dramCap:   cfg.DRAMCapacity,
+				ratio:     cfg.SplitRatio,
+				optim:     cfg.OptimKind,
 			}
+			budget = p.plannedBudget(key, tierPlans(s.plans[:0], cfg, stack, optimPlaced))
 		}
 		res.PlannedBudget = budget
 
@@ -515,18 +486,31 @@ func runMeasurement(cfg RunConfig, rt *autograd.Runtime, exec *autograd.Executor
 	return nil
 }
 
-// hierarchyPlans maps the live tier stack to the planner's tier mix: the
-// ssd-only placement plans against the NVMe rung alone, split placement
-// caps the DRAM rung's share at the split ratio. A zero split ratio
-// routes every byte to NVMe at runtime, so the DRAM rung must drop out
-// of the plan too (TierPlan.Fraction 0 means "no share cap", not
+// placementPolicy maps the placement knob to the stack's routing
+// policy. On a one-rung stack every policy picks rung 0, so the
+// single-rung strategies take the unset knob's dram-first.
+func placementPolicy(cfg RunConfig) core.PlacementPolicy {
+	switch cfg.Placement {
+	case PlacementSSDOnly:
+		return core.SSDOnlyPolicy()
+	case PlacementSplit:
+		return core.SplitPolicy(cfg.SplitRatio)
+	default:
+		return core.DRAMFirstPolicy()
+	}
+}
+
+// tierPlans appends the planner's view of the live tier stack to dst:
+// the ssd-only placement plans against the NVMe rung alone, split
+// placement caps the DRAM rung's share at the split ratio. A zero split
+// ratio routes every byte to NVMe at runtime, so the DRAM rung must drop
+// out of the plan too (TierPlan.Fraction 0 means "no share cap", not
 // "nothing"). The optimizer placement's per-step shuttle volumes become
 // per-rung reserves, derating the activation plan's bandwidths by the
 // competing traffic; the zero placement leaves the plans untouched.
-func hierarchyPlans(cfg RunConfig, tiers []core.Tier, optim core.OptimPlacement) []core.TierPlan {
+func tierPlans(dst []core.TierPlan, cfg RunConfig, tiers []core.Tier, optim core.OptimPlacement) []core.TierPlan {
 	dramless := cfg.Placement == PlacementSSDOnly ||
 		(cfg.Placement == PlacementSplit && cfg.SplitRatio == 0)
-	plans := make([]core.TierPlan, 0, len(tiers))
 	for _, t := range tiers {
 		if dramless && t.Kind() != core.TierNVMe {
 			continue
@@ -547,9 +531,9 @@ func hierarchyPlans(cfg RunConfig, tiers []core.Tier, optim core.OptimPlacement)
 			tp.WriteReserve = optim.NVMeWritePerStep
 			tp.ReadReserve = optim.NVMeReadPerStep
 		}
-		plans = append(plans, tp)
+		dst = append(dst, tp)
 	}
-	return plans
+	return dst
 }
 
 // DefaultMaxIdleSessions bounds how many idle arenas a SessionPool

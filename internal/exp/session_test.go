@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"ssdtrain/internal/core"
 	"ssdtrain/internal/units"
 )
 
@@ -279,16 +280,15 @@ func TestSessionPoolEvictsOldest(t *testing.T) {
 // TestMemoBudgetSingleflight asserts concurrent uncached budget requests
 // for one key are coalesced into a single Fig 3 planner execution (run
 // under -race in CI, this also proves the memo path is data-race free).
+// The plan is built by compile, bypassing the shared plan cache, so every
+// run of the test starts from an empty memo.
 func TestMemoBudgetSingleflight(t *testing.T) {
-	cfg := smallCfg(SSDTrain)
-	plan, err := Compile(cfg)
+	plan, err := compile(shapeKey(smallCfg(SSDTrain).withDefaults()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A share no other test uses, so the key is guaranteed uncached on
-	// the (shared, memoized) plan.
-	const share = 0.1234567891
-	before := plan.BudgetComputes()
+	key := budgetKey{share: 0.5}
+	tiers := []core.TierPlan{{WriteBandwidth: 10 * units.GBps, ReadBandwidth: 10 * units.GBps}}
 	const workers = 8
 	results := make([]units.Bytes, workers)
 	start := make(chan struct{})
@@ -298,12 +298,12 @@ func TestMemoBudgetSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i] = plan.plannedBudget(share, 10*units.GBps, 10*units.GBps)
+			results[i] = plan.plannedBudget(key, tiers)
 		}(i)
 	}
 	close(start)
 	wg.Wait()
-	if got := plan.BudgetComputes() - before; got != 1 {
+	if got := plan.BudgetComputes(); got != 1 {
 		t.Errorf("planner ran %d times for one key, want 1", got)
 	}
 	for i := 1; i < workers; i++ {

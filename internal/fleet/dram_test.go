@@ -123,8 +123,8 @@ func TestFleetDRAMRelievesArray(t *testing.T) {
 // tenant whose thinned DRAM grant cannot hold its working set has no
 // spill rung and overflows its pool — the scheduler must treat that as
 // "cannot co-locate" (like a GPU-memory miss), not abort the simulation.
-// (Planner-driven tenants never hit this: the Strict capacity clamp fits
-// their budget to the grant.)
+// (Planner-driven tenants never hit this: the planner clamps a budget to
+// the capacity of the stack's last rung, which fits it to the grant.)
 func TestCPUOffloadOverflowIsInfeasibleNotFatal(t *testing.T) {
 	node := DefaultNodeSpec()
 	// The working set a tenant insists on offloading: the unbounded

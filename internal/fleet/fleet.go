@@ -222,27 +222,22 @@ func dramGrant(spec NodeSpec, j Job, dramGPUs int) units.Bytes {
 	return slice
 }
 
-// offloadsToSSD reports whether the job can write to the node array
-// (hybrid jobs spill their DRAM overflow there; optimizer-offload jobs
-// spill FP32 states and shuttle gradients/parameters through it).
+// offloadsToSSD reports whether the job's tier stack has an NVMe rung
+// writing to the node array (hybrid jobs spill their DRAM overflow
+// there; optimizer-offload jobs spill FP32 states and shuttle
+// gradients/parameters through it).
 func offloadsToSSD(j Job) bool {
-	switch j.Run.Strategy {
-	case exp.SSDTrain, exp.HybridOffload, exp.OptimOffload:
-		return true
-	}
-	return false
+	_, nvme := j.Run.Strategy.OffloadTiers()
+	return nvme
 }
 
-// wantsDRAM reports whether the job keeps a pinned host-memory rung and
-// therefore consumes the node's DRAM budget.
+// wantsDRAM reports whether the job keeps a pinned host-memory rung in
+// its stack and therefore consumes the node's DRAM budget: a DRAM rung
+// joins the stack when it is the only rung, or when it is granted
+// memory above an NVMe rung.
 func wantsDRAM(j Job) bool {
-	switch j.Run.Strategy {
-	case exp.HybridOffload, exp.OptimOffload:
-		return j.Run.DRAMCapacity > 0
-	case exp.CPUOffload:
-		return true
-	}
-	return false
+	dram, nvme := j.Run.Strategy.OffloadTiers()
+	return dram && (!nvme || j.Run.DRAMCapacity > 0)
 }
 
 // validate checks the configuration and that every job can run somewhere.

@@ -118,15 +118,13 @@ func NewProfiler(capacity int) *Profiler {
 func contendedRun(run exp.RunConfig, node NodeSpec, share float64, dramGrant units.Bytes) exp.RunConfig {
 	run.GPU = node.GPU
 	run.SSD = node.SSD
-	arrayBound := run.Strategy == exp.SSDTrain || run.Strategy == exp.HybridOffload ||
-		run.Strategy == exp.OptimOffload
-	if arrayBound && share > 0 && share < 1 {
+	dram, nvme := run.Strategy.OffloadTiers()
+	if nvme && share > 0 && share < 1 {
 		run.SSDBandwidthShare = share
 	} else {
 		run.SSDBandwidthShare = 0
 	}
-	if (run.Strategy == exp.HybridOffload || run.Strategy == exp.CPUOffload ||
-		run.Strategy == exp.OptimOffload) && node.DRAM > 0 {
+	if dram && node.DRAM > 0 {
 		run.DRAMCapacity = dramGrant
 	}
 	return run

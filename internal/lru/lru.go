@@ -198,6 +198,9 @@ type flight[V any] struct {
 	// panicked records a panic value from fn so waiters can re-panic
 	// instead of silently receiving the zero value.
 	panicked any
+	// dups counts the callers that joined the flight (guarded by the
+	// Singleflight's mu).
+	dups int
 }
 
 // Do executes fn under the key, coalescing with any in-progress call for
@@ -209,6 +212,7 @@ func (s *Singleflight[K, V]) Do(key K, fn func() (V, error)) (v V, err error, sh
 		s.flights = make(map[K]*flight[V])
 	}
 	if fl, ok := s.flights[key]; ok {
+		fl.dups++
 		s.mu.Unlock()
 		<-fl.done
 		if fl.panicked != nil {

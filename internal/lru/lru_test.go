@@ -2,6 +2,7 @@ package lru
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,10 +76,18 @@ func TestSingleflightCoalesces(t *testing.T) {
 			}
 		}()
 	}
-	// Let all goroutines pile onto the flight, then release it. A short
-	// busy wait keeps the test deterministic enough without sleeps in the
-	// success path.
-	for calls.Load() == 0 {
+	// Release the flight only once the 15 joiners are parked on it, so
+	// none of them can arrive after it lands and run fn again.
+	joined := func() int {
+		sf.mu.Lock()
+		defer sf.mu.Unlock()
+		if fl, ok := sf.flights["key"]; ok {
+			return fl.dups
+		}
+		return 0
+	}
+	for joined() < 15 {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
