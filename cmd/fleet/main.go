@@ -48,7 +48,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "job-mix seed")
 	policies := flag.String("policies", "fifo,sjf,backfill", "comma-separated scheduling policies")
 	workers := flag.Int("workers", 0, "profiling/sweep worker pool size (0 = GOMAXPROCS); never affects results")
-	adaptive := flag.Bool("adaptive", false, "adaptive profiling: stop each measurement once step time converges (same report, fewer simulated steps)")
 	minSteps := flag.Int("steps-min", 40, "minimum training steps per job")
 	maxSteps := flag.Int("steps-max", 400, "maximum training steps per job")
 	spread := flag.Duration("spread", 0, "arrival window (0 = full backlog at t=0)")
@@ -106,8 +105,7 @@ func main() {
 	start := time.Now()
 	reports, err := ssdtrain.FleetPolicySweepWith(ssdtrain.FleetPolicySweepConfig{
 		Cluster: cluster, Jobs: mix, Policies: pols,
-		Workers: *workers, AdaptiveProfiles: *adaptive,
-		Faults: plan,
+		Workers: *workers, Faults: plan,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,7 +1,7 @@
 // Example compiled_sweep demonstrates the compiled-plan API: compile a
 // measurement once, bind a reusable Session to the plan, then execute a
 // budget sweep and a bandwidth-share sweep against the shared arena,
-// with adaptive steady-state detection cutting the per-point simulation
+// with the steady-state fast path cutting the per-point simulation
 // cost. The session resets in place between points instead of
 // rebuilding the simulated machine, and its results are byte-identical
 // to one-shot runs — the equivalent calls (ssdtrain.Train /
@@ -22,10 +22,9 @@ import (
 func main() {
 	model := ssdtrain.PaperConfig(ssdtrain.BERT, 8192, 4, 16)
 	base := ssdtrain.RunConfig{
-		Model:         model,
-		Strategy:      ssdtrain.StrategySSDTrain,
-		Steps:         12,
-		AdaptiveSteps: true, // stop measuring once step time converges
+		Model:    model,
+		Strategy: ssdtrain.StrategySSDTrain,
+		Steps:    12, // the fast path synthesizes the steps after convergence
 	}
 
 	start := time.Now()

@@ -3,8 +3,10 @@
 // runs these same workloads via internal/hotbench). The baselines were
 // measured at the seed of this PR (commit d58ffb6) with the same
 // workloads running through per-point exp.Run: graph rebuilt, vectors
-// recomputed, budget re-planned, and all Steps simulated for every
-// sweep point.
+// recomputed, budget re-planned, and all 12 steps simulated for every
+// sweep point. The workloads here measure two steps per point (see
+// hotbench.SweepBase), so part of each recorded ratio is the ten steps
+// they do not simulate.
 package ssdtrain
 
 import (
@@ -15,8 +17,8 @@ import (
 )
 
 // BenchmarkCompiledSweep runs a 9-point offload-budget sweep (one planned
-// run plus eight budget fractions, Steps=12) through Compile once +
-// Execute per point with adaptive steady-state detection.
+// run plus eight budget fractions) through Compile once + Execute per
+// point.
 // Pre-PR baseline (d58ffb6): 25.99 ms/op, 221509 allocs/op.
 func BenchmarkCompiledSweep(b *testing.B) {
 	b.ReportAllocs()
@@ -28,7 +30,7 @@ func BenchmarkCompiledSweep(b *testing.B) {
 }
 
 // BenchmarkCompiledShareSweep runs a 4-point bandwidth-share sweep
-// (fleet-style contention profiling, Steps=12) through one compiled plan.
+// (fleet-style contention profiling) through one compiled plan.
 // Pre-PR baseline (d58ffb6): 9.41 ms/op, 93492 allocs/op.
 func BenchmarkCompiledShareSweep(b *testing.B) {
 	b.ReportAllocs()
@@ -40,8 +42,8 @@ func BenchmarkCompiledShareSweep(b *testing.B) {
 }
 
 // BenchmarkTieredSweep runs the 8-point DRAM-capacity placement sweep (a
-// dram-first hybrid at a quarter array share, Steps=12) through one
-// compiled plan — the hot path behind fleet profiling of hybrid tenants.
+// dram-first hybrid at a quarter array share) through one compiled
+// plan — the hot path behind fleet profiling of hybrid tenants.
 // Recorded to BENCH_tier.json by cmd/bench.
 func BenchmarkTieredSweep(b *testing.B) {
 	b.ReportAllocs()

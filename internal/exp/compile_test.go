@@ -132,58 +132,6 @@ func TestExecuteRejectsShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStepsMatchesFixed asserts an adaptive run stops early and
-// still reports the same steady-state measurement as the fixed-step run.
-func TestAdaptiveStepsMatchesFixed(t *testing.T) {
-	for _, strat := range []Strategy{SSDTrain, NoOffload} {
-		fixedCfg := smallCfg(strat)
-		fixedCfg.Steps = 12
-		fixed, err := Run(fixedCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adaptiveCfg := fixedCfg
-		adaptiveCfg.AdaptiveSteps = true
-		adaptive, err := Run(adaptiveCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(adaptive.PerStep) >= len(fixed.PerStep) {
-			t.Errorf("%s: adaptive ran %d steps, fixed ran %d — no savings",
-				strat, len(adaptive.PerStep), len(fixed.PerStep))
-		}
-		fm, am := fixed.Measured, adaptive.Measured
-		// Window positions on the timeline differ (the adaptive run is
-		// shorter); everything else must agree exactly.
-		fm.Start, fm.End, am.Start, am.End = 0, 0, 0, 0
-		if !reflect.DeepEqual(fm.Stats, am.Stats) || fm.IO != am.IO ||
-			fm.ActPeak != am.ActPeak || fm.TotalPeak != am.TotalPeak ||
-			fm.HostTime != am.HostTime || fm.UpdateTime != am.UpdateTime {
-			t.Errorf("%s: adaptive Measured differs from fixed:\n%+v\nvs\n%+v", strat, am, fm)
-		}
-		if fixed.PlannedBudget != adaptive.PlannedBudget {
-			t.Errorf("%s: planned budgets differ", strat)
-		}
-	}
-}
-
-// TestAdaptiveStepsMinimumTwo asserts the adaptive path never reports
-// from fewer than two measured steps (a single step cannot demonstrate
-// convergence).
-func TestAdaptiveStepsMinimumTwo(t *testing.T) {
-	cfg := smallCfg(NoOffload)
-	cfg.Steps = 12
-	cfg.AdaptiveSteps = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured := len(res.PerStep) - res.Config.Warmup
-	if measured < 2 {
-		t.Fatalf("only %d measured steps", measured)
-	}
-}
-
 // TestEligibleBytesZeroBlocks is the regression test for the seed's
 // latent out-of-range panic on zero-block graphs: saved[len(saved)-1]
 // with len(saved) == 0.

@@ -20,8 +20,8 @@ import (
 // of Run — the model graph template, the per-block activation and
 // backward-time vectors, and the Fig 3 offload budget — memoized so a
 // sweep that varies only the cheap knobs (Budget, Steps, Warmup,
-// SSDBandwidthShare, AdaptiveSteps, SteadyState, Placement, DRAMCapacity,
-// SplitRatio) pays graph construction and analysis once. A Plan is immutable after
+// SSDBandwidthShare, SteadyState, Placement, DRAMCapacity, SplitRatio)
+// pays graph construction and analysis once. A Plan is immutable after
 // Compile and safe for concurrent Execute calls: each execution runs on
 // its own arena (a Session), either single-use (Plan.Execute) or
 // recycled (Session.Execute via a SessionPool).
@@ -75,7 +75,6 @@ func shapeKey(cfg RunConfig) RunConfig {
 	cfg.Steps = 0
 	cfg.Warmup = 0
 	cfg.SSDBandwidthShare = 0
-	cfg.AdaptiveSteps = false
 	// The steady-state fast path reproduces full simulation byte for
 	// byte, so fast and forced-full configs share one plan (and arena).
 	cfg.SteadyState = ""
@@ -370,8 +369,8 @@ func (p *Plan) BudgetComputes() int64 { return p.budgetComputes.Load() }
 
 // Execute runs one measurement under the plan on a fresh, single-use
 // arena. cfg must match the plan's shape in everything except the cheap
-// knobs (Budget, Steps, Warmup, SSDBandwidthShare, AdaptiveSteps,
-// SteadyState, Placement, DRAMCapacity, SplitRatio); Execute rejects mismatched
+// knobs (Budget, Steps, Warmup, SSDBandwidthShare, SteadyState,
+// Placement, DRAMCapacity, SplitRatio); Execute rejects mismatched
 // configs rather than silently measuring the wrong model. Callers that
 // Execute one shape repeatedly should hold a Session (or route through a
 // SessionPool) instead: a recycled arena produces byte-identical results

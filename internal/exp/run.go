@@ -161,22 +161,6 @@ type RunConfig struct {
 	// 0 (unset) and 1 both mean exclusive access; NaN and values outside
 	// [0, 1] are rejected by Run.
 	SSDBandwidthShare float64
-	// AdaptiveSteps stops measuring as soon as two consecutive measured
-	// steps fold to identical state signatures instead of always running
-	// all Steps — the simulator is deterministic, so a steady state
-	// repeats to the nanosecond and further steps only cost wall-clock
-	// time. Steps becomes an upper bound; at least two steps are
-	// measured. Convergence detection is one mechanism shared with the
-	// SteadyState fast path: a per-step signature over the step's metrics,
-	// the engine's and compute queue's progress deltas, the allocator's
-	// event tail and the offload stack's per-cycle accounting. The two
-	// knobs differ only in what happens on a match — AdaptiveSteps stops
-	// and returns the short PerStep, while the fast path keeps PerStep at
-	// full length by synthesizing the remaining steps analytically. The
-	// final (Measured) metrics of a converged run are identical to the
-	// fixed-step run's; only PerStep's length differs, so leave this off
-	// when a sweep must stay byte-identical to the seed path.
-	AdaptiveSteps bool
 	// SteadyState controls the analytic steady-state fast path: once two
 	// consecutive measured steps fold to identical signatures the
 	// simulation has entered an exact cycle, so the remaining steps are
@@ -416,9 +400,8 @@ func graphTimes(g *autograd.Graph) (fwd, bwd time.Duration) {
 
 // Run executes one measurement: Compile (hitting the shared plan cache)
 // followed by Execute. Sweeps that vary only Budget, Steps, Warmup,
-// SSDBandwidthShare, AdaptiveSteps, or SteadyState automatically share
-// one compiled plan; callers that want explicit control use Compile +
-// Execute.
+// SSDBandwidthShare, or SteadyState automatically share one compiled
+// plan; callers that want explicit control use Compile + Execute.
 func Run(cfg RunConfig) (*RunResult, error) {
 	plan, err := Compile(cfg)
 	if err != nil {

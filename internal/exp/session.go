@@ -28,10 +28,9 @@ import (
 //
 // A Session is single-owner: it must not run two Executes concurrently.
 // Use a SessionPool to share arenas across sweep workers. The per-call
-// cheap knobs — Budget, Steps, Warmup, SSDBandwidthShare, AdaptiveSteps,
-// SteadyState, Placement, DRAMCapacity, SplitRatio — may differ freely
-// between calls on one session; everything else must match the plan's
-// shape.
+// cheap knobs — Budget, Steps, Warmup, SSDBandwidthShare, SteadyState,
+// Placement, DRAMCapacity, SplitRatio — may differ freely between calls
+// on one session; everything else must match the plan's shape.
 type Session struct {
 	plan    *Plan
 	rt      *autograd.Runtime
@@ -330,15 +329,12 @@ func runMeasurement(cfg RunConfig, rt *autograd.Runtime, exec *autograd.Executor
 		return m, nil
 	}
 
-	// One convergence mechanism serves two consumers (see steady.go): the
-	// per-step signature detector feeds AdaptiveSteps early stopping and
-	// the steady-state extrapolation fast path. Extrapolation additionally
-	// requires an untraced, fault-free run with the knob on — a traced run
-	// can't synthesize spans, and an armed fault spec could trigger inside
-	// the extrapolated region.
-	extrapolate := cfg.SteadyState != "off" && !cfg.Trace && cfg.Faults.Empty() && !cfg.AdaptiveSteps
+	// The per-step signature detector (see steady.go) runs only when the
+	// run may extrapolate: untraced, fault-free, with the knob on — a
+	// traced run can't synthesize spans, and an armed fault spec could
+	// trigger inside the extrapolated region.
 	var tracker *steadyTracker
-	if extrapolate || cfg.AdaptiveSteps {
+	if cfg.SteadyState != "off" && !cfg.Trace && cfg.Faults.Empty() {
 		tracker = newSteadyTracker(rt, off, optim)
 	}
 
@@ -377,9 +373,6 @@ func runMeasurement(cfg RunConfig, rt *autograd.Runtime, exec *autograd.Executor
 
 	res.SteadyState.SimulatedSteps = simulated
 	switch {
-	case converged && cfg.AdaptiveSteps:
-		// Adaptive early stop: PerStep stays short, nothing is synthesized.
-		steadyGlobal.hits.Add(1)
 	case converged && !extrapolatable:
 		// Defensive: offload-stack state that cannot be advanced
 		// analytically (page-accurate FTL wear). Armed fault specs already

@@ -57,18 +57,16 @@ func TestSessionExecuteMatchesFresh(t *testing.T) {
 		base := smallCfg(NoOffload)
 		more := base
 		more.Steps = 5
-		adaptive := base
-		adaptive.Steps = 8
-		adaptive.AdaptiveSteps = true
-		runSessionSequence(t, "no-offload", []RunConfig{base, more, adaptive})
+		longer := base
+		longer.Steps = 8
+		runSessionSequence(t, "no-offload", []RunConfig{base, more, longer})
 	})
 
 	t.Run("recompute", func(t *testing.T) {
 		base := smallCfg(Recompute)
-		adaptive := base
-		adaptive.Steps = 8
-		adaptive.AdaptiveSteps = true
-		runSessionSequence(t, "recompute", []RunConfig{base, adaptive})
+		longer := base
+		longer.Steps = 8
+		runSessionSequence(t, "recompute", []RunConfig{base, longer})
 	})
 
 	t.Run("ssdtrain", func(t *testing.T) {
@@ -85,7 +83,6 @@ func TestSessionExecuteMatchesFresh(t *testing.T) {
 		budget.Budget = plan.EligibleBytes() / 2
 		steps := base
 		steps.Steps = 6
-		steps.AdaptiveSteps = true
 		runSessionSequence(t, "ssdtrain", []RunConfig{base, half, quarter, budget, steps})
 	})
 

@@ -23,7 +23,7 @@ func TestShapeHashCoalescesCheapKnobs(t *testing.T) {
 	cheap := base
 	cheap.Steps = 7
 	cheap.SSDBandwidthShare = 0.5
-	cheap.AdaptiveSteps = true
+	cheap.SteadyState = "off"
 	if h, err := ShapeHash(cheap); err != nil || h != h0 {
 		t.Fatalf("cheap-knob variant hashed to %d (err %v), want shard %d", h, err, h0)
 	}

@@ -75,11 +75,10 @@ type OptimizerSpec struct {
 
 // RunSpec groups the measurement-shape knobs.
 type RunSpec struct {
-	Steps         int    `json:"steps,omitempty"`
-	Warmup        int    `json:"warmup,omitempty"`
-	MicroBatches  int    `json:"micro_batches,omitempty"`
-	SteadyState   string `json:"steady_state,omitempty"`
-	AdaptiveSteps bool   `json:"adaptive_steps,omitempty"`
+	Steps        int    `json:"steps,omitempty"`
+	Warmup       int    `json:"warmup,omitempty"`
+	MicroBatches int    `json:"micro_batches,omitempty"`
+	SteadyState  string `json:"steady_state,omitempty"`
 }
 
 // InjectSpec groups observability and perturbation.
@@ -119,11 +118,10 @@ func SpecFor(cfg RunConfig) Spec {
 			Schedule: cfg.Schedule,
 		},
 		Run: RunSpec{
-			Steps:         cfg.Steps,
-			Warmup:        cfg.Warmup,
-			MicroBatches:  cfg.MicroBatches,
-			SteadyState:   cfg.SteadyState,
-			AdaptiveSteps: cfg.AdaptiveSteps,
+			Steps:        cfg.Steps,
+			Warmup:       cfg.Warmup,
+			MicroBatches: cfg.MicroBatches,
+			SteadyState:  cfg.SteadyState,
 		},
 		Inject: InjectSpec{
 			Faults:            cfg.Faults,
@@ -173,7 +171,6 @@ func (s Spec) RunConfig() (RunConfig, error) {
 		OptimKind:         s.Optimizer.Kind,
 		Schedule:          s.Optimizer.Schedule,
 		SSDBandwidthShare: s.Inject.SSDBandwidthShare,
-		AdaptiveSteps:     s.Run.AdaptiveSteps,
 		SteadyState:       s.Run.SteadyState,
 		Trace:             s.Inject.Trace,
 		Faults:            s.Inject.Faults,

@@ -39,8 +39,8 @@ var steadyGlobal struct {
 // SteadyStats is a snapshot of the process-wide steady-state fast-path
 // counters.
 type SteadyStats struct {
-	// Hits counts runs where the signature detector converged: the fast
-	// path extrapolated, or an AdaptiveSteps run stopped early.
+	// Hits counts runs where the signature detector converged and the
+	// fast path extrapolated the remaining steps.
 	Hits uint64 `json:"hits"`
 	// ExtrapolatedSteps is the total number of measured steps synthesized
 	// analytically instead of simulated.
@@ -74,16 +74,16 @@ func steadyHorizon(busyUntil, origin time.Duration) time.Duration {
 	return busyUntil - origin
 }
 
-// steadyTracker computes the per-step state signature behind both the
-// steady-state fast path and AdaptiveSteps convergence. Each executed
-// step folds (a) the step's own metrics and (b) the arena's state delta
-// since the previous step — engine event counts, compute-queue growth,
-// the allocator's event tail, counter increments, and the offload stack's
-// per-cycle accounting — all shift-invariant quantities: times enter
-// relative to the step's start, cumulative counters as deltas. Two
-// consecutive measured steps with equal signatures mean the simulation
-// has entered a cycle that repeats exactly, so the remaining steps can be
-// synthesized from the last one.
+// steadyTracker computes the per-step state signature behind the
+// steady-state fast path, the simulator's one convergence mechanism.
+// Each executed step folds (a) the step's own metrics and (b) the arena's
+// state delta since the previous step — engine event counts,
+// compute-queue growth, the allocator's event tail, counter increments,
+// and the offload stack's per-cycle accounting — all shift-invariant
+// quantities: times enter relative to the step's start, cumulative
+// counters as deltas. Two consecutive measured steps with equal
+// signatures mean the simulation has entered a cycle that repeats
+// exactly, so the remaining steps can be synthesized from the last one.
 //
 // The signature deliberately excludes warm-capacity state that differs
 // between a fresh arena and a recycled session arena (the engine's event

@@ -7,8 +7,8 @@ import (
 // Sweep executes a batch of measurements with deduplicated work at every
 // level: configs that are value-identical run once and share a result,
 // configs that differ only in cheap knobs (Budget, Steps, Warmup,
-// SSDBandwidthShare, AdaptiveSteps, Placement, DRAMCapacity, SplitRatio)
-// share a compiled plan AND a pool of recycled execution arenas, and
+// SSDBandwidthShare, Placement, DRAMCapacity, SplitRatio) share a
+// compiled plan AND a pool of recycled execution arenas, and
 // configs that share a model shape reuse one graph template. Results are
 // returned in input order; duplicate configs receive the same
 // *RunResult. workers bounds parallelism (0 = GOMAXPROCS); simulations

@@ -103,14 +103,6 @@ type Config struct {
 	// Profiler optionally shares a warm profile cache across simulations
 	// (policy sweeps reuse every profile).
 	Profiler *Profiler
-	// AdaptiveProfiles opts every job's profiling run into adaptive
-	// steady-state detection (exp.RunConfig.AdaptiveSteps): measurement
-	// stops as soon as consecutive steps agree exactly, cutting the fixed
-	// warmup+steps cost of long sweeps. Converged profiles are identical
-	// to fixed-step profiles, but the flag changes the profile cache keys,
-	// so mix adaptive and fixed sweeps over one shared Profiler only if
-	// paying both measurement sets is acceptable.
-	AdaptiveProfiles bool
 	// Faults schedules deterministic fleet-level fault injection: device
 	// deaths (timed or wear-triggered) that steal rebuild bandwidth from
 	// co-located tenants, transient degradation windows, and node drains
@@ -287,14 +279,6 @@ func (c Config) validate() error {
 func Simulate(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.AdaptiveProfiles {
-		jobs := make([]Job, len(cfg.Jobs))
-		copy(jobs, cfg.Jobs)
-		for i := range jobs {
-			jobs[i].Run.AdaptiveSteps = true
-		}
-		cfg.Jobs = jobs
 	}
 	prof := cfg.Profiler
 	if prof == nil {

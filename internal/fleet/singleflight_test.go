@@ -75,36 +75,3 @@ func TestProfilerSingleflightDistinctKeys(t *testing.T) {
 		t.Fatalf("runs = %d, want %d", got, len(shares))
 	}
 }
-
-// TestAdaptiveProfilesMatchFixed asserts a fleet simulation with
-// AdaptiveProfiles produces a byte-identical report: profiles converge to
-// the same steady state, only the profiling cost changes.
-func TestAdaptiveProfilesMatchFixed(t *testing.T) {
-	node := DefaultNodeSpec()
-	var jobs []Job
-	for i := 0; i < 4; i++ {
-		strat := exp.SSDTrain
-		if i%2 == 1 {
-			strat = exp.Recompute
-		}
-		jobs = append(jobs, Job{
-			ID: i, Name: "job",
-			Run:   exp.RunConfig{Model: models.PaperConfig(models.BERT, 2048, 2, 4), Strategy: strat, Steps: 8},
-			GPUs:  1 + i%2,
-			Steps: 40,
-		})
-	}
-	cluster := ClusterSpec{Nodes: 2, Node: node}
-
-	fixed, err := Simulate(Config{Cluster: cluster, Jobs: jobs, Policy: FIFO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := Simulate(Config{Cluster: cluster, Jobs: jobs, Policy: FIFO, AdaptiveProfiles: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fixed, adaptive) {
-		t.Error("adaptive-profile report differs from fixed-step report")
-	}
-}

@@ -36,9 +36,6 @@ type PolicySweepConfig struct {
 	// Workers bounds sweep and profiling concurrency (0 = GOMAXPROCS);
 	// never affects results.
 	Workers int
-	// AdaptiveProfiles opts profiling runs into adaptive steady-state
-	// detection (see Config.AdaptiveProfiles).
-	AdaptiveProfiles bool
 	// Faults applies one fault plan to every policy's simulation (see
 	// Config.Faults), so the comparison shows how each scheduler absorbs
 	// the same failure schedule.
@@ -62,13 +59,12 @@ func PolicySweepWith(cfg PolicySweepConfig) ([]*Report, error) {
 		scenarios[i] = Scenario{
 			Name: string(p),
 			Config: Config{
-				Cluster:          cfg.Cluster,
-				Jobs:             cfg.Jobs,
-				Policy:           p,
-				Workers:          cfg.Workers,
-				Profiler:         prof,
-				AdaptiveProfiles: cfg.AdaptiveProfiles,
-				Faults:           cfg.Faults,
+				Cluster:  cfg.Cluster,
+				Jobs:     cfg.Jobs,
+				Policy:   p,
+				Workers:  cfg.Workers,
+				Profiler: prof,
+				Faults:   cfg.Faults,
 			},
 		}
 	}

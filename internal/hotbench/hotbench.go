@@ -23,9 +23,11 @@ func SweepModel() models.Config {
 	return models.PaperConfig(models.BERT, 8192, 4, 16)
 }
 
-// SweepBase is the compiled-sweep base config (Steps=12, adaptive).
+// SweepBase is the compiled-sweep base config. Two measured steps are
+// the fewest in which the steady-state detector can see a match, so
+// traced and untraced points simulate the same steps.
 func SweepBase() exp.RunConfig {
-	return exp.RunConfig{Model: SweepModel(), Strategy: exp.SSDTrain, Steps: 12, AdaptiveSteps: true}
+	return exp.RunConfig{Model: SweepModel(), Strategy: exp.SSDTrain, Steps: 2}
 }
 
 // BudgetSweep runs the 9-point offload-budget sweep once: a planned
@@ -117,14 +119,12 @@ func TieredSweep() error {
 }
 
 // SteadyBase is the steady-state fast-path workload: the sweep model at
-// 10000 fixed steps with adaptive profiling off, so every step is owed
-// and the analytic extrapolation (simulate until two consecutive steps
-// produce identical event signatures, synthesize the rest) carries
-// essentially the whole run.
+// 10000 steps, so the analytic extrapolation (simulate until two
+// consecutive steps produce identical event signatures, synthesize the
+// rest) carries essentially the whole run.
 func SteadyBase() exp.RunConfig {
 	base := SweepBase()
 	base.Steps = 10000
-	base.AdaptiveSteps = false
 	return base
 }
 

@@ -25,11 +25,10 @@ type FleetRequest struct {
 	Seed       int64    `json:"seed,omitempty"` // default 1
 	HybridFrac float64  `json:"hybrid_frac,omitempty"`
 	// Policies defaults to every scheduler (fifo, sjf, backfill).
-	Policies         []string `json:"policies,omitempty"`
-	MinSteps         int      `json:"steps_min,omitempty"`
-	MaxSteps         int      `json:"steps_max,omitempty"`
-	SubmitSpreadMs   int64    `json:"submit_spread_ms,omitempty"`
-	AdaptiveProfiles bool     `json:"adaptive_profiles,omitempty"`
+	Policies       []string `json:"policies,omitempty"`
+	MinSteps       int      `json:"steps_min,omitempty"`
+	MaxSteps       int      `json:"steps_max,omitempty"`
+	SubmitSpreadMs int64    `json:"submit_spread_ms,omitempty"`
 	// Faults is a fault plan in the cmd/fleet -faults syntax (e.g.
 	// "death@30s:node0:dev1,drain@2m:node1:5m,ckpt=25"); empty injects
 	// nothing.
@@ -178,12 +177,11 @@ func (s *Server) runFleet(req FleetRequest) (*FleetResponse, error) {
 			return nil, err
 		}
 		report, err := fleet.Simulate(fleet.Config{
-			Cluster:          fleet.ClusterSpec{Nodes: req.Nodes, Node: node},
-			Jobs:             jobs,
-			Policy:           policy,
-			Profiler:         s.profiler,
-			AdaptiveProfiles: req.AdaptiveProfiles,
-			Faults:           plan,
+			Cluster:  fleet.ClusterSpec{Nodes: req.Nodes, Node: node},
+			Jobs:     jobs,
+			Policy:   policy,
+			Profiler: s.profiler,
+			Faults:   plan,
 		})
 		if err != nil {
 			return nil, err

@@ -109,7 +109,6 @@ type PlanRequest struct {
 	SplitRatio        float64 `json:"split_ratio,omitempty"`
 	KeepLastModules   int     `json:"keep_last_modules,omitempty"`
 	PrefetchAhead     int     `json:"prefetch_ahead,omitempty"`
-	AdaptiveSteps     bool    `json:"adaptive_steps,omitempty"`
 	DisableGDS        bool    `json:"disable_gds,omitempty"`
 	// OptimKind/Schedule configure the optim-offload strategy family
 	// (adam | sgd, sync | overlap).
@@ -152,10 +151,9 @@ type OptimizerRequest struct {
 
 // RunRequest mirrors exp.RunSpec on the wire.
 type RunRequest struct {
-	Steps         int  `json:"steps,omitempty"`
-	Warmup        int  `json:"warmup,omitempty"`
-	MicroBatches  int  `json:"micro_batches,omitempty"`
-	AdaptiveSteps bool `json:"adaptive_steps,omitempty"`
+	Steps        int `json:"steps,omitempty"`
+	Warmup       int `json:"warmup,omitempty"`
+	MicroBatches int `json:"micro_batches,omitempty"`
 }
 
 // InjectRequest mirrors exp.InjectSpec on the wire.
@@ -233,7 +231,6 @@ func (r PlanRequest) runConfig() (exp.RunConfig, error) {
 		SplitRatio:        r.SplitRatio,
 		KeepLastModules:   r.KeepLastModules,
 		PrefetchAhead:     r.PrefetchAhead,
-		AdaptiveSteps:     r.AdaptiveSteps,
 		DisableGDS:        r.DisableGDS,
 		OptimKind:         r.OptimKind,
 		Schedule:          r.Schedule,
@@ -287,10 +284,9 @@ func (s *SpecRequest) runConfig() (exp.RunConfig, error) {
 			Schedule: s.Optimizer.Schedule,
 		},
 		Run: exp.RunSpec{
-			Steps:         s.Run.Steps,
-			Warmup:        s.Run.Warmup,
-			MicroBatches:  s.Run.MicroBatches,
-			AdaptiveSteps: s.Run.AdaptiveSteps,
+			Steps:        s.Run.Steps,
+			Warmup:       s.Run.Warmup,
+			MicroBatches: s.Run.MicroBatches,
 		},
 		Inject: exp.InjectSpec{
 			Faults:            s.Inject.Faults.spec(),
@@ -348,7 +344,10 @@ type PlanResponse struct {
 	ComputeStallNs      int64   `json:"compute_stall_ns"`
 	ModelTFLOPS         float64 `json:"model_tflops"`
 	OffloadPeakBytes    int64   `json:"offload_peak_bytes,omitempty"`
-	StepsMeasured       int     `json:"steps_measured"`
+	// StepsMeasured counts every step of the run, warmup and measured
+	// alike — simulated or synthesized by the fast path — so it always
+	// equals warmup + steps.
+	StepsMeasured int `json:"steps_measured"`
 
 	// SteadyState reports the fast path's outcome for this measurement:
 	// how many steps were simulated vs extrapolated, and the fallback

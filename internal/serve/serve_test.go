@@ -440,6 +440,8 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown strategy", `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"teleport"}`, http.StatusBadRequest},
 		{"bad geometry", `{"model":{"arch":"bert","hidden":2049,"layers":2,"batch":4},"strategy":"ssdtrain"}`, http.StatusBadRequest},
 		{"dead knob", `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain","split_ratio":0.5}`, http.StatusBadRequest},
+		{"removed flat adaptive_steps", `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain","adaptive_steps":true}`, http.StatusBadRequest},
+		{"removed nested adaptive_steps", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"},"run":{"adaptive_steps":true}}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(tc.body))
@@ -572,6 +574,7 @@ func TestHostileKnobsRejected(t *testing.T) {
 		`{"steps_max":-1}`,
 		`{"dram_gib":-1}`,
 		`{"hybrid_frac":2}`,
+		`{"adaptive_profiles":true}`,
 	}
 	for _, body := range fleetCases {
 		resp, err := http.Post(ts.URL+"/v1/fleet", "application/json", strings.NewReader(body))

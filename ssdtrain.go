@@ -171,7 +171,7 @@ func OptimSweepTable(r *OptimSweepResult) *trace.Table { return exp.OptimSweepTa
 // Compile builds (or fetches from the shared plan cache) the run plan
 // for a configuration; plan.Execute then measures any variant differing
 // only in the cheap knobs (Budget, Steps, Warmup, SSDBandwidthShare,
-// AdaptiveSteps, Placement, DRAMCapacity, SplitRatio).
+// SteadyState, Placement, DRAMCapacity, SplitRatio).
 func Compile(cfg RunConfig) (*Plan, error) { return exp.Compile(cfg) }
 
 // NewSession binds a reusable execution arena to a compiled plan, for
@@ -282,7 +282,7 @@ func FleetPolicySweep(cluster FleetClusterSpec, jobs []FleetJob, policies []Flee
 }
 
 // FleetPolicySweepConfig is the full option set for a policy sweep,
-// including adaptive profiling.
+// including a shared fault plan.
 type FleetPolicySweepConfig = fleet.PolicySweepConfig
 
 // FleetPolicySweepWith is FleetPolicySweep with the full option set.
