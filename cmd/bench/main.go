@@ -340,12 +340,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A failed Do is reported after testing.Benchmark returns: b.Fatal
+	// outside `go test` panics and hides the message.
+	var hedgeErr error
 	clusterRep.Results["hedged_request"] = measure("hedged_request", func(b *testing.B) {
 		b.ReportAllocs()
-		if err := hb.Do(b.N); err != nil {
-			b.Fatal(err)
+		if err := hb.Do(b.N); err != nil && hedgeErr == nil {
+			hedgeErr = err
 		}
 	})
+	if hedgeErr != nil {
+		log.Fatal(hedgeErr)
+	}
 	emit(rows, *clusterOut, clusterRep, []string{"ring_lookup", "hedged_request"})
 
 	// Pool observability: run the share sweep twice through one

@@ -343,11 +343,16 @@ func TestLifetimesRelease(t *testing.T) {
 	if !s.Freed() {
 		t.Error("not freed at refcount zero")
 	}
-	// Free time is the max of release times.
-	rep := alloc.Finalize(true)
-	samples := rep.Timeline.Samples()
-	last := samples[len(samples)-1]
-	if last.At != 10*time.Millisecond {
-		t.Errorf("free recorded at %v, want max release time 10ms", last.At)
+	// Free time is the max of release times: the storage is resident
+	// through [5ms, 10ms) — a free at the earlier release would empty the
+	// window that opens just after 5ms — and gone once 10ms has passed.
+	wins := []gpu.Window{
+		{Start: 5*time.Millisecond + 1, End: 10 * time.Millisecond},
+		{Start: 10*time.Millisecond + 1, End: 20 * time.Millisecond},
+	}
+	alloc.Finalize(wins)
+	if wins[0].Total != 100 || wins[1].Total != 0 {
+		t.Errorf("window peaks %v then %v, want 100 B in [5ms, 10ms) and 0 after the free at 10ms",
+			wins[0].Total, wins[1].Total)
 	}
 }

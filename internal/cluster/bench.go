@@ -50,11 +50,12 @@ func (rb *RingBench) Lookup(n int) {
 
 // HedgeBench measures the full hedged-request path through the router
 // handler. Two in-memory replicas answer identically; the shard owner
-// is rigged to outlive the hedge delay, so every request decodes its
-// shard key, walks the ring, forwards to the owner, fires a hedge at
-// the successor and returns the hedge's answer. ns/op is therefore
-// bounded below by the configured hedge delay; allocs/op is the durable
-// number — what one routed-and-hedged request costs in garbage.
+// is rigged never to answer before its request is abandoned, so every
+// request decodes its shard key, walks the ring, forwards to the owner,
+// fires a hedge at the successor and returns the hedge's answer. ns/op
+// is therefore bounded below by the configured hedge delay; allocs/op is
+// the durable number — what one routed-and-hedged request costs in
+// garbage.
 type HedgeBench struct {
 	rt   *Router
 	blob []byte
@@ -62,20 +63,16 @@ type HedgeBench struct {
 
 // benchHedgeDelay is deliberately tiny — the hedge fires as soon as the
 // runtime's timer granularity allows (~100µs on bare metal, around a
-// millisecond on coarse-tick VMs). The rigged owner sleeps 200x longer,
-// far past any plausible granularity, so the hedge wins every race and
-// ns/op ≈ timer granularity + router machinery rather than the owner's
-// sleep.
+// millisecond on coarse-tick VMs) — so ns/op ≈ timer granularity +
+// router machinery. The rigged owner waits on its request's context
+// rather than a timer, so no scheduling delay lets it answer first.
 const benchHedgeDelay = 100 * time.Microsecond
 
 // NewHedgeBench wires the two-replica in-memory cluster outside the
 // timed region.
 func NewHedgeBench() (*HedgeBench, error) {
 	blob := []byte(`{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain"}`)
-	tr := &benchTransport{
-		delay:   200 * benchHedgeDelay,
-		payload: []byte(`{"bench":"hedged-request"}` + "\n"),
-	}
+	tr := &benchTransport{payload: []byte(`{"bench":"hedged-request"}` + "\n")}
 	rt, err := NewRouter(Options{
 		Replicas: []Replica{
 			{ID: "hb0", URL: "http://hb0"},
@@ -105,12 +102,17 @@ func (hb *HedgeBench) Do(n int) error {
 	h := hb.rt.Handler()
 	before := hb.rt.Metrics().HedgeWins
 	for i := 0; i < n; i++ {
-		req, err := http.NewRequestWithContext(context.Background(), http.MethodPost, "/v1/plan", bytes.NewReader(hb.blob))
+		// Cancelling the request once it is answered releases the owner's
+		// attempt, which is still waiting.
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "/v1/plan", bytes.NewReader(hb.blob))
 		if err != nil {
+			cancel()
 			return err
 		}
 		rec := &benchRecorder{}
 		h.ServeHTTP(rec, req)
+		cancel()
 		if rec.status != http.StatusOK {
 			return fmt.Errorf("cluster: hedge bench request %d answered %d", i, rec.status)
 		}
@@ -122,11 +124,11 @@ func (hb *HedgeBench) Do(n int) error {
 	return nil
 }
 
-// benchTransport is the in-memory replica pair: the slow host sleeps
-// past the hedge delay, everyone answers the same fixed body.
+// benchTransport is the in-memory replica pair: the slow host answers
+// only with its request's cancellation, everyone else with the same
+// fixed body.
 type benchTransport struct {
 	slowHost string
-	delay    time.Duration
 	payload  []byte
 }
 
@@ -136,11 +138,8 @@ func (t *benchTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		req.Body.Close()
 	}
 	if req.URL.Host == t.slowHost {
-		select {
-		case <-time.After(t.delay):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
+		<-req.Context().Done()
+		return nil, req.Context().Err()
 	}
 	h := make(http.Header)
 	h.Set("Content-Type", "application/json")

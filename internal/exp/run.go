@@ -257,7 +257,8 @@ type RunResult struct {
 	PerStep []StepMetrics
 	// Measured is the last measured step (steady state).
 	Measured StepMetrics
-	// Mem is the whole-run memory report.
+	// Mem is the whole-run memory report: peaks only, no timeline (each
+	// step's peaks are on its PerStep row).
 	Mem *gpu.MemReport
 	// PlannedBudget is the offload budget the Fig 3 workflow chose.
 	PlannedBudget units.Bytes

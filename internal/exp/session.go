@@ -9,6 +9,7 @@ import (
 	"ssdtrain/internal/autograd"
 	"ssdtrain/internal/core"
 	"ssdtrain/internal/gds"
+	"ssdtrain/internal/gpu"
 	"ssdtrain/internal/pcie"
 	"ssdtrain/internal/ssd"
 	"ssdtrain/internal/tensor"
@@ -65,6 +66,10 @@ type Session struct {
 	optim     *core.OptimOffloader
 	optimDRAM *core.CPUOffloader
 	optimNVMe *core.SSDOffloader
+
+	// windows is the per-step window scratch the allocator fills with
+	// each step's memory peaks.
+	windows []gpu.Window
 }
 
 // NewSession builds an execution arena for the plan. The arena is fully
@@ -284,7 +289,7 @@ func (s *Session) Execute(cfg RunConfig) (*RunResult, error) {
 	if s.optim != nil {
 		s.exec.ConfigureOptim(s.optim, cfg.Schedule == ScheduleOverlap)
 	}
-	if err := runMeasurement(cfg, s.rt, s.exec, s.cache, s.offloader, s.optim, res); err != nil {
+	if err := s.runMeasurement(cfg, res); err != nil {
 		// Leave no armed recorder behind: the next (possibly untraced)
 		// Execute on this arena must not record.
 		s.rt.Rec.Disable()
@@ -303,10 +308,11 @@ func (s *Session) Execute(cfg RunConfig) (*RunResult, error) {
 	return res, nil
 }
 
-// runMeasurement drives the warmup + measurement loop on a prepared arena
-// and fills in the result — the single code path behind both fresh and
-// session-reused Executes.
-func runMeasurement(cfg RunConfig, rt *autograd.Runtime, exec *autograd.Executor, cache *core.TensorCache, off *core.TieredOffloader, optim *core.OptimOffloader, res *RunResult) error {
+// runMeasurement drives the warmup + measurement loop on the prepared
+// arena and fills in the result — the single code path behind both fresh
+// and session-reused Executes.
+func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
+	rt, exec, cache, off, optim := s.rt, s.exec, s.cache, s.offloader, s.optim
 	runStep := func() (StepMetrics, error) {
 		sr := exec.Run()
 		m := StepMetrics{
@@ -420,16 +426,17 @@ func runMeasurement(cfg RunConfig, rt *autograd.Runtime, exec *autograd.Executor
 		steadyGlobal.fallbackNoConv.Add(1)
 	}
 
-	rep := rt.Alloc.Finalize(true)
-	res.Mem = rep
-	attributePeaks(rep.ActTimeline, res.PerStep, func(s *StepMetrics, p units.Bytes) {
-		s.ActPeak = p
-		s.Stats.ActivationPeak = p
-	})
-	attributePeaks(rep.Timeline, res.PerStep, func(s *StepMetrics, p units.Bytes) {
-		s.TotalPeak = p
-		s.Stats.TotalPeak = p
-	})
+	wins := slices.Grow(s.windows[:0], len(res.PerStep))
+	for _, m := range res.PerStep {
+		wins = append(wins, gpu.Window{Start: m.Start, End: m.End})
+	}
+	s.windows = wins
+	res.Mem = rt.Alloc.Finalize(wins)
+	for i, w := range wins {
+		m := &res.PerStep[i]
+		m.ActPeak, m.Stats.ActivationPeak = w.Act, w.Act
+		m.TotalPeak, m.Stats.TotalPeak = w.Total, w.Total
+	}
 	res.Measured = res.PerStep[len(res.PerStep)-1]
 	if cache != nil && off != nil {
 		res.SSDPeak = off.PeakResident()

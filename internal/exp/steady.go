@@ -7,8 +7,6 @@ import (
 	"ssdtrain/internal/autograd"
 	"ssdtrain/internal/core"
 	"ssdtrain/internal/sim"
-	"ssdtrain/internal/trace"
-	"ssdtrain/internal/units"
 )
 
 // Fallback reasons reported on RunResult.SteadyState and counted in the
@@ -218,33 +216,5 @@ func (t *steadyTracker) extrapolateCounters(n int64) {
 		if d != 0 {
 			t.rt.Counters.Add(name, d*n)
 		}
-	}
-}
-
-// attributePeaks fills one peak per step window from the timeline in a
-// single merged scan: exactly PeakBetween(s.Start, s.End) for every step
-// (same carry-in semantics), but O(samples + steps) instead of
-// O(samples × steps). Step windows are contiguous and sorted, which is
-// what lets one pass over the samples serve every window; the linear cost
-// is what keeps ten-thousand-step runs feasible, fast path or not.
-func attributePeaks(tl *trace.MemTimeline, steps []StepMetrics, set func(*StepMetrics, units.Bytes)) {
-	samples := tl.Samples()
-	var level units.Bytes
-	j := 0
-	for i := range steps {
-		s := &steps[i]
-		for j < len(samples) && samples[j].At < s.Start {
-			level = samples[j].Total
-			j++
-		}
-		peak := level
-		for j < len(samples) && samples[j].At < s.End {
-			if samples[j].Total > peak {
-				peak = samples[j].Total
-			}
-			level = samples[j].Total
-			j++
-		}
-		set(s, peak)
 	}
 }

@@ -3,13 +3,13 @@ package gpu
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
 	"ssdtrain/internal/sim"
 	"ssdtrain/internal/spans"
 	"ssdtrain/internal/tensor"
-	"ssdtrain/internal/trace"
 	"ssdtrain/internal/units"
 )
 
@@ -54,7 +54,7 @@ type AllocHook interface {
 	OnFree(s *tensor.Storage)
 }
 
-// memEvent is a buffered timeline delta.
+// memEvent is a buffered level delta.
 type memEvent struct {
 	at    time.Duration
 	delta units.Bytes
@@ -65,8 +65,8 @@ type memEvent struct {
 // Allocator is the device caching allocator model. Allocation and free
 // calls carry virtual timestamps; because the training executor computes
 // completion times out of chronological order (stores complete while later
-// ops are being issued), events are buffered and folded into monotonic
-// timelines at Finalize.
+// ops are being issued), events are buffered and folded in time order at
+// Finalize.
 type Allocator struct {
 	capacity units.Bytes
 	events   []memEvent
@@ -83,13 +83,15 @@ type Allocator struct {
 	repl       []memEvent
 	replN      int
 	replPeriod time.Duration
+	// cycle is Finalize's per-event view of repl. It is scratch: its
+	// capacity survives Reset, so a recycled arena replicates without
+	// allocating.
+	cycle []cyclePoint
 
 	// rec/memT emit instant alloc/free events (named by class) when the
 	// flight recorder is on. Like the hooks, the wiring survives Reset.
 	rec  *spans.Recorder
 	memT spans.TrackID
-
-	report *MemReport
 }
 
 // NewAllocator creates an allocator for a device with the given capacity.
@@ -107,16 +109,15 @@ func (a *Allocator) SetRecorder(r *spans.Recorder) {
 // AddHook attaches an allocation observer.
 func (a *Allocator) AddHook(h AllocHook) { a.hooks = append(a.hooks, h) }
 
-// Reset discards the recorded run (events, live set, any finalized
-// report) for reuse by a new simulation on the same arena. Attached hooks
-// survive — they are wiring, not run state — and the event buffer's
-// capacity is retained so a replayed run appends without growing.
+// Reset discards the recorded run (events, live set, pending replication)
+// for reuse by a new simulation on the same arena. Attached hooks survive
+// — they are wiring, not run state — and the event buffer's capacity is
+// retained so a replayed run appends without growing.
 func (a *Allocator) Reset() {
 	a.events = a.events[:0]
 	clear(a.live)
 	a.seq = 0
 	a.final = false
-	a.report = nil
 	a.repl = a.repl[:0]
 	a.replN = 0
 }
@@ -205,7 +206,7 @@ func (a *Allocator) FoldTail(sig *sim.Sig, mark int, origin time.Duration) {
 // ReplicateTail records that the events appended since mark repeat n more
 // times, copy j shifted by j×period. The copies are virtual: Finalize
 // applies them analytically — one cycle's level profile is computed once
-// and every copy's samples and peaks are synthesized from it by pure
+// and every copy's peaks, and every window's, follow from it by pure
 // arithmetic — which is what makes a 10k-step extrapolated run cost a few
 // warm-up steps instead of materializing millions of identical events.
 // The synthesized outcome is byte-identical to really appending the
@@ -213,8 +214,9 @@ func (a *Allocator) FoldTail(sig *sim.Sig, mark int, origin time.Duration) {
 // cannot overlap when the cycle's span fits the period, and integer level
 // arithmetic is exact. A later Alloc or Free materializes the pending
 // copies first, and a cycle whose span exceeds the period (a backdated
-// event straddling blocks) is materialized immediately so overlapping
-// copies still go through the full sort.
+// event straddling blocks), or a period that is not positive, is
+// materialized immediately so overlapping copies still go through the
+// full sort.
 // Recorder spans and hooks do not fire for the copies: replication is only
 // used when the flight recorder is off, and hook-driven accounting is
 // extrapolated by the caller from per-cycle counter deltas.
@@ -228,15 +230,10 @@ func (a *Allocator) ReplicateTail(mark, n int, period time.Duration) {
 		return
 	}
 	a.repl = append(a.repl[:0], tail...)
-	slices.SortFunc(a.repl, func(x, y memEvent) int {
-		if x.at != y.at {
-			return cmp.Compare(x.at, y.at)
-		}
-		return cmp.Compare(x.seq, y.seq)
-	})
+	sortEvents(a.repl)
 	a.replN = n
 	a.replPeriod = period
-	if span := a.repl[len(a.repl)-1].at - a.repl[0].at; span > period {
+	if span := a.repl[len(a.repl)-1].at - a.repl[0].at; period <= 0 || span > period {
 		a.materializeRepl()
 	}
 }
@@ -276,10 +273,6 @@ type MemReport struct {
 	// Overflowed reports whether the total ever exceeded capacity (OOM on
 	// real hardware).
 	Overflowed bool
-	// Timeline is the total-memory timeline (recorded if requested).
-	Timeline *trace.MemTimeline
-	// ActTimeline is the activations-class timeline.
-	ActTimeline *trace.MemTimeline
 }
 
 // PeakActivations returns the activation-class peak (the paper's Fig 6b
@@ -288,26 +281,33 @@ func (r *MemReport) PeakActivations() units.Bytes {
 	return r.PeakByClass[ClassActivations]
 }
 
-// Finalize folds buffered events into monotonic timelines and computes
-// peaks. record enables sample retention on the returned timelines.
-// Finalize may be called once; further allocator use panics.
-func (a *Allocator) Finalize(record bool) *MemReport {
+// Window is a half-open virtual-time interval [Start, End) of the run.
+// Finalize fills Total and Act with the highest total and
+// activation-class levels reached in it, counting the level carried in
+// at Start: a training step's memory peaks (Fig 6b) when the window is
+// the step.
+type Window struct {
+	Start, End time.Duration
+	Total, Act units.Bytes
+}
+
+// Finalize applies the buffered events in (at, seq) order, with any
+// pending replication in closed form, and returns the run's peaks. It
+// fills each window's peaks on the way; windows must be sorted by Start
+// and must not overlap. Finalize may be called once; further allocator
+// use panics, and so does a class level going negative, which only a
+// bug can produce.
+func (a *Allocator) Finalize(windows []Window) *MemReport {
 	if a.final {
-		return a.report
+		panic("gpu: Finalize called twice")
 	}
 	a.final = true
 	// Sorting in place is safe: the allocator is terminal after Finalize
 	// (until Reset, which discards the buffer's contents anyway), and
 	// skipping the defensive copy keeps Finalize off the sweep allocation
-	// budget. seq is unique per event, so (at, seq) is a total order and
-	// an unstable sort yields the same permutation a stable one would.
+	// budget.
 	evs := a.events
-	slices.SortFunc(evs, func(x, y memEvent) int {
-		if x.at != y.at {
-			return cmp.Compare(x.at, y.at)
-		}
-		return cmp.Compare(x.seq, y.seq)
-	})
+	sortEvents(evs)
 	// A pending virtual replication (ReplicateTail) is valid only when the
 	// copies land strictly after every real event; an event sorting past
 	// the first copy's start would interleave, so fall back to really
@@ -316,129 +316,253 @@ func (a *Allocator) Finalize(record bool) *MemReport {
 	if a.replN > 0 && len(evs) > 0 && evs[len(evs)-1].at > a.repl[0].at+a.replPeriod {
 		a.materializeRepl()
 		evs = a.events
-		slices.SortFunc(evs, func(x, y memEvent) int {
-			if x.at != y.at {
-				return cmp.Compare(x.at, y.at)
-			}
-			return cmp.Compare(x.seq, y.seq)
-		})
+		sortEvents(evs)
 	}
-	// One cycle's level profile: partial sums of the sorted template, from
-	// which every virtual copy's samples and peaks follow analytically
-	// (the level at position i of copy j is prefix end + (j-1)×net +
-	// cycle[i], all exact integer arithmetic).
-	var cycTotal, cycAct []trace.MemSample
-	var cycByClass [classCount]units.Bytes
+	rep := &MemReport{Capacity: a.capacity}
+	r := levelRun{rep: rep}
+	// One merged pass: windows and events are both sorted, so each window
+	// takes the level carried in at its start and the levels after the
+	// events inside it.
+	k := 0
+	for i := range windows {
+		w := &windows[i]
+		for k < len(evs) && evs[k].at < w.Start {
+			r.apply(evs[k])
+			k++
+		}
+		pk := r.levels()
+		for k < len(evs) && evs[k].at < w.End {
+			r.apply(evs[k])
+			k++
+			pk = pk.max(r.levels())
+		}
+		w.Total, w.Act = pk.total, pk.act
+	}
+	for ; k < len(evs); k++ {
+		r.apply(evs[k])
+	}
 	if a.replN > 0 {
-		cycTotal = make([]trace.MemSample, 0, len(a.repl))
-		var run, runAct units.Bytes
-		for _, ev := range a.repl {
-			run += ev.delta
-			cycByClass[ev.class] += ev.delta
-			cycTotal = append(cycTotal, trace.MemSample{At: ev.at, Total: run})
-			if ev.class == ClassActivations {
-				runAct += ev.delta
-				cycAct = append(cycAct, trace.MemSample{At: ev.at, Total: runAct})
-			}
-		}
-	}
-	rep := &MemReport{
-		Capacity:    a.capacity,
-		Timeline:    trace.NewMemTimeline("total", record),
-		ActTimeline: trace.NewMemTimeline("activations", record),
-	}
-	if record {
-		// Size the sample buffers exactly: one sample per event (activation
-		// class only for the activation timeline), appended one at a time
-		// below, plus the virtual copies synthesized after the loop.
-		nAct := 0
-		for i := range evs {
-			if evs[i].class == ClassActivations {
-				nAct++
-			}
-		}
-		rep.Timeline.Grow(len(evs) + a.replN*len(cycTotal))
-		rep.ActTimeline.Grow(nAct + a.replN*len(cycAct))
-	}
-	var byClass [classCount]units.Bytes
-	var total units.Bytes
-	for _, ev := range evs {
-		total += ev.delta
-		byClass[ev.class] += ev.delta
-		rep.Timeline.Add(ev.at, ev.delta)
-		if ev.class == ClassActivations {
-			rep.ActTimeline.Add(ev.at, ev.delta)
-		}
-		if total > rep.PeakTotal {
-			rep.PeakTotal = total
-			rep.PeakAt = ev.at
-			rep.ClassAtTotalPeak = byClass
-		}
-		for c := Class(0); c < classCount; c++ {
-			if byClass[c] > rep.PeakByClass[c] {
-				rep.PeakByClass[c] = byClass[c]
-			}
-		}
-	}
-	if a.replN > 0 && len(cycTotal) > 0 {
-		a.replicateReport(rep, total, byClass, cycTotal, cycByClass)
-		rep.Timeline.ReplayCycles(cycTotal, a.replN, a.replPeriod)
-		rep.ActTimeline.ReplayCycles(cycAct, a.replN, a.replPeriod)
+		a.replicate(&r, windows)
 	}
 	rep.Overflowed = rep.PeakTotal > a.capacity
-	a.report = rep
 	return rep
 }
 
-// replicateReport folds replN virtual copies of the cycle into the
-// report's peak fields exactly as the event loop above would have, by
-// closed form. Level in copy j at cycle position i is
-// total + (j-1)×net + cycle[i], so each candidate peak is maximized at
-// copy replN when its net per cycle is positive and at copy 1 otherwise;
-// the strict-> comparisons reproduce the sequential loop's
-// first-occurrence tie-breaking.
-func (a *Allocator) replicateReport(rep *MemReport, total units.Bytes, byClass [classCount]units.Bytes, cycTotal []trace.MemSample, cycByClass [classCount]units.Bytes) {
-	// The cycle's internal running maxima: the total's max with its first
-	// At and the per-class snapshot there, and each class's own max.
-	bPeak := cycTotal[0].Total
-	bPeakAt := cycTotal[0].At
-	var runByClass, bPeakSnap, bClassPeak [classCount]units.Bytes
-	runByClass[a.repl[0].class] += a.repl[0].delta
-	bPeakSnap = runByClass
-	bClassPeak = runByClass
-	for i := 1; i < len(a.repl); i++ {
-		ev := a.repl[i]
-		runByClass[ev.class] += ev.delta
-		if cycTotal[i].Total > bPeak {
-			bPeak = cycTotal[i].Total
-			bPeakAt = cycTotal[i].At
-			bPeakSnap = runByClass
+func sortEvents(evs []memEvent) {
+	// seq is unique per event, so (at, seq) is a total order and an
+	// unstable sort yields the same permutation a stable one would.
+	slices.SortFunc(evs, func(x, y memEvent) int {
+		if x.at != y.at {
+			return cmp.Compare(x.at, y.at)
 		}
-		for c := Class(0); c < classCount; c++ {
-			if runByClass[c] > bClassPeak[c] {
-				bClassPeak[c] = runByClass[c]
-			}
-		}
+		return cmp.Compare(x.seq, y.seq)
+	})
+}
+
+// levels is a (total, activation-class) level pair, the two levels a
+// Window reports.
+type levels struct{ total, act units.Bytes }
+
+func (l levels) max(o levels) levels { return levels{max(l.total, o.total), max(l.act, o.act)} }
+func (l levels) add(o levels) levels { return levels{l.total + o.total, l.act + o.act} }
+
+// levelRun is Finalize's running state over the real events: the levels
+// after the events applied so far, and the report's peaks.
+type levelRun struct {
+	rep     *MemReport
+	total   units.Bytes
+	byClass [classCount]units.Bytes
+}
+
+func (r *levelRun) apply(ev memEvent) {
+	r.total += ev.delta
+	r.byClass[ev.class] += ev.delta
+	if r.byClass[ev.class] < 0 {
+		panic(fmt.Sprintf("gpu: %v level went negative (%v) at %v", ev.class, r.byClass[ev.class], ev.at))
 	}
-	net := cycTotal[len(cycTotal)-1].Total
+	if r.total > r.rep.PeakTotal {
+		r.rep.PeakTotal = r.total
+		r.rep.PeakAt = ev.at
+		r.rep.ClassAtTotalPeak = r.byClass
+	}
+	r.rep.PeakByClass[ev.class] = max(r.rep.PeakByClass[ev.class], r.byClass[ev.class])
+}
+
+func (r *levelRun) levels() levels { return levels{r.total, r.byClass[ClassActivations]} }
+
+// cyclePoint is one event of the replicated cycle, in (at, seq) order:
+// its unshifted time, the cycle's running levels through it, and the
+// highest running levels from the cycle's start through it (pre) and
+// from it through the cycle's end (suf).
+type cyclePoint struct {
+	at           time.Duration
+	lv, pre, suf levels
+}
+
+// replicate folds the replN pending copies of the cycle into the report
+// and the windows in closed form. Copy j (1-based) applies the cycle
+// shifted by j×period on top of the level base + (j-1)×net, where base
+// is the level after the real events and net the cycle's own: every
+// level is affine in j, so each peak is taken at the first or the last
+// copy, and integer arithmetic keeps it exact. The strict comparisons
+// reproduce an event-by-event fold's first-occurrence tie-breaking.
+func (a *Allocator) replicate(r *levelRun, windows []Window) {
+	rep, n := r.rep, a.replN
+	// One pass over the cycle: its running levels and maxima, the total's
+	// peak with its first time and class snapshot, and each class's net,
+	// highest and lowest running level.
+	cyc := slices.Grow(a.cycle[:0], len(a.repl))
+	var run levels
+	pre := levels{math.MinInt64, math.MinInt64} // below any level: the first event sets it
+	var peakAt time.Duration
+	// net ends as each class's net per cycle; hi and lo start from the
+	// carry-in level, which is a real level too.
+	var net, hi, lo, peakSnap [classCount]units.Bytes
+	for _, ev := range a.repl {
+		run.total += ev.delta
+		if ev.class == ClassActivations {
+			run.act += ev.delta
+		}
+		net[ev.class] += ev.delta
+		hi[ev.class] = max(hi[ev.class], net[ev.class])
+		lo[ev.class] = min(lo[ev.class], net[ev.class])
+		if run.total > pre.total {
+			peakAt, peakSnap = ev.at, net
+		}
+		pre = pre.max(run)
+		cyc = append(cyc, cyclePoint{at: ev.at, lv: run, pre: pre})
+	}
+	a.cycle = cyc
+	suf := run
+	for i := len(cyc) - 1; i >= 0; i-- {
+		suf = suf.max(cyc[i].lv)
+		cyc[i].suf = suf
+	}
+
 	jStar := 1
-	if net > 0 {
-		jStar = a.replN
+	if run.total > 0 {
+		jStar = n
 	}
-	if cand := total + units.Bytes(jStar-1)*net + bPeak; cand > rep.PeakTotal {
+	if cand := r.total + units.Bytes(jStar-1)*run.total + pre.total; cand > rep.PeakTotal {
 		rep.PeakTotal = cand
-		rep.PeakAt = bPeakAt + time.Duration(jStar)*a.replPeriod
-		for c := Class(0); c < classCount; c++ {
-			rep.ClassAtTotalPeak[c] = byClass[c] + units.Bytes(jStar-1)*cycByClass[c] + bPeakSnap[c]
+		rep.PeakAt = peakAt + time.Duration(jStar)*a.replPeriod
+		for c := range rep.ClassAtTotalPeak {
+			rep.ClassAtTotalPeak[c] = r.byClass[c] + units.Bytes(jStar-1)*net[c] + peakSnap[c]
 		}
 	}
 	for c := Class(0); c < classCount; c++ {
-		jc := 1
-		if cycByClass[c] > 0 {
-			jc = a.replN
+		jHi, jLo := 1, 1
+		if net[c] > 0 {
+			jHi = n
+		} else if net[c] < 0 {
+			jLo = n
 		}
-		if cand := byClass[c] + units.Bytes(jc-1)*cycByClass[c] + bClassPeak[c]; cand > rep.PeakByClass[c] {
-			rep.PeakByClass[c] = cand
+		rep.PeakByClass[c] = max(rep.PeakByClass[c], r.byClass[c]+units.Bytes(jHi-1)*net[c]+hi[c])
+		if low := r.byClass[c] + units.Bytes(jLo-1)*net[c] + lo[c]; low < 0 {
+			panic(fmt.Sprintf("gpu: %v level went negative (%v) in replicated cycle %d", c, low, jLo))
 		}
 	}
+
+	cp := copies{cyc: cyc, n: n, period: a.replPeriod, base: r.levels(), net: run}
+	first := cyc[0].at + a.replPeriod
+	for i := range windows {
+		w := &windows[i]
+		if w.End <= first {
+			continue
+		}
+		j1, i1 := cp.pos(w.Start)
+		j2, i2 := cp.pos(w.End)
+		pk := levels{w.Total, w.Act}
+		if j1 > 1 || i1 > 0 {
+			// Copies precede the window, so its carry-in level is theirs.
+			pk = cp.before(j1, i1)
+		}
+		if m, ok := cp.peak(j1, i1, j2, i2); ok {
+			pk = pk.max(m)
+		}
+		w.Total, w.Act = pk.total, pk.act
+	}
+}
+
+// copies views replN virtual copies of a cycle. Copies never overlap:
+// the cycle spans at most one period, so in (at, seq) order copy j's
+// events all precede copy j+1's, and a position in the replicated
+// stream is a (copy, index) pair.
+type copies struct {
+	cyc       []cyclePoint
+	n         int
+	period    time.Duration
+	base, net levels
+}
+
+// offset is the level copy j starts from.
+func (c *copies) offset(j int) levels {
+	k := units.Bytes(j - 1)
+	return levels{c.base.total + k*c.net.total, c.base.act + k*c.net.act}
+}
+
+// pos returns the position of the first copied event at or after t:
+// (n+1, 0) when every copy lies before t.
+func (c *copies) pos(t time.Duration) (j, i int) {
+	j = 1
+	if d := t - c.cyc[len(c.cyc)-1].at; d > 0 {
+		j = int((d-1)/c.period) + 1 // the first copy whose last event is at or after t
+	}
+	if j > c.n {
+		return c.n + 1, 0
+	}
+	i, _ = slices.BinarySearchFunc(c.cyc, t-time.Duration(j)*c.period, func(p cyclePoint, t time.Duration) int {
+		return cmp.Compare(p.at, t)
+	})
+	return j, i
+}
+
+// before returns the level just before position (j, i).
+func (c *copies) before(j, i int) levels {
+	if i == 0 {
+		return c.offset(j)
+	}
+	return c.offset(j).add(c.cyc[i-1].lv)
+}
+
+// peak returns the highest levels at the copied events in positions
+// [(j1, i1), (j2, i2)); ok is false when the range is empty. A copy the
+// range covers partly contributes a prefix or a suffix of the cycle, and
+// the copies it covers whole peak at one end of their run, so the cost
+// is constant in the number of copies.
+func (c *copies) peak(j1, i1, j2, i2 int) (m levels, ok bool) {
+	if j1 > j2 || j1 == j2 && i1 >= i2 {
+		return m, false
+	}
+	n := len(c.cyc)
+	if j1 == j2 {
+		// pos never returns (j, n), so the range ends inside copy j.
+		off := c.offset(j1)
+		if i1 == 0 {
+			return off.add(c.cyc[i2-1].pre), true
+		}
+		// Cut at both ends: only a window shorter than the cycle's span
+		// does that (a step window is a whole period long).
+		m = c.cyc[i1].lv
+		for _, p := range c.cyc[i1+1 : i2] {
+			m = m.max(p.lv)
+		}
+		return off.add(m), true
+	}
+	m = c.offset(j1).add(c.cyc[i1].suf)
+	if j2-j1 > 1 {
+		top := c.cyc[n-1].pre
+		hiTotal, hiAct := j1+1, j1+1
+		if c.net.total > 0 {
+			hiTotal = j2 - 1
+		}
+		if c.net.act > 0 {
+			hiAct = j2 - 1
+		}
+		m = m.max(levels{c.offset(hiTotal).total + top.total, c.offset(hiAct).act + top.act})
+	}
+	if i2 > 0 {
+		m = m.max(c.offset(j2).add(c.cyc[i2-1].pre))
+	}
+	return m, true
 }

@@ -99,7 +99,7 @@ func TestAllocatorPeaks(t *testing.T) {
 	a.Alloc(time.Millisecond, s2, ClassActivations)
 	a.Free(2*time.Millisecond, s2)
 	a.Alloc(3*time.Millisecond, s3, ClassActivations)
-	rep := a.Finalize(true)
+	rep := a.Finalize(nil)
 	if rep.PeakTotal != 700*units.MiB {
 		t.Errorf("peak total = %v", rep.PeakTotal)
 	}
@@ -132,7 +132,7 @@ func TestAllocatorOutOfOrderTimestamps(t *testing.T) {
 	a.Alloc(time.Millisecond, s2, ClassActivations) // earlier, recorded later
 	a.Free(6*time.Millisecond, s1)
 	a.Free(5500*time.Microsecond, s2) // overlaps s1's [5ms, 6ms) interval
-	rep := a.Finalize(false)
+	rep := a.Finalize(nil)
 	if rep.PeakTotal != 200 {
 		t.Errorf("peak = %v (events not time-sorted?)", rep.PeakTotal)
 	}
@@ -144,7 +144,7 @@ func TestAllocatorOutOfOrderTimestamps(t *testing.T) {
 	a2.Alloc(time.Millisecond, s4, ClassActivations)
 	a2.Free(6*time.Millisecond, s3)
 	a2.Free(2*time.Millisecond, s4)
-	if rep2 := a2.Finalize(false); rep2.PeakTotal != 100 {
+	if rep2 := a2.Finalize(nil); rep2.PeakTotal != 100 {
 		t.Errorf("disjoint peak = %v", rep2.PeakTotal)
 	}
 }
@@ -155,7 +155,7 @@ func TestAllocatorStreamOrderedFreeClamp(t *testing.T) {
 	a.Alloc(5*time.Millisecond, s, ClassWorkspace)
 	// Host dropped the ref before the kernel ran; clamped to alloc time.
 	a.Free(time.Millisecond, s)
-	rep := a.Finalize(false)
+	rep := a.Finalize(nil)
 	if rep.PeakTotal != 100 {
 		t.Errorf("peak = %v", rep.PeakTotal)
 	}
@@ -187,7 +187,7 @@ func TestAllocatorOverflowDetection(t *testing.T) {
 	a := NewAllocator(100)
 	s := tensor.NewStorage(200, tensor.GPU)
 	a.Alloc(0, s, ClassActivations)
-	rep := a.Finalize(false)
+	rep := a.Finalize(nil)
 	if !rep.Overflowed {
 		t.Error("overflow not detected")
 	}
@@ -231,7 +231,7 @@ func TestAllocatorPeakProperty(t *testing.T) {
 				at += time.Microsecond
 			}
 		}
-		rep := a.Finalize(false)
+		rep := a.Finalize(nil)
 		var classMax units.Bytes
 		for _, v := range rep.PeakByClass {
 			if v > classMax {

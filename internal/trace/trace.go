@@ -1,236 +1,16 @@
-// Package trace collects the measurements the paper reports: byte-accurate
-// memory timelines with peak tracking, named counters for cache behaviour
-// (offloads, forwards, dedup hits), and per-step timing. Every sample is
-// stamped with virtual time so traces are comparable across runs.
+// Package trace collects the measurements the paper reports: named
+// counters for cache behaviour (offloads, forwards, dedup hits),
+// per-step statistics, and the text tables the tools print.
 package trace
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"ssdtrain/internal/units"
 )
-
-// MemSample is one point in a memory timeline.
-type MemSample struct {
-	At    time.Duration
-	Total units.Bytes
-}
-
-// MemTimeline tracks a running byte total over virtual time and remembers
-// the peak. Allocations and frees arrive in virtual-time order from the
-// simulation engine.
-type MemTimeline struct {
-	name    string
-	cur     units.Bytes
-	peak    units.Bytes
-	peakAt  time.Duration
-	last    time.Duration
-	samples []MemSample
-	record  bool
-	// maxSamples caps the retained sample count (0 = exact retention).
-	maxSamples int
-}
-
-// NewMemTimeline creates a timeline. If record is true every sample is
-// retained for plotting/golden tests; otherwise only current and peak are
-// kept (cheap enough for big sweeps).
-func NewMemTimeline(name string, record bool) *MemTimeline {
-	return &MemTimeline{name: name, record: record}
-}
-
-// Name returns the timeline's label.
-func (m *MemTimeline) Name() string { return m.name }
-
-// SetMaxSamples bounds the recorded sample count: once the timeline holds
-// n samples, recording halves them in place (keeping, of each adjacent
-// pair, the higher level — so every retained sample is a real level and
-// local peaks survive) before appending. The bound turns a recording
-// timeline's growth from linear in run length into amortized constant
-// memory, at the cost of PeakBetween resolution between surviving
-// samples; the default (0) retains every sample exactly, which the
-// harness's per-step peak attribution depends on. n < 2 other than 0 is
-// clamped to 2 so compression always makes room.
-func (m *MemTimeline) SetMaxSamples(n int) {
-	if n != 0 && n < 2 {
-		n = 2
-	}
-	m.maxSamples = n
-}
-
-// MaxSamples returns the configured sample cap (0 = unbounded).
-func (m *MemTimeline) MaxSamples() int { return m.maxSamples }
-
-// compress halves the sample buffer in place, keeping of each adjacent
-// pair the sample with the higher level (the later one on ties, biasing
-// toward fresher timestamps) and always keeping a trailing odd sample.
-// Sample order — one survivor per disjoint pair — stays monotonic in At.
-func (m *MemTimeline) compress() {
-	s := m.samples
-	n := len(s)
-	w := 0
-	for i := 0; i+1 < n; i += 2 {
-		keep := s[i+1]
-		if s[i].Total > keep.Total {
-			keep = s[i]
-		}
-		s[w] = keep
-		w++
-	}
-	if n%2 == 1 {
-		s[w] = s[n-1]
-		w++
-	}
-	m.samples = s[:w]
-}
-
-// Grow reserves capacity for n further samples. A no-op unless exact
-// retention is on — under a maxSamples cap the buffer is already bounded.
-func (m *MemTimeline) Grow(n int) {
-	if !m.record || m.maxSamples != 0 {
-		return
-	}
-	m.samples = slices.Grow(m.samples, n)
-}
-
-// Add applies a delta at virtual time at. Deltas may be negative (frees).
-// Time must be monotonically non-decreasing.
-func (m *MemTimeline) Add(at time.Duration, delta units.Bytes) {
-	if at < m.last {
-		panic(fmt.Sprintf("trace: %s timeline time went backwards: %v < %v", m.name, at, m.last))
-	}
-	m.last = at
-	m.cur += delta
-	if m.cur < 0 {
-		panic(fmt.Sprintf("trace: %s timeline went negative (%v) at %v", m.name, m.cur, at))
-	}
-	if m.cur > m.peak {
-		m.peak = m.cur
-		m.peakAt = at
-	}
-	if m.record {
-		if m.maxSamples > 0 && len(m.samples) >= m.maxSamples {
-			m.compress()
-		}
-		m.samples = append(m.samples, MemSample{At: at, Total: m.cur})
-	}
-}
-
-// ReplayCycles extends the timeline as if one periodic cycle of deltas
-// had been re-Added copies more times at period spacing. cycle[i] holds
-// the i-th event's At (unshifted) and the cycle's running partial sum
-// through it, so copy j's level at position i is cur + (j-1)×net +
-// cycle[i].Total — exact integer arithmetic, byte-identical to really
-// replaying the events. This is the steady-state fast path's timeline
-// materialization: samples are written directly instead of routing
-// millions of identical events through Add. The cycle must be sorted,
-// span at most one period, and start no earlier than one period before
-// the timeline's last sample; retention must be exact (no sample cap).
-func (m *MemTimeline) ReplayCycles(cycle []MemSample, copies int, period time.Duration) {
-	if copies <= 0 || len(cycle) == 0 {
-		return
-	}
-	if m.maxSamples != 0 {
-		panic(fmt.Sprintf("trace: %s timeline: ReplayCycles under a sample cap", m.name))
-	}
-	if cycle[0].At+period < m.last {
-		panic(fmt.Sprintf("trace: %s timeline: replayed cycle starts at %v, before last sample %v", m.name, cycle[0].At+period, m.last))
-	}
-	net := cycle[len(cycle)-1].Total
-	bPeak, bPeakAt := cycle[0].Total, cycle[0].At
-	bMin := cycle[0].Total
-	for i := 1; i < len(cycle); i++ {
-		if cycle[i].At < cycle[i-1].At {
-			panic(fmt.Sprintf("trace: %s timeline: replayed cycle not sorted", m.name))
-		}
-		if cycle[i].Total > bPeak {
-			bPeak, bPeakAt = cycle[i].Total, cycle[i].At
-		}
-		if cycle[i].Total < bMin {
-			bMin = cycle[i].Total
-		}
-	}
-	// Peak and negative-level checks mirror Add's: with positive net every
-	// copy tops the last, otherwise the first copy is the extremum (and
-	// symmetrically for the minimum level).
-	jStar, jMin := 1, 1
-	if net > 0 {
-		jStar = copies
-	} else if net < 0 {
-		jMin = copies
-	}
-	if cand := m.cur + units.Bytes(jStar-1)*net + bPeak; cand > m.peak {
-		m.peak = cand
-		m.peakAt = bPeakAt + time.Duration(jStar)*period
-	}
-	if low := m.cur + units.Bytes(jMin-1)*net + bMin; low < 0 {
-		panic(fmt.Sprintf("trace: %s timeline went negative (%v) in replayed cycle %d", m.name, low, jMin))
-	}
-	if m.record {
-		m.samples = slices.Grow(m.samples, copies*len(cycle))
-		for j := 1; j <= copies; j++ {
-			shift := time.Duration(j) * period
-			base := m.cur + units.Bytes(j-1)*net
-			for _, s := range cycle {
-				m.samples = append(m.samples, MemSample{At: s.At + shift, Total: base + s.Total})
-			}
-		}
-	}
-	m.cur += units.Bytes(copies) * net
-	m.last = cycle[len(cycle)-1].At + time.Duration(copies)*period
-}
-
-// Current returns the present byte total.
-func (m *MemTimeline) Current() units.Bytes { return m.cur }
-
-// Peak returns the maximum byte total observed.
-func (m *MemTimeline) Peak() units.Bytes { return m.peak }
-
-// PeakAt returns the virtual time of the peak.
-func (m *MemTimeline) PeakAt() time.Duration { return m.peakAt }
-
-// Samples returns the recorded samples (nil unless recording was enabled).
-func (m *MemTimeline) Samples() []MemSample { return m.samples }
-
-// ResetPeak restarts peak tracking from the current level; used to measure
-// the peak within a phase (e.g. forward+backward only, excluding the
-// optimizer step) as the paper does.
-func (m *MemTimeline) ResetPeak() {
-	m.peak = m.cur
-	m.peakAt = m.last
-}
-
-// PeakBetween returns the maximum level reached in the half-open window
-// [from, to), including the level carried into the window. It requires
-// sample recording to have been enabled.
-func (m *MemTimeline) PeakBetween(from, to time.Duration) units.Bytes {
-	var level units.Bytes // level entering the window
-	var peak units.Bytes
-	seen := false
-	for _, s := range m.samples {
-		if s.At < from {
-			level = s.Total
-			continue
-		}
-		if !seen {
-			peak = level // carry-in level counts at the window start
-			seen = true
-		}
-		if s.At >= to {
-			break
-		}
-		if s.Total > peak {
-			peak = s.Total
-		}
-	}
-	if !seen {
-		peak = level
-	}
-	return peak
-}
 
 // Counters is a set of named monotonically increasing counters.
 type Counters struct {
@@ -299,8 +79,8 @@ func (c *Counters) String() string {
 type StepStats struct {
 	// StepTime is the end-to-end virtual time of the step (Fig 6a).
 	StepTime time.Duration
-	// ActivationPeak is the peak of the activation memory timeline during
-	// forward+backward (Fig 6b).
+	// ActivationPeak is the activation-class memory peak within the step
+	// (Fig 6b).
 	ActivationPeak units.Bytes
 	// TotalPeak is the peak of all GPU memory.
 	TotalPeak units.Bytes

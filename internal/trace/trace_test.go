@@ -3,180 +3,10 @@ package trace
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"ssdtrain/internal/units"
 )
-
-func TestMemTimelinePeak(t *testing.T) {
-	m := NewMemTimeline("test", true)
-	m.Add(0, 100)
-	m.Add(time.Millisecond, 200)
-	m.Add(2*time.Millisecond, -150)
-	m.Add(3*time.Millisecond, 50)
-	if m.Peak() != 300 {
-		t.Errorf("peak = %v", m.Peak())
-	}
-	if m.PeakAt() != time.Millisecond {
-		t.Errorf("peakAt = %v", m.PeakAt())
-	}
-	if m.Current() != 200 {
-		t.Errorf("current = %v", m.Current())
-	}
-	if len(m.Samples()) != 4 {
-		t.Errorf("samples = %d", len(m.Samples()))
-	}
-}
-
-func TestMemTimelineBackwardsTimePanics(t *testing.T) {
-	m := NewMemTimeline("test", false)
-	m.Add(time.Millisecond, 10)
-	defer func() {
-		if recover() == nil {
-			t.Error("backwards time did not panic")
-		}
-	}()
-	m.Add(0, 10)
-}
-
-func TestMemTimelineNegativePanics(t *testing.T) {
-	m := NewMemTimeline("test", false)
-	m.Add(0, 10)
-	defer func() {
-		if recover() == nil {
-			t.Error("negative total did not panic")
-		}
-	}()
-	m.Add(time.Millisecond, -20)
-}
-
-func TestMemTimelineResetPeak(t *testing.T) {
-	m := NewMemTimeline("test", false)
-	m.Add(0, 300)
-	m.Add(time.Millisecond, -250)
-	m.ResetPeak()
-	m.Add(2*time.Millisecond, 100)
-	if m.Peak() != 150 {
-		t.Errorf("peak after reset = %v", m.Peak())
-	}
-}
-
-func TestPeakBetween(t *testing.T) {
-	m := NewMemTimeline("test", true)
-	m.Add(0, 100)
-	m.Add(10*time.Millisecond, 400) // 500
-	m.Add(20*time.Millisecond, -450)
-	m.Add(30*time.Millisecond, 200) // 250
-	cases := []struct {
-		from, to time.Duration
-		want     units.Bytes
-	}{
-		{0, 40 * time.Millisecond, 500},
-		{15 * time.Millisecond, 25 * time.Millisecond, 500}, // carry-in level
-		{25 * time.Millisecond, 40 * time.Millisecond, 250},
-		{21 * time.Millisecond, 29 * time.Millisecond, 50}, // between events
-		{40 * time.Millisecond, 50 * time.Millisecond, 250},
-	}
-	for _, c := range cases {
-		if got := m.PeakBetween(c.from, c.to); got != c.want {
-			t.Errorf("PeakBetween(%v,%v) = %v, want %v", c.from, c.to, got, c.want)
-		}
-	}
-}
-
-// Property: windowed peak never exceeds the global peak, and the full
-// window reproduces it.
-func TestPeakBetweenProperty(t *testing.T) {
-	f := func(deltas []int16) bool {
-		m := NewMemTimeline("q", true)
-		var cur units.Bytes
-		at := time.Duration(0)
-		for _, d := range deltas {
-			dd := units.Bytes(d)
-			if cur+dd < 0 {
-				dd = -cur
-			}
-			m.Add(at, dd)
-			cur += dd
-			at += time.Millisecond
-		}
-		full := m.PeakBetween(0, at+time.Millisecond)
-		if full != m.Peak() {
-			return false
-		}
-		half := m.PeakBetween(0, at/2)
-		return half <= full
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestMemTimelineMaxSamples pins the bounded-recording regression: a
-// capped recording timeline must stay within its cap, keep the global
-// peak sample alive through compression, and remain deterministic.
-func TestMemTimelineMaxSamples(t *testing.T) {
-	const cap = 64
-	build := func() *MemTimeline {
-		m := NewMemTimeline("capped", true)
-		m.SetMaxSamples(cap)
-		for i := 0; i < 10_000; i++ {
-			// Sawtooth with one towering spike mid-run.
-			d := units.Bytes(i%17 + 1)
-			if i%2 == 1 {
-				d = -units.Bytes(i % 17)
-			}
-			if i == 5_000 {
-				d = 1 << 30
-			}
-			m.Add(time.Duration(i)*time.Microsecond, d)
-			if i == 5_001 {
-				continue
-			}
-			if i == 5_002 {
-				m.Add(time.Duration(i)*time.Microsecond+time.Nanosecond, -(1 << 30))
-			}
-		}
-		return m
-	}
-	m := build()
-	if got := len(m.Samples()); got > cap {
-		t.Errorf("samples = %d, cap = %d", got, cap)
-	}
-	// The exact peak tracker is unaffected by downsampling.
-	if m.Peak() < 1<<30 {
-		t.Errorf("peak lost: %v", m.Peak())
-	}
-	// The peak's sample survives pairwise-max compression: PeakBetween
-	// over the full run still finds the spike.
-	if got := m.PeakBetween(0, time.Hour); got != m.Peak() {
-		t.Errorf("windowed peak %v != exact peak %v after compression", got, m.Peak())
-	}
-	// Deterministic: two identical runs retain identical samples.
-	a, b := build().Samples(), m.Samples()
-	if len(a) != len(b) {
-		t.Fatalf("nondeterministic sample count: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic sample %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-// TestMemTimelineUncappedExact pins the default: without a cap every
-// sample is retained, byte-identical to the pre-knob behaviour.
-func TestMemTimelineUncappedExact(t *testing.T) {
-	m := NewMemTimeline("exact", true)
-	const n = 5_000
-	for i := 0; i < n; i++ {
-		m.Add(time.Duration(i)*time.Microsecond, 1)
-	}
-	if got := len(m.Samples()); got != n {
-		t.Errorf("samples = %d, want %d", got, n)
-	}
-}
 
 func TestCounters(t *testing.T) {
 	c := NewCounters()
