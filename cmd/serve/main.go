@@ -5,13 +5,13 @@
 // /metrics exposing every cache, pool and dedup counter behind them (JSON
 // by default, Prometheus text under Accept: text/plain). Concurrent
 // identical requests coalesce into one simulation; compatible cheap-knob
-// requests micro-batch onto one pooled execution arena; saturation
-// answers 429 with Retry-After.
+// requests that wait for a worker together run as one batch on one
+// pooled execution arena; saturation answers 429 with Retry-After.
 //
 // Usage:
 //
 //	serve [-addr :8080] [-workers N] [-queue N] [-cache N]
-//	      [-batch-window 2ms] [-max-idle-sessions N] [-pprof]
+//	      [-max-idle-sessions N] [-pprof]
 //	      [-request-timeout 2m] [-drain-timeout 15s]
 //
 // Every request carries an end-to-end deadline (queue wait included);
@@ -93,7 +93,6 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "max requests waiting for a worker before 429 (0 = default 64)")
 	cache := flag.Int("cache", 0, "result cache capacity in rendered bodies (0 = default 1024)")
-	batchWindow := flag.Duration("batch-window", 0, "request coalescing window (0 = default 2ms, negative = disabled)")
 	maxIdle := flag.Int("max-idle-sessions", 0, "execution arena pool size (0 = default 32)")
 	writeTimeout := flag.Duration("write-timeout", 5*time.Minute, "per-request response deadline; bounds how long a stalled client can pin a connection (0 = none)")
 	requestTimeout := flag.Duration("request-timeout", 0, "end-to-end deadline per request, queue wait included; expiry answers 503 (0 = default 2m, negative = none)")
@@ -123,7 +122,6 @@ func main() {
 		Workers:         *workers,
 		Queue:           *queue,
 		CacheCapacity:   *cache,
-		BatchWindow:     *batchWindow,
 		MaxIdleSessions: *maxIdle,
 		RequestTimeout:  *requestTimeout,
 		ReplicaID:       *replicaID,

@@ -275,10 +275,9 @@ func RunDrill(w io.Writer, opts DrillOptions) (*DrillReport, error) {
 		Replicas:       replicas,
 		AttemptTimeout: 10 * time.Second,
 		MaxAttempts:    3,
-		// A 1ms hedge delay sits below a cold simulation (milliseconds,
-		// plus the coalescing window) and above a warm cache hit
-		// (microseconds): hedges provably fire during the drill without
-		// doubling every cached request.
+		// A 1ms hedge delay sits below a cold simulation (milliseconds)
+		// and above a warm cache hit (microseconds): hedges provably fire
+		// during the drill without doubling every cached request.
 		HedgeDelay: time.Millisecond,
 		Backoff:    Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond},
 		// The drill's gate is zero 5xx, so the budget must never be the

@@ -55,6 +55,11 @@ type Plan struct {
 	budgetComputes atomic.Int64
 }
 
+// budgetMemoSize bounds a plan's budget memo, which lives as long as the
+// plan: 64 keys hold a sweep grid's (24 per shape in the benchmark), and
+// clearing a full memo keeps inserts allocation-free.
+const budgetMemoSize = 64
+
 // budgetKey identifies one planned budget within a plan: every cheap
 // knob that changes the hierarchy's bandwidth/capacity mix.
 type budgetKey struct {
@@ -115,8 +120,7 @@ func Normalize(cfg RunConfig) (RunConfig, error) {
 // ShapeKey validates cfg and reduces it to its plan identity: the
 // normalized config with the cheap knobs zeroed. Two configs with equal
 // shape keys compile to the same *Plan and can share a pooled execution
-// arena — the grouping key behind the serve layer's request coalescing
-// windows.
+// arena — the grouping key behind the serve layer's request batcher.
 func ShapeKey(cfg RunConfig) (RunConfig, error) {
 	n, err := Normalize(cfg)
 	if err != nil {
@@ -279,7 +283,7 @@ func compile(key RunConfig) (*Plan, error) {
 	}
 
 	cost := gpu.DefaultCostModel(key.GPU)
-	tmpl, err := models.BuildCached(mcfg, cost)
+	tmpl, err := models.Template(mcfg, cost)
 	if err != nil {
 		return nil, err
 	}
@@ -355,6 +359,9 @@ func (p *Plan) plannedBudget(key budgetKey, tiers []core.TierPlan) units.Bytes {
 			BackwardTime: p.bwdTime,
 		}, tiers)
 		p.mu.Lock()
+		if len(p.budgetByKey) >= budgetMemoSize {
+			clear(p.budgetByKey)
+		}
 		p.budgetByKey[key] = b
 		p.mu.Unlock()
 		return b, nil
@@ -363,8 +370,8 @@ func (p *Plan) plannedBudget(key budgetKey, tiers []core.TierPlan) units.Bytes {
 }
 
 // BudgetComputes reports how many Fig 3 planner executions the plan has
-// performed. With the memo and the singleflight it equals the number of
-// distinct budget keys requested so far, independent of concurrency.
+// performed, independent of concurrency; a key the bounded memo forgot
+// runs the planner again, so it can exceed the distinct keys requested.
 func (p *Plan) BudgetComputes() int64 { return p.budgetComputes.Load() }
 
 // Execute runs one measurement under the plan on a fresh, single-use

@@ -698,8 +698,8 @@ type BatchResult struct {
 // ExecuteBatch runs several measurements that share one plan shape on a
 // single borrowed arena: one Compile (via the shared plan cache), one
 // acquire, len(cfgs) Executes, one release. This is the micro-batching
-// primitive behind the serve layer's request coalescing windows —
-// compatible cheap-knob requests that arrive together pay arena traffic
+// primitive behind the serve layer's group-commit batcher — compatible
+// cheap-knob requests that wait for a worker together pay arena traffic
 // once instead of once each. Failures are per-item: a config that fails
 // validation, mismatches the batch's shape, or errors mid-simulation
 // reports through its own slot without disturbing its neighbours

@@ -309,3 +309,85 @@ func TestMemoBudgetSingleflight(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetMemoBounded: a plan asked about more distinct budget keys
+// than its memo holds keeps at most budgetMemoSize of them, and every
+// answer, first asked or recomputed after eviction, equals a fresh
+// planner run.
+func TestBudgetMemoBounded(t *testing.T) {
+	cfg := smallCfg(SSDTrain)
+	cfg.Model.Layers = 12 // enough modules for many distinct budgets
+	plan, err := compile(shapeKey(cfg.withDefaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp := core.ModulePlan{
+		SavedBytes:   plan.saved,
+		BwdTime:      plan.bwd,
+		ForwardTime:  plan.fwdTime,
+		BackwardTime: plan.bwdTime,
+	}
+	// Key i plans against a tier of i+1 times 100 MB/s, so the keys span
+	// many budgets and a wrong memo entry would show.
+	budgets := make(map[units.Bytes]bool)
+	ask := func(i int) {
+		t.Helper()
+		bw := units.Bandwidth(i+1) * 100 * units.MBps
+		tiers := []core.TierPlan{{WriteBandwidth: bw, ReadBandwidth: bw}}
+		got := plan.plannedBudget(budgetKey{share: float64(i+1) / 1000}, tiers)
+		if want := core.PlanHierarchyBudget(mp, tiers); got != want {
+			t.Fatalf("key %d: memoized budget %v, fresh planner %v", i, got, want)
+		}
+		plan.mu.Lock()
+		n := len(plan.budgetByKey)
+		plan.mu.Unlock()
+		if n > budgetMemoSize {
+			t.Fatalf("memo holds %d keys, cap %d", n, budgetMemoSize)
+		}
+		budgets[got] = true
+	}
+	const keys = 3 * budgetMemoSize
+	for i := range keys {
+		ask(i)
+	}
+	if got := plan.BudgetComputes(); got != keys {
+		t.Fatalf("planner ran %d times for %d distinct keys", got, keys)
+	}
+	if len(budgets) < 10 {
+		t.Fatalf("keys span only %d budgets; the check cannot tell entries apart", len(budgets))
+	}
+	// The most recent key is resident; the first was forgotten and reruns.
+	ask(keys - 1)
+	if got := plan.BudgetComputes(); got != keys {
+		t.Errorf("resident key recomputed: %d planner runs", got)
+	}
+	ask(0)
+	if got := plan.BudgetComputes(); got != keys+1 {
+		t.Errorf("forgotten key: %d planner runs, want %d", got, keys+1)
+	}
+}
+
+// TestPlanHoldsSharedTemplate: plans of equal model configs hold the one
+// shared graph template, not private clones, and a session executes a
+// clone of it.
+func TestPlanHoldsSharedTemplate(t *testing.T) {
+	key := shapeKey(smallCfg(SSDTrain).withDefaults())
+	a, err := compile(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := compile(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b || a.tmpl != b.tmpl {
+		t.Fatal("two compiles of one shape hold different graph templates")
+	}
+	sess, err := NewSession(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.graph == a.tmpl {
+		t.Error("session executes the shared template instead of a clone")
+	}
+}

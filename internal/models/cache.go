@@ -1,7 +1,9 @@
 package models
 
 import (
+	"runtime"
 	"sync"
+	"weak"
 
 	"ssdtrain/internal/autograd"
 	"ssdtrain/internal/gpu"
@@ -16,64 +18,60 @@ type graphKey struct {
 	cost gpu.CostModel // value copy: Spec + calibration scalars
 }
 
-// graphCache memoizes Build results. Templates are immutable — callers
-// receive clones with fresh weights — so the cache never goes stale and is
-// safe to share between goroutines (fleet profiling builds graphs
-// concurrently).
+// graphCache shares Build results. Templates are immutable, so the
+// cache never goes stale and is safe to share between goroutines (fleet
+// profiling builds graphs concurrently). It holds templates weakly: one
+// lives as long as some caller (a compiled plan) holds it, so the cache
+// is bounded by its callers' caches instead of a size of its own.
 type graphCache struct {
-	mu      sync.Mutex
-	graphs  map[graphKey]*autograd.Graph
-	hits    int64
-	builds  int64
-	maxSize int
+	mu     sync.Mutex
+	graphs map[graphKey]weak.Pointer[autograd.Graph]
+	hits   int64
+	builds int64
 }
 
-var sharedGraphs = &graphCache{
-	graphs: make(map[graphKey]*autograd.Graph),
-	// Distinct (model, GPU) shapes in even a large sweep number in the
-	// dozens; the bound only guards against pathological key churn.
-	maxSize: 512,
-}
+var sharedGraphs = &graphCache{graphs: make(map[graphKey]weak.Pointer[autograd.Graph])}
 
-// BuildCached returns an executable graph for the configuration: a fresh
-// clone of a memoized immutable template. The first call per (config,
-// cost model) pays full construction and validation; subsequent calls pay
-// only weight rebinding. Sweeps that re-run one model under many budgets,
-// bandwidth shares, or strategies hit the template every time.
-func BuildCached(cfg Config, cost *gpu.CostModel) (*autograd.Graph, error) {
+// Template returns the immutable graph template for the configuration,
+// shared by every caller asking for the same (config, cost model) while
+// any of them holds it. The first call per key pays construction and
+// validation, later ones a map lookup. Callers read the template and
+// execute a CloneWithFreshWeights of it, never the template itself.
+func Template(cfg Config, cost *gpu.CostModel) (*autograd.Graph, error) {
 	key := graphKey{cfg: cfg, cost: *cost}
-	sharedGraphs.mu.Lock()
-	tmpl, ok := sharedGraphs.graphs[key]
-	if ok {
-		sharedGraphs.hits++
+	c := sharedGraphs
+	c.mu.Lock()
+	if tmpl := c.graphs[key].Value(); tmpl != nil {
+		c.hits++
+		c.mu.Unlock()
+		return tmpl, nil
 	}
-	sharedGraphs.mu.Unlock()
-	if !ok {
-		var err error
-		tmpl, err = Build(cfg, cost)
-		if err != nil {
-			return nil, err
-		}
-		sharedGraphs.mu.Lock()
-		sharedGraphs.builds++
-		if existing, raced := sharedGraphs.graphs[key]; raced {
-			// A concurrent builder won the race; adopt its template so all
-			// clones share one module tree.
-			tmpl = existing
-		} else {
-			if len(sharedGraphs.graphs) >= sharedGraphs.maxSize {
-				// Drop an arbitrary entry; the cache is a memo, not a
-				// correctness structure.
-				for k := range sharedGraphs.graphs {
-					delete(sharedGraphs.graphs, k)
-					break
-				}
-			}
-			sharedGraphs.graphs[key] = tmpl
-		}
-		sharedGraphs.mu.Unlock()
+	c.mu.Unlock()
+	built, err := Build(cfg, cost)
+	if err != nil {
+		return nil, err
 	}
-	return tmpl.CloneWithFreshWeights(), nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.builds++
+	if tmpl := c.graphs[key].Value(); tmpl != nil {
+		// A concurrent builder won the race; adopt its template so all
+		// callers share one module tree.
+		return tmpl, nil
+	}
+	c.graphs[key] = weak.Make(built)
+	runtime.AddCleanup(built, c.forget, key)
+	return built, nil
+}
+
+// forget drops a collected template's entry, unless a later build has
+// already replaced it.
+func (c *graphCache) forget(key graphKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.graphs[key].Value() == nil {
+		delete(c.graphs, key)
+	}
 }
 
 // GraphCacheStats reports template cache hits and full builds since

@@ -1,7 +1,9 @@
 package models
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"ssdtrain/internal/autograd"
 	"ssdtrain/internal/gpu"
@@ -235,5 +237,52 @@ func TestParamCountScale(t *testing.T) {
 	p := cfg.ParamCount()
 	if p < 170e9 || p > 185e9 {
 		t.Errorf("GPT-3 param count = %d", p)
+	}
+}
+
+// TestTemplateSharedWhileHeld: callers asking for one configuration get
+// the one template while any of them holds it, and the cache forgets it
+// once none does, so a later call builds it again.
+func TestTemplateSharedWhileHeld(t *testing.T) {
+	cfg := testConfig(GPT)
+	cfg.SeqLen = 384 // a key no other test builds
+	cost := gpu.DefaultCostModel(gpu.A100PCIe())
+	cached := func() bool {
+		sharedGraphs.mu.Lock()
+		defer sharedGraphs.mu.Unlock()
+		_, ok := sharedGraphs.graphs[graphKey{cfg: cfg, cost: *cost}]
+		return ok
+	}
+	func() {
+		a, err := Template(cfg, cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, builds := GraphCacheStats()
+		b, err := Template(cfg, cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatal("a held template was built again")
+		}
+		if h, bl := GraphCacheStats(); h != hits+1 || bl != builds {
+			t.Errorf("second call: %d hits, %d builds; want %d, %d", h, bl, hits+1, builds)
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for cached() {
+		if time.Now().After(deadline) {
+			t.Fatal("the cache still holds a template no caller holds")
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	_, builds := GraphCacheStats()
+	if _, err := Template(cfg, cost); err != nil {
+		t.Fatal(err)
+	}
+	if _, bl := GraphCacheStats(); bl != builds+1 {
+		t.Errorf("a forgotten template was not rebuilt: %d builds, want %d", bl, builds+1)
 	}
 }

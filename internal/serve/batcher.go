@@ -3,36 +3,33 @@ package serve
 import (
 	"context"
 	"sync"
-	"time"
 
 	"ssdtrain/internal/exp"
 )
 
-// batcher implements the request coalescing windows: /v1/plan requests
-// whose configs share a plan shape and arrive within one window are
-// micro-batched onto a single borrowed arena — one Compile, one session
-// acquire, N Executes — instead of each borrowing (or worse, building)
-// an arena of its own. Identical configs never reach the batcher (the
-// singleflight upstream already coalesces them), so a batch is a set of
-// distinct cheap-knob variants of one shape, exactly the workload
-// Session.Execute recycles an arena across.
-//
-// The batcher owns worker-slot accounting for windowed runs: members
-// wait in the window holding nothing, and the flush claims ONE slot for
-// the whole batch — a batch is one sequential execution stream, so
-// charging it one worker keeps an N-member batch from starving other
-// requests of N slots while only one simulation runs at a time.
+// batcher group-commits /v1/plan requests per plan shape. The first
+// request of a shape claims a worker slot at once; same-shape requests
+// that arrive while it waits for one join its batch, which then runs on
+// a single borrowed arena — one Compile, one session acquire, N
+// Executes — under ONE worker slot. An idle server never waits, batches
+// grow with saturation instead of with a timer, and a request arriving
+// once its shape's batch holds a slot starts the next batch, free to
+// claim another worker. Identical configs never reach the batcher (the
+// singleflight upstream coalesces them), so a batch is a set of
+// distinct cheap-knob variants of one shape. Every member after the
+// first holds a place in the limiter's wait line until its batch
+// starts, so the -queue bound and its 429s cover batched requests too.
 type batcher struct {
 	// exec runs one same-shape batch on a pooled arena; the server wires
 	// in its panic-containing executor, so a simulation panic in the
-	// flush goroutine becomes per-member errors instead of process death.
+	// start goroutine becomes per-member errors instead of process death.
 	exec    func([]exp.RunConfig) []exp.BatchResult
 	limiter *limiter
-	window  time.Duration
 	stats   *stats
 
-	mu      sync.Mutex
-	pending map[exp.RunConfig]*batch // keyed by plan shape
+	mu sync.Mutex
+	// waiting holds each shape's batch while it waits for a worker slot.
+	waiting map[exp.RunConfig]*batch
 }
 
 type batch struct {
@@ -40,23 +37,20 @@ type batch struct {
 	outs []chan exp.BatchResult
 }
 
-func newBatcher(exec func([]exp.RunConfig) []exp.BatchResult, limiter *limiter, window time.Duration, st *stats) *batcher {
+func newBatcher(exec func([]exp.RunConfig) []exp.BatchResult, limiter *limiter, st *stats) *batcher {
 	return &batcher{
 		exec:    exec,
 		limiter: limiter,
-		window:  window,
 		stats:   st,
-		pending: make(map[exp.RunConfig]*batch),
+		waiting: make(map[exp.RunConfig]*batch),
 	}
 }
 
-// run executes cfg (which must be normalized), sharing an arena — and a
-// single worker slot — with other same-shape requests that arrive
-// within the window. Callers must not hold a worker slot; run is only
-// called with batching enabled (window > 0). A caller whose ctx ends
-// while waiting leaves without its result — the flush still runs the
-// batch for the members that stayed, and the buffered channel absorbs
-// the orphaned delivery.
+// run executes cfg (which must be normalized) in its shape's waiting
+// batch, or in a new one. Callers must not hold a worker slot. A caller
+// whose ctx ends while it waits leaves without its result — its batch
+// still runs for the members that stayed, and the buffered channel
+// absorbs the orphaned delivery.
 func (b *batcher) run(ctx context.Context, cfg exp.RunConfig) (*exp.RunResult, error) {
 	shape, err := exp.ShapeKey(cfg)
 	if err != nil {
@@ -64,13 +58,14 @@ func (b *batcher) run(ctx context.Context, cfg exp.RunConfig) (*exp.RunResult, e
 	}
 	ch := make(chan exp.BatchResult, 1)
 	b.mu.Lock()
-	bt := b.pending[shape]
+	bt := b.waiting[shape]
 	if bt == nil {
 		bt = &batch{}
-		b.pending[shape] = bt
-		// The window opens when the first request of a shape arrives and
-		// flushes once for everything that joined while it was open.
-		time.AfterFunc(b.window, func() { b.flush(shape) })
+		b.waiting[shape] = bt
+		go b.start(shape, bt)
+	} else if !b.limiter.enter() {
+		b.mu.Unlock()
+		return nil, errSaturated
 	}
 	bt.cfgs = append(bt.cfgs, cfg)
 	bt.outs = append(bt.outs, ch)
@@ -83,21 +78,21 @@ func (b *batcher) run(ctx context.Context, cfg exp.RunConfig) (*exp.RunResult, e
 	}
 }
 
-// flush closes a shape's window and runs its batch on one arena under
-// one worker slot. The slot wait uses a background context: batch
-// members' own request contexts must not abort work their flight
-// joiners are still waiting on, and progress is guaranteed because
-// every slot holder releases in bounded time. If even the wait queue is
-// full, the whole batch reports saturation.
-func (b *batcher) flush(shape exp.RunConfig) {
+// start claims a worker slot for a shape's batch, closes the batch and
+// runs it. The slot wait uses a background context: members' request
+// contexts must not abort work their flight joiners still wait on, and
+// every slot holder releases in bounded time. If the wait line is full,
+// every member reports saturation.
+func (b *batcher) start(shape exp.RunConfig, bt *batch) {
+	ok := b.limiter.acquire(context.Background())
 	b.mu.Lock()
-	bt := b.pending[shape]
-	delete(b.pending, shape)
+	delete(b.waiting, shape)
 	b.mu.Unlock()
-	if bt == nil {
-		return
+	// The joiners' places in the wait line pass to the slot.
+	for range len(bt.cfgs) - 1 {
+		b.limiter.leave()
 	}
-	if !b.limiter.acquire(context.Background()) {
+	if !ok {
 		for _, ch := range bt.outs {
 			ch <- exp.BatchResult{Err: errSaturated}
 		}

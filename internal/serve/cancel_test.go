@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -15,9 +16,9 @@ import (
 )
 
 // These tests pin the cancellation discipline of the admission layers
-// under -race: a caller abandoning its request mid-queue-wait,
-// mid-batch-window or mid-flight must never leak a slot or a queue
-// token, and a singleflight joiner must never inherit a canceled owner's
+// under -race: a caller abandoning its request mid-queue-wait, while
+// queued behind a running batch or mid-flight must never leak a slot or
+// a queue token, and a singleflight joiner must never inherit a canceled owner's
 // death as its own answer.
 
 // TestLimiterCancelMidQueueWait: waiters canceled while parked in the
@@ -49,16 +50,24 @@ func TestLimiterCancelMidQueueWait(t *testing.T) {
 	l.release()
 }
 
-// TestBatcherCancelMidWindow: a member abandoning an open window gets
-// its own context error, while the flush still runs the full batch for
-// the members that stayed and returns its worker slot.
-func TestBatcherCancelMidWindow(t *testing.T) {
+// TestBatcherCancelWhileQueued: a member canceled while queued behind a
+// running batch gets its own context error, while the next batch still
+// runs for the members that stayed; afterwards the batcher has retired
+// the shape and every worker slot and wait-line place is back.
+func TestBatcherCancelWhileQueued(t *testing.T) {
 	var mu sync.Mutex
 	var batches [][]exp.RunConfig
+	running := make(chan struct{})
+	hold := make(chan struct{})
 	exec := func(cfgs []exp.RunConfig) []exp.BatchResult {
 		mu.Lock()
 		batches = append(batches, cfgs)
+		first := len(batches) == 1
 		mu.Unlock()
+		if first {
+			close(running)
+			<-hold
+		}
 		out := make([]exp.BatchResult, len(cfgs))
 		for i := range out {
 			out[i].Result = &exp.RunResult{}
@@ -66,48 +75,69 @@ func TestBatcherCancelMidWindow(t *testing.T) {
 		return out
 	}
 	l := newLimiter(1, 4)
-	b := newBatcher(exec, l, 300*time.Millisecond, newStats(time.Now()))
+	b := newBatcher(exec, l, newStats(time.Now()))
 
-	leaver, err := PlanRequest{Model: smallModel(), Strategy: "ssdtrain", Steps: 3}.RunConfig()
-	if err != nil {
-		t.Fatal(err)
+	cfg := func(steps int) exp.RunConfig {
+		c, err := PlanRequest{Model: smallModel(), Strategy: "ssdtrain", Steps: steps}.RunConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	stayer, err := PlanRequest{Model: smallModel(), Strategy: "ssdtrain", Steps: 4}.RunConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape, err := exp.ShapeKey(leaver)
+	runner, leaver, stayer := cfg(2), cfg(3), cfg(4)
+	shape, err := exp.ShapeKey(runner)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	runnerErr := make(chan error, 1)
+	go func() {
+		_, err := b.run(context.Background(), runner)
+		runnerErr <- err
+	}()
+	<-running
 	ctx, cancel := context.WithCancel(context.Background())
 	leaverErr := make(chan error, 1)
 	go func() {
 		_, err := b.run(ctx, leaver)
 		leaverErr <- err
 	}()
-	waitFor(t, "leaver joined the window", func() bool {
+	stayerErr := make(chan error, 1)
+	go func() {
+		res, err := b.run(context.Background(), stayer)
+		if err == nil && res == nil {
+			err = errors.New("no result")
+		}
+		stayerErr <- err
+	}()
+	waitFor(t, "leaver and stayer queued behind the running batch", func() bool {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		return b.pending[shape] != nil && len(b.pending[shape].cfgs) == 1
+		return b.waiting[shape] != nil && len(b.waiting[shape].cfgs) == 2 && l.waiting() == 2
 	})
 	cancel()
 	if err := <-leaverErr; err != context.Canceled {
 		t.Fatalf("canceled member got %v, want context.Canceled", err)
 	}
-
-	res, err := b.run(context.Background(), stayer)
-	if err != nil || res == nil {
-		t.Fatalf("staying member got (%v, %v), want a result", res, err)
+	close(hold)
+	if err := <-runnerErr; err != nil {
+		t.Fatalf("running member: %v", err)
 	}
+	if err := <-stayerErr; err != nil {
+		t.Fatalf("staying member: %v", err)
+	}
+	waitFor(t, "batcher retired the shape", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.waiting) == 0
+	})
 	mu.Lock()
 	defer mu.Unlock()
-	if len(batches) != 1 || len(batches[0]) != 2 {
-		t.Fatalf("flush ran batches %v, want one batch of both members", batches)
+	if len(batches) != 2 || len(batches[0]) != 1 || len(batches[1]) != 2 {
+		t.Fatalf("ran batches %v, want the running member alone, then both queued members", batches)
 	}
 	if len(l.slots) != 0 || l.waiting() != 0 {
-		t.Fatalf("flush leaked admission state: %d slots, %d queued", len(l.slots), l.waiting())
+		t.Fatalf("batcher leaked admission state: %d slots, %d queued", len(l.slots), l.waiting())
 	}
 }
 
@@ -160,10 +190,10 @@ func TestFlightJoinerSurvivesOwnerDeath(t *testing.T) {
 
 // TestCanceledRequestsReturnSlots: a burst of requests whose clients
 // give up almost immediately must leave the limiter fully drained once
-// the simulations they started run out — no slot or queue token may
-// leak, whichever phase the cancellation hit.
+// the simulations they started run out — no slot, queue token or
+// batcher queue may leak, whichever phase the cancellation hit.
 func TestCanceledRequestsReturnSlots(t *testing.T) {
-	s := New(Options{Workers: 1, Queue: 4, BatchWindow: -1})
+	s := New(Options{Workers: 1, Queue: 4})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -192,8 +222,10 @@ func TestCanceledRequestsReturnSlots(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	waitFor(t, "limiter drained", func() bool {
-		return len(s.limiter.slots) == 0 && s.limiter.waiting() == 0
+	waitFor(t, "limiter and batcher drained", func() bool {
+		s.batcher.mu.Lock()
+		defer s.batcher.mu.Unlock()
+		return len(s.limiter.slots) == 0 && s.limiter.waiting() == 0 && len(s.batcher.waiting) == 0
 	})
 }
 

@@ -35,12 +35,10 @@ func (l *limiter) acquire(ctx context.Context) bool {
 		return true
 	default:
 	}
-	select {
-	case l.queue <- struct{}{}:
-	default:
+	if !l.enter() {
 		return false
 	}
-	defer func() { <-l.queue }()
+	defer l.leave()
 	select {
 	case l.slots <- struct{}{}:
 		return true
@@ -48,6 +46,19 @@ func (l *limiter) acquire(ctx context.Context) bool {
 		return false
 	}
 }
+
+// enter takes a place in the wait line without waiting for a slot,
+// reporting false when the line is full; leave gives the place back.
+func (l *limiter) enter() bool {
+	select {
+	case l.queue <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+func (l *limiter) leave() { <-l.queue }
 
 // release frees a slot claimed by acquire.
 func (l *limiter) release() { <-l.slots }

@@ -71,10 +71,10 @@ func (m Metrics) Prometheus() []byte {
 		fmt.Fprintf(&b, "ssdtrain_peer_fill_total{event=\"served_hit\"} %d\n", m.PeerFill.ServedHits)
 		fmt.Fprintf(&b, "ssdtrain_peer_fill_total{event=\"served_miss\"} %d\n", m.PeerFill.ServedMisses)
 	})
-	counter("ssdtrain_batch_flushes_total", "Coalescing-window flushes.", func() {
+	counter("ssdtrain_batch_flushes_total", "Same-shape /v1/plan batches run.", func() {
 		fmt.Fprintf(&b, "ssdtrain_batch_flushes_total %d\n", m.Batch.Flushes)
 	})
-	counter("ssdtrain_batched_requests_total", "Requests executed through a coalescing window.", func() {
+	counter("ssdtrain_batched_requests_total", "Requests executed in a same-shape /v1/plan batch.", func() {
 		fmt.Fprintf(&b, "ssdtrain_batched_requests_total %d\n", m.Batch.BatchedRequests)
 	})
 

@@ -8,8 +8,8 @@
 // and it is built directly on the reuse layers of the harness: rendered
 // results sit in an LRU keyed by the normalized config, concurrent
 // identical requests coalesce into one simulation through a
-// singleflight, compatible cheap-knob requests that arrive within a
-// coalescing window micro-batch onto a single pooled execution arena
+// singleflight, compatible cheap-knob requests that wait for a worker
+// together group-commit onto a single pooled execution arena
 // (exp.SessionPool → exp.Session, keyed per plan shape), and fleet
 // what-ifs share one profiler cache across all requests. Admission is
 // bounded: a fixed worker count plus a bounded wait queue, with 429 +
@@ -48,10 +48,6 @@ type Options struct {
 	Queue int
 	// CacheCapacity sizes the rendered-result LRU (0 = DefaultCacheCapacity).
 	CacheCapacity int
-	// BatchWindow is the request coalescing window: same-shape plan
-	// requests arriving within it share one execution arena
-	// (0 = DefaultBatchWindow, negative = disabled).
-	BatchWindow time.Duration
 	// MaxIdleSessions bounds the arena pool (0 = exp.DefaultMaxIdleSessions).
 	MaxIdleSessions int
 	// FleetCacheCapacity sizes the shared fleet profiler's cache
@@ -92,7 +88,6 @@ type Options struct {
 const (
 	DefaultQueue           = 64
 	DefaultCacheCapacity   = 1024
-	DefaultBatchWindow     = 2 * time.Millisecond
 	DefaultRequestTimeout  = 2 * time.Minute
 	DefaultPeerFillTimeout = 250 * time.Millisecond
 	// defaultFleetBodies bounds the rendered fleet-response LRU; fleet
@@ -156,12 +151,6 @@ func New(opts Options) *Server {
 		opts.RequestTimeout = 0
 	}
 	switch {
-	case opts.BatchWindow == 0:
-		opts.BatchWindow = DefaultBatchWindow
-	case opts.BatchWindow < 0:
-		opts.BatchWindow = 0
-	}
-	switch {
 	case opts.PeerFillTimeout == 0:
 		opts.PeerFillTimeout = DefaultPeerFillTimeout
 	case opts.PeerFillTimeout < 0:
@@ -180,7 +169,7 @@ func New(opts Options) *Server {
 	if len(opts.Peers) > 0 && opts.PeerFillTimeout > 0 {
 		s.peers = newPeerSet(opts.Peers, opts.PeerClient, opts.PeerFillTimeout, s.stats)
 	}
-	s.batcher = newBatcher(s.runPooled, s.limiter, opts.BatchWindow, s.stats)
+	s.batcher = newBatcher(s.runPooled, s.limiter, s.stats)
 	s.mux.HandleFunc("/v1/plan", s.instrument("plan", s.handlePlan))
 	s.mux.HandleFunc("/v1/sweep", s.instrument("sweep", s.handleSweep))
 	s.mux.HandleFunc("/v1/fleet", s.instrument("fleet", s.handleFleet))
@@ -311,9 +300,9 @@ func (s *Server) writeBackpressure(w http.ResponseWriter) {
 // runPooled executes cfgs on the shared session pool, converting any
 // panic in the simulation stack into per-item errors so one poisonous
 // request cannot take down the process. This matters most for the
-// batcher's flush, which runs in a timer goroutine outside net/http's
-// per-connection recovery — an unrecovered panic there would kill the
-// whole server. A panicked ExecuteBatch also never releases its arena,
+// batcher, whose batches run in goroutines of their own, outside
+// net/http's per-connection recovery — an unrecovered panic there would
+// kill the whole server. A panicked ExecuteBatch also never releases its arena,
 // so a possibly-corrupted session is dropped rather than recycled.
 func (s *Server) runPooled(cfgs []exp.RunConfig) []exp.BatchResult {
 	return recoverBatch(cfgs, s.sessions.ExecuteBatch)
@@ -403,10 +392,9 @@ func cachedBody[K comparable](ctx context.Context, s *Server, cache *lru.Cache[K
 // simulation is a worker slot held — never across client-paced response
 // writes — which is also why no caller can deadlock holding a slot
 // another flight's owner is waiting for. viaBatch selects whether a
-// cold config waits in a coalescing window; sweep points skip the
-// window — their arena reuse comes from the session pool, and a window
-// would only add its delay to every point of an already-batched
-// request.
+// cold config goes through the batcher; sweep points claim a slot
+// directly — their arena reuse comes from the session pool, and a
+// sweep already runs its points one after another.
 func (s *Server) planBody(ctx context.Context, cfg exp.RunConfig, viaBatch bool) ([]byte, time.Time, error) {
 	return cachedBody(ctx, s, s.results, &s.flight, cfg, func() (stamped, error) {
 		// Peer fill first: a clustered replica asks its peers' caches
@@ -422,9 +410,9 @@ func (s *Server) planBody(ctx context.Context, cfg exp.RunConfig, viaBatch bool)
 		}
 		var res *exp.RunResult
 		var err error
-		if viaBatch && s.batcher.window > 0 {
-			// Windowed path: the batcher claims one worker slot per
-			// flushed batch; the member waits holding nothing.
+		if viaBatch {
+			// The batcher claims one worker slot per batch; the member
+			// waits holding nothing.
 			res, err = s.batcher.run(ctx, cfg)
 		} else {
 			if err := s.acquireSlot(ctx); err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,7 +82,8 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 // every strategy × placement — against a server deliberately configured
 // for churn (result cache far smaller than the working set, a
 // single-arena session pool that evicts on every cross-shape release,
-// an active coalescing window), interleaved with requests that error
+// same-shape requests batching behind each other), interleaved with
+// requests that error
 // mid-simulation on the same arenas. Every 200 body must be
 // byte-identical to rendering a fresh Plan.Execute. Run under -race this
 // is also the proof that the cache/arena layers are safe to share.
@@ -97,7 +99,6 @@ func TestPlanByteIdentityConcurrent(t *testing.T) {
 		Queue:           4096,
 		CacheCapacity:   2, // working set is len(grid): constant result-cache eviction
 		MaxIdleSessions: 1, // every cross-shape release evicts an arena
-		BatchWindow:     time.Millisecond,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -184,7 +185,7 @@ func TestPlanByteIdentityConcurrent(t *testing.T) {
 // TestSweepStream pins /v1/sweep: the NDJSON lines are exactly the
 // per-point /v1/plan bodies, in cross-product order.
 func TestSweepStream(t *testing.T) {
-	srv := New(Options{Workers: 2, BatchWindow: -1})
+	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -216,7 +217,7 @@ func TestSweepStream(t *testing.T) {
 // and no wait queue, a cold plan request is refused with Retry-After,
 // while a cached config is still served (reads need no slot).
 func TestBackpressure(t *testing.T) {
-	srv := New(Options{Workers: 1, Queue: -1, BatchWindow: -1})
+	srv := New(Options{Workers: 1, Queue: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -246,43 +247,240 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestCoalescingWindow pins the micro-batcher: same-shape requests with
-// distinct cheap knobs fired together land in one window and execute as
-// one batch on one arena.
-func TestCoalescingWindow(t *testing.T) {
-	srv := New(Options{Workers: 4, BatchWindow: 200 * time.Millisecond})
+// holdFirstBatch swaps in an executor that holds the server's first
+// batch until release is called; running is closed once it is held.
+// release is idempotent, so a test can also defer it to free the held
+// request before its server closes. The executor is swapped before the
+// server starts (goroutine creation is the happens-before edge), never
+// while it serves.
+func holdFirstBatch(srv *Server) (running <-chan struct{}, release func()) {
+	held, free := make(chan struct{}), make(chan struct{})
+	var batches atomic.Int32
+	srv.batcher.exec = func(cfgs []exp.RunConfig) []exp.BatchResult {
+		if batches.Add(1) == 1 {
+			close(held)
+			<-free
+		}
+		return srv.runPooled(cfgs)
+	}
+	return held, sync.OnceFunc(func() { close(free) })
+}
+
+// shareRequests returns same-shape plan requests that differ only in
+// their SSD bandwidth share, and the shape they share.
+func shareRequests(t *testing.T, shares ...float64) ([]PlanRequest, exp.RunConfig) {
+	t.Helper()
+	reqs := make([]PlanRequest, len(shares))
+	for i, share := range shares {
+		reqs[i] = PlanRequest{Model: smallModel(), Strategy: "ssdtrain", SSDBandwidthShare: share}
+	}
+	cfg, err := reqs[0].RunConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape, err := exp.ShapeKey(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs, shape
+}
+
+// TestGroupCommitBatchesWaitingArrivals pins the batcher's group commit:
+// same-shape requests with distinct cheap knobs that arrive while every
+// worker slot is busy wait as one batch and execute together on one
+// arena once a slot frees. The running batch is held until every other
+// request has joined, so the batch forms whatever the scheduling.
+func TestGroupCommitBatchesWaitingArrivals(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	running, release := holdFirstBatch(srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	defer release()
 
-	shares := []float64{0.2, 0.4, 0.6, 0.8}
-	var wg sync.WaitGroup
-	for _, share := range shares {
-		wg.Add(1)
-		go func(share float64) {
-			defer wg.Done()
-			req := PlanRequest{Model: smallModel(), Strategy: "ssdtrain", SSDBandwidthShare: share}
-			resp, body := postJSON(t, ts.URL+"/v1/plan", req)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("share %v: status %d: %s", share, resp.StatusCode, body)
-			}
-		}(share)
+	reqs, shape := shareRequests(t, 0.2, 0.4, 0.6, 0.8)
+	want := make([][]byte, len(reqs))
+	for i := range reqs {
+		want[i] = freshBody(t, reqs[i])
 	}
+	var wg sync.WaitGroup
+	post := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, body := postJSON(t, ts.URL+"/v1/plan", reqs[i])
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
+			} else if !bytes.Equal(body, want[i]) {
+				t.Errorf("request %d: batched body differs from fresh Plan.Execute", i)
+			}
+		}()
+	}
+	post(0)
+	<-running
+	for i := 1; i < len(reqs); i++ {
+		post(i)
+	}
+	waitFor(t, "the other requests wait as one batch, each in the wait line", func() bool {
+		srv.batcher.mu.Lock()
+		defer srv.batcher.mu.Unlock()
+		bt := srv.batcher.waiting[shape]
+		return bt != nil && len(bt.cfgs) == len(reqs)-1 && srv.limiter.waiting() == len(reqs)-1
+	})
+	release()
 	wg.Wait()
 
 	m := srv.Metrics()
 	if m.Batch.MaxBatch < 2 {
-		t.Errorf("max batch = %d, want >= 2 (flushes %d, batched %d)",
+		t.Errorf("max batch = %d, want >= 2 (batches %d, batched %d)",
 			m.Batch.MaxBatch, m.Batch.Flushes, m.Batch.BatchedRequests)
 	}
-	st := srv.sessions.Stats()
-	if builds := st.Misses; builds >= int64(len(shares)) {
-		t.Errorf("batched requests built %d arenas, want fewer than %d", builds, len(shares))
+	if builds := srv.sessions.Stats().Misses; builds >= int64(len(reqs)) {
+		t.Errorf("batched requests built %d arenas, want fewer than %d", builds, len(reqs))
+	}
+}
+
+// TestBatcherBackpressure: requests waiting to join a batch count
+// against the wait line. With the only worker slot running a batch of
+// shape S and the one wait-line place taken by the next S batch, a
+// further S request is refused with 429 and Retry-After instead of
+// joining; once the slot frees, the admitted requests complete.
+func TestBatcherBackpressure(t *testing.T) {
+	// The deadline turns a request that waits instead of being refused
+	// into a 503 rather than a hang.
+	srv := New(Options{Workers: 1, Queue: 1, RequestTimeout: 10 * time.Second})
+	running, release := holdFirstBatch(srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer release()
+
+	reqs, shape := shareRequests(t, 0.2, 0.4, 0.6)
+	codes := make(chan int, 2)
+	post := func(req PlanRequest) {
+		resp, _ := postJSON(t, ts.URL+"/v1/plan", req)
+		codes <- resp.StatusCode
+	}
+	go post(reqs[0])
+	<-running
+	go post(reqs[1])
+	waitFor(t, "the second request's batch holds the wait line", func() bool {
+		srv.batcher.mu.Lock()
+		defer srv.batcher.mu.Unlock()
+		return srv.batcher.waiting[shape] != nil && srv.limiter.waiting() == 1
+	})
+	resp, body := postJSON(t, ts.URL+"/v1/plan", reqs[2])
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("same-shape request past the wait line: status %d: %s", resp.StatusCode, body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 without Retry-After")
+	}
+	release()
+	for range 2 {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("admitted request: status %d", code)
+		}
+	}
+	if srv.Metrics().RejectedRequests != 1 {
+		t.Errorf("rejected %d requests, want 1", srv.Metrics().RejectedRequests)
+	}
+}
+
+// TestSameShapeUsesEveryWorker: a request that arrives while a batch of
+// its shape runs starts a batch of its own on another free worker slot,
+// so one shape's traffic is not held to one worker.
+func TestSameShapeUsesEveryWorker(t *testing.T) {
+	// The deadline turns a request that waits for the held batch into a
+	// 503 rather than a hang.
+	srv := New(Options{Workers: 2, RequestTimeout: 10 * time.Second})
+	running, release := holdFirstBatch(srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer release()
+
+	reqs, _ := shareRequests(t, 0.2, 0.4)
+	first := make(chan int, 1)
+	go func() {
+		resp, _ := postJSON(t, ts.URL+"/v1/plan", reqs[0])
+		first <- resp.StatusCode
+	}()
+	<-running
+	if resp, body := postJSON(t, ts.URL+"/v1/plan", reqs[1]); resp.StatusCode != http.StatusOK {
+		t.Fatalf("same-shape request beside a held batch: status %d: %s", resp.StatusCode, body)
+	}
+	release()
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("held request: status %d", code)
+	}
+}
+
+// TestGroupCommitStress runs concurrent clients over several plan
+// shapes, each asking distinct cheap-knob variants in its own order, so
+// batches of every size form and retire while other shapes run. Every
+// body must be byte-identical to rendering a fresh exp.Run, and once the
+// clients are done the batcher must have retired every shape and the
+// limiter must be back at zero.
+func TestGroupCommitStress(t *testing.T) {
+	var reqs []PlanRequest
+	for _, base := range []PlanRequest{
+		{Model: smallModel(), Strategy: "ssdtrain"},
+		{Model: smallModel(), Strategy: "hybrid", DRAMCapacityBytes: 256 << 20},
+		{Model: ModelSpec{Arch: "gpt", Hidden: 2048, Layers: 2, Batch: 4}, Strategy: "ssdtrain"},
+	} {
+		for _, share := range []float64{0.3, 0.5, 0.7, 0.9} {
+			r := base
+			r.SSDBandwidthShare = share
+			reqs = append(reqs, r)
+		}
+	}
+	want := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		cfg, err := req.RunConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := exp.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = RenderPlanResult(res)
+	}
+
+	// A one-body result cache sends nearly every request to the batcher.
+	srv := New(Options{Workers: 2, Queue: 4096, CacheCapacity: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const clients, rounds = 6, 3
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range rounds * len(reqs) {
+				i := (k*5 + c*3) % len(reqs) // a different order per client
+				resp, body := postJSON(t, ts.URL+"/v1/plan", reqs[i])
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
+				} else if !bytes.Equal(body, want[i]) {
+					t.Errorf("request %d: served body differs from a fresh exp.Run", i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, "batcher retired every shape and limiter drained", func() bool {
+		srv.batcher.mu.Lock()
+		defer srv.batcher.mu.Unlock()
+		return len(srv.batcher.waiting) == 0 && len(srv.limiter.slots) == 0 && srv.limiter.waiting() == 0
+	})
+	if m := srv.Metrics(); m.Batch.Flushes == 0 {
+		t.Error("no request went through the batcher")
 	}
 }
 
 // TestMetricsEndpoint checks the snapshot parses and the counters move.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := New(Options{Workers: 2, BatchWindow: -1})
+	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -345,7 +543,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // fast path: the body's steady_state object reports how the measurement
 // was produced.
 func TestPlanResponseCarriesSteadyState(t *testing.T) {
-	srv := New(Options{Workers: 2, BatchWindow: -1})
+	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -376,7 +574,7 @@ func TestFleetEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	srv := New(Options{Workers: 2, BatchWindow: -1})
+	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -496,7 +694,7 @@ func TestHistogramQuantile(t *testing.T) {
 // forever. The fix makes slot holders execute directly; this test pins
 // that both request kinds complete.
 func TestSweepPlanNoDeadlock(t *testing.T) {
-	srv := New(Options{Workers: 1, Queue: 64, BatchWindow: -1})
+	srv := New(Options{Workers: 1, Queue: 64})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -596,15 +794,15 @@ func TestHostileKnobsRejected(t *testing.T) {
 
 // TestSimulationPanicContained pins the panic boundary: a panic below
 // the request-validation layer surfaces as a 422, even when it fires in
-// the batcher's timer-goroutine flush (outside net/http's recovery),
-// and the process keeps serving. The panic is injected through the same
+// the batcher's drain goroutine (outside net/http's recovery), and the
+// process keeps serving. The panic is injected through the same
 // recoverBatch seam production uses (runPooled = recoverBatch over
-// ExecuteBatch), so the delivery path — flush, flight, handler — is the
+// ExecuteBatch), so the delivery path — drain, flight, handler — is the
 // real one end to end.
 func TestSimulationPanicContained(t *testing.T) {
 	// The executor is swapped before the server starts (goroutine
 	// creation is the happens-before edge), never while it serves.
-	srv := New(Options{Workers: 2, BatchWindow: 50 * time.Millisecond})
+	srv := New(Options{Workers: 2})
 	srv.batcher.exec = func(cfgs []exp.RunConfig) []exp.BatchResult {
 		return recoverBatch(cfgs, func([]exp.RunConfig) []exp.BatchResult {
 			panic("injected simulation panic")
@@ -622,9 +820,19 @@ func TestSimulationPanicContained(t *testing.T) {
 		t.Errorf("panic not surfaced in error body: %s", body)
 	}
 	// The panicking server must still answer — its process survived the
-	// flush-goroutine panic, and validation-level requests never reached
+	// drain-goroutine panic, and validation-level requests never reached
 	// the executor at all.
 	if resp, _ := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Model: smallModel(), Strategy: "recompute", SplitRatio: 1}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("validation on panicking server: status %d, want 400", resp.StatusCode)
 	}
+	// The panicked batch returned its slot and retired its shape, so the
+	// next request of that shape gets its own 422 instead of hanging.
+	if resp, _ := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Model: smallModel(), Strategy: "recompute", Steps: 3}); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("same shape after the panic: status %d, want 422", resp.StatusCode)
+	}
+	waitFor(t, "batcher and limiter drained after the panics", func() bool {
+		srv.batcher.mu.Lock()
+		defer srv.batcher.mu.Unlock()
+		return len(srv.batcher.waiting) == 0 && len(srv.limiter.slots) == 0 && srv.limiter.waiting() == 0
+	})
 }

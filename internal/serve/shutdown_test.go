@@ -17,7 +17,7 @@ import (
 // 422 (bad config) — and the same server keeps answering 200 once the
 // slot frees up.
 func TestRequestTimeoutAnswers503(t *testing.T) {
-	srv := New(Options{Workers: 1, BatchWindow: -1, RequestTimeout: 100 * time.Millisecond})
+	srv := New(Options{Workers: 1, RequestTimeout: 100 * time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

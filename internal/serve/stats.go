@@ -102,8 +102,8 @@ type stats struct {
 	peerFillMisses  atomic.Int64
 	cachefillHits   atomic.Int64
 	cachefillMisses atomic.Int64
-	// flushes/batched/maxBatch describe the coalescing windows: window
-	// flushes, requests that went through them, and the largest batch.
+	// flushes/batched/maxBatch describe the batcher: batches run,
+	// requests that ran in them, and the largest batch.
 	flushes  atomic.Int64
 	batched  atomic.Int64
 	maxBatch atomic.Int64
@@ -170,7 +170,8 @@ func cacheMetrics(hits, misses, evictions int64, length int) CacheMetrics {
 	return m
 }
 
-// BatchMetrics describes the request coalescing windows.
+// BatchMetrics describes the /v1/plan batcher. Flushes counts the
+// batches run; the wire name predates group commit.
 type BatchMetrics struct {
 	Flushes         int64 `json:"flushes"`
 	BatchedRequests int64 `json:"batched_requests"`

@@ -18,7 +18,7 @@ import (
 // Chrome export of a fresh traced Plan.Execute of the same config, and it
 // parses as the trace-event container format.
 func TestTraceEndpoint(t *testing.T) {
-	srv := New(Options{Workers: 2, BatchWindow: -1})
+	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -95,7 +95,7 @@ func TestTraceEndpointValidation(t *testing.T) {
 // Prometheus negotiation changed nothing for JSON clients), and the new
 // engine/span counters move after traced work.
 func TestMetricsJSONShape(t *testing.T) {
-	srv := New(Options{Workers: 2, BatchWindow: -1})
+	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -154,7 +154,7 @@ func TestMetricsJSONShape(t *testing.T) {
 // OpenMetrics) selects the Prometheus exposition, anything else keeps
 // JSON, and the text body carries the counters the JSON body does.
 func TestMetricsPrometheus(t *testing.T) {
-	srv := New(Options{Workers: 2, BatchWindow: -1})
+	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -184,16 +184,21 @@ func (s *Storage) Checksum() uint32 {
 	return crc32.ChecksumIEEE(s.data)
 }
 
-// fillDeterministic writes a fast xorshift64* stream derived from seed.
+// fillDeterministic writes a fast xorshift64* stream derived from seed,
+// whole words straight into b.
 func fillDeterministic(b []byte, seed uint64) {
 	x := seed | 1
-	var word [8]byte
 	for i := 0; i < len(b); i += 8 {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		binary.LittleEndian.PutUint64(word[:], x*0x2545F4914F6CDD1D)
-		copy(b[i:], word[:])
+		if w := x * 0x2545F4914F6CDD1D; len(b)-i >= 8 {
+			binary.LittleEndian.PutUint64(b[i:], w)
+		} else {
+			var tail [8]byte
+			binary.LittleEndian.PutUint64(tail[:], w)
+			copy(b[i:], tail[:])
+		}
 	}
 }
 
