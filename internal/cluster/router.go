@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -364,9 +363,9 @@ var forwardedHeaders = []string{
 
 func (rt *Router) handle(w http.ResponseWriter, r *http.Request, endpoint string) {
 	start := time.Now()
-	ep := rt.stats.endpoint(endpoint)
+	ep := rt.stats.endpoints.Endpoint(endpoint)
 	status := rt.serve(w, r, endpoint)
-	ep.observe(status, time.Since(start))
+	ep.Observe(status, time.Since(start))
 }
 
 func (rt *Router) serve(w http.ResponseWriter, r *http.Request, endpoint string) int {
@@ -448,8 +447,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := rt.Metrics()
-	accept := r.Header.Get("Accept")
-	if strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics") {
+	if serve.WantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Write(m.Prometheus())
 		return
@@ -467,7 +465,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) Metrics() serve.RouterMetrics {
 	m := serve.RouterMetrics{
 		UptimeSeconds:        time.Since(rt.stats.start).Seconds(),
-		Endpoints:            make(map[string]serve.EndpointMetrics),
+		Endpoints:            rt.stats.endpoints.Snapshot(),
 		Requests:             rt.stats.requests.Load(),
 		Attempts:             rt.stats.attempts.Load(),
 		Retries:              rt.stats.retries.Load(),
@@ -480,21 +478,14 @@ func (rt *Router) Metrics() serve.RouterMetrics {
 		RingRebuilds:         rt.stats.ringRebuilds.Load(),
 		Replicas:             rt.registry.snapshot(),
 	}
-	rt.stats.mu.Lock()
-	for name, ep := range rt.stats.endpoints {
-		m.Endpoints[name] = ep.metrics()
-	}
-	rt.stats.mu.Unlock()
 	return m
 }
 
-// routerStats mirrors the serve layer's registry for the router's own
-// counters.
+// routerStats holds the router's own counters; per-endpoint request
+// counts and latencies use the serve layer's registry.
 type routerStats struct {
-	start time.Time
-
-	mu        sync.Mutex
-	endpoints map[string]*epStats
+	start     time.Time
+	endpoints *serve.EndpointRegistry
 
 	requests        atomic.Int64
 	attempts        atomic.Int64
@@ -508,82 +499,5 @@ type routerStats struct {
 }
 
 func newRouterStats(start time.Time) *routerStats {
-	return &routerStats{start: start, endpoints: make(map[string]*epStats)}
-}
-
-func (s *routerStats) endpoint(name string) *epStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.endpoints[name]
-	if !ok {
-		e = &epStats{}
-		s.endpoints[name] = e
-	}
-	return e
-}
-
-// epStats is one routed endpoint's counters and log2 latency histogram
-// (bucket i holds [2^i, 2^(i+1)) microseconds, like the serve layer's).
-type epStats struct {
-	count     atomic.Int64
-	status2xx atomic.Int64
-	status4xx atomic.Int64
-	status5xx atomic.Int64
-	buckets   [32]atomic.Int64
-	sumNs     atomic.Int64
-}
-
-func (e *epStats) observe(status int, d time.Duration) {
-	e.count.Add(1)
-	switch {
-	case status >= 500:
-		e.status5xx.Add(1)
-	case status >= 400:
-		e.status4xx.Add(1)
-	default:
-		e.status2xx.Add(1)
-	}
-	us := d.Microseconds()
-	i := 0
-	for us > 1 && i < len(e.buckets)-1 {
-		us >>= 1
-		i++
-	}
-	e.buckets[i].Add(1)
-	e.sumNs.Add(d.Nanoseconds())
-}
-
-func (e *epStats) quantile(q float64) int64 {
-	total := e.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := range e.buckets {
-		seen += e.buckets[i].Load()
-		if seen >= rank {
-			return int64(1) << (i + 1)
-		}
-	}
-	return int64(1) << len(e.buckets)
-}
-
-func (e *epStats) metrics() serve.EndpointMetrics {
-	m := serve.EndpointMetrics{
-		Count:     e.count.Load(),
-		Status2xx: e.status2xx.Load(),
-		Status4xx: e.status4xx.Load(),
-		Status5xx: e.status5xx.Load(),
-		P50Us:     e.quantile(0.50),
-		P90Us:     e.quantile(0.90),
-		P99Us:     e.quantile(0.99),
-	}
-	if n := e.count.Load(); n > 0 {
-		m.MeanUs = e.sumNs.Load() / n / 1e3
-	}
-	return m
+	return &routerStats{start: start, endpoints: serve.NewEndpointRegistry()}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -365,5 +366,75 @@ func TestBudgetAccounting(t *testing.T) {
 	}
 	if spent != 2 {
 		t.Fatalf("bucket held %d tokens, cap is 2", spent)
+	}
+}
+
+// TestRouterEndpointMetrics: the router's per-endpoint registry counts
+// requests by status class and orders its latency quantiles, and
+// /metrics negotiates Prometheus text on Accept: text/plain while
+// answering JSON otherwise.
+func TestRouterEndpointMetrics(t *testing.T) {
+	rt, stubs := testCluster(t, 2, nil)
+	blob := planBlob(t, 1)
+	for i := 0; i < 3; i++ {
+		if rec := routerPost(t, rt, blob); rec.Code != http.StatusOK {
+			t.Fatalf("plan %d answered %d", i, rec.Code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/plan", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /v1/plan answered %d", rec.Code)
+	}
+	for _, s := range stubs {
+		s.fail.Store(true)
+	}
+	if rec := routerPost(t, rt, planBlob(t, 7)); rec.Code < 500 {
+		t.Fatalf("unseen plan during total loss answered %d", rec.Code)
+	}
+
+	ep, ok := rt.Metrics().Endpoints["plan"]
+	if !ok {
+		t.Fatal("no plan endpoint in the router's metrics")
+	}
+	if ep.Count != 5 || ep.Status2xx != 3 || ep.Status4xx != 1 || ep.Status5xx != 1 {
+		t.Fatalf("plan endpoint counts %+v, want 5 = 3 2xx + 1 4xx + 1 5xx", ep)
+	}
+	if ep.P50Us <= 0 || ep.P50Us > ep.P99Us {
+		t.Fatalf("plan latency quantiles p50 %d µs, p99 %d µs", ep.P50Us, ep.P99Us)
+	}
+
+	get := func(accept string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	prom := get("text/plain")
+	if ct := prom.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("Accept: text/plain got Content-Type %q", ct)
+	}
+	for _, row := range []string{
+		`ssdtrain_router_requests_total{endpoint="plan",class="2xx"} 3`,
+		`ssdtrain_router_requests_total{endpoint="plan",class="4xx"} 1`,
+		`ssdtrain_router_requests_total{endpoint="plan",class="5xx"} 1`,
+	} {
+		if !strings.Contains(prom.Body.String(), row+"\n") {
+			t.Errorf("Prometheus body lacks %q", row)
+		}
+	}
+	js := get("")
+	if ct := js.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("no Accept got Content-Type %q", ct)
+	}
+	var m serve.RouterMetrics
+	if err := json.Unmarshal(js.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Endpoints["plan"].Count != 5 {
+		t.Fatalf("JSON plan count %d, want 5", m.Endpoints["plan"].Count)
 	}
 }

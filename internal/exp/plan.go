@@ -19,9 +19,10 @@ import (
 // Plan is a compiled measurement: the pure, config-shape-dependent work
 // of Run — the model graph template, the per-block activation and
 // backward-time vectors, and the Fig 3 offload budget — memoized so a
-// sweep that varies only the cheap knobs (Budget, Steps, Warmup,
-// SSDBandwidthShare, SteadyState, Placement, DRAMCapacity, SplitRatio)
-// pays graph construction and analysis once. A Plan is immutable after
+// sweep that varies only the cheap knobs pays graph construction and
+// analysis once. The cheap knobs are the fields shapeKey zeroes: Budget,
+// Steps, Warmup, SSDBandwidthShare, SteadyState, Placement,
+// DRAMCapacity, SplitRatio, OptimKind, Schedule, Trace and Faults. A Plan is immutable after
 // Compile and safe for concurrent Execute calls: each execution runs on
 // its own arena (a Session), either single-use (Plan.Execute) or
 // recycled (Session.Execute via a SessionPool).
@@ -376,9 +377,8 @@ func (p *Plan) BudgetComputes() int64 { return p.budgetComputes.Load() }
 
 // Execute runs one measurement under the plan on a fresh, single-use
 // arena. cfg must match the plan's shape in everything except the cheap
-// knobs (Budget, Steps, Warmup, SSDBandwidthShare, SteadyState,
-// Placement, DRAMCapacity, SplitRatio); Execute rejects mismatched
-// configs rather than silently measuring the wrong model. Callers that
+// knobs listed on Plan; Execute rejects mismatched configs rather than
+// silently measuring the wrong model. Callers that
 // Execute one shape repeatedly should hold a Session (or route through a
 // SessionPool) instead: a recycled arena produces byte-identical results
 // at a fraction of the allocations.

@@ -400,9 +400,9 @@ func graphTimes(g *autograd.Graph) (fwd, bwd time.Duration) {
 }
 
 // Run executes one measurement: Compile (hitting the shared plan cache)
-// followed by Execute. Sweeps that vary only Budget, Steps, Warmup,
-// SSDBandwidthShare, or SteadyState automatically share one compiled
-// plan; callers that want explicit control use Compile + Execute.
+// followed by Execute. Sweeps that vary only the cheap knobs listed on
+// Plan automatically share one compiled plan; callers that want explicit
+// control use Compile + Execute.
 func Run(cfg RunConfig) (*RunResult, error) {
 	plan, err := Compile(cfg)
 	if err != nil {

@@ -28,10 +28,9 @@ import (
 // never re-malloc on the hot path).
 //
 // A Session is single-owner: it must not run two Executes concurrently.
-// Use a SessionPool to share arenas across sweep workers. The per-call
-// cheap knobs — Budget, Steps, Warmup, SSDBandwidthShare, SteadyState,
-// Placement, DRAMCapacity, SplitRatio — may differ freely between calls
-// on one session; everything else must match the plan's shape.
+// Use a SessionPool to share arenas across sweep workers. The cheap knobs
+// listed on Plan may differ freely between calls on one session;
+// everything else must match the plan's shape.
 type Session struct {
 	plan    *Plan
 	rt      *autograd.Runtime
@@ -567,9 +566,8 @@ type SessionPool struct {
 }
 
 // SessionPoolStats is a point-in-time snapshot of a pool's counters —
-// the observability the serve /metrics endpoint and cmd/bench surface so
-// "the arenas are being recycled" is a measured fact rather than an
-// assumption.
+// the observability the serve /metrics endpoint surfaces so "the arenas
+// are being recycled" is a measured fact rather than an assumption.
 type SessionPoolStats struct {
 	// Hits counts Execute calls served by a recycled idle arena.
 	Hits int64 `json:"hits"`

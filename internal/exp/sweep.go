@@ -6,8 +6,7 @@ import (
 
 // Sweep executes a batch of measurements with deduplicated work at every
 // level: configs that are value-identical run once and share a result,
-// configs that differ only in cheap knobs (Budget, Steps, Warmup,
-// SSDBandwidthShare, Placement, DRAMCapacity, SplitRatio) share a
+// configs that differ only in the cheap knobs listed on Plan share a
 // compiled plan AND a pool of recycled execution arenas, and
 // configs that share a model shape reuse one graph template. Results are
 // returned in input order; duplicate configs receive the same

@@ -62,22 +62,24 @@ func (s Spec) Validate(devices int) error {
 		return nil
 	}
 	death := s.DeviceDeathAt > 0 || s.WearThreshold > 0
+	// Each range test reads !(inside), so a NaN, which compares false
+	// with everything, lands outside; the parsers follow the same rule.
 	switch {
 	case s.DeviceDeathAt < 0:
 		return fmt.Errorf("faults: negative DeviceDeathAt %v", s.DeviceDeathAt)
-	case s.WearThreshold < 0 || s.WearThreshold > 1:
+	case !(s.WearThreshold >= 0 && s.WearThreshold <= 1):
 		return fmt.Errorf("faults: WearThreshold %.3f outside [0, 1]", s.WearThreshold)
 	case death && (s.Device < -1 || s.Device >= devices):
 		return fmt.Errorf("faults: device %d outside array of %d", s.Device, devices)
 	case !death && s.Device != 0:
 		return fmt.Errorf("faults: Device set without a death trigger")
-	case s.RebuildSteal < 0 || s.RebuildSteal >= 1:
+	case !(s.RebuildSteal >= 0 && s.RebuildSteal < 1):
 		return fmt.Errorf("faults: RebuildSteal %.3f outside [0, 1)", s.RebuildSteal)
 	case s.RebuildFor < 0:
 		return fmt.Errorf("faults: negative RebuildFor %v", s.RebuildFor)
 	case s.DegradeAt < 0 || s.DegradeFor < 0:
 		return fmt.Errorf("faults: negative degrade window")
-	case s.DegradeAt > 0 && (s.DegradeFactor <= 0 || s.DegradeFactor >= 1):
+	case s.DegradeAt > 0 && !(s.DegradeFactor > 0 && s.DegradeFactor < 1):
 		return fmt.Errorf("faults: DegradeFactor %.3f outside (0, 1)", s.DegradeFactor)
 	case s.DegradeAt == 0 && (s.DegradeFactor != 0 || s.DegradeFor != 0):
 		return fmt.Errorf("faults: degrade window fields set without DegradeAt")

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,6 +50,9 @@ func TestParsePlanRejects(t *testing.T) {
 		"steal=2",
 		"rebuild=0s",
 		"mystery=1",
+		"death@wearNaN:node0",
+		"degrade@10s:node0:NaN",
+		"death@30s:node0:dev1,steal=NaN",
 	} {
 		if _, err := ParsePlan(s); err == nil {
 			t.Errorf("ParsePlan(%q) accepted a malformed plan", s)
@@ -89,6 +93,9 @@ func TestParseSpec(t *testing.T) {
 		"degrade@1s:0.5:0s",    // zero window
 		"steal=1",              // steal outside (0,1)
 		"death@30s:node0:dev1", // plan syntax, not spec syntax
+		"death@wearNaN",        // NaN compares false both ways
+		"degrade@1s:NaN",
+		"death@30s,steal=NaN",
 	} {
 		if _, err := ParseSpec(s); err == nil {
 			t.Errorf("ParseSpec(%q) accepted a malformed spec", s)
@@ -110,6 +117,17 @@ func TestPlanValidateBounds(t *testing.T) {
 	if err := plan.Validate(4, 8); err != nil {
 		t.Errorf("whole-array death on the last node rejected: %v", err)
 	}
+	for _, e := range []Event{
+		{Kind: Death, Node: 0, Device: -1, WearThreshold: math.NaN()},
+		{Kind: Degrade, At: time.Second, Node: 0, Factor: math.NaN()},
+	} {
+		if err := (Plan{Events: []Event{e}}).Validate(4, 8); err == nil {
+			t.Errorf("NaN event %+v accepted", e)
+		}
+	}
+	if got := (Plan{RebuildSteal: math.NaN()}).WithDefaults().RebuildSteal; got != DefaultRebuildSteal {
+		t.Errorf("NaN steal defaults to %v, want %v", got, DefaultRebuildSteal)
+	}
 }
 
 // TestSpecValidate: the single-run spec rejects each malformed field.
@@ -125,6 +143,11 @@ func TestSpecValidate(t *testing.T) {
 		{DegradeAt: time.Second, DegradeFactor: 1.0},  // factor outside (0,1)
 		{DegradeFactor: 0.5},                          // factor without a window
 		{DegradeAt: -time.Second, DegradeFactor: 0.5}, // negative window
+		{WearThreshold: math.NaN()},
+		{DeviceDeathAt: time.Second, Device: 1, WearThreshold: math.NaN()},
+		{DeviceDeathAt: time.Second, RebuildSteal: math.NaN()},
+		{DegradeAt: time.Second, DegradeFactor: math.NaN()},
+		{DegradeFactor: math.NaN()},
 	}
 	for i, s := range bad {
 		if err := s.Validate(8); err == nil {

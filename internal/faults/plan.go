@@ -93,7 +93,7 @@ func (p Plan) WithDefaults() Plan {
 	if p.RestartPenalty <= 0 {
 		p.RestartPenalty = DefaultRestartPenalty
 	}
-	if p.RebuildSteal <= 0 || p.RebuildSteal >= 1 {
+	if !(p.RebuildSteal > 0 && p.RebuildSteal < 1) {
 		p.RebuildSteal = DefaultRebuildSteal
 	}
 	if p.RebuildFor <= 0 {
@@ -113,7 +113,7 @@ func (p Plan) Validate(nodes, devices int) error {
 			if e.At <= 0 && e.WearThreshold <= 0 {
 				return fmt.Errorf("faults: event %d: death needs a time or wear trigger", i)
 			}
-			if e.WearThreshold < 0 || e.WearThreshold > 1 {
+			if !(e.WearThreshold >= 0 && e.WearThreshold <= 1) {
 				return fmt.Errorf("faults: event %d: wear threshold %.3f outside [0, 1]", i, e.WearThreshold)
 			}
 			if e.Device < -1 || e.Device >= devices {
@@ -123,7 +123,7 @@ func (p Plan) Validate(nodes, devices int) error {
 			if e.At <= 0 {
 				return fmt.Errorf("faults: event %d: degrade needs a start time", i)
 			}
-			if e.Factor <= 0 || e.Factor >= 1 {
+			if !(e.Factor > 0 && e.Factor < 1) {
 				return fmt.Errorf("faults: event %d: degrade factor %.3f outside (0, 1)", i, e.Factor)
 			}
 		case Drain:
@@ -188,7 +188,7 @@ func (p *Plan) parseOption(k, v string) error {
 		p.RestartPenalty = d
 	case "steal":
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 || f >= 1 {
+		if err != nil || !(f > 0 && f < 1) {
 			return fmt.Errorf("faults: bad steal=%q", v)
 		}
 		p.RebuildSteal = f
@@ -224,7 +224,7 @@ func parseEvent(tok string) (Event, error) {
 	}
 	if w, ok := strings.CutPrefix(atStr, "wear"); ok && ev.Kind == Death {
 		f, err := strconv.ParseFloat(w, 64)
-		if err != nil || f <= 0 || f > 1 {
+		if err != nil || !(f > 0 && f <= 1) {
 			return Event{}, fmt.Errorf("faults: event %q: bad wear threshold %q", tok, w)
 		}
 		ev.WearThreshold = f
@@ -262,7 +262,7 @@ func parseEvent(tok string) (Event, error) {
 			return Event{}, fmt.Errorf("faults: event %q: want degrade@t:node:factor[:for]", tok)
 		}
 		f, err := strconv.ParseFloat(args[0], 64)
-		if err != nil || f <= 0 || f >= 1 {
+		if err != nil || !(f > 0 && f < 1) {
 			return Event{}, fmt.Errorf("faults: event %q: bad factor %q", tok, args[0])
 		}
 		ev.Factor = f
@@ -355,7 +355,7 @@ func ParseSpec(s string) (Spec, error) {
 			switch k {
 			case "steal":
 				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || f <= 0 || f >= 1 {
+				if err != nil || !(f > 0 && f < 1) {
 					return Spec{}, fmt.Errorf("faults: bad steal=%q", v)
 				}
 				sp.RebuildSteal = f
@@ -382,7 +382,7 @@ func ParseSpec(s string) (Spec, error) {
 			}
 			if w, ok := strings.CutPrefix(atStr, "wear"); ok {
 				f, err := strconv.ParseFloat(w, 64)
-				if err != nil || f <= 0 || f > 1 {
+				if err != nil || !(f > 0 && f <= 1) {
 					return Spec{}, fmt.Errorf("faults: spec %q: bad wear threshold %q", tok, w)
 				}
 				sp.WearThreshold = f
@@ -416,7 +416,7 @@ func ParseSpec(s string) (Spec, error) {
 				return Spec{}, fmt.Errorf("faults: spec %q: want degrade@t:factor[:for]", tok)
 			}
 			f, err := strconv.ParseFloat(parts[0], 64)
-			if err != nil || f <= 0 || f >= 1 {
+			if err != nil || !(f > 0 && f < 1) {
 				return Spec{}, fmt.Errorf("faults: spec %q: bad factor %q", tok, parts[0])
 			}
 			sp.DegradeFactor = f

@@ -205,7 +205,7 @@ func (r *statusRecorder) Flush() {
 }
 
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	ep := s.stats.endpoint(name)
+	ep := s.stats.endpoints.Endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if s.opts.RequestTimeout > 0 {
@@ -220,7 +220,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 			w.Header().Set(HeaderReplica, s.opts.ReplicaID)
 		}
 		h(rec, r)
-		ep.observe(rec.status, time.Since(start))
+		ep.Observe(rec.status, time.Since(start))
 	}
 }
 
@@ -602,11 +602,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Write(out[0].Result.Trace.ChromeJSON())
 }
 
-// wantsPrometheus reports whether the request negotiated the Prometheus
+// WantsPrometheus reports whether the request negotiated the Prometheus
 // text exposition instead of the default JSON body. Anything naming
 // text/plain or OpenMetrics in Accept opts in; everything else (including
 // no Accept at all) keeps the original JSON byte-identical.
-func wantsPrometheus(r *http.Request) bool {
+func WantsPrometheus(r *http.Request) bool {
 	accept := r.Header.Get("Accept")
 	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
 }
@@ -617,7 +617,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := s.Metrics()
-	if wantsPrometheus(r) {
+	if WantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Write(m.Prometheus())
 		return
@@ -635,7 +635,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Metrics() Metrics {
 	m := Metrics{
 		UptimeSeconds:     time.Since(s.stats.start).Seconds(),
-		Endpoints:         make(map[string]EndpointMetrics),
+		Endpoints:         s.stats.endpoints.Snapshot(),
 		CoalescedRequests: s.stats.coalesced.Load(),
 		RejectedRequests:  s.stats.rejected.Load(),
 		RejectedDeadline:  s.stats.rejectedDeadline.Load(),
@@ -653,11 +653,6 @@ func (s *Server) Metrics() Metrics {
 		},
 		Sessions: s.sessions.Stats(),
 	}
-	s.stats.mu.Lock()
-	for name, ep := range s.stats.endpoints {
-		m.Endpoints[name] = ep.metrics()
-	}
-	s.stats.mu.Unlock()
 	ph, pm, pe, pl := exp.PlanCacheSnapshot()
 	m.PlanCache = cacheMetrics(ph, pm, pe, pl)
 	rh, rm := s.results.Stats()

@@ -621,6 +621,22 @@ func TestFleetEndpoint(t *testing.T) {
 	}
 }
 
+// TestFleetRejectsNaNFaults: a NaN in a fault plan compares false
+// against every range bound, so the parser must reject it outright
+// instead of simulating a death or a steal nobody asked for.
+func TestFleetRejectsNaNFaults(t *testing.T) {
+	srv := New(Options{Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, plan := range []string{"death@wearNaN:node0", "death@30s:node0:dev1,steal=NaN"} {
+		req := FleetRequest{Nodes: 2, Jobs: 8, Seed: 1, Policies: []string{"fifo"}, Faults: plan}
+		resp, body := postJSON(t, ts.URL+"/v1/fleet", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("faults %q: status %d, want 400 (%s)", plan, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestRequestValidation pins the 4xx surface.
 func TestRequestValidation(t *testing.T) {
 	srv := New(Options{})

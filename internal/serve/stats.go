@@ -55,8 +55,50 @@ func (h *histogram) quantile(q float64) int64 {
 	return int64(1) << histBuckets
 }
 
-// endpointStats accumulates one endpoint's request counters and latency.
-type endpointStats struct {
+// EndpointRegistry holds per-endpoint request counters and latency
+// histograms. The service keeps one, and so does the cluster router in
+// front of it, so both render one EndpointMetrics shape.
+type EndpointRegistry struct {
+	mu        sync.Mutex
+	endpoints map[string]*EndpointStats
+}
+
+// NewEndpointRegistry returns a registry with the named endpoints
+// registered up front, so they report zero counts before any traffic.
+func NewEndpointRegistry(names ...string) *EndpointRegistry {
+	r := &EndpointRegistry{endpoints: make(map[string]*EndpointStats, len(names))}
+	for _, name := range names {
+		r.endpoints[name] = &EndpointStats{}
+	}
+	return r
+}
+
+// Endpoint returns the named endpoint's entry; unknown names get one
+// lazily so instrumenting a new route cannot panic the server.
+func (r *EndpointRegistry) Endpoint(name string) *EndpointStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.endpoints[name]
+	if !ok {
+		e = &EndpointStats{}
+		r.endpoints[name] = e
+	}
+	return e
+}
+
+// Snapshot returns every endpoint's metrics by name.
+func (r *EndpointRegistry) Snapshot() map[string]EndpointMetrics {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := make(map[string]EndpointMetrics, len(r.endpoints))
+	for name, e := range r.endpoints {
+		m[name] = e.metrics()
+	}
+	return m
+}
+
+// EndpointStats accumulates one endpoint's request counters and latency.
+type EndpointStats struct {
 	count     atomic.Int64
 	status2xx atomic.Int64
 	status4xx atomic.Int64
@@ -64,7 +106,8 @@ type endpointStats struct {
 	hist      histogram
 }
 
-func (e *endpointStats) observe(status int, d time.Duration) {
+// Observe records one answered request.
+func (e *EndpointStats) Observe(status int, d time.Duration) {
 	e.count.Add(1)
 	switch {
 	case status >= 500:
@@ -80,8 +123,7 @@ func (e *endpointStats) observe(status int, d time.Duration) {
 // stats is the server's metrics registry.
 type stats struct {
 	start     time.Time
-	mu        sync.Mutex
-	endpoints map[string]*endpointStats
+	endpoints *EndpointRegistry
 	// coalesced counts requests that shared another caller's in-flight
 	// simulation (singleflight dedup).
 	coalesced atomic.Int64
@@ -110,24 +152,7 @@ type stats struct {
 }
 
 func newStats(start time.Time, endpoints ...string) *stats {
-	s := &stats{start: start, endpoints: make(map[string]*endpointStats, len(endpoints))}
-	for _, name := range endpoints {
-		s.endpoints[name] = &endpointStats{}
-	}
-	return s
-}
-
-// endpoint returns the named endpoint's registry entry; unknown names
-// get one lazily so instrumenting a new route cannot panic the server.
-func (s *stats) endpoint(name string) *endpointStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.endpoints[name]
-	if !ok {
-		e = &endpointStats{}
-		s.endpoints[name] = e
-	}
-	return e
+	return &stats{start: start, endpoints: NewEndpointRegistry(endpoints...)}
 }
 
 func (s *stats) recordBatch(n int) {
@@ -313,7 +338,7 @@ type Metrics struct {
 	SteadyState exp.SteadyStats `json:"steady_state"`
 }
 
-func (e *endpointStats) metrics() EndpointMetrics {
+func (e *EndpointStats) metrics() EndpointMetrics {
 	m := EndpointMetrics{
 		Count:     e.count.Load(),
 		Status2xx: e.status2xx.Load(),

@@ -4,28 +4,88 @@ import (
 	"testing"
 	"time"
 
-	"ssdtrain/internal/hotbench"
 	"ssdtrain/internal/sim"
 )
 
-// The schedule and steady-state workloads live in internal/hotbench so
-// these benchmarks and cmd/bench (which records BENCH_hotpath.json)
-// measure exactly the same loops.
+// runSchedule performs n schedule-then-drain cycles with a bounded
+// queue: the mixed push/pop pattern substrate models produce.
+func runSchedule(eng *sim.Engine, n int) {
+	fn := func() {}
+	for i := 0; i < n; i++ {
+		eng.After(time.Microsecond, fn)
+		if eng.QueueLen() > 1024 {
+			eng.Run()
+		}
+	}
+	eng.Run()
+}
 
-// BenchmarkEngineSchedule measures the schedule-then-drain cycle with a
-// bounded queue: the mixed push/pop pattern substrate models produce.
+// steadyLoop is 64 self-rescheduling timers. Its callback is built once,
+// so a run allocates nothing once the engine's event pool is warm.
+type steadyLoop struct {
+	eng       *sim.Engine
+	remaining int
+	tick      func()
+}
+
+func newSteadyLoop(eng *sim.Engine) *steadyLoop {
+	l := &steadyLoop{eng: eng}
+	l.tick = l.step
+	return l
+}
+
+func (l *steadyLoop) step() {
+	if l.remaining > 0 {
+		l.remaining--
+		l.eng.After(time.Microsecond, l.tick)
+	}
+}
+
+// run processes n events through the 64 timers.
+func (l *steadyLoop) run(n int) {
+	l.remaining = n
+	for i := 0; i < 64; i++ {
+		l.eng.After(time.Duration(i)*time.Nanosecond, l.tick)
+	}
+	l.eng.Run()
+}
+
+// TestEngineScheduleAllocs pins the schedule loop allocation-free on a
+// warm engine.
+func TestEngineScheduleAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	if allocs := testing.AllocsPerRun(100, func() { runSchedule(eng, 4096) }); allocs != 0 {
+		t.Fatalf("schedule loop allocates %.1f/run, want 0", allocs)
+	}
+}
+
+// TestEngineSteadyStateAllocs pins the steady-state loop
+// allocation-free, and checks the reason: the event pool serves
+// practically every schedule.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	loop := newSteadyLoop(eng)
+	if allocs := testing.AllocsPerRun(100, func() { loop.run(4096) }); allocs != 0 {
+		t.Fatalf("steady-state loop allocates %.1f/run, want 0", allocs)
+	}
+	if hr := eng.Stats().PoolHitRate(); hr < 0.99 {
+		t.Fatalf("event pool hit rate %.4f, want >= 0.99", hr)
+	}
+}
+
+// BenchmarkEngineSchedule measures the schedule-then-drain cycle.
 // Seed (container/heap, no pool): 412.8 ns/op, 48 B/op, 1 allocs/op.
 func BenchmarkEngineSchedule(b *testing.B) {
 	b.ReportAllocs()
-	hotbench.EngineSchedule(b.N)
+	runSchedule(sim.NewEngine(), b.N)
 }
 
-// BenchmarkEngineSteadyState measures the self-rescheduling timer pattern
-// — 64 concurrent timers, allocation-free once the pool is warm.
+// BenchmarkEngineSteadyState measures the self-rescheduling timer
+// pattern.
 // Seed (container/heap, no pool): 118.2 ns/op, 48 B/op, 1 allocs/op.
 func BenchmarkEngineSteadyState(b *testing.B) {
 	b.ReportAllocs()
-	hotbench.EngineSteadyState(b.N)
+	newSteadyLoop(sim.NewEngine()).run(b.N)
 }
 
 // BenchmarkEngineDeepQueue measures pop cost with a large standing queue,

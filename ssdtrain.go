@@ -170,8 +170,9 @@ func OptimSweepTable(r *OptimSweepResult) *trace.Table { return exp.OptimSweepTa
 
 // Compile builds (or fetches from the shared plan cache) the run plan
 // for a configuration; plan.Execute then measures any variant differing
-// only in the cheap knobs (Budget, Steps, Warmup, SSDBandwidthShare,
-// SteadyState, Placement, DRAMCapacity, SplitRatio).
+// only in the cheap knobs: Budget, Steps, Warmup, SSDBandwidthShare,
+// SteadyState, Placement, DRAMCapacity, SplitRatio, OptimKind, Schedule,
+// Trace and Faults.
 func Compile(cfg RunConfig) (*Plan, error) { return exp.Compile(cfg) }
 
 // NewSession binds a reusable execution arena to a compiled plan, for
