@@ -2,7 +2,7 @@
 // BENCH.json, and gates fresh runs against it. It reads standard
 // `go test -bench -benchmem` output, from a file or stdin:
 //
-//	go test -run=NONE -bench "$BENCH" -benchmem -count=5 . ./internal/sim ./internal/cluster > bench.txt
+//	go test -run=NONE -bench "$BENCH" -benchmem -count=5 . ./internal/cluster > bench.txt
 //	benchcheck -write bench.txt   # take the record (at least 5 samples per result)
 //	benchcheck bench.txt          # check a fresh run against the record
 //
@@ -49,8 +49,6 @@ type result struct {
 // results is every recorded result, by section. untraced_share_sweep
 // re-measures session_share_sweep so the trace section is whole.
 var results = []result{
-	{"hotpath", "engine_schedule", "ssdtrain/internal/sim.BenchmarkEngineSchedule"},
-	{"hotpath", "engine_steady_state", "ssdtrain/internal/sim.BenchmarkEngineSteadyState"},
 	{"hotpath", "compiled_sweep", "ssdtrain.BenchmarkCompiledSweep"},
 	{"hotpath", "compiled_share_sweep", "ssdtrain.BenchmarkCompiledShareSweep"},
 	{"tier", "tiered_sweep", "ssdtrain.BenchmarkTieredSweep"},

@@ -18,7 +18,6 @@ func fakeRun(procs, n int, tweak func(bench string, i int, ns float64, allocs in
 		ns     float64
 		allocs int64
 	}{
-		"BenchmarkEngineSchedule": {20, 0}, "BenchmarkEngineSteadyState": {20, 0},
 		"BenchmarkCompiledSweep": {3e6, 10142}, "BenchmarkCompiledShareSweep": {1.2e6, 4223},
 		"BenchmarkTieredSweep": {2.8e6, 8033}, "BenchmarkSessionShareSweep": {0.9e6, 540},
 		"BenchmarkSessionTieredSweep": {1.8e6, 372}, "BenchmarkRecorderDisabledEmit": {0.5, 0},
@@ -33,7 +32,7 @@ func fakeRun(procs, n int, tweak func(bench string, i int, ns float64, allocs in
 	}
 	var b strings.Builder
 	seen := map[string]bool{}
-	for _, pkg := range []string{"ssdtrain", "ssdtrain/internal/sim", "ssdtrain/internal/cluster"} {
+	for _, pkg := range []string{"ssdtrain", "ssdtrain/internal/cluster"} {
 		fmt.Fprintf(&b, "goos: linux\ngoarch: amd64\npkg: %s\ncpu: Test CPU\n", pkg)
 		for _, r := range results {
 			p, name, _ := strings.Cut(r.bench, ".Benchmark")
@@ -103,7 +102,7 @@ func TestCommittedRecord(t *testing.T) {
 
 func TestParse(t *testing.T) {
 	rn := mustParse(t, fakeRun(1, 3, nil)+fakeRun(4, 2, nil))
-	got := rn.samples["ssdtrain/internal/sim.BenchmarkEngineSchedule"]
+	got := rn.samples["ssdtrain/internal/cluster.BenchmarkRingLookup"]
 	if len(got[1]) != 3 || len(got[4]) != 2 {
 		t.Fatalf("GOMAXPROCS split %v, want 3 samples at 1 and 2 at 4", got)
 	}

@@ -34,7 +34,7 @@ func main() {
 	}
 
 	// One reusable arena for every point of the sweep: Execute resets it
-	// in place (engine clock, weights, offload queues, cache pools)
+	// in place (queue servers, weights, offload queues, cache pools)
 	// instead of rebuilding runtime + graph + offload stack per point.
 	sess, err := ssdtrain.NewSession(plan)
 	if err != nil {

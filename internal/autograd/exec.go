@@ -445,7 +445,7 @@ func (e *Executor) Run() StepResult {
 		for _, w := range e.weights {
 			hostNow += e.rt.Spec.HostIssue
 			dur := e.cfg.UpdateCost(w)
-			f := e.rt.Compute.Submit(hostNow, dur, nil)
+			f := e.rt.Compute.Submit(hostNow, dur)
 			e.rt.Rec.Span(e.rt.ComputeTrack, spans.KindOptimizer, -1, w.Name(), f-dur, f, 0, 0)
 		}
 		end = e.rt.Compute.BusyUntil()
@@ -590,7 +590,7 @@ func (e *Executor) forwardBlock(run *blockRun, st *blockStatic, bi int, inFinish
 				ready = wr
 			}
 		}
-		finish := e.rt.Compute.Submit(ready, op.FwdTime, nil)
+		finish := e.rt.Compute.Submit(ready, op.FwdTime)
 		start := finish - op.FwdTime
 		e.rt.Rec.Span(e.rt.ComputeTrack, spans.KindForward, int32(bi), st.ops[oi].outName, start, finish, 0, 0)
 		*modelFLOPs += op.FwdFLOPs
@@ -700,7 +700,7 @@ func (e *Executor) backwardBlock(run *blockRun, st *blockStatic, gradIn *tensor.
 		for oi := range b.Ops {
 			op := &b.Ops[oi]
 			*hostNow += e.rt.Spec.HostIssue
-			finish := e.rt.Compute.Submit(*hostNow, op.FwdTime, nil)
+			finish := e.rt.Compute.Submit(*hostNow, op.FwdTime)
 			start := finish - op.FwdTime
 			e.rt.Rec.Span(e.rt.ComputeTrack, spans.KindRecompute, int32(bi), st.ops[oi].recName, start, finish, 0, 0)
 			out := reviveInto(&run.ops[oi].recT, st.ops[oi].recName, op.OutShape, op.OutDType)
@@ -731,7 +731,7 @@ func (e *Executor) backwardBlock(run *blockRun, st *blockStatic, gradIn *tensor.
 		if dataReady > ready {
 			ready = dataReady
 		}
-		finish := e.rt.Compute.Submit(ready, op.BwdTime, nil)
+		finish := e.rt.Compute.Submit(ready, op.BwdTime)
 		start := finish - op.BwdTime
 		e.rt.Rec.Span(e.rt.ComputeTrack, spans.KindBackward, int32(bi), st.ops[oi].gradName, start, finish, 0, 0)
 		lastFinish = finish
@@ -767,7 +767,7 @@ func (e *Executor) backwardBlock(run *blockRun, st *blockStatic, gradIn *tensor.
 			if mb > 0 {
 				// Accumulation read-modify-write for later micro-batches.
 				dur := e.cfg.AccumCost(op.Weight)
-				af := e.rt.Compute.Submit(finish, dur, nil)
+				af := e.rt.Compute.Submit(finish, dur)
 				e.rt.Rec.Span(e.rt.ComputeTrack, spans.KindAccum, int32(bi), op.Weight.Name(), af-dur, af, 0, 0)
 				gradDone = af
 			}

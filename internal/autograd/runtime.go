@@ -12,12 +12,11 @@ import (
 )
 
 // Runtime bundles the simulated device state one training process sees:
-// the event engine, the GPU allocator, storage lifetimes, and the compute
-// stream. Both the executor and the tensor cache operate against the same
-// Runtime, mirroring how the paper's cache shares the CUDA context with
-// PyTorch.
+// the GPU allocator, storage lifetimes, the compute stream, and the
+// flight recorder. Both the executor and the tensor cache operate against
+// the same Runtime, mirroring how the paper's cache shares the CUDA
+// context with PyTorch.
 type Runtime struct {
-	Eng      *sim.Engine
 	Spec     gpu.Spec
 	Cost     *gpu.CostModel
 	Alloc    *gpu.Allocator
@@ -32,22 +31,18 @@ type Runtime struct {
 	ComputeTrack spans.TrackID
 }
 
-// NewRuntime builds a runtime for one GPU. The flight recorder is wired
-// before any substrate is constructed so every substrate built on the
-// engine — here and later in the arena — registers its tracks on it.
+// NewRuntime builds a runtime for one GPU. Every substrate built later in
+// the arena takes Rec at construction and registers its tracks on it.
 func NewRuntime(spec gpu.Spec) *Runtime {
-	eng := sim.NewEngine()
 	rec := spans.NewRecorder(0)
-	eng.SetRecorder(rec)
 	alloc := gpu.NewAllocator(spec.Memory)
 	alloc.SetRecorder(rec)
 	return &Runtime{
-		Eng:          eng,
 		Spec:         spec,
 		Cost:         gpu.DefaultCostModel(spec),
 		Alloc:        alloc,
 		Life:         NewLifetimes(alloc),
-		Compute:      sim.NewServer(eng, "gpu.compute"),
+		Compute:      sim.NewServer(),
 		Counters:     trace.NewCounters(),
 		Rec:          rec,
 		ComputeTrack: rec.RegisterTrack("gpu.compute"),
@@ -55,14 +50,12 @@ func NewRuntime(spec gpu.Spec) *Runtime {
 }
 
 // Reset rewinds the whole simulated device for reuse by a new
-// measurement on the same arena: virtual time restarts, the allocator's
-// recorded run is discarded (hooks survive), pending lifetime bookkeeping
-// is dropped, the compute stream is idle, and the counters read zero.
-// Warm capacity — the engine's event pool, the allocator's event buffer,
-// map buckets everywhere — is retained; that is what makes a reset
-// cheaper than a rebuild.
+// measurement on the same arena: the allocator's recorded run is
+// discarded (hooks survive), pending lifetime bookkeeping is dropped, the
+// compute stream is idle, and the counters read zero. Warm capacity —
+// the allocator's event buffer, map buckets everywhere — is retained;
+// that is what makes a reset cheaper than a rebuild.
 func (rt *Runtime) Reset() {
-	rt.Eng.Reset()
 	rt.Alloc.Reset()
 	rt.Life.Reset()
 	rt.Compute.Reset()

@@ -61,13 +61,13 @@ type testRig struct {
 
 func newRig() *testRig {
 	rt := autograd.NewRuntime(gpu.A100PCIe())
-	link := pcie.NewLink(rt.Eng, "pcie0", pcie.DefaultGen4x16())
+	link := pcie.NewLink(rt.Rec, "pcie0", pcie.DefaultGen4x16())
 	devs := []*ssd.Device{
-		ssd.NewDevice(rt.Eng, "n0", ssd.IntelP5800X16TB()),
-		ssd.NewDevice(rt.Eng, "n1", ssd.IntelP5800X16TB()),
+		ssd.NewDevice(rt.Rec, "n0", ssd.IntelP5800X16TB()),
+		ssd.NewDevice(rt.Rec, "n1", ssd.IntelP5800X16TB()),
 	}
-	arr := ssd.NewArray(rt.Eng, "/mnt/md1", 512*units.KiB, devs...)
-	off := NewSSDOffloader(rt.Eng, "/mnt/md1", link, arr, gds.NewRegistry())
+	arr := ssd.NewArray("/mnt/md1", 512*units.KiB, devs...)
+	off := NewSSDOffloader(rt.Rec, "/mnt/md1", link, arr, gds.NewRegistry())
 	return &testRig{rt: rt, off: off}
 }
 
@@ -399,8 +399,8 @@ func TestOffloaderBouncePath(t *testing.T) {
 
 func TestCPUOffloaderPool(t *testing.T) {
 	rt := autograd.NewRuntime(gpu.A100PCIe())
-	link := pcie.NewLink(rt.Eng, "pcie0", pcie.DefaultGen4x16())
-	o := NewCPUOffloader(rt.Eng, "/dev/shm", link, 0)
+	link := pcie.NewLink(rt.Rec, "pcie0", pcie.DefaultGen4x16())
+	o := NewCPUOffloader(rt.Rec, "/dev/shm", link, 0)
 	x := tensor.New("x", tensor.NewShape(1<<20), tensor.FP16, tensor.GPU)
 	o.Store(TensorID{Stamp: 1, ShapeHash: 0xa}, x, 0)
 	if o.PeakResident() != x.Bytes() {

@@ -70,11 +70,13 @@ const (
 
 // Tier is one rung of the offload hierarchy: an Offloader that also
 // exposes its medium, capacity and current residency so placement
-// policies can route tensors across a stack of tiers. Both single-target
+// policies can route tensors across a stack of tiers, and folds its
+// per-step state for the steady-state fast path. Both single-target
 // offloaders (SSD, pinned host memory) implement it; TieredOffloader
 // composes them.
 type Tier interface {
 	Offloader
+	SteadySupport
 	// Kind classifies the tier's medium.
 	Kind() TierKind
 	// Capacity is the tier's byte capacity; 0 means unbounded.
@@ -151,14 +153,14 @@ type tierBase struct {
 	steady tierSteady
 }
 
-// newTierBase wires the shared tier machinery onto the engine.
-func newTierBase(eng *sim.Engine, name string, latency time.Duration, writeBW, readBW units.Bandwidth) tierBase {
-	rec := eng.Recorder()
+// newTierBase wires the shared tier machinery; its store/load spans go
+// to rec (nil records nothing).
+func newTierBase(rec *spans.Recorder, name string, latency time.Duration, writeBW, readBW units.Bandwidth) tierBase {
 	return tierBase{
 		name:    name,
 		store:   ssd.NewBlockStore[TensorID](),
-		storeQ:  sim.NewServer(eng, name+".storeq"),
-		loadQ:   sim.NewServer(eng, name+".loadq"),
+		storeQ:  sim.NewServer(),
+		loadQ:   sim.NewServer(),
 		writeBW: writeBW,
 		readBW:  readBW,
 		latency: latency,
@@ -169,8 +171,8 @@ func newTierBase(eng *sim.Engine, name string, latency time.Duration, writeBW, r
 }
 
 // reset clears the shared tier machinery — block store, both FIFO queues —
-// for reuse by a new simulation on the same (reset) engine. Bandwidths and
-// latency are left for the owning tier, which may need to re-derate them.
+// for reuse by a new simulation. Bandwidths and latency are left for the
+// owning tier, which may need to re-derate them.
 func (b *tierBase) reset() {
 	b.store.Reset()
 	b.storeQ.Reset()
@@ -268,13 +270,13 @@ func gdsPathRates(link *pcie.Link, array *ssd.Array) (wb, rb units.Bandwidth) {
 
 // NewSSDOffloader builds the SSD offloader over a PCIe link and an array.
 // The effective rates are the path bottlenecks (gdsPathRates).
-func NewSSDOffloader(eng *sim.Engine, name string, link *pcie.Link, array *ssd.Array, registry *gds.Registry) *SSDOffloader {
+func NewSSDOffloader(rec *spans.Recorder, name string, link *pcie.Link, array *ssd.Array, registry *gds.Registry) *SSDOffloader {
 	if registry == nil {
 		registry = gds.NewRegistry()
 	}
 	wb, rb := gdsPathRates(link, array)
 	return &SSDOffloader{
-		tierBase: newTierBase(eng, name, link.Config().Latency+10*time.Microsecond, wb, rb),
+		tierBase: newTierBase(rec, name, link.Config().Latency+10*time.Microsecond, wb, rb),
 		link:     link,
 		array:    array,
 		registry: registry,
@@ -390,12 +392,12 @@ func (o *SSDOffloader) Store(id TensorID, t *tensor.Tensor, ready time.Duration)
 			dur = o.latency + units.Bandwidth(float64(bw)*f).TimeFor(n)
 		}
 	}
-	finish := o.storeQ.Submit(ready, dur, nil)
+	finish := o.storeQ.Submit(ready, dur)
 	start := finish - dur
 	// Account the bytes on the underlying devices and link for
 	// utilization and endurance reporting.
-	o.array.Write(start, n, nil)
-	o.link.Down(start, n, nil)
+	o.array.Write(start, n)
+	o.link.Down(start, n)
 	o.writeBlock(id, t, n)
 	if o.faults != nil {
 		o.faults.NoteWrite(float64(n), finish)
@@ -427,10 +429,10 @@ func (o *SSDOffloader) Load(id TensorID, ready time.Duration) (time.Duration, ti
 			dur = o.latency + units.Bandwidth(float64(o.readBW)*f).TimeFor(n)
 		}
 	}
-	finish := o.loadQ.Submit(ready, dur, nil)
+	finish := o.loadQ.Submit(ready, dur)
 	start := finish - dur
-	o.array.Read(start, n, nil)
-	o.link.Up(start, n, nil)
+	o.array.Read(start, n)
+	o.link.Up(start, n)
 	o.rec.Span(o.loadT, spans.KindLoad, -1, spanLoad, start, finish, n, id.FlowID())
 	data, _ := o.store.ReadFile(id)
 	return start, finish, data, nil
@@ -457,9 +459,9 @@ type CPUOffloader struct {
 
 // NewCPUOffloader builds a host-memory offloader. capacity of zero starts
 // in profiling mode.
-func NewCPUOffloader(eng *sim.Engine, name string, link *pcie.Link, capacity units.Bytes) *CPUOffloader {
+func NewCPUOffloader(rec *spans.Recorder, name string, link *pcie.Link, capacity units.Bytes) *CPUOffloader {
 	return &CPUOffloader{
-		tierBase: newTierBase(eng, name, link.Config().Latency, link.Effective(), link.Effective()),
+		tierBase: newTierBase(rec, name, link.Config().Latency, link.Effective(), link.Effective()),
 		link:     link,
 		capacity: capacity,
 	}
@@ -496,9 +498,9 @@ func (o *CPUOffloader) Store(id TensorID, t *tensor.Tensor, ready time.Duration)
 		return 0, 0, &OverflowError{Tier: o.name, Used: used, Need: n, Capacity: o.capacity}
 	}
 	dur := o.latency + o.link.Effective().TimeFor(n)
-	finish := o.storeQ.Submit(ready, dur, nil)
+	finish := o.storeQ.Submit(ready, dur)
 	start := finish - dur
-	o.link.Down(start, n, nil)
+	o.link.Down(start, n)
 	o.writeBlock(id, t, n)
 	o.rec.Span(o.storeT, spans.KindStore, -1, spanStore, start, finish, n, id.FlowID())
 	return start, finish, nil
@@ -511,9 +513,9 @@ func (o *CPUOffloader) Load(id TensorID, ready time.Duration) (time.Duration, ti
 		return 0, 0, nil, &MissingBlockError{Tier: o.name, ID: id}
 	}
 	dur := o.latency + o.link.Effective().TimeFor(n)
-	finish := o.loadQ.Submit(ready, dur, nil)
+	finish := o.loadQ.Submit(ready, dur)
 	start := finish - dur
-	o.link.Up(start, n, nil)
+	o.link.Up(start, n)
 	o.rec.Span(o.loadT, spans.KindLoad, -1, spanLoad, start, finish, n, id.FlowID())
 	data, _ := o.store.ReadFile(id)
 	return start, finish, data, nil

@@ -140,14 +140,13 @@ type OptimOffloader struct {
 	extraBusy      time.Duration
 }
 
-// NewOptimOffloader wires the pipeline onto the engine. dram may be nil
-// (no pinned pool — every state lives on the NVMe rung); nvme must be
-// set. The tiers are owned by the caller, which resets them per run
-// before Reset/Register.
-func NewOptimOffloader(eng *sim.Engine, dram, nvme Tier) *OptimOffloader {
-	rec := eng.Recorder()
+// NewOptimOffloader wires the pipeline; its update spans go to rec (nil
+// records nothing). dram may be nil (no pinned pool — every state lives
+// on the NVMe rung); nvme must be set. The tiers are owned by the
+// caller, which resets them per run before Reset/Register.
+func NewOptimOffloader(rec *spans.Recorder, dram, nvme Tier) *OptimOffloader {
 	return &OptimOffloader{
-		update:  sim.NewServer(eng, "optim.update"),
+		update:  sim.NewServer(),
 		rec:     rec,
 		updateT: rec.RegisterTrack("optim.update"),
 		dram:    dram,
@@ -297,10 +296,10 @@ func (o *OptimOffloader) GradReady(w *tensor.Tensor, ready time.Duration) {
 // last-to-first, so the first block's gradient lands right as fwd(t+1)
 // wants its weight back, and the update sequence 1..N runs just-in-time
 // ahead of the forward consuming it. Deferring dispatch to the first
-// consumer query (Drain, WeightReady, StepEnd) is sound because this is
-// a discrete-event simulation: all chain inputs are simulated
-// timestamps, and the update server starts each job at
-// max(ready, busyUntil) regardless of when it was submitted.
+// consumer query (Drain, WeightReady, StepEnd) is sound because time is
+// virtual: all chain inputs are simulated timestamps, and the update
+// server starts each job at max(ready, busyUntil) regardless of when it
+// was submitted.
 func (o *OptimOffloader) flush() {
 	for i := range o.weights {
 		ow := &o.weights[i]
@@ -329,7 +328,7 @@ func (o *OptimOffloader) dispatch(ow *optimWeight) {
 	// The update streams the gradient, the FP32 state (read and write),
 	// and the fresh FP16 parameter through host memory.
 	dur := o.updBW.TimeFor(2*ow.w.Bytes() + 2*sb)
-	uf := o.update.Submit(f, dur, nil)
+	uf := o.update.Submit(f, dur)
 	if o.rec.Enabled() {
 		o.rec.Span(o.updateT, spans.KindOptimOffload, -1, ow.w.Name(), uf-dur, uf, sb, 0)
 	}
@@ -380,27 +379,19 @@ func (o *OptimOffloader) UpdateBusy() time.Duration { return o.update.BusyTime()
 // backlog horizon, every weight's updated-arrival horizon (in weights
 // order — the overlap schedule's cross-step state), the drain horizon,
 // and both rungs' tier machinery.
-func (o *OptimOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) bool {
+func (o *OptimOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 	ub := o.update.BusyTime()
 	sig.FoldDur(ub - o.prevUpdateBusy)
 	o.dUpdateBusy = ub - o.prevUpdateBusy
 	o.prevUpdateBusy = ub
-	sig.FoldDur(relHorizon(o.update.BusyUntil(), origin))
-	sig.FoldDur(relHorizon(o.drain, origin))
+	sig.FoldHorizon(o.update.BusyUntil(), origin)
+	sig.FoldHorizon(o.drain, origin)
 	for i := range o.weights {
-		sig.FoldDur(relHorizon(o.ready[o.weights[i].seq], origin))
+		sig.FoldHorizon(o.ready[o.weights[i].seq], origin)
 	}
-	ok := true
 	for _, t := range o.Tiers() {
-		ss, can := t.(SteadySupport)
-		if !can {
-			return false
-		}
-		if !ss.FoldCycle(sig, origin) {
-			ok = false
-		}
+		t.FoldCycle(sig, origin)
 	}
-	return ok
 }
 
 // ExtrapolateCycles implements SteadySupport: both rungs' cumulative
@@ -410,9 +401,7 @@ func (o *OptimOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) bool {
 func (o *OptimOffloader) ExtrapolateCycles(n int64) {
 	o.extraBusy += o.dUpdateBusy * time.Duration(n)
 	for _, t := range o.Tiers() {
-		if ss, can := t.(SteadySupport); can {
-			ss.ExtrapolateCycles(n)
-		}
+		t.ExtrapolateCycles(n)
 	}
 }
 

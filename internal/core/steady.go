@@ -12,33 +12,18 @@ import (
 // steady-state fast path. Per executed training step, FoldCycle folds the
 // offloader's state delta since the previous fold into sig — cumulative
 // counter growth, queue busy growth, and backlog horizons relative to the
-// step's start — and remembers the deltas. Two consecutive steps that fold
-// identically (together with the executor-side signature) are a steady
-// cycle; ExtrapolateCycles then advances the cumulative accounting by n
-// further cycles of the remembered deltas without simulating them.
+// step's start (sim.Sig.FoldHorizon) — and remembers the deltas. Two
+// consecutive steps that fold identically (together with the
+// executor-side signature) are a steady cycle; ExtrapolateCycles then
+// advances the cumulative accounting by n further cycles of the
+// remembered deltas without simulating them.
 //
-// FoldCycle reports false when the offloader's state cannot be
-// extrapolated analytically (an armed fault controller whose wear ledger
-// needs the real write stream, or an FTL-attached device whose
-// page-accurate wear does): the caller must then fall back to full
-// simulation, though the fold itself is still valid for convergence
-// detection.
+// Every tier implements it (Tier embeds it). A run with an armed fault
+// spec never folds: its wear ledger needs the real write stream, so the
+// harness simulates it in full.
 type SteadySupport interface {
-	FoldCycle(sig *sim.Sig, origin time.Duration) bool
+	FoldCycle(sig *sim.Sig, origin time.Duration)
 	ExtrapolateCycles(n int64)
-}
-
-// relHorizon returns a queue backlog horizon relative to the step origin,
-// clamped at zero. A backlog that drained before the step began cannot
-// influence any later transfer (every later ready time is ≥ origin), so
-// its exact stale value must not keep two otherwise identical steps from
-// matching — without the clamp an idle queue's horizon would recede by one
-// period per step and a traffic-free strategy would never converge.
-func relHorizon(busyUntil, origin time.Duration) time.Duration {
-	if busyUntil <= origin {
-		return 0
-	}
-	return busyUntil - origin
 }
 
 // tierSteady is a tier's fold bookkeeping: the cumulative snapshots the
@@ -65,8 +50,8 @@ func (b *tierBase) foldCycle(sig *sim.Sig, origin time.Duration) {
 	sb, lb := b.storeQ.BusyTime(), b.loadQ.BusyTime()
 	sig.FoldDur(sb - st.storeBusy)
 	sig.FoldDur(lb - st.loadBusy)
-	sig.FoldDur(relHorizon(b.storeQ.BusyUntil(), origin))
-	sig.FoldDur(relHorizon(b.loadQ.BusyUntil(), origin))
+	sig.FoldHorizon(b.storeQ.BusyUntil(), origin)
+	sig.FoldHorizon(b.loadQ.BusyUntil(), origin)
 	st.written, st.read, st.deleted = w, r, d
 	st.storeBusy, st.loadBusy = sb, lb
 }
@@ -92,8 +77,8 @@ func (ls *linkSteady) fold(sig *sim.Sig, l *pcie.Link, origin time.Duration) {
 	db, ub := l.DownBusyTime(), l.UpBusyTime()
 	sig.FoldDur(db - ls.downBusy)
 	sig.FoldDur(ub - ls.upBusy)
-	sig.FoldDur(relHorizon(l.DownBusyUntil(), origin))
-	sig.FoldDur(relHorizon(l.UpBusyUntil(), origin))
+	sig.FoldHorizon(l.DownBusyUntil(), origin)
+	sig.FoldHorizon(l.UpBusyUntil(), origin)
 	ls.downBusy, ls.upBusy = db, ub
 }
 
@@ -106,11 +91,8 @@ type devSteady struct {
 
 // FoldCycle implements SteadySupport: the shared tier machinery, the GDS
 // link, the stripe cursor, and every member device's host counters and
-// queue state. It reports false when the tier is armed for fault injection
-// (the wear ledger must see the real write stream — the harness falls back
-// on any fault spec anyway) or when a member has an FTL attached
-// (page-accurate wear cannot be advanced analytically).
-func (o *SSDOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) bool {
+// queue state.
+func (o *SSDOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 	o.tierBase.foldCycle(sig, origin)
 	o.lnSteady.fold(sig, o.link, origin)
 	if o.SharedArray {
@@ -118,18 +100,14 @@ func (o *SSDOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) bool {
 		// counters (they include this tier's traffic); folding them here too
 		// would be harmless for convergence but would double-advance wear on
 		// extrapolation, so the shared rung folds only its own machinery.
-		return o.faults == nil
+		return
 	}
 	devs := o.array.Devices()
 	if len(o.devSteady) != len(devs) {
 		o.devSteady = make([]devSteady, len(devs))
 	}
 	sig.FoldInt(int64(o.array.Cursor()))
-	ok := o.faults == nil
 	for i, d := range devs {
-		if d.FTL() != nil {
-			ok = false
-		}
 		ds := &o.devSteady[i]
 		w, r := d.HostWritten(), d.HostRead()
 		ds.dWritten, ds.dRead = w-ds.written, r-ds.read
@@ -138,11 +116,10 @@ func (o *SSDOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) bool {
 		wb, rb := d.WriteBusyTime(), d.ReadBusyTime()
 		sig.FoldDur(wb - ds.wBusy)
 		sig.FoldDur(rb - ds.rBusy)
-		sig.FoldDur(relHorizon(d.WriteBusyUntil(), origin))
-		sig.FoldDur(relHorizon(d.ReadBusyUntil(), origin))
+		sig.FoldHorizon(d.WriteBusyUntil(), origin)
+		sig.FoldHorizon(d.ReadBusyUntil(), origin)
 		ds.written, ds.read, ds.wBusy, ds.rBusy = w, r, wb, rb
 	}
-	return ok
 }
 
 // ExtrapolateCycles implements SteadySupport: the tier's store traffic and
@@ -165,10 +142,9 @@ func (o *SSDOffloader) ExtrapolateCycles(n int64) {
 }
 
 // FoldCycle implements SteadySupport for the pinned host-memory tier.
-func (o *CPUOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) bool {
+func (o *CPUOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 	o.tierBase.foldCycle(sig, origin)
 	o.lnSteady.fold(sig, o.link, origin)
-	return true
 }
 
 // ExtrapolateCycles implements SteadySupport.
@@ -179,7 +155,7 @@ func (o *CPUOffloader) ExtrapolateCycles(n int64) {
 // FoldCycle implements SteadySupport for the hierarchy: its own placement
 // state (residency, per-tier routing deltas) plus every tier in the
 // stack, in stack order.
-func (o *TieredOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) bool {
+func (o *TieredOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 	sig.FoldInt(int64(len(o.where)))
 	sig.FoldInt(int64(o.used))
 	sig.FoldInt(int64(o.peak))
@@ -193,17 +169,9 @@ func (o *TieredOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) bool {
 		o.steadyDPlaced[i] = d
 		o.steadyPlaced[i] = p
 	}
-	ok := true
 	for _, t := range o.tiers {
-		ss, can := t.(SteadySupport)
-		if !can {
-			return false
-		}
-		if !ss.FoldCycle(sig, origin) {
-			ok = false
-		}
+		t.FoldCycle(sig, origin)
 	}
-	return ok
 }
 
 // ExtrapolateCycles implements SteadySupport: per-tier routing totals and
@@ -215,14 +183,8 @@ func (o *TieredOffloader) ExtrapolateCycles(n int64) {
 		}
 	}
 	for _, t := range o.tiers {
-		if ss, can := t.(SteadySupport); can {
-			ss.ExtrapolateCycles(n)
-		}
+		t.ExtrapolateCycles(n)
 	}
 }
 
-var (
-	_ SteadySupport = (*SSDOffloader)(nil)
-	_ SteadySupport = (*CPUOffloader)(nil)
-	_ SteadySupport = (*TieredOffloader)(nil)
-)
+var _ SteadySupport = (*TieredOffloader)(nil)

@@ -17,15 +17,15 @@ import (
 // newStack builds a two-rung DRAM+NVMe hierarchy for direct tier tests.
 func newStack(policy PlacementPolicy, dramCap units.Bytes) (*TieredOffloader, *CPUOffloader, *SSDOffloader) {
 	rt := autograd.NewRuntime(gpu.A100PCIe())
-	host := pcie.NewLink(rt.Eng, "pcie-host", pcie.DefaultGen4x16())
-	dram := NewCPUOffloader(rt.Eng, "/dev/shm", host, dramCap)
-	link := pcie.NewLink(rt.Eng, "pcie0", pcie.DefaultGen4x16())
+	host := pcie.NewLink(rt.Rec, "pcie-host", pcie.DefaultGen4x16())
+	dram := NewCPUOffloader(rt.Rec, "/dev/shm", host, dramCap)
+	link := pcie.NewLink(rt.Rec, "pcie0", pcie.DefaultGen4x16())
 	devs := []*ssd.Device{
-		ssd.NewDevice(rt.Eng, "n0", ssd.IntelP5800X16TB()),
-		ssd.NewDevice(rt.Eng, "n1", ssd.IntelP5800X16TB()),
+		ssd.NewDevice(rt.Rec, "n0", ssd.IntelP5800X16TB()),
+		ssd.NewDevice(rt.Rec, "n1", ssd.IntelP5800X16TB()),
 	}
-	arr := ssd.NewArray(rt.Eng, "/mnt/md1", 512*units.KiB, devs...)
-	nvme := NewSSDOffloader(rt.Eng, "/mnt/md1", link, arr, gds.NewRegistry())
+	arr := ssd.NewArray("/mnt/md1", 512*units.KiB, devs...)
+	nvme := NewSSDOffloader(rt.Rec, "/mnt/md1", link, arr, gds.NewRegistry())
 	return NewTieredOffloader(policy, dram, nvme), dram, nvme
 }
 

@@ -22,7 +22,7 @@ import (
 // produces bit-for-bit the same RunResult a fresh Plan.Execute would —
 // the two share one code path, and every substrate's Reset returns it to
 // its just-constructed state — while recycling the arena's warm capacity
-// (event pools, map buckets, tensor storages, record and reload pools),
+// (map buckets, tensor storages, record and reload pools),
 // which is what makes repeated Execute across a sweep or a fleet profile
 // nearly allocation-free (SSDTrain §III's own rule: pre-allocate once,
 // never re-malloc on the hot path).
@@ -92,25 +92,25 @@ func NewSession(p *Plan) (*Session, error) {
 			// DRAM rung over the host DMA path. A DRAM+NVMe arena builds it
 			// even though zero-grant calls exclude it from the stack: the
 			// rung is wiring, and an unused tier schedules nothing.
-			host = pcie.NewLink(rt.Eng, preset.hostLink, pcie.DefaultGen4x16())
-			s.cpuTier = core.NewCPUOffloader(rt.Eng, "/dev/shm", host, 0)
+			host = pcie.NewLink(rt.Rec, preset.hostLink, pcie.DefaultGen4x16())
+			s.cpuTier = core.NewCPUOffloader(rt.Rec, "/dev/shm", host, 0)
 		}
 		if preset.nvme {
 			// NVMe rung over the GDS peer-to-peer path: striped device
 			// array, malloc-hook registry. Devices are built with the base
 			// spec; Execute re-derates them per call's bandwidth share.
-			link = pcie.NewLink(rt.Eng, "pcie0", pcie.DefaultGen4x16())
+			link = pcie.NewLink(rt.Rec, "pcie0", pcie.DefaultGen4x16())
 			devs := make([]*ssd.Device, shape.SSD.Count)
 			for i := range devs {
-				devs[i] = ssd.NewDevice(rt.Eng, p.devName(i), shape.SSD.Spec)
+				devs[i] = ssd.NewDevice(rt.Rec, p.devName(i), shape.SSD.Spec)
 			}
-			array = ssd.NewArray(rt.Eng, "/mnt/md1", shape.SSD.Stripe, devs...)
+			array = ssd.NewArray("/mnt/md1", shape.SSD.Stripe, devs...)
 			registry := gds.NewRegistry()
 			registry.SetRecorder(rt.Rec)
 			hook := gds.NewMallocHook(registry)
 			hook.Enabled = !shape.DisableGDS
 			rt.Alloc.AddHook(hook)
-			s.ssdTier = core.NewSSDOffloader(rt.Eng, "/mnt/md1", link, array, registry)
+			s.ssdTier = core.NewSSDOffloader(rt.Rec, "/mnt/md1", link, array, registry)
 		}
 		if preset.optim {
 			// Optimizer rungs: own queues and block stores over the shared
@@ -118,10 +118,10 @@ func NewSession(p *Plan) (*Session, error) {
 			// transfers take the bounce (host-mediated) path at the derated
 			// rate, and SharedArray keeps the steady-state fast path from
 			// double-advancing the member devices' wear counters.
-			s.optimDRAM = core.NewCPUOffloader(rt.Eng, "optim-dram", host, 0)
-			s.optimNVMe = core.NewSSDOffloader(rt.Eng, "optim-nvme", link, array, gds.NewRegistry())
+			s.optimDRAM = core.NewCPUOffloader(rt.Rec, "optim-dram", host, 0)
+			s.optimNVMe = core.NewSSDOffloader(rt.Rec, "optim-nvme", link, array, gds.NewRegistry())
 			s.optimNVMe.SharedArray = true
-			s.optim = core.NewOptimOffloader(rt.Eng, s.optimDRAM, s.optimNVMe)
+			s.optim = core.NewOptimOffloader(rt.Rec, s.optimDRAM, s.optimNVMe)
 		}
 		var tiers []core.Tier
 		if s.cpuTier != nil {
@@ -357,7 +357,6 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 	}
 	simulated := 0
 	converged := false
-	extrapolatable := false
 	for i := 0; i < cfg.Steps; i++ {
 		if tracker != nil {
 			tracker.beginStep()
@@ -370,20 +369,14 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 		if tracker == nil {
 			continue
 		}
-		if match, ok := tracker.fold(m, true); match {
-			converged, extrapolatable = true, ok
+		if tracker.fold(m, true) {
+			converged = true
 			break
 		}
 	}
 
 	res.SteadyState.SimulatedSteps = simulated
 	switch {
-	case converged && !extrapolatable:
-		// Defensive: offload-stack state that cannot be advanced
-		// analytically (page-accurate FTL wear). Armed fault specs already
-		// disabled the tracker above.
-		res.SteadyState.Fallback = steadyFallbackFaults
-		steadyGlobal.fallbackFaults.Add(1)
 	case converged:
 		// The exemplar (last simulated) step is one exact cycle; synthesize
 		// the remaining steps from it. The simulator's steps are contiguous
@@ -478,10 +471,6 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 	// Snapshot the counters: the live set belongs to the arena and is
 	// reset by the next Execute; the result keeps its own copy.
 	res.Counters = rt.Counters.Clone()
-	// Fold this run's engine counters into the process-wide totals the
-	// /metrics endpoint reports (delta-based, so repeated Executes on one
-	// arena publish each run once).
-	rt.Eng.PublishStats()
 	return nil
 }
 

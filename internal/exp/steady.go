@@ -15,9 +15,8 @@ const (
 	// steadyFallbackTrace: a traced run is fully simulated — the flight
 	// recorder's spans cannot be synthesized.
 	steadyFallbackTrace = "trace"
-	// steadyFallbackFaults: an armed fault spec (or page-accurate FTL
-	// wear) needs the real transfer stream — a trigger could fire inside
-	// the extrapolated region.
+	// steadyFallbackFaults: an armed fault spec needs the real transfer
+	// stream — a trigger could fire inside the extrapolated region.
 	steadyFallbackFaults = "faults"
 	// steadyFallbackOff: the SteadyState knob forced full simulation.
 	steadyFallbackOff = "off"
@@ -26,9 +25,9 @@ const (
 	steadyFallbackNoConv = "no-convergence"
 )
 
-// steadyGlobal accumulates process-wide fast-path outcomes, mirroring the
-// engine's PublishStats pattern: per-run deltas fold into package atomics
-// the serve /metrics endpoint and the selfchecks read.
+// steadyGlobal accumulates process-wide fast-path outcomes: each run's
+// outcome folds into package atomics the serve /metrics endpoint and the
+// selfchecks read.
 var steadyGlobal struct {
 	hits, extrapolated                                         atomic.Uint64
 	fallbackTrace, fallbackFaults, fallbackOff, fallbackNoConv atomic.Uint64
@@ -62,31 +61,21 @@ func GlobalSteadyStats() SteadyStats {
 	}
 }
 
-// steadyHorizon is a backlog horizon relative to the step origin, clamped
-// at zero — see core.SteadySupport for why stale drained-queue horizons
-// must not block convergence.
-func steadyHorizon(busyUntil, origin time.Duration) time.Duration {
-	if busyUntil <= origin {
-		return 0
-	}
-	return busyUntil - origin
-}
-
 // steadyTracker computes the per-step state signature behind the
 // steady-state fast path, the simulator's one convergence mechanism.
 // Each executed step folds (a) the step's own metrics and (b) the arena's
-// state delta since the previous step — engine event counts,
-// compute-queue growth, the allocator's event tail, counter increments,
-// and the offload stack's per-cycle accounting — all shift-invariant
-// quantities: times enter relative to the step's start, cumulative
-// counters as deltas. Two consecutive measured steps with equal
-// signatures mean the simulation has entered a cycle that repeats
-// exactly, so the remaining steps can be synthesized from the last one.
+// state delta since the previous step — compute-queue growth, the
+// allocator's event tail, counter increments, and the offload stack's
+// per-cycle accounting — all shift-invariant quantities: times enter
+// relative to the step's start, cumulative counters as deltas. Two
+// consecutive measured steps with equal signatures mean the simulation
+// has entered a cycle that repeats exactly, so the remaining steps can be
+// synthesized from the last one.
 //
 // The signature deliberately excludes warm-capacity state that differs
-// between a fresh arena and a recycled session arena (the engine's event
-// pool hit/miss split): a session-reused Execute must converge on the
-// same step as a fresh one so their RunResults stay byte-identical.
+// between a fresh arena and a recycled session arena: a session-reused
+// Execute must converge on the same step as a fresh one so their
+// RunResults stay byte-identical.
 type steadyTracker struct {
 	rt    *autograd.Runtime
 	off   *core.TieredOffloader
@@ -97,7 +86,6 @@ type steadyTracker struct {
 	// into the signature and replicated verbatim on extrapolation.
 	allocMark int
 
-	prevEng  sim.Stats
 	prevBusy time.Duration
 	prevJobs int
 
@@ -127,9 +115,8 @@ func (t *steadyTracker) beginStep() { t.allocMark = t.rt.Alloc.EventMark() }
 // delta snapshots so the first measured step's delta covers exactly one
 // step — but only measured steps participate in the two-consecutive-match
 // comparison. It returns whether this measured step matched the previous
-// measured one, and whether the offload stack's state can be advanced
-// analytically (false forces a fallback even on a match).
-func (t *steadyTracker) fold(m StepMetrics, measured bool) (match, extrapolatable bool) {
+// measured one.
+func (t *steadyTracker) fold(m StepMetrics, measured bool) bool {
 	var sig sim.Sig
 	origin := m.Start
 
@@ -151,16 +138,6 @@ func (t *steadyTracker) fold(m StepMetrics, measured bool) (match, extrapolatabl
 	sig.FoldInt(m.IO.DedupHits)
 	sig.FoldInt(m.IO.Leaked)
 
-	// Engine progress: event counts as deltas, plus the live queue. The
-	// pool hit/miss split is arena-recycling state and stays out (see the
-	// type comment).
-	es := t.rt.Eng.Stats()
-	sig.Fold(es.Processed - t.prevEng.Processed)
-	sig.Fold(es.Scheduled - t.prevEng.Scheduled)
-	t.prevEng = es
-	sig.FoldInt(int64(t.rt.Eng.Pending()))
-	sig.FoldDur(steadyHorizon(t.rt.Eng.Now(), origin))
-
 	// Compute stream: busy growth, job growth, backlog horizon.
 	cb := t.rt.Compute.BusyTime()
 	sig.FoldDur(cb - t.prevBusy)
@@ -168,7 +145,7 @@ func (t *steadyTracker) fold(m StepMetrics, measured bool) (match, extrapolatabl
 	cj := t.rt.Compute.Jobs()
 	sig.FoldInt(int64(cj - t.prevJobs))
 	t.prevJobs = cj
-	sig.FoldDur(steadyHorizon(t.rt.Compute.BusyUntil(), origin))
+	sig.FoldHorizon(t.rt.Compute.BusyUntil(), origin)
 
 	// The step's allocator event block, relative to the step start.
 	t.rt.Alloc.FoldTail(&sig, t.allocMark, origin)
@@ -192,21 +169,20 @@ func (t *steadyTracker) fold(m StepMetrics, measured bool) (match, extrapolatabl
 	sig.Fold(acc)
 
 	// The offload stack's per-cycle accounting.
-	extrapolatable = true
 	if t.off != nil {
-		extrapolatable = t.off.FoldCycle(&sig, origin)
+		t.off.FoldCycle(&sig, origin)
 	}
-	if t.optim != nil && !t.optim.FoldCycle(&sig, origin) {
-		extrapolatable = false
+	if t.optim != nil {
+		t.optim.FoldCycle(&sig, origin)
 	}
 
 	sum := sig.Sum()
-	match = measured && t.havePrev && sum == t.prevSum
+	match := measured && t.havePrev && sum == t.prevSum
 	if measured {
 		t.prevSum = sum
 		t.havePrev = true
 	}
-	return match, extrapolatable
+	return match
 }
 
 // extrapolateCounters replays the last measured step's counter increments

@@ -3,10 +3,10 @@
 // transient bandwidth degradation, and (at the fleet level) node drain.
 //
 // Faults are modeled as piecewise-constant functions of virtual time.
-// The autograd executor computes transfer times algebraically — it never
-// pumps the discrete-event loop — so fault effects are consulted at each
-// transfer's computed start time through a pure time-query Controller
-// rather than delivered as engine callbacks. That keeps traced/untraced
+// Every transfer's times are computed algebraically when it is submitted
+// — nothing in the simulator runs as a scheduled callback — so fault
+// effects are consulted at each transfer's computed start time through a
+// pure time-query Controller. That keeps traced/untraced
 // and fresh/session runs byte-identical by construction: the same
 // transfer sequence asks the same questions and gets the same answers.
 package faults

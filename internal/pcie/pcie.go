@@ -80,14 +80,14 @@ type Link struct {
 	downT, upT spans.TrackID
 }
 
-// NewLink creates a link on the engine.
-func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
-	rec := eng.Recorder()
+// NewLink creates an idle link whose transfers emit spans to rec (nil
+// records nothing).
+func NewLink(rec *spans.Recorder, name string, cfg LinkConfig) *Link {
 	return &Link{
 		cfg:   cfg,
 		name:  name,
-		down:  sim.NewServer(eng, name+".down"),
-		up:    sim.NewServer(eng, name+".up"),
+		down:  sim.NewServer(),
+		up:    sim.NewServer(),
 		rec:   rec,
 		downT: rec.RegisterTrack(name + ".down"),
 		upT:   rec.RegisterTrack(name + ".up"),
@@ -98,7 +98,7 @@ func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
 func (l *Link) Config() LinkConfig { return l.cfg }
 
 // Reset clears both directions' queues and accounting for reuse by a new
-// simulation on the same (reset) engine.
+// simulation.
 func (l *Link) Reset() {
 	l.down.Reset()
 	l.up.Reset()
@@ -108,19 +108,19 @@ func (l *Link) Reset() {
 func (l *Link) Effective() units.Bandwidth { return l.cfg.Effective() }
 
 // Down submits a device-bound transfer (e.g. activation store) that cannot
-// begin before ready; done runs at completion. Returns the finish time.
-func (l *Link) Down(ready time.Duration, n units.Bytes, done func()) time.Duration {
+// begin before ready. Returns the finish time.
+func (l *Link) Down(ready time.Duration, n units.Bytes) time.Duration {
 	dur := l.cfg.Latency + l.Effective().TimeFor(n)
-	finish := l.down.Submit(ready, dur, done)
+	finish := l.down.Submit(ready, dur)
 	l.rec.Span(l.downT, spans.KindDMA, -1, l.name, finish-dur, finish, n, 0)
 	return finish
 }
 
 // Up submits a GPU-bound transfer (e.g. activation reload). Returns the
 // finish time.
-func (l *Link) Up(ready time.Duration, n units.Bytes, done func()) time.Duration {
+func (l *Link) Up(ready time.Duration, n units.Bytes) time.Duration {
 	dur := l.cfg.Latency + l.Effective().TimeFor(n)
-	finish := l.up.Submit(ready, dur, done)
+	finish := l.up.Submit(ready, dur)
 	l.rec.Span(l.upT, spans.KindDMA, -1, l.name, finish-dur, finish, n, 0)
 	return finish
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"ssdtrain/internal/sim"
 	"ssdtrain/internal/units"
 )
 
@@ -46,11 +45,10 @@ func TestEffectiveValidation(t *testing.T) {
 }
 
 func TestLinkDirectionsIndependent(t *testing.T) {
-	eng := sim.NewEngine()
-	l := NewLink(eng, "pcie0", DefaultGen4x16())
+	l := NewLink(nil, "pcie0", DefaultGen4x16())
 	// Saturate the down direction; the up direction must be unaffected.
-	downFin := l.Down(0, 10*units.GB, nil)
-	upFin := l.Up(0, units.GB, nil)
+	downFin := l.Down(0, 10*units.GB)
+	upFin := l.Up(0, units.GB)
 	if upFin >= downFin {
 		t.Errorf("duplex broken: up %v, down %v", upFin, downFin)
 	}
@@ -60,10 +58,9 @@ func TestLinkDirectionsIndependent(t *testing.T) {
 }
 
 func TestLinkFIFOWithinDirection(t *testing.T) {
-	eng := sim.NewEngine()
-	l := NewLink(eng, "pcie0", DefaultGen4x16())
-	f1 := l.Down(0, units.GB, nil)
-	f2 := l.Down(0, units.GB, nil)
+	l := NewLink(nil, "pcie0", DefaultGen4x16())
+	f1 := l.Down(0, units.GB)
+	f2 := l.Down(0, units.GB)
 	if f2 <= f1 {
 		t.Errorf("second transfer did not queue: %v then %v", f1, f2)
 	}

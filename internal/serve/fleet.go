@@ -58,14 +58,14 @@ func (r FleetRequest) normalize() (FleetRequest, string, error) {
 	if r.MinSteps < 0 || r.MinSteps > maxFleetSteps || r.MaxSteps < 0 || r.MaxSteps > maxFleetSteps {
 		return r, "", fmt.Errorf("serve: fleet steps bounds [%d, %d] outside [0, %d]", r.MinSteps, r.MaxSteps, maxFleetSteps)
 	}
-	if r.SubmitSpreadMs < 0 {
-		return r, "", fmt.Errorf("serve: negative submit spread %dms", r.SubmitSpreadMs)
+	if r.SubmitSpreadMs < 0 || r.SubmitSpreadMs > maxFleetSpreadMs {
+		return r, "", fmt.Errorf("serve: submit_spread_ms %d outside [0, %d]", r.SubmitSpreadMs, int64(maxFleetSpreadMs))
 	}
 	if r.HybridFrac < 0 || r.HybridFrac > 1 {
 		return r, "", fmt.Errorf("serve: hybrid_frac %v outside [0, 1]", r.HybridFrac)
 	}
-	if r.DRAMGiB != nil && *r.DRAMGiB < 0 {
-		return r, "", fmt.Errorf("serve: negative dram_gib %v", *r.DRAMGiB)
+	if r.DRAMGiB != nil && !(*r.DRAMGiB >= 0 && *r.DRAMGiB <= maxFleetDRAMGiB) {
+		return r, "", fmt.Errorf("serve: dram_gib %v outside [0, %d]", *r.DRAMGiB, maxFleetDRAMGiB)
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
@@ -94,6 +94,18 @@ func (r FleetRequest) normalize() (FleetRequest, string, error) {
 		return r, "", err
 	}
 	return r, string(key), nil
+}
+
+// submitSpread converts submit_spread_ms; normalize's cap keeps the
+// product inside time.Duration.
+func (r FleetRequest) submitSpread() time.Duration {
+	return time.Duration(r.SubmitSpreadMs) * time.Millisecond
+}
+
+// dram converts dram_gib (which must be set); normalize's cap keeps the
+// product inside units.Bytes.
+func (r FleetRequest) dram() units.Bytes {
+	return units.Bytes(*r.DRAMGiB * float64(units.GiB))
 }
 
 // FleetPolicyResult is one policy's outcome in a /v1/fleet response.
@@ -145,7 +157,7 @@ func (s *Server) runFleet(req FleetRequest) (*FleetResponse, error) {
 		node.GPUs = req.GPUs
 	}
 	if req.DRAMGiB != nil {
-		node.DRAM = units.Bytes(*req.DRAMGiB * float64(units.GiB))
+		node.DRAM = req.dram()
 	}
 	var plan faults.Plan
 	if req.Faults != "" {
@@ -160,7 +172,7 @@ func (s *Server) runFleet(req FleetRequest) (*FleetResponse, error) {
 		Seed:         req.Seed,
 		MinSteps:     req.MinSteps,
 		MaxSteps:     req.MaxSteps,
-		SubmitSpread: time.Duration(req.SubmitSpreadMs) * time.Millisecond,
+		SubmitSpread: req.submitSpread(),
 		MaxGPUs:      node.GPUs,
 		HybridFrac:   req.HybridFrac,
 		FaultPlan:    plan,

@@ -96,14 +96,6 @@ func (m Metrics) Prometheus() []byte {
 	})
 	gauge("ssdtrain_session_pool_idle", "Execution arenas currently retained in the pool.", float64(m.Sessions.Idle))
 
-	counter("ssdtrain_engine_events_total", "Simulation-engine event traffic across all arenas, by event.", func() {
-		fmt.Fprintf(&b, "ssdtrain_engine_events_total{event=\"processed\"} %d\n", m.Engine.EventsProcessed)
-		fmt.Fprintf(&b, "ssdtrain_engine_events_total{event=\"scheduled\"} %d\n", m.Engine.EventsScheduled)
-		fmt.Fprintf(&b, "ssdtrain_engine_events_total{event=\"pool_hit\"} %d\n", m.Engine.PoolHits)
-		fmt.Fprintf(&b, "ssdtrain_engine_events_total{event=\"pool_miss\"} %d\n", m.Engine.PoolMisses)
-	})
-	gauge("ssdtrain_engine_pool_hit_rate", "Fraction of event schedules served from the engine free list.", m.Engine.PoolHitRate)
-
 	counter("ssdtrain_span_snapshots_total", "Traced runs snapshotted by the flight recorder.", func() {
 		fmt.Fprintf(&b, "ssdtrain_span_snapshots_total %d\n", m.Spans.Snapshots)
 	})

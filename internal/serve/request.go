@@ -40,6 +40,11 @@ const (
 	maxMicroBatches = 256
 	maxFleetGPUs    = 64
 	maxFleetSteps   = 1 << 20
+	// maxFleetSpreadMs (about 35 years) and maxFleetDRAMGiB (1 PiB per
+	// node) keep the fleet's time.Duration and units.Bytes conversions
+	// far from int64 overflow, which starts near 9.2e12 ms and 8.6e9 GiB.
+	maxFleetSpreadMs = 1 << 40
+	maxFleetDRAMGiB  = 1 << 20
 )
 
 // config resolves the spec to a validated models.Config.

@@ -8,8 +8,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ssdtrain/internal/exp"
+	"ssdtrain/internal/units"
 )
 
 // decodePlan decodes a /v1/plan body through the handlers' decodeBody.
@@ -241,6 +243,48 @@ func FuzzPlanRequest(f *testing.F) {
 		cfgs, err := SweepRequest{Base: req}.configs()
 		if err != nil || len(cfgs) != 1 || !reflect.DeepEqual(cfgs[0], cfg) {
 			t.Fatalf("sweep base expands to %+v (err %v), want [%+v]", cfgs, err, cfg)
+		}
+	})
+}
+
+// FuzzFleetRequest fuzzes the /v1/fleet decoder. No body may panic, and
+// every body normalize accepts must normalize again to itself under the
+// same key, with a submit spread and a DRAM budget that convert without
+// overflow.
+func FuzzFleetRequest(f *testing.F) {
+	for _, req := range []FleetRequest{smallFleet, {Nodes: 2, Jobs: 8, Seed: 1, Policies: []string{"fifo"}, Faults: "death@30s:node0:dev1,steal=NaN"}} {
+		blob, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	for _, body := range rejectedFleetBodies {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"submit_spread_ms":1099511627776,"dram_gib":1048576}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req FleetRequest
+		r := httptest.NewRequest(http.MethodPost, "/v1/fleet", bytes.NewReader(body))
+		if err := decodeBody(httptest.NewRecorder(), r, &req); err != nil {
+			return
+		}
+		norm, key, err := req.normalize()
+		if err != nil {
+			return
+		}
+		again, againKey, err := norm.normalize()
+		if err != nil || againKey != key || !reflect.DeepEqual(again, norm) {
+			t.Fatalf("normalize not idempotent: %+v key %s (err %v), want %+v key %s", again, againKey, err, norm, key)
+		}
+		if d := norm.submitSpread(); d < 0 || d/time.Millisecond != time.Duration(norm.SubmitSpreadMs) {
+			t.Fatalf("submit_spread_ms %d converts to %v", norm.SubmitSpreadMs, d)
+		}
+		if norm.DRAMGiB != nil {
+			want := *norm.DRAMGiB * float64(units.GiB)
+			if b := norm.dram(); b < 0 || float64(b) > want || want-float64(b) >= 1 {
+				t.Fatalf("dram_gib %v converts to %d bytes", *norm.DRAMGiB, b)
+			}
 		}
 	})
 }

@@ -34,7 +34,6 @@ import (
 	"ssdtrain/internal/exp"
 	"ssdtrain/internal/fleet"
 	"ssdtrain/internal/lru"
-	"ssdtrain/internal/sim"
 	"ssdtrain/internal/spans"
 )
 
@@ -667,14 +666,6 @@ func (s *Server) Metrics() Metrics {
 		CacheHits:   ch,
 		CacheMisses: cm,
 		Pool:        s.profiler.PoolStats(),
-	}
-	es := sim.GlobalStats()
-	m.Engine = EngineMetrics{
-		EventsProcessed: int64(es.Processed),
-		EventsScheduled: int64(es.Scheduled),
-		PoolHits:        int64(es.PoolHits),
-		PoolMisses:      int64(es.PoolMisses),
-		PoolHitRate:     es.PoolHitRate(),
 	}
 	sp := spans.Totals()
 	m.Spans = SpanMetrics{

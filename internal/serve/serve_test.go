@@ -568,6 +568,16 @@ func TestPlanResponseCarriesSteadyState(t *testing.T) {
 	}
 }
 
+// smallFleet is a cheap /v1/fleet what-if.
+var smallFleet = FleetRequest{
+	Nodes:    1,
+	Jobs:     4,
+	Seed:     7,
+	Policies: []string{"fifo", "sjf"},
+	MinSteps: 5,
+	MaxSteps: 20,
+}
+
 // TestFleetEndpoint runs a small what-if through /v1/fleet twice and
 // checks the second answer is served from cache on the shared profiler.
 func TestFleetEndpoint(t *testing.T) {
@@ -578,14 +588,7 @@ func TestFleetEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req := FleetRequest{
-		Nodes:    1,
-		Jobs:     4,
-		Seed:     7,
-		Policies: []string{"fifo", "sjf"},
-		MinSteps: 5,
-		MaxSteps: 20,
-	}
+	req := smallFleet
 	resp, body := postJSON(t, ts.URL+"/v1/fleet", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -635,6 +638,23 @@ func TestFleetRejectsNaNFaults(t *testing.T) {
 			t.Errorf("faults %q: status %d, want 400 (%s)", plan, resp.StatusCode, body)
 		}
 	}
+}
+
+// rejectedFleetBodies are /v1/fleet bodies that must get a 400.
+var rejectedFleetBodies = []string{
+	`{"gpus":1000000}`,
+	`{"steps_max":-1}`,
+	`{"dram_gib":-1}`,
+	`{"hybrid_frac":2}`,
+	`{"adaptive_profiles":true}`,
+	// A spread that overflows time.Duration wrapped negative and was
+	// answered with the no-spread makespan.
+	`{"nodes":1,"jobs":4,"policies":["fifo"],"submit_spread_ms":9223372036855}`,
+	`{"nodes":1,"jobs":4,"policies":["fifo"],"submit_spread_ms":1099511627777}`,
+	// A budget that overflows units.Bytes converted to a negative pool,
+	// which a node reads as no DRAM.
+	`{"nodes":1,"jobs":4,"policies":["fifo"],"dram_gib":1e300}`,
+	`{"nodes":1,"jobs":4,"policies":["fifo"],"dram_gib":1048577}`,
 }
 
 // TestRequestValidation pins the 4xx surface.
@@ -783,14 +803,7 @@ func TestHostileKnobsRejected(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, body)
 		}
 	}
-	fleetCases := []string{
-		`{"gpus":1000000}`,
-		`{"steps_max":-1}`,
-		`{"dram_gib":-1}`,
-		`{"hybrid_frac":2}`,
-		`{"adaptive_profiles":true}`,
-	}
-	for _, body := range fleetCases {
+	for _, body := range rejectedFleetBodies {
 		resp, err := http.Post(ts.URL+"/v1/fleet", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -203,17 +203,6 @@ type BatchMetrics struct {
 	MaxBatch        int64 `json:"max_batch"`
 }
 
-// EngineMetrics snapshots the process-wide simulation-engine counters
-// published by every measurement (sim.GlobalStats): total event traffic
-// and the event-pool hit rate that keeps repeated Execute allocation-free.
-type EngineMetrics struct {
-	EventsProcessed int64   `json:"events_processed"`
-	EventsScheduled int64   `json:"events_scheduled"`
-	PoolHits        int64   `json:"pool_hits"`
-	PoolMisses      int64   `json:"pool_misses"`
-	PoolHitRate     float64 `json:"pool_hit_rate"`
-}
-
 // SpanMetrics snapshots the process-wide flight-recorder totals
 // (spans.Totals): traced runs snapshotted, spans delivered, and spans
 // lost to ring overwrites.
@@ -328,8 +317,6 @@ type Metrics struct {
 	Sessions exp.SessionPoolStats `json:"sessions"`
 	// FleetProfiler is the shared cross-request fleet profiler.
 	FleetProfiler FleetProfilerMetrics `json:"fleet_profiler"`
-	// Engine aggregates event-pool counters across every arena's engine.
-	Engine EngineMetrics `json:"engine"`
 	// Spans aggregates flight-recorder activity across every arena.
 	Spans SpanMetrics `json:"spans"`
 	// SteadyState aggregates steady-state fast-path outcomes across every

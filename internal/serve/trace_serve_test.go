@@ -8,10 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"ssdtrain/internal/exp"
-	"ssdtrain/internal/sim"
 )
 
 // TestTraceEndpoint pins /v1/trace: the body is byte-identical to the
@@ -92,8 +90,8 @@ func TestTraceEndpointValidation(t *testing.T) {
 
 // TestMetricsJSONShape pins the default /metrics rendering discipline:
 // the body is exactly MarshalIndent of the decoded snapshot (so adding
-// Prometheus negotiation changed nothing for JSON clients), and the new
-// engine/span counters move after traced work.
+// Prometheus negotiation changed nothing for JSON clients), and the span
+// counters move after traced work.
 func TestMetricsJSONShape(t *testing.T) {
 	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
@@ -103,16 +101,6 @@ func TestMetricsJSONShape(t *testing.T) {
 	if resp, body := postJSON(t, ts.URL+"/v1/trace", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("trace status %d: %s", resp.StatusCode, body)
 	}
-	// The measurement path times work with Submit-return arithmetic (no
-	// scheduled events), so drive an engine directly to prove /metrics
-	// reflects published event-pool counters.
-	eng := sim.NewEngine()
-	for i := 1; i <= 4; i++ {
-		eng.After(time.Duration(i)*time.Microsecond, func() {})
-	}
-	eng.Run()
-	eng.PublishStats()
-
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -133,15 +121,8 @@ func TestMetricsJSONShape(t *testing.T) {
 	if !bytes.Equal(body, append(rerendered, '\n')) {
 		t.Error("/metrics JSON body is not the canonical MarshalIndent rendering")
 	}
-	// Engine and span totals are process-global, so only lower bounds are
-	// assertable: the events published above and the traced run's snapshot
-	// must both show up.
-	if m.Engine.EventsProcessed < 4 || m.Engine.EventsScheduled < 4 {
-		t.Errorf("published engine events missing from /metrics: %+v", m.Engine)
-	}
-	if m.Engine.PoolHitRate < 0 || m.Engine.PoolHitRate > 1 {
-		t.Errorf("pool hit rate out of range: %+v", m.Engine)
-	}
+	// Span totals are process-global, so only a lower bound is
+	// assertable: the traced run's snapshot must show up.
 	if m.Spans.Snapshots == 0 || m.Spans.Spans == 0 {
 		t.Errorf("span metrics did not move after a traced run: %+v", m.Spans)
 	}
@@ -188,7 +169,6 @@ func TestMetricsPrometheus(t *testing.T) {
 		for _, want := range []string{
 			"# TYPE ssdtrain_requests_total counter",
 			`ssdtrain_requests_total{endpoint="plan",class="2xx"} 1`,
-			"ssdtrain_engine_events_total",
 			"ssdtrain_spans_total",
 			"ssdtrain_session_pool_total",
 		} {

@@ -1,152 +1,64 @@
+// Package sim holds the two primitives every hardware substrate is built
+// on: the FIFO Server (GPU streams, DMA engines, PCIe links, NVMe queues)
+// and the Sig state fingerprint behind the steady-state fast path. Time
+// is virtual and no job is ever scheduled as a callback: a job's finish
+// time is computed when it is submitted, so a given workload always
+// produces exactly the same timeline. Determinism is what turns the
+// paper's wall-clock experiments into reproducible unit tests.
 package sim
 
-import (
-	"time"
-
-	"ssdtrain/internal/units"
-)
+import "time"
 
 // Server is a serial FIFO resource: jobs are served one at a time in
 // submission order. GPU streams, DMA engines, NVMe submission queues and
 // the host launch thread are all Servers. A job's start time is
-// max(submit time, previous job's finish, the job's own ready time).
+// max(its ready time, previous job's finish).
 type Server struct {
-	eng  *Engine
-	name string
 	// busyUntil is when the most recently accepted job finishes.
 	busyUntil time.Duration
-	// busy accumulates total service time for utilization reporting.
+	// busy accumulates total service time.
 	busy time.Duration
 	jobs int
 }
 
-// NewServer creates a FIFO server on the engine.
-func NewServer(eng *Engine, name string) *Server {
-	return &Server{eng: eng, name: name}
-}
-
-// Name returns the server's diagnostic name.
-func (s *Server) Name() string { return s.name }
+// NewServer creates an idle FIFO server.
+func NewServer() *Server { return &Server{} }
 
 // Reset clears the server's backlog and accounting for reuse by a new
-// simulation on the same (reset) engine: the queue is empty and no busy
-// time has accrued, exactly like a freshly constructed server.
+// simulation: the queue is empty and no busy time has accrued, exactly
+// like a freshly constructed server.
 func (s *Server) Reset() {
 	s.busyUntil = 0
 	s.busy = 0
 	s.jobs = 0
 }
 
-// Submit enqueues a job of the given duration that additionally cannot
-// start before ready (use the engine's current time for "now"). done, if
-// non-nil, runs at the job's finish time. Submit returns the finish time.
-func (s *Server) Submit(ready, dur time.Duration, done func()) time.Duration {
+// Submit enqueues a job of the given duration that cannot start before
+// ready, and returns its finish time.
+func (s *Server) Submit(ready, dur time.Duration) time.Duration {
 	if dur < 0 {
 		panic("sim: negative job duration")
 	}
-	start := s.eng.Now()
-	if ready > start {
-		start = ready
-	}
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	finish := start + dur
+	finish := s.StartFor(ready) + dur
 	s.busyUntil = finish
 	s.busy += dur
 	s.jobs++
-	if done != nil {
-		s.eng.Schedule(finish, done)
-	}
 	return finish
 }
 
-// StartFor returns when a job submitted now with the given ready time
-// would start, without submitting it: max(now, ready, backlog drain).
-// Callers whose job duration depends on conditions at the start time
-// (fault-degraded bandwidth) evaluate them here before Submit.
+// StartFor returns when a job with the given ready time would start,
+// without submitting it: max(ready, backlog drain). Callers whose job
+// duration depends on conditions at the start time (fault-degraded
+// bandwidth) evaluate them here before Submit.
 func (s *Server) StartFor(ready time.Duration) time.Duration {
-	start := s.eng.Now()
-	if ready > start {
-		start = ready
-	}
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	return start
+	return max(ready, s.busyUntil)
 }
 
 // BusyUntil returns when the server's current backlog drains.
 func (s *Server) BusyUntil() time.Duration { return s.busyUntil }
-
-// Utilization returns the fraction of time the server was busy up to the
-// given horizon.
-func (s *Server) Utilization(horizon time.Duration) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(s.busy) / float64(horizon)
-}
 
 // Jobs returns how many jobs the server has accepted.
 func (s *Server) Jobs() int { return s.jobs }
 
 // BusyTime returns the cumulative service time of accepted jobs.
 func (s *Server) BusyTime() time.Duration { return s.busy }
-
-// Pipe is a chain of FIFO servers a transfer must traverse in order, such
-// as PCIe link → SSD write queue. The transfer occupies each stage for
-// size/bandwidth of that stage; stages overlap as in a pipeline, so the
-// end-to-end finish time is governed by the slowest stage plus the
-// latencies of the others. For the bulk megabyte-scale transfers SSDTrain
-// issues, modelling the pipe as a single FIFO stage at the bottleneck
-// bandwidth is accurate to within the per-stage latency, so Pipe tracks
-// the bottleneck and adds fixed per-stage latencies.
-type Pipe struct {
-	server  *Server
-	rate    units.Bandwidth
-	latency time.Duration
-}
-
-// NewPipe builds a transfer pipe served at the bottleneck bandwidth of the
-// listed stage rates, with the summed fixed latency applied to each
-// transfer.
-func NewPipe(eng *Engine, name string, latency time.Duration, rates ...units.Bandwidth) *Pipe {
-	if len(rates) == 0 {
-		panic("sim: pipe needs at least one stage rate")
-	}
-	bottleneck := rates[0]
-	for _, r := range rates[1:] {
-		if r < bottleneck {
-			bottleneck = r
-		}
-	}
-	return &Pipe{
-		server:  NewServer(eng, name),
-		rate:    bottleneck,
-		latency: latency,
-	}
-}
-
-// Rate returns the pipe's bottleneck bandwidth.
-func (p *Pipe) Rate() units.Bandwidth { return p.rate }
-
-// Transfer submits a transfer of n bytes that cannot start before ready.
-// done runs at completion. It returns the finish time.
-func (p *Pipe) Transfer(ready time.Duration, n units.Bytes, done func()) time.Duration {
-	return p.server.Submit(ready, p.latency+p.rate.TimeFor(n), done)
-}
-
-// BusyUntil returns when the pipe's backlog drains.
-func (p *Pipe) BusyUntil() time.Duration { return p.server.BusyUntil() }
-
-// Utilization reports the pipe's busy fraction up to the horizon.
-func (p *Pipe) Utilization(horizon time.Duration) float64 {
-	return p.server.Utilization(horizon)
-}
-
-// Jobs returns the number of transfers accepted.
-func (p *Pipe) Jobs() int { return p.server.Jobs() }
-
-// BusyTime returns cumulative transfer service time.
-func (p *Pipe) BusyTime() time.Duration { return p.server.BusyTime() }

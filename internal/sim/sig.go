@@ -40,6 +40,16 @@ func (s *Sig) FoldInt(x int64) { s.Fold(uint64(x)) }
 // FoldDur mixes a duration (its nanosecond count).
 func (s *Sig) FoldDur(d time.Duration) { s.Fold(uint64(d)) }
 
+// FoldHorizon mixes a queue backlog horizon relative to the step origin,
+// clamped at zero. A backlog that drained before the step began cannot
+// influence any later transfer (every later ready time is ≥ origin), so
+// its exact stale value must not keep two otherwise identical steps from
+// matching — without the clamp an idle queue's horizon would recede by
+// one period per step and a traffic-free strategy would never converge.
+func (s *Sig) FoldHorizon(busyUntil, origin time.Duration) {
+	s.FoldDur(max(busyUntil-origin, 0))
+}
+
 // FoldString mixes a string, length-prefixed so concatenations cannot
 // alias.
 func (s *Sig) FoldString(str string) {

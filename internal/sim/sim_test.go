@@ -4,92 +4,12 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"ssdtrain/internal/units"
 )
 
-func TestEngineOrdering(t *testing.T) {
-	eng := NewEngine()
-	var order []int
-	eng.Schedule(3*time.Millisecond, func() { order = append(order, 3) })
-	eng.Schedule(1*time.Millisecond, func() { order = append(order, 1) })
-	eng.Schedule(2*time.Millisecond, func() { order = append(order, 2) })
-	// Same-time events run in insertion order.
-	eng.Schedule(2*time.Millisecond, func() { order = append(order, 20) })
-	end := eng.Run()
-	if end != 3*time.Millisecond {
-		t.Errorf("end = %v", end)
-	}
-	want := []int{1, 2, 20, 3}
-	for i, v := range want {
-		if order[i] != v {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestEngineCancelAndAfter(t *testing.T) {
-	eng := NewEngine()
-	ran := false
-	ev := eng.After(time.Millisecond, func() { ran = true })
-	ev.Cancel()
-	eng.After(2*time.Millisecond, func() {})
-	eng.Run()
-	if ran {
-		t.Error("cancelled event ran")
-	}
-	if eng.Pending() != 0 {
-		t.Errorf("pending = %d", eng.Pending())
-	}
-}
-
-func TestEngineSchedulePastPanics(t *testing.T) {
-	eng := NewEngine()
-	eng.Schedule(time.Millisecond, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		eng.Schedule(0, func() {})
-	})
-	eng.Run()
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	eng := NewEngine()
-	var ran []int
-	eng.Schedule(1*time.Millisecond, func() { ran = append(ran, 1) })
-	eng.Schedule(5*time.Millisecond, func() { ran = append(ran, 5) })
-	now := eng.RunUntil(2 * time.Millisecond)
-	if now != 2*time.Millisecond || len(ran) != 1 {
-		t.Fatalf("RunUntil: now=%v ran=%v", now, ran)
-	}
-	eng.Run()
-	if len(ran) != 2 {
-		t.Fatalf("remaining event did not run: %v", ran)
-	}
-}
-
-func TestEngineEventLimit(t *testing.T) {
-	eng := NewEngine()
-	eng.SetEventLimit(3)
-	var reschedule func()
-	reschedule = func() { eng.After(time.Microsecond, reschedule) }
-	eng.After(time.Microsecond, reschedule)
-	defer func() {
-		if recover() == nil {
-			t.Error("event limit did not panic")
-		}
-	}()
-	eng.Run()
-}
-
 func TestServerFIFO(t *testing.T) {
-	eng := NewEngine()
-	s := NewServer(eng, "srv")
-	f1 := s.Submit(0, 10*time.Millisecond, nil)
-	f2 := s.Submit(0, 5*time.Millisecond, nil)
+	s := NewServer()
+	f1 := s.Submit(0, 10*time.Millisecond)
+	f2 := s.Submit(0, 5*time.Millisecond)
 	if f1 != 10*time.Millisecond {
 		t.Errorf("f1 = %v", f1)
 	}
@@ -98,7 +18,7 @@ func TestServerFIFO(t *testing.T) {
 		t.Errorf("f2 = %v", f2)
 	}
 	// A job with a later ready time starts at its ready time.
-	f3 := s.Submit(20*time.Millisecond, time.Millisecond, nil)
+	f3 := s.Submit(20*time.Millisecond, time.Millisecond)
 	if f3 != 21*time.Millisecond {
 		t.Errorf("f3 = %v", f3)
 	}
@@ -108,50 +28,26 @@ func TestServerFIFO(t *testing.T) {
 	if s.BusyTime() != 16*time.Millisecond {
 		t.Errorf("busy = %v", s.BusyTime())
 	}
-	if u := s.Utilization(32 * time.Millisecond); u != 0.5 {
-		t.Errorf("utilization = %v", u)
-	}
 }
 
-func TestServerDoneCallback(t *testing.T) {
-	eng := NewEngine()
-	s := NewServer(eng, "srv")
-	var at time.Duration
-	s.Submit(0, 7*time.Millisecond, func() { at = eng.Now() })
-	eng.Run()
-	if at != 7*time.Millisecond {
-		t.Errorf("done at %v", at)
-	}
-}
-
-func TestPipeBottleneck(t *testing.T) {
-	eng := NewEngine()
-	p := NewPipe(eng, "pipe", time.Millisecond, 10*units.GBps, 5*units.GBps, 20*units.GBps)
-	if p.Rate() != 5*units.GBps {
-		t.Errorf("bottleneck = %v", p.Rate())
-	}
-	fin := p.Transfer(0, 5*units.GB, nil)
-	if fin != time.Second+time.Millisecond {
-		t.Errorf("finish = %v", fin)
-	}
-}
-
-// Property: a FIFO server never overlaps jobs and never reorders them.
+// Property: a FIFO server starts every job exactly at max(its ready
+// time, the previous job's finish) — it never overlaps jobs, never
+// reorders them, and never idles while a ready job waits. StartFor
+// predicts that start without submitting.
 func TestServerNoOverlapProperty(t *testing.T) {
 	f := func(durs []uint16, readies []uint16) bool {
-		eng := NewEngine()
-		s := NewServer(eng, "p")
+		s := NewServer()
 		var lastFinish time.Duration
-		n := len(durs)
-		if len(readies) < n {
-			n = len(readies)
-		}
+		n := min(len(durs), len(readies))
 		for i := 0; i < n; i++ {
 			d := time.Duration(durs[i]) * time.Microsecond
 			r := time.Duration(readies[i]) * time.Microsecond
-			fin := s.Submit(r, d, nil)
-			start := fin - d
-			if start < lastFinish || start < r {
+			want := max(r, lastFinish)
+			if s.StartFor(r) != want {
+				return false
+			}
+			fin := s.Submit(r, d)
+			if fin-d != want || s.BusyUntil() != fin {
 				return false
 			}
 			lastFinish = fin
@@ -163,24 +59,19 @@ func TestServerNoOverlapProperty(t *testing.T) {
 	}
 }
 
-// Property: engine executes any event set in non-decreasing time order.
-func TestEngineTimeOrderProperty(t *testing.T) {
-	f := func(times []uint16) bool {
-		eng := NewEngine()
-		var seen []time.Duration
-		for _, v := range times {
-			at := time.Duration(v) * time.Microsecond
-			eng.Schedule(at, func() { seen = append(seen, eng.Now()) })
-		}
-		eng.Run()
-		for i := 1; i < len(seen); i++ {
-			if seen[i] < seen[i-1] {
-				return false
-			}
-		}
-		return len(seen) == len(times)
+// TestServerReset asserts a reset server accepts jobs like a fresh one.
+func TestServerReset(t *testing.T) {
+	s := NewServer()
+	s.Submit(0, 5*time.Microsecond)
+	s.Submit(0, 5*time.Microsecond)
+	if s.BusyUntil() != 10*time.Microsecond || s.Jobs() != 2 {
+		t.Fatalf("unexpected pre-reset state: busyUntil=%v jobs=%d", s.BusyUntil(), s.Jobs())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	s.Reset()
+	if s.BusyUntil() != 0 || s.BusyTime() != 0 || s.Jobs() != 0 {
+		t.Fatalf("reset left busyUntil=%v busy=%v jobs=%d", s.BusyUntil(), s.BusyTime(), s.Jobs())
+	}
+	if finish := s.Submit(0, 3*time.Microsecond); finish != 3*time.Microsecond {
+		t.Fatalf("post-reset submit finished at %v, want 3µs", finish)
 	}
 }

@@ -166,7 +166,7 @@ const DefaultCapacity = 1 << 18
 
 // Recorder captures spans into a pooled ring buffer. It is single-owner
 // (one simulation arena) and not safe for concurrent use — exactly like
-// the engine it is attached to. A nil *Recorder is valid and inert, so
+// the substrates that emit to it. A nil *Recorder is valid and inert, so
 // substrates constructed without one need no branches at wiring time.
 //
 // The recorder survives arena resets by design: Session.Execute calls

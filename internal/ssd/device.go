@@ -8,11 +8,11 @@ import (
 	"ssdtrain/internal/units"
 )
 
-// Device is one NVMe SSD in the discrete-event simulation: independent
-// write and read FIFO queues served at the drive's sequential bandwidths,
-// with cumulative byte accounting. An optional FTL provides page-accurate
-// wear accounting for endurance studies (experiments that only need
-// timing skip it — simulating 10⁸ pages per step would be pointless).
+// Device is one simulated NVMe SSD: independent write and read FIFO
+// queues served at the drive's sequential bandwidths, with cumulative
+// byte accounting. Wear is derived from the host byte counters; the
+// page-accurate FTL is a standalone model for endurance studies
+// (simulating 10⁸ pages per training step would be pointless).
 type Device struct {
 	spec   Spec
 	name   string
@@ -24,19 +24,16 @@ type Device struct {
 
 	rec    *spans.Recorder
 	wT, rT spans.TrackID
-
-	ftl    *FTL
-	mapper *fileMapper
 }
 
-// NewDevice creates a device on the engine.
-func NewDevice(eng *sim.Engine, name string, spec Spec) *Device {
-	rec := eng.Recorder()
+// NewDevice creates an idle device whose transfers emit spans to rec
+// (nil records nothing).
+func NewDevice(rec *spans.Recorder, name string, spec Spec) *Device {
 	return &Device{
 		spec:   spec,
 		name:   name,
-		writeQ: sim.NewServer(eng, name+".wq"),
-		readQ:  sim.NewServer(eng, name+".rq"),
+		writeQ: sim.NewServer(),
+		readQ:  sim.NewServer(),
 		rec:    rec,
 		wT:     rec.RegisterTrack(name + ".write"),
 		rT:     rec.RegisterTrack(name + ".read"),
@@ -49,48 +46,30 @@ func (d *Device) Spec() Spec { return d.spec }
 // Reset clears the device's queues and host byte counters for reuse by a
 // new simulation and installs the given spec — reused devices are rebound
 // to a (possibly differently derated) spec the same way a fresh device
-// would be constructed with it. An attached FTL's wear state is NOT
-// touched: wear is cumulative physical history, and the endurance
-// experiments that attach FTLs do not run on recycled arenas.
+// would be constructed with it.
 func (d *Device) Reset(spec Spec) {
 	d.spec = spec
 	d.writeQ.Reset()
 	d.readQ.Reset()
 	d.hostWritten = 0
 	d.hostRead = 0
-	if d.mapper != nil {
-		d.mapper.next = 0
-	}
 }
-
-// AttachFTL enables page-accurate wear accounting. All subsequent writes
-// are mirrored into the FTL as sequential page writes.
-func (d *Device) AttachFTL(f *FTL) {
-	d.ftl = f
-	d.mapper = newFileMapper(f)
-}
-
-// FTL returns the attached FTL (nil when running in fast accounting mode).
-func (d *Device) FTL() *FTL { return d.ftl }
 
 // Write submits an n-byte sequential write that cannot start before
-// ready; done (optional) runs at completion. Returns the finish time.
-func (d *Device) Write(ready time.Duration, n units.Bytes, done func()) time.Duration {
+// ready. Returns the finish time.
+func (d *Device) Write(ready time.Duration, n units.Bytes) time.Duration {
 	d.hostWritten += n
-	if d.mapper != nil {
-		d.mapper.write(n)
-	}
 	dur := d.spec.WriteLatency + d.spec.SeqWrite.TimeFor(n)
-	finish := d.writeQ.Submit(ready, dur, done)
+	finish := d.writeQ.Submit(ready, dur)
 	d.rec.Span(d.wT, spans.KindNVMe, -1, d.name, finish-dur, finish, n, 0)
 	return finish
 }
 
 // Read submits an n-byte sequential read. Returns the finish time.
-func (d *Device) Read(ready time.Duration, n units.Bytes, done func()) time.Duration {
+func (d *Device) Read(ready time.Duration, n units.Bytes) time.Duration {
 	d.hostRead += n
 	dur := d.spec.ReadLatency + d.spec.SeqRead.TimeFor(n)
-	finish := d.readQ.Submit(ready, dur, done)
+	finish := d.readQ.Submit(ready, dur)
 	d.rec.Span(d.rT, spans.KindNVMe, -1, d.name, finish-dur, finish, n, 0)
 	return finish
 }
@@ -103,9 +82,7 @@ func (d *Device) HostRead() units.Bytes { return d.hostRead }
 
 // AdvanceHostTraffic adds analytic deltas to the cumulative host byte
 // counters without submitting queue work — the steady-state fast path's
-// per-cycle accounting for extrapolated steps. FTL-attached devices are
-// never extrapolated (page-accurate wear needs the real write stream), so
-// the mapper is untouched here.
+// per-cycle accounting for extrapolated steps.
 func (d *Device) AdvanceHostTraffic(written, read units.Bytes) {
 	d.hostWritten += written
 	d.hostRead += read
@@ -122,34 +99,3 @@ func (d *Device) WriteBusyTime() time.Duration { return d.writeQ.BusyTime() }
 
 // ReadBusyTime returns cumulative read-queue service time.
 func (d *Device) ReadBusyTime() time.Duration { return d.readQ.BusyTime() }
-
-// fileMapper lays sequential writes onto the FTL's logical page space as a
-// circular log with whole-extent trim-before-overwrite, matching how the
-// tensor cache recycles offload files step after step.
-type fileMapper struct {
-	ftl  *FTL
-	next int64
-}
-
-func newFileMapper(f *FTL) *fileMapper { return &fileMapper{ftl: f} }
-
-func (m *fileMapper) write(n units.Bytes) {
-	pageSize := m.ftl.Geometry().PageSize
-	pages := int64((n + pageSize - 1) / pageSize)
-	total := int64(m.ftl.LogicalPages())
-	for pages > 0 {
-		run := pages
-		if m.next+run > total {
-			run = total - m.next
-		}
-		// Trim the extent we are about to recycle, then rewrite it — the
-		// offload file lifecycle (old step's tensors are dead by now).
-		m.ftl.Trim(m.next, run)
-		m.ftl.WriteRange(m.next, run)
-		m.next += run
-		if m.next >= total {
-			m.next = 0
-		}
-		pages -= run
-	}
-}

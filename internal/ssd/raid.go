@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"ssdtrain/internal/faults"
-	"ssdtrain/internal/sim"
 	"ssdtrain/internal/units"
 )
 
@@ -14,7 +13,6 @@ import (
 // transfer completes when the slowest member finishes its share.
 type Array struct {
 	name    string
-	eng     *sim.Engine
 	devices []*Device
 	// stripe is the chunk size (md's default is 512 KiB).
 	stripe units.Bytes
@@ -26,14 +24,14 @@ type Array struct {
 }
 
 // NewArray builds a RAID0 array over the devices.
-func NewArray(eng *sim.Engine, name string, stripe units.Bytes, devices ...*Device) *Array {
+func NewArray(name string, stripe units.Bytes, devices ...*Device) *Array {
 	if len(devices) == 0 {
 		panic("ssd: array needs at least one device")
 	}
 	if stripe <= 0 {
 		panic("ssd: stripe size must be positive")
 	}
-	return &Array{name: name, eng: eng, devices: devices, stripe: stripe}
+	return &Array{name: name, devices: devices, stripe: stripe}
 }
 
 // Name returns the array name (e.g. "/mnt/md1").
@@ -128,9 +126,9 @@ func (a *Array) shares(n units.Bytes) []units.Bytes {
 	return out
 }
 
-// Write stripes an n-byte write across members; done runs when the
-// slowest member finishes. Returns the finish time.
-func (a *Array) Write(ready time.Duration, n units.Bytes, done func()) time.Duration {
+// Write stripes an n-byte write across members. It returns when the
+// slowest member finishes.
+func (a *Array) Write(ready time.Duration, n units.Bytes) time.Duration {
 	var finish time.Duration
 	shares := a.shares(n)
 	a.redistribute(ready, shares)
@@ -138,21 +136,15 @@ func (a *Array) Write(ready time.Duration, n units.Bytes, done func()) time.Dura
 		if share <= 0 {
 			continue
 		}
-		if f := a.devices[i].Write(ready, share, nil); f > finish {
+		if f := a.devices[i].Write(ready, share); f > finish {
 			finish = f
 		}
 	}
-	if finish < ready {
-		finish = ready
-	}
-	if done != nil {
-		a.eng.Schedule(finish, done)
-	}
-	return finish
+	return max(finish, ready)
 }
 
 // Read stripes an n-byte read across members. Returns the finish time.
-func (a *Array) Read(ready time.Duration, n units.Bytes, done func()) time.Duration {
+func (a *Array) Read(ready time.Duration, n units.Bytes) time.Duration {
 	var finish time.Duration
 	shares := a.shares(n)
 	a.redistribute(ready, shares)
@@ -160,17 +152,11 @@ func (a *Array) Read(ready time.Duration, n units.Bytes, done func()) time.Durat
 		if share <= 0 {
 			continue
 		}
-		if f := a.devices[i].Read(ready, share, nil); f > finish {
+		if f := a.devices[i].Read(ready, share); f > finish {
 			finish = f
 		}
 	}
-	if finish < ready {
-		finish = ready
-	}
-	if done != nil {
-		a.eng.Schedule(finish, done)
-	}
-	return finish
+	return max(finish, ready)
 }
 
 // HostWritten sums member write counters.

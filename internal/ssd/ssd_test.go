@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"ssdtrain/internal/sim"
 	"ssdtrain/internal/units"
 )
 
@@ -178,14 +177,13 @@ func TestRequiredWriteBandwidth(t *testing.T) {
 }
 
 func TestDeviceQueueing(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, "nvme0", IntelP5800X16TB())
-	f1 := d.Write(0, units.Bytes(6.1e9), nil) // one second of writes
+	d := NewDevice(nil, "nvme0", IntelP5800X16TB())
+	f1 := d.Write(0, units.Bytes(6.1e9)) // one second of writes
 	if f1 < time.Second || f1 > time.Second+time.Millisecond {
 		t.Errorf("write finish = %v", f1)
 	}
 	// Reads do not queue behind writes.
-	r1 := d.Read(0, units.Bytes(7.2e9), nil)
+	r1 := d.Read(0, units.Bytes(7.2e9))
 	if r1 > time.Second+time.Millisecond {
 		t.Errorf("read queued behind write: %v", r1)
 	}
@@ -194,37 +192,19 @@ func TestDeviceQueueing(t *testing.T) {
 	}
 }
 
-func TestDeviceFTLMirroring(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, "nvme0", IntelP5800X16TB())
-	ftl, _ := NewFTL(SmallTestGeometry())
-	d.AttachFTL(ftl)
-	// Write more than the logical space; the circular log must wrap and
-	// keep WAF ≈ 1 thanks to trim-before-overwrite.
-	step := units.Bytes(ftl.LogicalPages()) * ftl.Geometry().PageSize / 3
-	for i := 0; i < 10; i++ {
-		d.Write(0, step, nil)
-	}
-	st := ftl.Stats()
-	if st.WAF > 1.05 {
-		t.Errorf("device-mirrored WAF = %.3f", st.WAF)
-	}
-}
-
 func TestArrayStriping(t *testing.T) {
-	eng := sim.NewEngine()
 	devs := []*Device{
-		NewDevice(eng, "d0", IntelP5800X16TB()),
-		NewDevice(eng, "d1", IntelP5800X16TB()),
-		NewDevice(eng, "d2", IntelP5800X16TB()),
-		NewDevice(eng, "d3", IntelP5800X16TB()),
+		NewDevice(nil, "d0", IntelP5800X16TB()),
+		NewDevice(nil, "d1", IntelP5800X16TB()),
+		NewDevice(nil, "d2", IntelP5800X16TB()),
+		NewDevice(nil, "d3", IntelP5800X16TB()),
 	}
-	a := NewArray(eng, "/mnt/md1", 512*units.KiB, devs...)
+	a := NewArray("/mnt/md1", 512*units.KiB, devs...)
 	if a.AggregateWrite() != 4*6.1*units.GBps {
 		t.Errorf("aggregate write = %v", a.AggregateWrite())
 	}
 	n := units.Bytes(4 * units.GB)
-	fin := a.Write(0, n, nil)
+	fin := a.Write(0, n)
 	// Striped across 4 devices: ≈ size/(4·6.1GB/s).
 	want := units.Bandwidth(4 * 6.1 * units.GBps).TimeFor(n)
 	if fin < want || fin > want+10*time.Millisecond {
@@ -246,17 +226,16 @@ func TestArrayStriping(t *testing.T) {
 // Property: array striping conserves bytes for any transfer size.
 func TestArraySharesConserveProperty(t *testing.T) {
 	f := func(sizes []uint32) bool {
-		eng := sim.NewEngine()
 		devs := []*Device{
-			NewDevice(eng, "d0", IntelP5800X16TB()),
-			NewDevice(eng, "d1", IntelP5800X16TB()),
-			NewDevice(eng, "d2", IntelP5800X16TB()),
+			NewDevice(nil, "d0", IntelP5800X16TB()),
+			NewDevice(nil, "d1", IntelP5800X16TB()),
+			NewDevice(nil, "d2", IntelP5800X16TB()),
 		}
-		a := NewArray(eng, "md", 128*units.KiB, devs...)
+		a := NewArray("md", 128*units.KiB, devs...)
 		var total units.Bytes
 		for _, sz := range sizes {
 			n := units.Bytes(sz%(1<<24)) + 1
-			a.Write(0, n, nil)
+			a.Write(0, n)
 			total += n
 		}
 		return a.HostWritten() == total

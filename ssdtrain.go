@@ -3,10 +3,10 @@
 // DAC 2025), rebuilt in Go on a deterministic simulation of the GPU
 // training stack.
 //
-// The package wires together the internal substrates — a discrete-event
-// GPU/PCIe/NVMe simulator, a PyTorch-like module/hook runtime, a
-// transformer model zoo, and the SSDTrain tensor cache — behind a small
-// surface:
+// The package wires together the internal substrates — a virtual-time
+// GPU/PCIe/NVMe simulator built on FIFO queue servers, a PyTorch-like
+// module/hook runtime, a transformer model zoo, and the SSDTrain tensor
+// cache — behind a small surface:
 //
 //	cfg := ssdtrain.PaperConfig(ssdtrain.BERT, 12288, 3, 16)
 //	res, err := ssdtrain.Train(ssdtrain.RunConfig{
