@@ -213,13 +213,9 @@ func (c *TensorCache) Reset(budget units.Bytes) {
 	clear(c.weightStamps)
 	c.curMB = 0
 	clear(c.moduleIndex)
-	if cap(c.moduleOrder) > cap(c.spareOrder) {
-		c.spareOrder = c.moduleOrder[:0]
-	}
-	if cap(c.prevOrder) > cap(c.spareOrder) {
-		c.spareOrder = c.prevOrder[:0]
-	}
-	c.moduleOrder, c.prevOrder = nil, nil
+	// Both forward-order buffers survive, emptied: between steps
+	// moduleOrder is prevOrder and spareOrder holds the other buffer.
+	c.moduleOrder, c.prevOrder, c.spareOrder = nil, c.prevOrder[:0], c.spareOrder[:0]
 	c.offloadedMB = 0
 	clear(c.keepLast)
 	c.scopeStack = c.scopeStack[:0]
@@ -367,11 +363,10 @@ func (c *TensorCache) newReload(t *tensor.Tensor) *tensor.Tensor {
 // pools without leak accounting (used by Reset after an aborted run; the
 // end-of-step sweep recycles inline with its leak pass).
 func (c *TensorCache) recycleStepState() {
-	maps := c.stepRecs
 	if c.recs != nil {
-		maps = append(maps, c.recs)
+		c.stepRecs = append(c.stepRecs, c.recs)
 	}
-	for _, m := range maps {
+	for _, m := range c.stepRecs {
 		for _, rec := range m {
 			c.recycleRecord(rec)
 		}
@@ -670,11 +665,10 @@ func (c *TensorCache) finishRecord(rec *record, at time.Duration) {
 // leaked, and every record and map is recycled into the pools for the
 // next step.
 func (c *TensorCache) sweep(at time.Duration) {
-	maps := c.stepRecs
 	if c.recs != nil {
-		maps = append(maps, c.recs)
+		c.stepRecs = append(c.stepRecs, c.recs)
 	}
-	for _, m := range maps {
+	for _, m := range c.stepRecs {
 		for _, rec := range m {
 			if rec.consumed < rec.refs {
 				c.cur.Leaked++

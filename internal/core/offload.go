@@ -235,8 +235,10 @@ type SSDOffloader struct {
 	registry *gds.Registry
 	// faults, when armed, degrades or refuses transfers as a function of
 	// their computed start time. nil (the default) is the healthy path:
-	// Store/Load keep their exact fault-free arithmetic.
+	// Store/Load keep their exact fault-free arithmetic. Armed, it
+	// points at ctl, which Arm rebuilds in place every run.
 	faults *faults.Controller
+	ctl    faults.Controller
 
 	// SharedArray marks a secondary tier over an array another tier owns
 	// (the optimizer rung sharing the activation rung's NVMe array). The
@@ -330,7 +332,8 @@ func (o *SSDOffloader) Arm(spec faults.Spec) {
 	if dspec.Capacity > 0 && dspec.SeqWrite > 0 {
 		rebuild = time.Duration(float64(dspec.SeqWrite.TimeFor(dspec.Capacity)) / steal)
 	}
-	o.faults = faults.NewController(spec, len(devs), budget, rebuild)
+	o.ctl = faults.NewController(spec, len(devs), budget, rebuild)
+	o.faults = &o.ctl
 	o.array.SetFaults(o.faults)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"ssdtrain/internal/pcie"
@@ -159,9 +160,10 @@ func (o *TieredOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 	sig.FoldInt(int64(len(o.where)))
 	sig.FoldInt(int64(o.used))
 	sig.FoldInt(int64(o.peak))
-	if len(o.steadyPlaced) != len(o.placed) {
-		o.steadyPlaced = make([]units.Bytes, len(o.placed))
-		o.steadyDPlaced = make([]units.Bytes, len(o.placed))
+	if n := len(o.placed); len(o.steadyPlaced) != n {
+		o.steadyPlaced = slices.Grow(o.steadyPlaced[:0], n)[:n]
+		o.steadyDPlaced = slices.Grow(o.steadyDPlaced[:0], n)[:n]
+		clear(o.steadyPlaced)
 	}
 	for i, p := range o.placed {
 		d := p - o.steadyPlaced[i]

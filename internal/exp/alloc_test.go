@@ -1,0 +1,137 @@
+package exp
+
+import (
+	"math"
+	"testing"
+	"time"
+
+	"ssdtrain/internal/faults"
+	"ssdtrain/internal/models"
+)
+
+// allocCase is one configuration of the warm-session allocation contract.
+type allocCase struct {
+	name string
+	cfg  RunConfig
+}
+
+// allocCases covers every preset on the GPT 8192×4 batch-16 geometry:
+// the hybrid stack under each placement, the offloaded optimizer under
+// each schedule, two micro-batches, and a degrade window that opens and
+// closes inside the run without failing it. The split placement never
+// converges, so with the fast path on it folds every step.
+func allocCases() []allocCase {
+	base := func(s Strategy) RunConfig {
+		return RunConfig{Model: models.PaperConfig(models.GPT, 8192, 4, 16), Strategy: s}
+	}
+	hybrid := func(p Placement) RunConfig {
+		c := base(HybridOffload)
+		c.Placement = p
+		c.DRAMCapacity = 256 << 20
+		if p == PlacementSplit {
+			c.SplitRatio = 0.5
+		}
+		return c
+	}
+	optim := func(schedule string) RunConfig {
+		c := base(OptimOffload)
+		c.Schedule = schedule
+		return c
+	}
+	micro := base(SSDTrain)
+	micro.MicroBatches = 2
+	degraded := base(SSDTrain)
+	degraded.Faults = faults.Spec{DegradeAt: 3 * time.Second, DegradeFactor: 0.5, DegradeFor: 3 * time.Second}
+	return []allocCase{
+		{"no-offload", base(NoOffload)},
+		{"recompute", base(Recompute)},
+		{"ssdtrain", base(SSDTrain)},
+		{"cpu-offload", base(CPUOffload)},
+		{"hybrid/dram-first", hybrid(PlacementDRAMFirst)},
+		{"hybrid/ssd-only", hybrid(PlacementSSDOnly)},
+		{"hybrid/split", hybrid(PlacementSplit)},
+		{"optim-offload/sync", optim(ScheduleSync)},
+		{"optim-offload/overlap", optim(ScheduleOverlap)},
+		{"ssdtrain/micro-batches-2", micro},
+		{"ssdtrain/degrade", degraded},
+	}
+}
+
+// resultObjects counts the heap objects a RunResult owns, the only ones
+// a warm Execute may allocate:
+//   - the RunResult struct;
+//   - its PerStep rows;
+//   - its memory report (Mem);
+//   - its Tiers rows, when the strategy offloads;
+//   - its optimizer summary (Optim), under optim-offload;
+//   - its counter snapshot: the *trace.Counters and its map, which the
+//     runtime builds from at most four objects (header, directory,
+//     table, groups).
+func resultObjects(res *RunResult) float64 {
+	n := 3 + 1 + 4
+	if res.Tiers != nil {
+		n++
+	}
+	if res.Optim != nil {
+		n++
+	}
+	return float64(n)
+}
+
+// TestWarmExecuteAllocs is the hot path's allocation contract: on a warm
+// session a simulated step allocates nothing, so a 20-step and a 60-step
+// Execute allocate the same, and that is no more than the objects the
+// RunResult owns. It holds with the fast path off and on. Traced and
+// materialized runs are out of scope: the span log and the payloads grow
+// by design.
+//
+// The per-storage side maps (the allocator's live set, the lifetimes,
+// the block stores, the GDS registry) are Go maps, which draw a new hash
+// seed on every clear, so once in a while one of them grows its table
+// mid-run. That can only add allocations and is rare on a warm arena, so
+// each count is the fewest seen over a few tries; an allocation the
+// simulation makes per step shows in every try.
+func TestWarmExecuteAllocs(t *testing.T) {
+	for _, c := range allocCases() {
+		t.Run(c.name, func(t *testing.T) {
+			plan, err := Compile(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := NewSession(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, steady := range []string{"off", "on"} {
+				short, long := c.cfg, c.cfg
+				short.SteadyState, long.SteadyState = steady, steady
+				short.Steps, long.Steps = 20, 60
+				var res *RunResult
+				execute := func(cfg RunConfig) func() {
+					return func() {
+						if res, err = sess.Execute(cfg); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, cfg := range []RunConfig{long, short, long} {
+					execute(cfg)()
+				}
+				limit := resultObjects(res)
+				a20, a60 := math.Inf(1), math.Inf(1)
+				for try := 0; try < 5 && (a20 != a60 || a60 > limit); try++ {
+					a20 = min(a20, testing.AllocsPerRun(1, execute(short)))
+					a60 = min(a60, testing.AllocsPerRun(1, execute(long)))
+				}
+				if a20 != a60 {
+					t.Errorf("steady %s: a warm Execute allocates per simulated step: %v objects at 20 steps, %v at 60",
+						steady, a20, a60)
+				}
+				if a60 > limit {
+					t.Errorf("steady %s: a warm Execute allocates %v objects, more than the %v its RunResult owns",
+						steady, a60, limit)
+				}
+			}
+		})
+	}
+}

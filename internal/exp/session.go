@@ -22,10 +22,19 @@ import (
 // produces bit-for-bit the same RunResult a fresh Plan.Execute would —
 // the two share one code path, and every substrate's Reset returns it to
 // its just-constructed state — while recycling the arena's warm capacity
-// (map buckets, tensor storages, record and reload pools),
-// which is what makes repeated Execute across a sweep or a fleet profile
-// nearly allocation-free (SSDTrain §III's own rule: pre-allocate once,
-// never re-malloc on the hot path).
+// (map buckets, tensor storages, record and reload pools, and every
+// piece of per-step scratch).
+//
+// That recycling is SSDTrain §III's own rule — pre-allocate once, never
+// re-malloc on the hot path — and on a warm session it is a contract:
+// an untraced, unmaterialized simulated step allocates nothing, on every
+// strategy, so a warm Execute allocates only the RunResult it returns
+// (the struct, its PerStep and Tiers rows, its memory report, its
+// optimizer summary and its counter snapshot), whatever its step count.
+// TestWarmExecuteAllocs pins it. The one exception is rare: the
+// per-storage side tables are Go maps, which may grow a table after a
+// clear draws a new hash seed. A traced run also grows the span log, and
+// a materialized one fills payloads.
 //
 // A Session is single-owner: it must not run two Executes concurrently.
 // Use a SessionPool to share arenas across sweep workers. The cheap knobs
@@ -69,6 +78,13 @@ type Session struct {
 	// windows is the per-step window scratch the allocator fills with
 	// each step's memory peaks.
 	windows []gpu.Window
+	// steady is the arena's steady-state detector, reset by every run
+	// that may extrapolate.
+	steady steadyTracker
+	// split is the last split placement built and splitRatio its ratio;
+	// a run with the same ratio reuses it instead of boxing a new one.
+	split      core.PlacementPolicy
+	splitRatio float64
 }
 
 // NewSession builds an execution arena for the plan. The arena is fully
@@ -164,6 +180,7 @@ func NewSession(p *Plan) (*Session, error) {
 		return nil, err
 	}
 	s.exec = exec
+	s.steady = newSteadyTracker(rt, s.offloader, s.optim)
 	return s, nil
 }
 
@@ -260,7 +277,7 @@ func (s *Session) Execute(cfg RunConfig) (*RunResult, error) {
 			stack = append(stack, s.ssdTier)
 		}
 		s.stack = stack
-		s.offloader.Reset(placementPolicy(cfg), stack...)
+		s.offloader.Reset(s.placementPolicy(cfg), stack...)
 
 		budget := cfg.Budget
 		if budget == 0 {
@@ -312,6 +329,7 @@ func (s *Session) Execute(cfg RunConfig) (*RunResult, error) {
 // and session-reused Executes.
 func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 	rt, exec, cache, off, optim := s.rt, s.exec, s.cache, s.offloader, s.optim
+	res.PerStep = make([]StepMetrics, 0, cfg.Warmup+cfg.Steps)
 	runStep := func() (StepMetrics, error) {
 		sr := exec.Run()
 		m := StepMetrics{
@@ -340,7 +358,8 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 	// trigger inside the extrapolated region.
 	var tracker *steadyTracker
 	if cfg.SteadyState != "off" && !cfg.Trace && cfg.Faults.Empty() {
-		tracker = newSteadyTracker(rt, off, optim)
+		tracker = &s.steady
+		tracker.reset()
 	}
 
 	for i := 0; i < cfg.Warmup; i++ {
@@ -394,7 +413,6 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 				optim.ExtrapolateCycles(int64(r))
 			}
 			tracker.extrapolateCounters(int64(r))
-			res.PerStep = slices.Grow(res.PerStep, r)
 			for j := 1; j <= r; j++ {
 				m := ex
 				m.Start += time.Duration(j) * period
@@ -432,30 +450,16 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 	res.Measured = res.PerStep[len(res.PerStep)-1]
 	if cache != nil && off != nil {
 		res.SSDPeak = off.PeakResident()
-		for _, t := range off.Tiers() {
-			res.Tiers = append(res.Tiers, TierUsage{
-				Name:     t.Name(),
-				Kind:     t.Kind(),
-				Written:  t.BytesWritten(),
-				Read:     t.BytesRead(),
-				Peak:     t.PeakResident(),
-				Capacity: t.Capacity(),
-			})
+		n := len(off.Tiers())
+		if optim != nil {
+			n += len(optim.Tiers())
 		}
+		res.Tiers = appendTierUsage(make([]TierUsage, 0, n), off.Tiers())
 	}
 	if optim != nil {
 		// Optimizer rungs report after the activation rungs, and the
 		// pipeline summary rides alongside them.
-		for _, t := range optim.Tiers() {
-			res.Tiers = append(res.Tiers, TierUsage{
-				Name:     t.Name(),
-				Kind:     t.Kind(),
-				Written:  t.BytesWritten(),
-				Read:     t.BytesRead(),
-				Peak:     t.PeakResident(),
-				Capacity: t.Capacity(),
-			})
-		}
+		res.Tiers = appendTierUsage(res.Tiers, optim.Tiers())
 		pl := optim.Placement()
 		res.Optim = &OptimUsage{
 			Kind:         cfg.OptimKind,
@@ -474,15 +478,33 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 	return nil
 }
 
+// appendTierUsage appends one usage row per tier to dst.
+func appendTierUsage(dst []TierUsage, tiers []core.Tier) []TierUsage {
+	for _, t := range tiers {
+		dst = append(dst, TierUsage{
+			Name:     t.Name(),
+			Kind:     t.Kind(),
+			Written:  t.BytesWritten(),
+			Read:     t.BytesRead(),
+			Peak:     t.PeakResident(),
+			Capacity: t.Capacity(),
+		})
+	}
+	return dst
+}
+
 // placementPolicy maps the placement knob to the stack's routing
 // policy. On a one-rung stack every policy picks rung 0, so the
 // single-rung strategies take the unset knob's dram-first.
-func placementPolicy(cfg RunConfig) core.PlacementPolicy {
+func (s *Session) placementPolicy(cfg RunConfig) core.PlacementPolicy {
 	switch cfg.Placement {
 	case PlacementSSDOnly:
 		return core.SSDOnlyPolicy()
 	case PlacementSplit:
-		return core.SplitPolicy(cfg.SplitRatio)
+		if s.split == nil || s.splitRatio != cfg.SplitRatio {
+			s.split, s.splitRatio = core.SplitPolicy(cfg.SplitRatio), cfg.SplitRatio
+		}
+		return s.split
 	default:
 		return core.DRAMFirstPolicy()
 	}

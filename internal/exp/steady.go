@@ -76,10 +76,17 @@ func GlobalSteadyStats() SteadyStats {
 // between a fresh arena and a recycled session arena: a session-reused
 // Execute must converge on the same step as a fresh one so their
 // RunResults stay byte-identical.
+//
+// A Session owns one tracker for its arena's lifetime; reset rewinds it
+// per run and keeps its counter maps' buckets, and the signature lives in
+// the tracker so folding it through the offload stack allocates nothing.
 type steadyTracker struct {
 	rt    *autograd.Runtime
 	off   *core.TieredOffloader
 	optim *core.OptimOffloader
+
+	// sig is the signature of the step being folded.
+	sig sim.Sig
 
 	// allocMark is the allocator event-log position at the current step's
 	// start; the tail from the mark is the step's own event block, folded
@@ -98,14 +105,23 @@ type steadyTracker struct {
 	havePrev bool
 }
 
-func newSteadyTracker(rt *autograd.Runtime, off *core.TieredOffloader, optim *core.OptimOffloader) *steadyTracker {
-	return &steadyTracker{
+func newSteadyTracker(rt *autograd.Runtime, off *core.TieredOffloader, optim *core.OptimOffloader) steadyTracker {
+	return steadyTracker{
 		rt:           rt,
 		off:          off,
 		optim:        optim,
-		counterPrev:  make(map[string]int64, 8),
-		counterDelta: make(map[string]int64, 8),
+		counterPrev:  make(map[string]int64),
+		counterDelta: make(map[string]int64),
 	}
+}
+
+// reset rewinds the tracker for a new run on the same arena.
+func (t *steadyTracker) reset() {
+	t.allocMark = 0
+	t.prevBusy, t.prevJobs = 0, 0
+	clear(t.counterPrev)
+	clear(t.counterDelta)
+	t.prevSum, t.havePrev = 0, false
 }
 
 // beginStep records the allocator event-log position before the step runs.
@@ -117,7 +133,8 @@ func (t *steadyTracker) beginStep() { t.allocMark = t.rt.Alloc.EventMark() }
 // comparison. It returns whether this measured step matched the previous
 // measured one.
 func (t *steadyTracker) fold(m StepMetrics, measured bool) bool {
-	var sig sim.Sig
+	t.sig = sim.Sig{}
+	sig := &t.sig
 	origin := m.Start
 
 	// The step's own observable metrics.
@@ -148,7 +165,7 @@ func (t *steadyTracker) fold(m StepMetrics, measured bool) bool {
 	sig.FoldHorizon(t.rt.Compute.BusyUntil(), origin)
 
 	// The step's allocator event block, relative to the step start.
-	t.rt.Alloc.FoldTail(&sig, t.allocMark, origin)
+	t.rt.Alloc.FoldTail(sig, t.allocMark, origin)
 
 	// Counter increments. Map iteration order is random, so each entry
 	// hashes independently and the results combine by XOR — order-blind,
@@ -170,10 +187,10 @@ func (t *steadyTracker) fold(m StepMetrics, measured bool) bool {
 
 	// The offload stack's per-cycle accounting.
 	if t.off != nil {
-		t.off.FoldCycle(&sig, origin)
+		t.off.FoldCycle(sig, origin)
 	}
 	if t.optim != nil {
-		t.optim.FoldCycle(&sig, origin)
+		t.optim.FoldCycle(sig, origin)
 	}
 
 	sum := sig.Sum()

@@ -111,9 +111,10 @@ type Controller struct {
 // NewController arms a controller for an array of the given width.
 // wearBudget is the array's lifetime host-write budget in bytes (0
 // disables the wear trigger); rebuildDefault is used when the spec does
-// not pin RebuildFor.
-func NewController(spec Spec, devices int, wearBudget float64, rebuildDefault time.Duration) *Controller {
-	c := &Controller{
+// not pin RebuildFor. It returns a value, so an owner that re-arms every
+// run can rebuild its controller in place.
+func NewController(spec Spec, devices int, wearBudget float64, rebuildDefault time.Duration) Controller {
+	c := Controller{
 		spec:       spec,
 		devices:    devices,
 		wearBudget: wearBudget,

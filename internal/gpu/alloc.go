@@ -74,6 +74,10 @@ type Allocator struct {
 	live     map[int64]memEvent
 	seq      int
 	final    bool
+	// liveBytes/liveCount are running totals over live, kept by Alloc,
+	// Free and Reset so the per-step fold does not walk the map.
+	liveBytes units.Bytes
+	liveCount int
 
 	// repl holds a pending virtual replication (ReplicateTail): one cycle's
 	// events sorted by (at, seq), to be applied replN times at replPeriod
@@ -116,6 +120,7 @@ func (a *Allocator) AddHook(h AllocHook) { a.hooks = append(a.hooks, h) }
 func (a *Allocator) Reset() {
 	a.events = a.events[:0]
 	clear(a.live)
+	a.liveBytes, a.liveCount = 0, 0
 	a.seq = 0
 	a.final = false
 	a.repl = a.repl[:0]
@@ -135,6 +140,8 @@ func (a *Allocator) Alloc(at time.Duration, s *tensor.Storage, class Class) {
 	a.seq++
 	ev := memEvent{at: at, delta: s.Bytes(), class: class, seq: a.seq}
 	a.live[s.Seq()] = ev
+	a.liveBytes += ev.delta
+	a.liveCount++
 	a.events = append(a.events, ev)
 	a.rec.Span(a.memT, spans.KindAlloc, -1, class.String(), at, at, s.Bytes(), 0)
 	for _, h := range a.hooks {
@@ -160,6 +167,8 @@ func (a *Allocator) Free(at time.Duration, s *tensor.Storage) {
 	}
 	a.materializeRepl()
 	delete(a.live, s.Seq())
+	a.liveBytes -= ev.delta
+	a.liveCount--
 	a.seq++
 	a.events = append(a.events, memEvent{at: at, delta: -ev.delta, class: ev.class, seq: a.seq})
 	a.rec.Span(a.memT, spans.KindFree, -1, ev.class.String(), at, at, ev.delta, 0)
@@ -170,16 +179,10 @@ func (a *Allocator) Free(at time.Duration, s *tensor.Storage) {
 
 // LiveBytes returns the bytes currently allocated (ignoring timestamps),
 // useful for leak assertions at the end of a step.
-func (a *Allocator) LiveBytes() units.Bytes {
-	var n units.Bytes
-	for _, ev := range a.live {
-		n += ev.delta
-	}
-	return n
-}
+func (a *Allocator) LiveBytes() units.Bytes { return a.liveBytes }
 
 // LiveCount returns the number of live storages.
-func (a *Allocator) LiveCount() int { return len(a.live) }
+func (a *Allocator) LiveCount() int { return a.liveCount }
 
 // EventMark returns a position in the event buffer; the half-open range
 // [mark, EventMark()) taken later identifies the events appended in
@@ -199,8 +202,8 @@ func (a *Allocator) FoldTail(sig *sim.Sig, mark int, origin time.Duration) {
 		sig.FoldInt(int64(ev.delta))
 		sig.FoldDur(ev.at - origin)
 	}
-	sig.FoldInt(int64(len(a.live)))
-	sig.FoldInt(int64(a.LiveBytes()))
+	sig.FoldInt(int64(a.liveCount))
+	sig.FoldInt(int64(a.liveBytes))
 }
 
 // ReplicateTail records that the events appended since mark repeat n more

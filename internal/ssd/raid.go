@@ -18,6 +18,9 @@ type Array struct {
 	stripe units.Bytes
 	// rr is the round-robin cursor so successive transfers spread load.
 	rr int
+	// share is the per-member split of the transfer in progress, kept
+	// across transfers so striping allocates nothing.
+	share []units.Bytes
 	// faults, when armed, reports which member is dead at a transfer's
 	// ready time so its stripe share is redistributed onto a survivor.
 	faults *faults.Controller
@@ -31,7 +34,7 @@ func NewArray(name string, stripe units.Bytes, devices ...*Device) *Array {
 	if stripe <= 0 {
 		panic("ssd: stripe size must be positive")
 	}
-	return &Array{name: name, devices: devices, stripe: stripe}
+	return &Array{name: name, devices: devices, stripe: stripe, share: make([]units.Bytes, len(devices))}
 }
 
 // Name returns the array name (e.g. "/mnt/md1").
@@ -94,9 +97,10 @@ func (a *Array) AggregateRead() units.Bandwidth {
 }
 
 // shares splits n bytes into per-device loads starting at the round-robin
-// cursor.
+// cursor. The split lives in the array's scratch, valid until the next
+// transfer.
 func (a *Array) shares(n units.Bytes) []units.Bytes {
-	out := make([]units.Bytes, len(a.devices))
+	out := a.share
 	chunks := (n + a.stripe - 1) / a.stripe
 	base := chunks / units.Bytes(len(a.devices))
 	rem := int(chunks % units.Bytes(len(a.devices)))

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ssdtrain/internal/faults"
 	"ssdtrain/internal/units"
 )
 
@@ -242,6 +243,39 @@ func TestArraySharesConserveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestArrayTransfersAllocateNothing: striping a write or a read over the
+// members allocates nothing, including a transfer whose dead member's
+// share a fault moves onto a survivor.
+func TestArrayTransfersAllocateNothing(t *testing.T) {
+	devs := []*Device{
+		NewDevice(nil, "d0", IntelP5800X16TB()),
+		NewDevice(nil, "d1", IntelP5800X16TB()),
+		NewDevice(nil, "d2", IntelP5800X16TB()),
+		NewDevice(nil, "d3", IntelP5800X16TB()),
+	}
+	a := NewArray("md", 512*units.KiB, devs...)
+	ctl := faults.NewController(faults.Spec{DeviceDeathAt: time.Second, Device: 1}, len(devs), 0, time.Hour)
+	a.SetFaults(&ctl)
+	n := 3*units.MiB + 1 // seven stripes, the last one cut short
+	for _, ready := range []time.Duration{0, 2 * time.Second} {
+		allocs := testing.AllocsPerRun(100, func() {
+			a.Write(ready, n)
+			a.Read(ready, n)
+		})
+		if allocs != 0 {
+			t.Errorf("ready %v: a striped write and read allocate %v objects, want 0", ready, allocs)
+		}
+	}
+	// The transfers after the death were redistributed: the dead member
+	// took none of them.
+	written, read := devs[1].HostWritten(), devs[1].HostRead()
+	a.Write(2*time.Second, n)
+	a.Read(2*time.Second, n)
+	if devs[1].HostWritten() != written || devs[1].HostRead() != read {
+		t.Error("the dead member's share was not redistributed")
 	}
 }
 
