@@ -499,7 +499,7 @@ func (e *Executor) pack(t *tensor.Tensor, producedAt time.Duration, hostNow *tim
 			ref.rawRetained = true
 		}
 	}
-	e.rt.Counters.Add("exec.packs", 1)
+	e.rt.Counters.Add(trace.ExecPacks, 1)
 	return ref
 }
 
@@ -526,7 +526,7 @@ func (e *Executor) unpackAll(saved []savedRef, hostNow *time.Duration, stall *ti
 		if ready > *hostNow {
 			*hostNow = ready // host blocks until the load completes
 		}
-		e.rt.Counters.Add("exec.unpacks", 1)
+		e.rt.Counters.Add(trace.ExecUnpacks, 1)
 	}
 	e.unpacked = tensors
 	if dataReady > base {
@@ -631,7 +631,7 @@ func (e *Executor) forwardBlock(run *blockRun, st *blockStatic, bi int, inFinish
 			}
 		}
 
-		e.rt.Counters.Add("exec.fwd_ops", 1)
+		e.rt.Counters.Add(trace.ExecFwdOps, 1)
 	}
 
 	// The block output carries one producer ref; add one ref per
@@ -711,7 +711,7 @@ func (e *Executor) backwardBlock(run *blockRun, st *blockStatic, gradIn *tensor.
 				e.rt.Life.Alloc(start, m.Storage(), gpu.ClassActivations)
 				run.recMasks = append(run.recMasks, m)
 			}
-			e.rt.Counters.Add("exec.recompute_ops", 1)
+			e.rt.Counters.Add(trace.ExecRecomputeOps, 1)
 		}
 	}
 
@@ -798,7 +798,7 @@ func (e *Executor) backwardBlock(run *blockRun, st *blockStatic, gradIn *tensor.
 		// Consume the incoming gradient.
 		e.rt.Life.Release(grad.Storage(), finish)
 		grad = gnext
-		e.rt.Counters.Add("exec.bwd_ops", 1)
+		e.rt.Counters.Add(trace.ExecBwdOps, 1)
 	}
 
 	if b.Checkpoint {

@@ -22,7 +22,7 @@ type Runtime struct {
 	Alloc    *gpu.Allocator
 	Life     *Lifetimes
 	Compute  *sim.Server
-	Counters *trace.Counters
+	Counters trace.Counters
 
 	// Rec is the arena's flight recorder, constructed disabled; the
 	// measurement harness enables it around traced runs. ComputeTrack is
@@ -43,7 +43,6 @@ func NewRuntime(spec gpu.Spec) *Runtime {
 		Alloc:        alloc,
 		Life:         NewLifetimes(alloc),
 		Compute:      sim.NewServer(),
-		Counters:     trace.NewCounters(),
 		Rec:          rec,
 		ComputeTrack: rec.RegisterTrack("gpu.compute"),
 	}
@@ -53,7 +52,7 @@ func NewRuntime(spec gpu.Spec) *Runtime {
 // measurement on the same arena: the allocator's recorded run is
 // discarded (hooks survive), pending lifetime bookkeeping is dropped, the
 // compute stream is idle, and the counters read zero. Warm capacity —
-// the allocator's event buffer, map buckets everywhere — is retained;
+// the allocator's event buffer, the side maps' buckets — is retained;
 // that is what makes a reset cheaper than a rebuild.
 func (rt *Runtime) Reset() {
 	rt.Alloc.Reset()

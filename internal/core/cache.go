@@ -7,6 +7,7 @@ import (
 	"ssdtrain/internal/autograd"
 	"ssdtrain/internal/gpu"
 	"ssdtrain/internal/tensor"
+	"ssdtrain/internal/trace"
 	"ssdtrain/internal/units"
 )
 
@@ -450,7 +451,7 @@ func (c *TensorCache) prefetch(rec *record, hostNow time.Duration) {
 func (c *TensorCache) forward(rec *record) {
 	rec.forwarded = true
 	c.cur.Forwarded += rec.bytes
-	c.rt.Counters.Add("cache.forward_hits", 1)
+	c.rt.Counters.Add(trace.CacheForwardHits, 1)
 }
 
 // fail records the first offload error; later errors are usually
@@ -476,7 +477,7 @@ func (c *TensorCache) issueLoad(rec *record, ready time.Duration) {
 		// deterministically before the harness aborts the run.
 		c.fail(err)
 		start, finish, data = ready, ready, nil
-		c.rt.Counters.Add("cache.load_errors", 1)
+		c.rt.Counters.Add(trace.CacheLoadErrors, 1)
 	}
 	buf := c.newReload(rec.t)
 	if data != nil {
@@ -492,7 +493,7 @@ func (c *TensorCache) issueLoad(rec *record, ready time.Duration) {
 	rec.loadStart, rec.loadFinish = start, finish
 	rec.loaded = buf
 	c.cur.Reloaded += rec.bytes
-	c.rt.Counters.Add("cache.loads", 1)
+	c.rt.Counters.Add(trace.CacheLoads, 1)
 }
 
 // releaseOriginal drops the cache's reference to the original tensor as of
@@ -508,17 +509,17 @@ func (c *TensorCache) releaseOriginal(rec *record) {
 // Pack implements autograd.Hooks — Alg. 1's pack_hook.
 func (c *TensorCache) Pack(t *tensor.Tensor, producedAt, hostNow time.Duration) autograd.Packed {
 	c.cur.Packs++
-	c.rt.Counters.Add("cache.packs", 1)
+	c.rt.Counters.Add(trace.CachePacks, 1)
 	// Early returns (Alg. 1 line 2): weights, CPU tensors, small tensors.
 	if t.IsCPU() {
 		return t
 	}
 	if c.isWeight(t) {
-		c.rt.Counters.Add("cache.weight_skips", 1)
+		c.rt.Counters.Add(trace.CacheWeightSkips, 1)
 		return t
 	}
 	if t.NumElems() < c.cfg.MinElems {
-		c.rt.Counters.Add("cache.small_skips", 1)
+		c.rt.Counters.Add(trace.CacheSmallSkips, 1)
 		return t
 	}
 
@@ -535,7 +536,7 @@ func (c *TensorCache) Pack(t *tensor.Tensor, producedAt, hostNow time.Duration) 
 		// record and a single offload I/O (§III-C1).
 		rec.refs++
 		c.cur.DedupHits++
-		c.rt.Counters.Add("cache.dedup_hits", 1)
+		c.rt.Counters.Add(trace.CacheDedupHits, 1)
 		return rec.handleOf()
 	}
 
@@ -555,7 +556,7 @@ func (c *TensorCache) Pack(t *tensor.Tensor, producedAt, hostNow time.Duration) 
 	if keep {
 		// Alg. 1 line 6: keep_in_gpu_memory.
 		c.cur.Kept += rec.bytes
-		c.rt.Counters.Add("cache.keeps", 1)
+		c.rt.Counters.Add(trace.CacheKeeps, 1)
 	} else {
 		// Alg. 1 line 7: offload. The store cannot begin before the
 		// producing kernel finishes.
@@ -567,14 +568,14 @@ func (c *TensorCache) Pack(t *tensor.Tensor, producedAt, hostNow time.Duration) 
 			// the error at the step boundary.
 			c.fail(err)
 			c.cur.Kept += rec.bytes
-			c.rt.Counters.Add("cache.store_errors", 1)
+			c.rt.Counters.Add(trace.CacheStoreErrors, 1)
 		} else {
 			rec.offloaded = true
 			rec.checksum = checksum
 			rec.storeStart, rec.storeFinish = start, finish
 			c.offloadedMB += rec.bytes
 			c.cur.Offloaded += rec.bytes
-			c.rt.Counters.Add("cache.stores", 1)
+			c.rt.Counters.Add(trace.CacheStores, 1)
 		}
 	}
 	return rec.handleOf()
@@ -601,7 +602,7 @@ func (c *TensorCache) Unpack(p autograd.Packed, hostNow time.Duration) (*tensor.
 		if c.cfg.NoForwarding {
 			// Ablation: serialize behind the store, then demand-load.
 			c.issueLoad(rec, rec.storeFinish)
-			c.rt.Counters.Add("cache.demand_loads", 1)
+			c.rt.Counters.Add(trace.CacheDemandLoads, 1)
 			return rec.loaded, rec.loadFinish
 		}
 		// Data forwarding at unpack time: the store has not finished, so
@@ -612,7 +613,7 @@ func (c *TensorCache) Unpack(p autograd.Packed, hostNow time.Duration) (*tensor.
 		// Not prefetched (e.g. prefetching disabled): demand load. The
 		// caller blocks until loadFinish.
 		c.issueLoad(rec, hostNow)
-		c.rt.Counters.Add("cache.demand_loads", 1)
+		c.rt.Counters.Add(trace.CacheDemandLoads, 1)
 		return rec.loaded, rec.loadFinish
 	}
 }
@@ -672,7 +673,7 @@ func (c *TensorCache) sweep(at time.Duration) {
 		for _, rec := range m {
 			if rec.consumed < rec.refs {
 				c.cur.Leaked++
-				c.rt.Counters.Add("cache.leaks", 1)
+				c.rt.Counters.Add(trace.CacheLeaks, 1)
 				if rec.offloaded && !rec.forwarded && rec.loaded == nil {
 					c.releaseOriginal(rec)
 					c.off.Delete(rec.id)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -170,6 +171,12 @@ func (o *TieredOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 		sig.FoldInt(int64(d))
 		o.steadyDPlaced[i] = d
 		o.steadyPlaced[i] = p
+	}
+	// A split cycle that routes off the target fraction moves the
+	// balance every step until a decision flips, with every delta above
+	// unchanged: two steps may match only when the balance holds still.
+	if sp, ok := o.policy.(splitPolicy); ok && len(o.placed) > 1 {
+		sig.Fold(math.Float64bits(sp.balance(o.placed)))
 	}
 	for _, t := range o.tiers {
 		t.FoldCycle(sig, origin)

@@ -118,6 +118,18 @@ func (p splitPolicy) Place(v StackView, n units.Bytes) int {
 	return len(v.Tiers) - 1
 }
 
+// balance is how far the first tier's placed bytes stand above the
+// target fraction of all placed bytes. Place routes a tensor of n bytes
+// to the first tier only while balance + (1−frac)·n ≤ 0, so the
+// decisions read the running totals themselves, not only their growth.
+func (p splitPolicy) balance(placed []units.Bytes) float64 {
+	var total units.Bytes
+	for _, b := range placed {
+		total += b
+	}
+	return float64(placed[0]) - p.frac*float64(total)
+}
+
 // SplitPolicy returns a placement that routes the given fraction of
 // placed bytes to the first tier and the remainder down the stack.
 func SplitPolicy(frac float64) PlacementPolicy {

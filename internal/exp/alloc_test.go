@@ -9,7 +9,8 @@ import (
 	"ssdtrain/internal/models"
 )
 
-// allocCase is one configuration of the warm-session allocation contract.
+// allocCase is one configuration of the warm-session allocation contract
+// and the counters golden.
 type allocCase struct {
 	name string
 	cfg  RunConfig
@@ -61,14 +62,10 @@ func allocCases() []allocCase {
 // a warm Execute may allocate:
 //   - the RunResult struct;
 //   - its PerStep rows;
-//   - its memory report (Mem);
 //   - its Tiers rows, when the strategy offloads;
-//   - its optimizer summary (Optim), under optim-offload;
-//   - its counter snapshot: the *trace.Counters and its map, which the
-//     runtime builds from at most four objects (header, directory,
-//     table, groups).
+//   - its optimizer summary (Optim), under optim-offload.
 func resultObjects(res *RunResult) float64 {
-	n := 3 + 1 + 4
+	n := 2
 	if res.Tiers != nil {
 		n++
 	}

@@ -259,7 +259,7 @@ type RunResult struct {
 	Measured StepMetrics
 	// Mem is the whole-run memory report: peaks only, no timeline (each
 	// step's peaks are on its PerStep row).
-	Mem *gpu.MemReport
+	Mem gpu.MemReport
 	// PlannedBudget is the offload budget the Fig 3 workflow chose.
 	PlannedBudget units.Bytes
 	// Graph facts for estimates and tables.
@@ -279,7 +279,7 @@ type RunResult struct {
 	// Counters is a snapshot of the runtime counter set at the end of the
 	// run (a snapshot because execution arenas are recycled: the live set
 	// belongs to the arena and is reset by its next Execute).
-	Counters *trace.Counters
+	Counters trace.Counters
 	// Trace is the flight-recorder snapshot of a traced run (nil unless
 	// RunConfig.Trace was set). Like Counters it is a snapshot: the
 	// recorder itself belongs to the arena.

@@ -29,12 +29,12 @@ import (
 // re-malloc on the hot path — and on a warm session it is a contract:
 // an untraced, unmaterialized simulated step allocates nothing, on every
 // strategy, so a warm Execute allocates only the RunResult it returns
-// (the struct, its PerStep and Tiers rows, its memory report, its
-// optimizer summary and its counter snapshot), whatever its step count.
-// TestWarmExecuteAllocs pins it. The one exception is rare: the
-// per-storage side tables are Go maps, which may grow a table after a
-// clear draws a new hash seed. A traced run also grows the span log, and
-// a materialized one fills payloads.
+// (the struct, its PerStep and Tiers rows and its optimizer summary; the
+// memory report and the counter snapshot are values inside the struct),
+// whatever its step count. TestWarmExecuteAllocs pins it. The one
+// exception is rare: the per-storage side tables are Go maps, which may
+// grow a table after a clear draws a new hash seed. A traced run also
+// grows the span log, and a materialized one fills payloads.
 //
 // A Session is single-owner: it must not run two Executes concurrently.
 // Use a SessionPool to share arenas across sweep workers. The cheap knobs
@@ -180,7 +180,7 @@ func NewSession(p *Plan) (*Session, error) {
 		return nil, err
 	}
 	s.exec = exec
-	s.steady = newSteadyTracker(rt, s.offloader, s.optim)
+	s.steady = steadyTracker{rt: rt, off: s.offloader, optim: s.optim}
 	return s, nil
 }
 
@@ -474,7 +474,7 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 	}
 	// Snapshot the counters: the live set belongs to the arena and is
 	// reset by the next Execute; the result keeps its own copy.
-	res.Counters = rt.Counters.Clone()
+	res.Counters = rt.Counters
 	return nil
 }
 

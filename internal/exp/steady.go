@@ -7,6 +7,7 @@ import (
 	"ssdtrain/internal/autograd"
 	"ssdtrain/internal/core"
 	"ssdtrain/internal/sim"
+	"ssdtrain/internal/trace"
 )
 
 // Fallback reasons reported on RunResult.SteadyState and counted in the
@@ -78,8 +79,8 @@ func GlobalSteadyStats() SteadyStats {
 // RunResults stay byte-identical.
 //
 // A Session owns one tracker for its arena's lifetime; reset rewinds it
-// per run and keeps its counter maps' buckets, and the signature lives in
-// the tracker so folding it through the offload stack allocates nothing.
+// per run, and the signature lives in the tracker so folding it through
+// the offload stack allocates nothing.
 type steadyTracker struct {
 	rt    *autograd.Runtime
 	off   *core.TieredOffloader
@@ -96,32 +97,18 @@ type steadyTracker struct {
 	prevBusy time.Duration
 	prevJobs int
 
-	// counterPrev/counterDelta track per-name counter snapshots and the
-	// last step's increments (replayed ×R on extrapolation).
-	counterPrev  map[string]int64
-	counterDelta map[string]int64
+	// counterPrev/counterDelta track the counter values at the last fold
+	// and the last step's increments (replayed ×R on extrapolation).
+	counterPrev  [trace.NumCounters]int64
+	counterDelta [trace.NumCounters]int64
 
 	prevSum  uint64
 	havePrev bool
 }
 
-func newSteadyTracker(rt *autograd.Runtime, off *core.TieredOffloader, optim *core.OptimOffloader) steadyTracker {
-	return steadyTracker{
-		rt:           rt,
-		off:          off,
-		optim:        optim,
-		counterPrev:  make(map[string]int64),
-		counterDelta: make(map[string]int64),
-	}
-}
-
 // reset rewinds the tracker for a new run on the same arena.
 func (t *steadyTracker) reset() {
-	t.allocMark = 0
-	t.prevBusy, t.prevJobs = 0, 0
-	clear(t.counterPrev)
-	clear(t.counterDelta)
-	t.prevSum, t.havePrev = 0, false
+	*t = steadyTracker{rt: t.rt, off: t.off, optim: t.optim}
 }
 
 // beginStep records the allocator event-log position before the step runs.
@@ -167,23 +154,20 @@ func (t *steadyTracker) fold(m StepMetrics, measured bool) bool {
 	// The step's allocator event block, relative to the step start.
 	t.rt.Alloc.FoldTail(sig, t.allocMark, origin)
 
-	// Counter increments. Map iteration order is random, so each entry
-	// hashes independently and the results combine by XOR — order-blind,
-	// deterministic.
-	var acc uint64
-	n := 0
-	t.rt.Counters.Range(func(name string, v int64) {
-		d := v - t.counterPrev[name]
-		var e sim.Sig
-		e.FoldString(name)
-		e.FoldInt(d)
-		acc ^= e.Sum()
-		n++
-		t.counterPrev[name] = v
-		t.counterDelta[name] = d
-	})
-	sig.FoldInt(int64(n))
-	sig.Fold(acc)
+	// Counter increments: each touched counter and its delta, in enum
+	// order.
+	cs := &t.rt.Counters
+	for k := range trace.NumCounters {
+		if !cs.Touched(k) {
+			continue
+		}
+		v := cs.Value(k)
+		d := v - t.counterPrev[k]
+		sig.FoldInt(int64(k))
+		sig.FoldInt(d)
+		t.counterPrev[k] = v
+		t.counterDelta[k] = d
+	}
 
 	// The offload stack's per-cycle accounting.
 	if t.off != nil {
@@ -205,9 +189,9 @@ func (t *steadyTracker) fold(m StepMetrics, measured bool) bool {
 // extrapolateCounters replays the last measured step's counter increments
 // n more times onto the live counter set.
 func (t *steadyTracker) extrapolateCounters(n int64) {
-	for name, d := range t.counterDelta {
+	for k, d := range t.counterDelta {
 		if d != 0 {
-			t.rt.Counters.Add(name, d*n)
+			t.rt.Counters.Add(trace.Counter(k), d*n)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package exp
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -249,4 +251,113 @@ func TestSteadyStateWearDeathInExtrapolatedRegion(t *testing.T) {
 			t.Errorf("mode %q: wear death at %v, want %v", mode, dfe.At, wantAt)
 		}
 	}
+}
+
+// fuzzPreset is a strategy, and for the offloaded optimizer a schedule.
+type fuzzPreset struct {
+	strategy Strategy
+	schedule string
+}
+
+// fuzzPresets are the presets FuzzSteadyMatchesFull draws from, the
+// offloaded optimizer once per schedule.
+var fuzzPresets = []fuzzPreset{
+	{NoOffload, ""}, {Recompute, ""}, {SSDTrain, ""}, {CPUOffload, ""}, {HybridOffload, ""},
+	{OptimOffload, ScheduleSync}, {OptimOffload, ScheduleOverlap},
+}
+
+// fuzzPlacements are the placements a stacked preset draws from; split
+// always takes the 0.5 ratio steadyVariants uses.
+var fuzzPlacements = []Placement{PlacementDRAMFirst, PlacementSSDOnly, PlacementSplit}
+
+// unitFrac maps a finite float into [0, 1], keeping values already in
+// it.
+func unitFrac(x float64) float64 {
+	if x < 0 || x > 1 {
+		return math.Mod(math.Abs(x), 1)
+	}
+	return x
+}
+
+// fuzzSteadyCfg decodes FuzzSteadyMatchesFull's input into a config on
+// the smallCfg geometry: Steps 1–24, Warmup 0–3 (0 takes the default),
+// keep-last 1–3, micro-batches 1–2, a bandwidth share in [0, 1], a
+// DRAM grant in MiB on presets with a DRAM rung, and a placement on
+// stacked presets. share must be finite.
+func fuzzSteadyCfg(preset, placement uint8, share float64, dramMiB uint16, steps, warmup, keepLast, micro uint8) RunConfig {
+	p := fuzzPresets[int(preset)%len(fuzzPresets)]
+	cfg := smallCfg(p.strategy)
+	cfg.Schedule = p.schedule
+	t := presets[p.strategy]
+	if t.stacked() {
+		cfg.Placement = fuzzPlacements[int(placement)%len(fuzzPlacements)]
+		if cfg.Placement == PlacementSplit {
+			cfg.SplitRatio = 0.5
+		}
+	}
+	if t.dram {
+		cfg.DRAMCapacity = units.Bytes(dramMiB) * units.MiB
+	}
+	cfg.SSDBandwidthShare = unitFrac(share)
+	cfg.Steps = 1 + int(steps)%24
+	cfg.Warmup = int(warmup) % 4
+	cfg.KeepLastModules = 1 + int(keepLast)%3
+	cfg.MicroBatches = 1 + int(micro)%2
+	return cfg
+}
+
+// FuzzSteadyMatchesFull is the fast path's property over random small
+// configs: with the fast path on, a run's RunResult is byte-identical
+// to the fully simulated one in everything but the knob echo and the
+// fast-path metadata, its simulated and extrapolated steps add up to
+// Steps, and a run that fails fails the same way in both modes. The
+// seed corpus is the seven steadyVariants at 20 steps.
+func FuzzSteadyMatchesFull(f *testing.F) {
+	for _, v := range steadyVariants() {
+		c := v.cfg.withDefaults()
+		c.Steps = 20
+		preset := slices.Index(fuzzPresets, fuzzPreset{c.Strategy, c.Schedule})
+		placement := max(slices.Index(fuzzPlacements, c.Placement), 0)
+		f.Add(uint8(preset), uint8(placement), c.SSDBandwidthShare, 0.0, uint16(c.DRAMCapacity/units.MiB),
+			uint8(c.Steps-1), uint8(c.Warmup), uint8(c.KeepLastModules-1), uint8(c.MicroBatches-1))
+	}
+	f.Fuzz(func(t *testing.T, preset, placement uint8, share, budgetFrac float64, dramMiB uint16, steps, warmup, keepLast, micro uint8) {
+		for _, x := range []float64{share, budgetFrac} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Skip("non-finite float")
+			}
+		}
+		cfg, err := Normalize(fuzzSteadyCfg(preset, placement, share, dramMiB, steps, warmup, keepLast, micro))
+		if err != nil {
+			t.Skip(err)
+		}
+		// The budget is a fraction of the plan's eligible bytes; 0 leaves
+		// it to the planner.
+		if budgetFrac != 0 {
+			plan, err := Compile(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Budget = units.Bytes(unitFrac(budgetFrac) * float64(plan.EligibleBytes()))
+		}
+		fast, errFast := Run(cfg)
+		slow := cfg
+		slow.SteadyState = "off"
+		full, errFull := Run(slow)
+		if errFast != nil || errFull != nil {
+			if errFast == nil || errFull == nil || errFast.Error() != errFull.Error() {
+				t.Fatalf("fast run error %v, full run error %v (cfg %+v)", errFast, errFull, cfg)
+			}
+			return
+		}
+		if got := fast.SteadyState.SimulatedSteps + fast.SteadyState.ExtrapolatedSteps; got != cfg.Steps {
+			t.Errorf("simulated %d + extrapolated %d != %d steps",
+				fast.SteadyState.SimulatedSteps, fast.SteadyState.ExtrapolatedSteps, cfg.Steps)
+		}
+		full.Config.SteadyState = fast.Config.SteadyState
+		full.SteadyState = fast.SteadyState
+		if !reflect.DeepEqual(fast, full) {
+			t.Errorf("extrapolated result differs from full simulation (cfg %+v)", cfg)
+		}
+	})
 }

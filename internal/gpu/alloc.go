@@ -280,7 +280,7 @@ type MemReport struct {
 
 // PeakActivations returns the activation-class peak (the paper's Fig 6b
 // metric).
-func (r *MemReport) PeakActivations() units.Bytes {
+func (r MemReport) PeakActivations() units.Bytes {
 	return r.PeakByClass[ClassActivations]
 }
 
@@ -300,7 +300,7 @@ type Window struct {
 // and must not overlap. Finalize may be called once; further allocator
 // use panics, and so does a class level going negative, which only a
 // bug can produce.
-func (a *Allocator) Finalize(windows []Window) *MemReport {
+func (a *Allocator) Finalize(windows []Window) MemReport {
 	if a.final {
 		panic("gpu: Finalize called twice")
 	}
@@ -321,8 +321,8 @@ func (a *Allocator) Finalize(windows []Window) *MemReport {
 		evs = a.events
 		sortEvents(evs)
 	}
-	rep := &MemReport{Capacity: a.capacity}
-	r := levelRun{rep: rep}
+	rep := MemReport{Capacity: a.capacity}
+	r := levelRun{rep: &rep}
 	// One merged pass: windows and events are both sorted, so each window
 	// takes the level carried in at its start and the levels after the
 	// events inside it.

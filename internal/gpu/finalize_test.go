@@ -183,7 +183,7 @@ func randomCycle(rng *rand.Rand, mode int, overlap, allocAfter bool) cycleCase {
 // run issues the cycle's prefix and first copy for real, then the
 // remaining copies either through ReplicateTail or for real, and
 // finalizes with windows.
-func (c cycleCase) run(t *testing.T, virtual bool, windows []Window) *MemReport {
+func (c cycleCase) run(t *testing.T, virtual bool, windows []Window) MemReport {
 	a := NewAllocator(units.GiB)
 	a.Alloc(0, tensor.NewStorage(7, tensor.GPU), ClassWeights)
 	var carried []*tensor.Storage

@@ -190,9 +190,13 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	// Dedup waves: each wave uses a previously unseen config (varied
 	// steps) so it cannot be answered from the result cache; retry with a
 	// fresh config until the server observed coalescing, bounded so a
-	// pathological environment still terminates.
+	// pathological environment still terminates. The model is 24 layers
+	// deep: the warm-up and convergence steps the fast path must simulate
+	// take about 7 ms on a 2-vCPU host, so the first request is still
+	// running when its twins arrive. A palette model finishes in about
+	// 0.5 ms, sometimes before they do.
 	for wave := 0; wave < 5; wave++ {
-		req := loadPalette()[0]
+		req := PlanRequest{Model: ModelSpec{Arch: "bert", Hidden: 2048, Layers: 24, Batch: 4}, Strategy: "ssdtrain"}
 		// Steps is a cheap knob (shared plan shape), but the result cache
 		// and singleflight key on the full normalized config — so each
 		// wave's config is previously unseen and must coalesce through

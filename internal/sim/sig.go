@@ -50,24 +50,5 @@ func (s *Sig) FoldHorizon(busyUntil, origin time.Duration) {
 	s.FoldDur(max(busyUntil-origin, 0))
 }
 
-// FoldString mixes a string, length-prefixed so concatenations cannot
-// alias.
-func (s *Sig) FoldString(str string) {
-	s.Fold(uint64(len(str)))
-	var w uint64
-	n := 0
-	for i := 0; i < len(str); i++ {
-		w = w<<8 | uint64(str[i])
-		n++
-		if n == 8 {
-			s.Fold(w)
-			w, n = 0, 0
-		}
-	}
-	if n > 0 {
-		s.Fold(w)
-	}
-}
-
 // Sum returns the current hash value.
 func (s *Sig) Sum() uint64 { return s.h }

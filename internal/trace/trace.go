@@ -1,75 +1,127 @@
-// Package trace collects the measurements the paper reports: named
-// counters for cache behaviour (offloads, forwards, dedup hits),
-// per-step statistics, and the text tables the tools print.
+// Package trace collects the measurements the paper reports: the
+// runtime's counters for executor and cache behaviour (packs, stores,
+// forwards, dedup hits) — a fixed enum, counted in an array and named
+// only when rendered — per-step statistics, and the text tables the
+// tools print.
 package trace
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 	"time"
 
 	"ssdtrain/internal/units"
 )
 
-// Counters is a set of named monotonically increasing counters.
+// Counter is one of the runtime's fixed counters. The values run in
+// name order, so walking them in order lists the names sorted.
+type Counter uint8
+
+// The runtime counters: the tensor cache's (cache.*) and the executor's
+// (exec.*), in name order.
+const (
+	CacheDedupHits Counter = iota
+	CacheDemandLoads
+	CacheForwardHits
+	CacheKeeps
+	CacheLeaks
+	CacheLoadErrors
+	CacheLoads
+	CachePacks
+	CacheSmallSkips
+	CacheStoreErrors
+	CacheStores
+	CacheWeightSkips
+	ExecBwdOps
+	ExecFwdOps
+	ExecPacks
+	ExecRecomputeOps
+	ExecUnpacks
+	// NumCounters is the number of counters.
+	NumCounters
+)
+
+var counterNames = [NumCounters]string{
+	CacheDedupHits:   "cache.dedup_hits",
+	CacheDemandLoads: "cache.demand_loads",
+	CacheForwardHits: "cache.forward_hits",
+	CacheKeeps:       "cache.keeps",
+	CacheLeaks:       "cache.leaks",
+	CacheLoadErrors:  "cache.load_errors",
+	CacheLoads:       "cache.loads",
+	CachePacks:       "cache.packs",
+	CacheSmallSkips:  "cache.small_skips",
+	CacheStoreErrors: "cache.store_errors",
+	CacheStores:      "cache.stores",
+	CacheWeightSkips: "cache.weight_skips",
+	ExecBwdOps:       "exec.bwd_ops",
+	ExecFwdOps:       "exec.fwd_ops",
+	ExecPacks:        "exec.packs",
+	ExecRecomputeOps: "exec.recompute_ops",
+	ExecUnpacks:      "exec.unpacks",
+}
+
+// String returns the counter's name.
+func (k Counter) String() string { return counterNames[k] }
+
+// Counters is a set of monotonically increasing counters, one per
+// Counter, plus which of them have been touched. It is a plain value:
+// assigning it takes a snapshot, and the zero value is empty.
 type Counters struct {
-	vals map[string]int64
+	vals    [NumCounters]int64
+	touched uint32
 }
 
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{vals: make(map[string]int64)}
+// Add increments counter k by n and marks it touched.
+func (c *Counters) Add(k Counter, n int64) {
+	c.vals[k] += n
+	c.touched |= 1 << k
 }
 
-// Add increments a counter by n.
-func (c *Counters) Add(name string, n int64) { c.vals[name] += n }
+// Reset zeroes every counter for reuse by a new run.
+func (c *Counters) Reset() { *c = Counters{} }
 
-// Reset zeroes every counter for reuse by a new run; map buckets are
-// retained so a replayed run's increments allocate nothing.
-func (c *Counters) Reset() { clear(c.vals) }
+// Value returns counter k's value (zero if never touched).
+func (c *Counters) Value(k Counter) int64 { return c.vals[k] }
 
-// Clone returns an independent snapshot of the counter set, so a result
-// can keep a run's final counters while the live set is reset for the
-// next run.
-func (c *Counters) Clone() *Counters {
-	cp := &Counters{vals: make(map[string]int64, len(c.vals))}
-	for k, v := range c.vals {
-		cp.vals[k] = v
+// Touched reports whether counter k has been added to since the last
+// Reset, even by zero.
+func (c *Counters) Touched(k Counter) bool { return c.touched&(1<<k) != 0 }
+
+// Get returns the value of the counter with the given name (zero if it
+// was never touched or names no counter).
+func (c *Counters) Get(name string) int64 {
+	for k, n := range counterNames {
+		if n == name {
+			return c.vals[k]
+		}
 	}
-	return cp
-}
-
-// Get returns a counter's value (zero if never touched).
-func (c *Counters) Get(name string) int64 { return c.vals[name] }
-
-// Range calls f for every touched counter, in unspecified order. It is
-// the allocation-free alternative to Names+Get for callers (the
-// steady-state signature fold) that run once per simulated step.
-func (c *Counters) Range(f func(name string, v int64)) {
-	for k, v := range c.vals {
-		f(k, v)
-	}
+	return 0
 }
 
 // Names returns the sorted list of counters that have been touched.
 func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.vals))
-	for k := range c.vals {
-		names = append(names, k)
+	names := make([]string, 0, bits.OnesCount32(c.touched))
+	for k := range NumCounters {
+		if c.Touched(k) {
+			names = append(names, k.String())
+		}
 	}
-	sort.Strings(names)
 	return names
 }
 
-// String renders all counters, sorted by name.
+// String renders the touched counters, sorted by name.
 func (c *Counters) String() string {
 	var b strings.Builder
-	for i, name := range c.Names() {
-		if i > 0 {
+	for k := range NumCounters {
+		if !c.Touched(k) {
+			continue
+		}
+		if b.Len() > 0 {
 			b.WriteString(" ")
 		}
-		fmt.Fprintf(&b, "%s=%d", name, c.vals[name])
+		fmt.Fprintf(&b, "%s=%d", k, c.vals[k])
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -9,15 +10,45 @@ import (
 )
 
 func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Add("b", 2)
-	c.Add("a", 1)
-	c.Add("b", 3)
-	if c.Get("b") != 5 || c.Get("a") != 1 || c.Get("missing") != 0 {
-		t.Errorf("counter values wrong: %s", c)
+	var c Counters
+	if got := c.String(); got != "" {
+		t.Errorf("zero Counters String() = %q, want empty", got)
 	}
-	if got := c.String(); got != "a=1 b=5" {
-		t.Errorf("String() = %q", got)
+	c.Add(ExecPacks, 2)
+	c.Add(CacheStores, 1)
+	c.Add(ExecPacks, 3)
+	c.Add(CacheLeaks, 0)
+	if c.Get("exec.packs") != 5 || c.Get("cache.stores") != 1 || c.Value(ExecPacks) != 5 {
+		t.Errorf("counter values wrong: %s", c.String())
+	}
+	if c.Get("cache.loads") != 0 || c.Get("missing") != 0 {
+		t.Error("an untouched counter or an unknown name must read 0")
+	}
+	// Only touched counters are listed, sorted by name; a zero add
+	// touches.
+	if got, want := c.String(), "cache.leaks=0 cache.stores=1 exec.packs=5"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if got := c.Names(); !slices.Equal(got, []string{"cache.leaks", "cache.stores", "exec.packs"}) {
+		t.Errorf("Names() = %v", got)
+	}
+	snap := c
+	c.Reset()
+	if got := c.String(); got != "" || len(c.Names()) != 0 || c.Get("exec.packs") != 0 || c.Touched(ExecPacks) {
+		t.Errorf("after Reset: String() = %q, Names() = %v", got, c.Names())
+	}
+	if snap.Get("exec.packs") != 5 {
+		t.Error("Reset changed a copied snapshot")
+	}
+}
+
+// TestCounterNamesSorted pins the enum to name order, which String and
+// Names rely on to list counters sorted.
+func TestCounterNamesSorted(t *testing.T) {
+	for k := Counter(1); k < NumCounters; k++ {
+		if prev := k - 1; prev.String() >= k.String() {
+			t.Errorf("counter %d %q does not sort after %q", k, k, prev)
+		}
 	}
 }
 
