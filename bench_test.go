@@ -381,7 +381,7 @@ func BenchmarkFleetScheduler(b *testing.B) {
 // replaces (reported as missRun_ms for comparison).
 func BenchmarkFleetResultCache(b *testing.B) {
 	node := DefaultFleetNode()
-	run := RunConfig{Model: PaperConfig(BERT, 8192, 4, 8), Strategy: StrategySSDTrain}
+	run := exp.RunConfig{Model: PaperConfig(BERT, 8192, 4, 8), Strategy: StrategySSDTrain}
 	cold := NewFleetProfiler(0)
 	start := time.Now()
 	if _, err := cold.Measure(run, node, 0.5, 0); err != nil {

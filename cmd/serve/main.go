@@ -264,9 +264,6 @@ func runSelfcheck(handler http.Handler, n, c int) int {
 	if err := checkTrace(base); err != nil {
 		fail("trace endpoint: %v", err)
 	}
-	if err := checkSpecForms(base); err != nil {
-		fail("spec wire form: %v", err)
-	}
 	if err := checkBuildinfo(base); err != nil {
 		fail("buildinfo endpoint: %v", err)
 	}
@@ -288,7 +285,7 @@ func runSelfcheck(handler http.Handler, n, c int) int {
 // require. A malformed trace fails the selfcheck — a trace nobody can
 // load is worse than none.
 func checkTrace(base string) error {
-	req := `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain"}`
+	req := `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"}}}`
 	resp, err := http.Post(base+"/v1/trace", "application/json", bytes.NewReader([]byte(req)))
 	if err != nil {
 		return err
@@ -325,64 +322,6 @@ func checkTrace(base string) error {
 		}
 	}
 	log.Printf("selfcheck: /v1/trace OK (%d events, %d bytes)", len(doc.TraceEvents), len(body))
-	return nil
-}
-
-// checkSpecForms POSTs the same planning question in both wire shapes —
-// the flat legacy body and the nested schema-v2 "spec" body — and
-// requires byte-identical answers: both forms must normalize to one
-// exp.RunConfig and hit one cache entry. A second pair exercises the
-// optimizer-offload family end to end (nested optimizer group vs flat
-// optim_kind/schedule knobs) and checks the v2 schema marker.
-func checkSpecForms(base string) error {
-	post := func(body string) ([]byte, error) {
-		resp, err := http.Post(base+"/v1/plan", "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			return nil, err
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, b)
-		}
-		return b, nil
-	}
-	pairs := [][2]string{
-		{
-			`{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"hybrid","placement":"dram-first","dram_capacity_bytes":1073741824}`,
-			`{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"hybrid","placement":"dram-first","dram_capacity_bytes":1073741824}}}`,
-		},
-		{
-			`{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"optim-offload","schedule":"overlap","dram_capacity_bytes":1073741824}`,
-			`{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"dram_capacity_bytes":1073741824},"optimizer":{"offload":true,"schedule":"overlap"}}}`,
-		},
-	}
-	for i, pair := range pairs {
-		flat, err := post(pair[0])
-		if err != nil {
-			return fmt.Errorf("pair %d flat: %w", i, err)
-		}
-		nested, err := post(pair[1])
-		if err != nil {
-			return fmt.Errorf("pair %d spec: %w", i, err)
-		}
-		if !bytes.Equal(flat, nested) {
-			return fmt.Errorf("pair %d: flat and spec bodies differ:\n flat: %s\n spec: %s", i, flat, nested)
-		}
-		var marker struct {
-			Schema string `json:"schema"`
-		}
-		if err := json.Unmarshal(flat, &marker); err != nil {
-			return fmt.Errorf("pair %d: %v", i, err)
-		}
-		if marker.Schema != "v2" {
-			return fmt.Errorf("pair %d: schema %q, want \"v2\"", i, marker.Schema)
-		}
-	}
-	log.Printf("selfcheck: /v1/plan flat and spec bodies byte-identical (schema v2)")
 	return nil
 }
 

@@ -33,19 +33,24 @@ func main() {
 	flag.Parse()
 
 	cfg := ssdtrain.PaperConfig(ssdtrain.Arch(*model), *hidden, *layers, *batch)
-	run := ssdtrain.RunConfig{
-		Model:        cfg,
-		Strategy:     ssdtrain.Strategy(*strategy),
-		Placement:    ssdtrain.Placement(*placement),
-		DRAMCapacity: units.Bytes(*dramGiB * float64(units.GiB)),
-		OptimKind:    *optimKind,
-		Schedule:     *schedule,
-		Steps:        *steps,
-		Materialize:  *verify,
-		Verify:       *verify,
+	run := ssdtrain.Spec{
+		Model: cfg,
+		Offload: ssdtrain.OffloadSpec{
+			Strategy:     ssdtrain.Strategy(*strategy),
+			Placement:    ssdtrain.Placement(*placement),
+			DRAMCapacity: units.Bytes(*dramGiB * float64(units.GiB)),
+			Materialize:  *verify,
+			Verify:       *verify,
+		},
+		Optimizer: ssdtrain.OptimizerSpec{
+			Kind:     *optimKind,
+			Offload:  ssdtrain.Strategy(*strategy) == ssdtrain.StrategyOptimOffload,
+			Schedule: *schedule,
+		},
+		Run: ssdtrain.RunSpec{Steps: *steps},
 	}
-	if run.Placement == ssdtrain.PlacementSplit {
-		run.SplitRatio = *splitRatio
+	if run.Offload.Placement == ssdtrain.PlacementSplit {
+		run.Offload.SplitRatio = *splitRatio
 	}
 	res, err := ssdtrain.Train(run)
 	if err != nil {

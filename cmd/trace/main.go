@@ -51,19 +51,24 @@ func main() {
 	if err != nil {
 		log.Fatalf("trace: %v", err)
 	}
-	run := exp.RunConfig{
-		Model:             models.PaperConfig(models.Arch(*model), *hidden, *layers, *batch),
-		Strategy:          exp.Strategy(*strategy),
-		Placement:         exp.Placement(*placement),
-		DRAMCapacity:      units.Bytes(*dramGiB * float64(units.GiB)),
-		SSDBandwidthShare: *share,
-		Steps:             *steps,
-		Faults:            spec,
+	run := exp.Spec{
+		Model: models.PaperConfig(models.Arch(*model), *hidden, *layers, *batch),
+		Offload: exp.OffloadSpec{
+			Strategy:     exp.Strategy(*strategy),
+			Placement:    exp.Placement(*placement),
+			DRAMCapacity: units.Bytes(*dramGiB * float64(units.GiB)),
+		},
+		Run:    exp.RunSpec{Steps: *steps},
+		Inject: exp.InjectSpec{Faults: spec, SSDBandwidthShare: *share},
 	}
-	if run.Placement == exp.PlacementSplit {
-		run.SplitRatio = *splitRatio
+	if run.Offload.Placement == exp.PlacementSplit {
+		run.Offload.SplitRatio = *splitRatio
 	}
-	res, tr, err := exp.TraceOf(run)
+	cfg, err := run.RunConfig()
+	if err != nil {
+		log.Fatalf("trace: %v", err)
+	}
+	res, tr, err := exp.TraceOf(cfg)
 	if err != nil {
 		log.Fatalf("trace: %v", err)
 	}

@@ -21,10 +21,10 @@ import (
 
 func main() {
 	model := ssdtrain.PaperConfig(ssdtrain.BERT, 8192, 4, 16)
-	base := ssdtrain.RunConfig{
-		Model:    model,
-		Strategy: ssdtrain.StrategySSDTrain,
-		Steps:    12, // the fast path synthesizes the steps after convergence
+	base := ssdtrain.Spec{
+		Model:   model,
+		Offload: ssdtrain.OffloadSpec{Strategy: ssdtrain.StrategySSDTrain},
+		Run:     ssdtrain.RunSpec{Steps: 12}, // the fast path synthesizes the steps after convergence
 	}
 
 	start := time.Now()
@@ -40,12 +40,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Plans and sessions execute a spec's flattened config.
+	execute := func(s ssdtrain.Spec) *ssdtrain.RunResult {
+		cfg, err := s.RunConfig()
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := sess.Execute(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
 
 	// Reference run: let the Fig 3 planner pick the budget.
-	ref, err := sess.Execute(base)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ref := execute(base)
 	fmt.Printf("%s  planned budget %v  step %v  activation peak %v\n\n",
 		model, ref.PlannedBudget, ref.StepTime(), ref.Measured.ActPeak)
 
@@ -53,38 +62,36 @@ func main() {
 	// the session's recycled arena.
 	fmt.Println("offload budget sweep (fraction of planned):")
 	for _, f := range []float64{0.25, 0.5, 0.75, 1.0} {
-		cfg := base
-		cfg.Budget = units.Bytes(f * float64(ref.PlannedBudget))
-		res, err := sess.Execute(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
+		s := base
+		s.Offload.Budget = units.Bytes(f * float64(ref.PlannedBudget))
+		res := execute(s)
 		fmt.Printf("  %4.0f%%  offloaded %8v  step %v  peak %v\n",
 			f*100, res.Measured.IO.Offloaded, res.StepTime(), res.Measured.ActPeak)
 	}
 
 	// The recycled arena is an optimization, never a behavior change:
 	// a single-use Execute of the same config must agree byte-for-byte.
-	fresh, err := plan.Execute(base)
+	cfg, err := base.RunConfig()
 	if err != nil {
 		log.Fatal(err)
 	}
-	again, err := sess.Execute(base)
+	fresh, err := plan.Execute(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	again := execute(base)
 	fmt.Printf("\nsession reuse byte-identical to fresh Execute: %v\n", reflect.DeepEqual(fresh, again))
 
 	// Share sweep via the deduplicated batch API: 8 requested points,
 	// 4 distinct — duplicates share one simulation.
-	var cfgs []ssdtrain.RunConfig
+	var specs []ssdtrain.Spec
 	shares := []float64{0, 0.5, 0.25, 0.125}
 	for i := 0; i < 8; i++ {
-		cfg := base
-		cfg.SSDBandwidthShare = shares[i%len(shares)]
-		cfgs = append(cfgs, cfg)
+		s := base
+		s.Inject.SSDBandwidthShare = shares[i%len(shares)]
+		specs = append(specs, s)
 	}
-	results, err := ssdtrain.TrainSweep(0, cfgs)
+	results, err := ssdtrain.TrainSweep(0, specs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,12 +19,14 @@ func main() {
 
 	// A memory-constrained job: the budget pins every activation to the
 	// array, so a thinner bandwidth share stretches its step time.
-	pinned := ssdtrain.RunConfig{
-		Model:           ssdtrain.PaperConfig(ssdtrain.BERT, 8192, 4, 8),
-		Strategy:        ssdtrain.StrategySSDTrain,
-		Budget:          1 << 62,
-		NoForwarding:    true,
-		KeepLastModules: -1,
+	pinned := ssdtrain.Spec{
+		Model: ssdtrain.PaperConfig(ssdtrain.BERT, 8192, 4, 8),
+		Offload: ssdtrain.OffloadSpec{
+			Strategy:        ssdtrain.StrategySSDTrain,
+			Budget:          1 << 62,
+			NoForwarding:    true,
+			KeepLastModules: -1,
+		},
 	}
 	var jobs []ssdtrain.FleetJob
 	for i := 0; i < 8; i++ {
@@ -51,9 +53,8 @@ func main() {
 	// API: the same job measured exclusively vs. at a quarter share.
 	for _, share := range []float64{1, 0.25} {
 		run := pinned
-		run.SSDBandwidthShare = share
-		run.GPU = node.GPU
-		run.SSD = node.SSD
+		run.Inject.SSDBandwidthShare = share
+		run.Machine = ssdtrain.MachineSpec{GPU: node.GPU, SSD: node.SSD}
 		res, err := ssdtrain.Train(run)
 		if err != nil {
 			log.Fatal(err)

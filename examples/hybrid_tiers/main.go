@@ -27,13 +27,15 @@ func main() {
 	// Memory-constrained posture: pin the budget (offload everything) and
 	// make every reload a synchronous demand load, so step time is a pure
 	// function of where the bytes live.
-	base := ssdtrain.RunConfig{
-		Model:             model,
-		Budget:            units.Bytes(1) << 62,
-		NoForwarding:      true,
-		PrefetchAhead:     -1,
-		KeepLastModules:   -1,
-		SSDBandwidthShare: 0.25,
+	base := ssdtrain.Spec{
+		Model: model,
+		Offload: ssdtrain.OffloadSpec{
+			Budget:          units.Bytes(1) << 62,
+			NoForwarding:    true,
+			PrefetchAhead:   -1,
+			KeepLastModules: -1,
+		},
+		Inject: ssdtrain.InjectSpec{SSDBandwidthShare: 0.25},
 	}
 
 	fmt.Println("== dram-first: step time vs DRAM capacity (array at 1/4 share) ==")
@@ -49,7 +51,7 @@ func main() {
 
 	fmt.Println("== overlapping both PCIe paths beats either target alone ==")
 	overlapped := base
-	overlapped.PrefetchAhead = 0 // default: prefetch everything
+	overlapped.Offload.PrefetchAhead = 0 // default: prefetch everything
 	both, err := ssdtrain.DRAMSweep(overlapped, []float64{0.75})
 	if err != nil {
 		log.Fatal(err)
@@ -62,12 +64,14 @@ func main() {
 
 	fmt.Println("== split placement: route bytes by ratio across both paths ==")
 	for _, ratio := range []float64{0.25, 0.5, 0.75} {
-		res, err := ssdtrain.Train(ssdtrain.RunConfig{
-			Model:        model,
-			Strategy:     ssdtrain.StrategyHybridOffload,
-			Placement:    ssdtrain.PlacementSplit,
-			SplitRatio:   ratio,
-			DRAMCapacity: units.Bytes(1) << 40,
+		res, err := ssdtrain.Train(ssdtrain.Spec{
+			Model: model,
+			Offload: ssdtrain.OffloadSpec{
+				Strategy:     ssdtrain.StrategyHybridOffload,
+				Placement:    ssdtrain.PlacementSplit,
+				SplitRatio:   ratio,
+				DRAMCapacity: units.Bytes(1) << 40,
+			},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -21,9 +21,8 @@ import (
 func main() {
 	model := ssdtrain.PaperConfig(ssdtrain.BERT, 2048, 24, 8)
 
-	// The grouped Spec form: each concern in its own block, the
-	// optimizer family selected by Optimizer.Offload rather than a
-	// strategy string.
+	// Each concern in its own block, the optimizer family selected by
+	// Optimizer.Offload rather than a strategy string.
 	spec := ssdtrain.Spec{
 		Model: model,
 		Offload: ssdtrain.OffloadSpec{
@@ -36,12 +35,12 @@ func main() {
 		},
 		Run: ssdtrain.RunSpec{MicroBatches: 2},
 	}
-	sync, err := ssdtrain.TrainSpec(spec)
+	sync, err := ssdtrain.Train(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	spec.Optimizer.Schedule = ssdtrain.ScheduleOverlap
-	overlap, err := ssdtrain.TrainSpec(spec)
+	overlap, err := ssdtrain.Train(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,9 +58,9 @@ func main() {
 
 	// The full figure: residency fractions of the working set under both
 	// schedules, against the activation-offload baseline.
-	sweep, err := ssdtrain.OptimSweep(ssdtrain.RunConfig{
-		Model:        model,
-		MicroBatches: 2,
+	sweep, err := ssdtrain.OptimSweep(ssdtrain.Spec{
+		Model: model,
+		Run:   ssdtrain.RunSpec{MicroBatches: 2},
 	}, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -17,17 +17,17 @@ func main() {
 	// micro-batch 16 (Fig 6, middle column).
 	cfg := ssdtrain.PaperConfig(ssdtrain.GPT, 12288, 3, 16)
 
-	baseline, err := ssdtrain.Train(ssdtrain.RunConfig{
-		Model:    cfg,
-		Strategy: ssdtrain.StrategyNoOffload,
+	baseline, err := ssdtrain.Train(ssdtrain.Spec{
+		Model:   cfg,
+		Offload: ssdtrain.OffloadSpec{Strategy: ssdtrain.StrategyNoOffload},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	offloaded, err := ssdtrain.Train(ssdtrain.RunConfig{
-		Model:    cfg,
-		Strategy: ssdtrain.StrategySSDTrain,
+	offloaded, err := ssdtrain.Train(ssdtrain.Spec{
+		Model:   cfg,
+		Offload: ssdtrain.OffloadSpec{Strategy: ssdtrain.StrategySSDTrain},
 	})
 	if err != nil {
 		log.Fatal(err)

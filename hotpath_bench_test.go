@@ -356,14 +356,18 @@ func BenchmarkFullSimShareSweep(b *testing.B) { benchSteady(b, "off") }
 // mixes produce. Sequential workers isolate dedup from parallelism.
 func BenchmarkDedupSweep(b *testing.B) {
 	b.ReportAllocs()
-	var cfgs []exp.RunConfig
+	var specs []exp.Spec
 	for i := 0; i < 16; i++ {
-		cfg := sweepBase()
-		cfg.SSDBandwidthShare = shareSweepPoints[i%len(shareSweepPoints)]
-		cfgs = append(cfgs, cfg)
+		base := sweepBase()
+		specs = append(specs, exp.Spec{
+			Model:   base.Model,
+			Offload: exp.OffloadSpec{Strategy: base.Strategy},
+			Run:     exp.RunSpec{Steps: base.Steps},
+			Inject:  exp.InjectSpec{SSDBandwidthShare: shareSweepPoints[i%len(shareSweepPoints)]},
+		})
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Sweep(1, cfgs); err != nil {
+		if _, err := exp.Sweep(1, specs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -72,7 +72,7 @@ const benchHedgeDelay = 100 * time.Microsecond
 // is bounded below by the hedge delay; allocs/op is what one
 // routed-and-hedged request costs in garbage.
 func BenchmarkHedgedRequest(b *testing.B) {
-	blob := []byte(`{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain"}`)
+	blob := []byte(`{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"}}}`)
 	tr := &benchTransport{payload: []byte(`{"bench":"hedged-request"}` + "\n")}
 	rt, err := NewRouter(Options{
 		Replicas: []Replica{

@@ -191,7 +191,11 @@ type drillShape struct {
 func buildShapes(n int, ring *Ring) ([]drillShape, error) {
 	out := make([]drillShape, 0, n)
 	for i := 1; i <= n; i++ {
-		req := serve.PlanRequest{Model: drillModel(), Strategy: "ssdtrain", MicroBatches: i}
+		req := serve.PlanRequest{Spec: serve.SpecRequest{
+			Model:   drillModel(),
+			Offload: serve.OffloadRequest{Strategy: "ssdtrain"},
+			Run:     serve.RunRequest{MicroBatches: i},
+		}}
 		blob, err := json.Marshal(req)
 		if err != nil {
 			return nil, err

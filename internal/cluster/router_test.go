@@ -88,11 +88,11 @@ func testCluster(t *testing.T, n int, tweak func(*Options)) (*Router, []*replica
 
 func planBlob(t *testing.T, micro int) []byte {
 	t.Helper()
-	blob, err := json.Marshal(serve.PlanRequest{
-		Model:        serve.ModelSpec{Arch: "bert", Hidden: 2048, Layers: 2, Batch: 4},
-		Strategy:     "ssdtrain",
-		MicroBatches: micro,
-	})
+	blob, err := json.Marshal(serve.PlanRequest{Spec: serve.SpecRequest{
+		Model:   serve.ModelSpec{Arch: "bert", Hidden: 2048, Layers: 2, Batch: 4},
+		Offload: serve.OffloadRequest{Strategy: "ssdtrain"},
+		Run:     serve.RunRequest{MicroBatches: micro},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

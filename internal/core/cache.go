@@ -16,7 +16,7 @@ type Config struct {
 	Runtime   *autograd.Runtime
 	Offloader Offloader
 	// Budget bounds the bytes submitted for offload per micro-batch
-	// (Alg. 1's is_offload_amount_reached); 0 means unlimited. Use
+	// (Alg. 1's is_offload_amount_reached); 0 offloads nothing. Use
 	// PlanHierarchyBudget to derive it from the Fig 3 workflow inputs.
 	Budget units.Bytes
 	// MinElems is the small-tensor passthrough threshold in elements
@@ -551,7 +551,7 @@ func (c *TensorCache) Pack(t *tensor.Tensor, producedAt, hostNow time.Duration) 
 	c.byModule[rec.scope] = append(c.byModule[rec.scope], rec)
 
 	keep := c.inBackward || c.keepLast[rec.scope] ||
-		(c.cfg.Budget > 0 && c.offloadedMB >= c.cfg.Budget)
+		c.offloadedMB >= c.cfg.Budget
 	c.rt.Life.Retain(t.Storage())
 	if keep {
 		// Alg. 1 line 6: keep_in_gpu_memory.

@@ -71,6 +71,10 @@ func newRig() *testRig {
 	return &testRig{rt: rt, off: off}
 }
 
+// noLimit is a budget no test reaches: every eligible activation
+// offloads. (A zero budget offloads nothing.)
+const noLimit = units.Bytes(1) << 62
+
 func newCache(rig *testRig, cfg Config) *TensorCache {
 	cfg.Runtime = rig.rt
 	cfg.Offloader = rig.off
@@ -116,7 +120,7 @@ func TestPackEarlyReturns(t *testing.T) {
 
 func TestPackOffloadAndReload(t *testing.T) {
 	rig := newRig()
-	c := newCache(rig, Config{Verify: true})
+	c := newCache(rig, Config{Budget: noLimit, Verify: true})
 	c.Phase(autograd.PhaseStepStart, 0, 0)
 	c.Phase(autograd.PhaseForward, 0, 0)
 	m := autograd.NewModule("layer0")
@@ -163,7 +167,7 @@ func TestPackOffloadAndReload(t *testing.T) {
 
 func TestForwardingWhileStoreInFlight(t *testing.T) {
 	rig := newRig()
-	c := newCache(rig, Config{})
+	c := newCache(rig, Config{Budget: noLimit})
 	c.Phase(autograd.PhaseStepStart, 0, 0)
 	c.Phase(autograd.PhaseForward, 0, 0)
 	m := autograd.NewModule("layer0")
@@ -198,7 +202,7 @@ func TestForwardingWhileStoreInFlight(t *testing.T) {
 
 func TestDedupSecondPackNoIO(t *testing.T) {
 	rig := newRig()
-	c := newCache(rig, Config{})
+	c := newCache(rig, Config{Budget: noLimit})
 	c.Phase(autograd.PhaseStepStart, 0, 0)
 	c.Phase(autograd.PhaseForward, 0, 0)
 	m := autograd.NewModule("layer0")
@@ -255,7 +259,7 @@ func TestBudgetKeepsTail(t *testing.T) {
 
 func TestInBackwardKeeps(t *testing.T) {
 	rig := newRig()
-	c := newCache(rig, Config{})
+	c := newCache(rig, Config{Budget: noLimit})
 	c.Phase(autograd.PhaseStepStart, 0, 0)
 	c.Phase(autograd.PhaseForward, 0, 0)
 	c.Phase(autograd.PhaseBackward, 0, 0)
@@ -269,7 +273,7 @@ func TestInBackwardKeeps(t *testing.T) {
 
 func TestKeepLastModulesLearned(t *testing.T) {
 	rig := newRig()
-	c := newCache(rig, Config{KeepLastModules: 1})
+	c := newCache(rig, Config{Budget: noLimit, KeepLastModules: 1})
 	m0, m1 := autograd.NewModule("l0"), autograd.NewModule("l1")
 	step := func(expectKeepLast bool) {
 		c.Phase(autograd.PhaseStepStart, 0, 0)
@@ -296,7 +300,7 @@ func TestKeepLastModulesLearned(t *testing.T) {
 
 func TestPrefetchIssuesLoads(t *testing.T) {
 	rig := newRig()
-	c := newCache(rig, Config{})
+	c := newCache(rig, Config{Budget: noLimit})
 	m0, m1 := autograd.NewModule("l0"), autograd.NewModule("l1")
 	c.Phase(autograd.PhaseStepStart, 0, 0)
 	c.Phase(autograd.PhaseForward, 0, 0)
@@ -331,7 +335,7 @@ func TestPrefetchIssuesLoads(t *testing.T) {
 
 func TestSweepCountsLeaks(t *testing.T) {
 	rig := newRig()
-	c := newCache(rig, Config{})
+	c := newCache(rig, Config{Budget: noLimit})
 	c.Phase(autograd.PhaseStepStart, 0, 0)
 	c.Phase(autograd.PhaseForward, 0, 0)
 	m := autograd.NewModule("l0")
@@ -487,7 +491,7 @@ func TestPlanBudgetMonotoneProperty(t *testing.T) {
 
 func TestNoDedupCreatesDuplicateIO(t *testing.T) {
 	rig := newRig()
-	c := newCache(rig, Config{NoDedup: true})
+	c := newCache(rig, Config{Budget: noLimit, NoDedup: true})
 	c.Phase(autograd.PhaseStepStart, 0, 0)
 	c.Phase(autograd.PhaseForward, 0, 0)
 	m := autograd.NewModule("l0")

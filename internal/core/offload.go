@@ -204,9 +204,6 @@ func (b *tierBase) PeakResident() units.Bytes { return b.store.PeakUsed() }
 // Used implements Tier.
 func (b *tierBase) Used() units.Bytes { return b.store.Used() }
 
-// StoreDrainTime returns when the store queue's backlog finishes.
-func (b *tierBase) StoreDrainTime() time.Duration { return b.storeQ.BusyUntil() }
-
 // Preload records a resident block on the tier without a timed transfer —
 // one-time staging (optimizer states copied in before training starts)
 // that must show up in residency and capacity accounting but not in any

@@ -10,7 +10,7 @@ import (
 )
 
 // allocCase is one configuration of the warm-session allocation contract
-// and the counters golden.
+// and the answers golden.
 type allocCase struct {
 	name string
 	cfg  RunConfig

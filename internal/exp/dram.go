@@ -41,15 +41,15 @@ type DRAMSweepResult struct {
 }
 
 // DRAMSweep measures dram-first step time against DRAM capacity for the
-// base config (model, budget, bandwidth share and ablation knobs are
-// taken from base; strategy and placement are overridden). fracs
-// defaults to ninths of the reference peak. All points and both
-// endpoints run through one deduplicated sweep sharing a compiled plan.
-func DRAMSweep(base RunConfig, fracs []float64) (*DRAMSweepResult, error) {
+// base spec (model, budget, bandwidth share and ablation knobs are taken
+// from base; strategy and placement are overridden). fracs defaults to
+// ninths of the reference peak. All points and both endpoints run
+// through one deduplicated sweep sharing a compiled plan.
+func DRAMSweep(base Spec, fracs []float64) (*DRAMSweepResult, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1}
 	}
-	cpuSpec := SpecFor(base)
+	cpuSpec := base
 	cpuSpec.Offload.Strategy = CPUOffload
 	cpuSpec.Offload.Placement = ""
 	cpuSpec.Offload.DRAMCapacity = 0
@@ -73,7 +73,7 @@ func DRAMSweep(base RunConfig, fracs []float64) (*DRAMSweepResult, error) {
 		s.Offload.DRAMCapacity = units.Bytes(f * float64(peak))
 		specs = append(specs, s)
 	}
-	results, err := SweepSpecs(0, specs)
+	results, err := Sweep(0, specs)
 	if err != nil {
 		return nil, err
 	}

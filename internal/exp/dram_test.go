@@ -16,14 +16,16 @@ import (
 // prefetching on, the two PCIe paths overlap and a mid-capacity hybrid
 // can beat BOTH endpoints — a V-shaped curve that is real concurrency,
 // not an error; TestDRAMSweepOverlapBeatsEndpoints pins it.
-func dramSweepBase() RunConfig {
-	return RunConfig{
-		Model:             smallConfig(models.BERT),
-		Budget:            units.Bytes(1) << 62,
-		NoForwarding:      true,
-		PrefetchAhead:     -1,
-		KeepLastModules:   -1,
-		SSDBandwidthShare: 0.25,
+func dramSweepBase() Spec {
+	return Spec{
+		Model: smallConfig(models.BERT),
+		Offload: OffloadSpec{
+			Budget:          units.Bytes(1) << 62,
+			NoForwarding:    true,
+			PrefetchAhead:   -1,
+			KeepLastModules: -1,
+		},
+		Inject: InjectSpec{SSDBandwidthShare: 0.25},
 	}
 }
 
@@ -75,7 +77,7 @@ func TestDRAMSweepInterpolatesMonotonically(t *testing.T) {
 // split placement exists for.
 func TestDRAMSweepOverlapBeatsEndpoints(t *testing.T) {
 	base := dramSweepBase()
-	base.PrefetchAhead = 0 // default: prefetch everything
+	base.Offload.PrefetchAhead = 0 // default: prefetch everything
 	r, err := DRAMSweep(base, []float64{0.75})
 	if err != nil {
 		t.Fatal(err)

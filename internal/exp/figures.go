@@ -51,7 +51,7 @@ func Fig6(batch int) ([]Fig6Row, error) {
 				Spec{Model: cfg, Offload: OffloadSpec{Strategy: SSDTrain}})
 		}
 	}
-	results, err := SweepSpecs(0, specs)
+	results, err := Sweep(0, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func Fig7(hidden int, batches []int) ([]ROKPoint, error) {
 			})
 		}
 	}
-	results, err := SweepSpecs(0, specs)
+	results, err := Sweep(0, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func Table3() ([]Table3Row, error) {
 			Offload: OffloadSpec{Strategy: SSDTrain},
 		}
 	}
-	results, err := SweepSpecs(0, specs)
+	results, err := Sweep(0, specs)
 	if err != nil {
 		return nil, err
 	}

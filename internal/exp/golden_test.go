@@ -1,22 +1,34 @@
 package exp
 
 import (
+	"flag"
 	"os"
 	"testing"
 
 	"ssdtrain/internal/models"
 )
 
-// readGolden loads a byte-identity anchor captured at 370fcb2, before
-// the offload layer became a tiered hierarchy. Regenerate (only for a
-// deliberate behaviour change) with `go run ./goldengen`.
-func readGolden(t *testing.T, path string) string {
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
+
+// checkGolden compares got with a byte-identity anchor. The figure and
+// trace goldens were captured at 370fcb2, before the offload layer
+// became a tiered hierarchy. Regenerate every golden (only for a
+// deliberate behaviour change) with
+// `go test ./internal/exp ./internal/fleet -update`.
+func checkGolden(t *testing.T, path, got string) {
 	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(blob)
+	if want := string(blob); got != want {
+		t.Errorf("%s diverged:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
 }
 
 // TestFig6ByteIdentical pins Fig 6 — every column of which now runs
@@ -30,9 +42,7 @@ func TestFig6ByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := Fig6Table(rows).String(), readGolden(t, "testdata/fig6.golden"); got != want {
-		t.Errorf("Fig 6 diverged from 370fcb2:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "testdata/fig6.golden", Fig6Table(rows).String())
 }
 
 // TestFig7ByteIdentical pins the recompute-offload-keep curve.
@@ -44,9 +54,7 @@ func TestFig7ByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := Fig7Table(12288, pts).String(), readGolden(t, "testdata/fig7.golden"); got != want {
-		t.Errorf("Fig 7 diverged from 370fcb2:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "testdata/fig7.golden", Fig7Table(12288, pts).String())
 }
 
 // TestTable3ByteIdentical pins the offload-volume validation table.
@@ -58,9 +66,7 @@ func TestTable3ByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := Table3Table(rows).String(), readGolden(t, "testdata/table3.golden"); got != want {
-		t.Errorf("Table III diverged from 370fcb2:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "testdata/table3.golden", Table3Table(rows).String())
 }
 
 // TestOptimSweepByteIdentical pins the GreedySnake-vs-SSDTrain
@@ -70,14 +76,12 @@ func TestOptimSweepByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale geometry")
 	}
-	r, err := OptimSweep(RunConfig{
-		Model:        models.PaperConfig(models.BERT, 2048, 24, 8),
-		MicroBatches: 2,
+	r, err := OptimSweep(Spec{
+		Model: models.PaperConfig(models.BERT, 2048, 24, 8),
+		Run:   RunSpec{MicroBatches: 2},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := OptimSweepTable(r).String(), readGolden(t, "testdata/optim_sweep.golden"); got != want {
-		t.Errorf("optimizer sweep diverged from its anchor:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "testdata/optim_sweep.golden", OptimSweepTable(r).String())
 }

@@ -107,12 +107,14 @@ func TestOptimTraceAttribution(t *testing.T) {
 // beats sync (the update work hides under fwd(t+1)), and offloading the
 // optimizer is never free relative to the activation-only baseline.
 func TestOptimOverlapCrossover(t *testing.T) {
-	sync := smallCfg(OptimOffload)
-	sync.DRAMCapacity = optimProbeGrant
-	sync.Schedule = ScheduleSync
+	sync := Spec{
+		Model:     smallCfg(OptimOffload).Model,
+		Offload:   OffloadSpec{DRAMCapacity: optimProbeGrant},
+		Optimizer: OptimizerSpec{Offload: true, Schedule: ScheduleSync},
+	}
 	overlap := sync
-	overlap.Schedule = ScheduleOverlap
-	res, err := Sweep(0, []RunConfig{sync, overlap})
+	overlap.Optimizer.Schedule = ScheduleOverlap
+	res, err := Sweep(0, []Spec{sync, overlap})
 	if err != nil {
 		t.Fatal(err)
 	}

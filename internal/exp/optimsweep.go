@@ -57,11 +57,11 @@ const optimProbeGrant = units.Bytes(1) << 50
 // defaults to quarters of the working set. All points run through one
 // deduplicated sweep; the probe pinning the working set doubles as the
 // Frac = 1 sync point.
-func OptimSweep(base RunConfig, fracs []float64) (*OptimSweepResult, error) {
+func OptimSweep(base Spec, fracs []float64) (*OptimSweepResult, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.25, 0.5, 0.75, 1}
 	}
-	probeSpec := SpecFor(base)
+	probeSpec := base
 	probeSpec.Offload.Strategy = ""
 	probeSpec.Offload.Placement = ""
 	probeSpec.Offload.DRAMCapacity = optimProbeGrant
@@ -90,7 +90,7 @@ func OptimSweep(base RunConfig, fracs []float64) (*OptimSweepResult, error) {
 			specs = append(specs, s)
 		}
 	}
-	results, err := SweepSpecs(0, specs)
+	results, err := Sweep(0, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -163,9 +163,6 @@ func Compile(cfg RunConfig) (*Plan, error) {
 	return p, err
 }
 
-// PlanCacheStats reports the shared plan cache's hit/miss counters.
-func PlanCacheStats() (hits, misses int64) { return planCache.Stats() }
-
 // PlanCacheSnapshot reports the shared plan cache's full counter set —
 // hit/miss plus evictions and resident size, so an observer (the serve
 // /metrics endpoint) can tell a big-enough cache from one thrashing on
@@ -175,9 +172,25 @@ func PlanCacheSnapshot() (hits, misses, evictions int64, length int) {
 	return hits, misses, planCache.Evictions(), planCache.Len()
 }
 
+// MinSSDBandwidthShare is the smallest nonzero SSD bandwidth share a run
+// accepts: a millionth of the array. Below it one step's transfers can
+// run for centuries of simulated time, past what a time.Duration holds.
+const MinSSDBandwidthShare = 1e-6
+
+// ShareError rejects an SSD bandwidth share that is NaN, outside [0, 1],
+// or nonzero but below MinSSDBandwidthShare.
+type ShareError struct{ Share float64 }
+
+func (e *ShareError) Error() string {
+	if e.Share > 0 && e.Share < MinSSDBandwidthShare {
+		return fmt.Sprintf("exp: SSD bandwidth share %v below the floor %v", e.Share, MinSSDBandwidthShare)
+	}
+	return fmt.Sprintf("exp: SSD bandwidth share %v outside [0, 1]", e.Share)
+}
+
 func validateShare(s float64) error {
-	if math.IsNaN(s) || s < 0 || s > 1 {
-		return fmt.Errorf("exp: SSD bandwidth share %v outside [0, 1]", s)
+	if !(s == 0 || s >= MinSSDBandwidthShare && s <= 1) {
+		return &ShareError{Share: s}
 	}
 	return nil
 }

@@ -97,13 +97,14 @@ func PaperArray() SSDSetup {
 	return SSDSetup{Spec: ssd.IntelP5800X16TB(), Count: 4, Stripe: 512 * units.KiB}
 }
 
-// RunConfig configures one training measurement — the flat, original
-// knob surface.
-//
-// Deprecated: new code should build the grouped Spec and flatten with
-// Spec.RunConfig (or run it directly with Spec.Measure); the two forms
-// convert losslessly in both directions via SpecFor. RunConfig remains
-// the execution currency underneath and the legacy serve wire form.
+// RunConfig is a Spec flattened: one training measurement's knobs as a
+// single comparable value. Callers build a Spec and take the RunConfig
+// that Spec.RunConfig returns; Normalize canonicalizes it. It is the key the plan cache, the serve result
+// cache, the cluster router, /v1/cachefill and the fleet profiler cache
+// on. It stays exported because Compile, Plan.Execute, Session.Execute,
+// Run, TraceOf and RunResult.Config take or return it, and those are the
+// entry points the perfbench harness calls; they move to Spec when
+// perfbench does.
 type RunConfig struct {
 	Model    models.Config
 	Strategy Strategy
@@ -158,8 +159,9 @@ type RunConfig struct {
 	// SSDBandwidthShare scales the array's sequential bandwidths to model
 	// co-tenants contending for a shared NVMe array: a fleet simulation that
 	// places k equal offloading jobs on one node hands each a 1/k share.
-	// 0 (unset) and 1 both mean exclusive access; NaN and values outside
-	// [0, 1] are rejected by Run.
+	// 0 (unset) and 1 both mean exclusive access; NaN, values outside
+	// [0, 1] and nonzero values below MinSSDBandwidthShare are rejected by
+	// Run.
 	SSDBandwidthShare float64
 	// SteadyState controls the analytic steady-state fast path: once two
 	// consecutive measured steps fold to identical signatures the

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"testing"
 
 	"ssdtrain/internal/models"
@@ -95,7 +96,7 @@ func TestWithDefaultsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swept, err := Sweep(0, []RunConfig{abl})
+	swept, err := Sweep(0, []Spec{{Model: abl.Model, Offload: OffloadSpec{Strategy: SSDTrain, KeepLastModules: -1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,4 +156,29 @@ func TestRecomputeLowestMemorySlowest(t *testing.T) {
 		t.Errorf("ssdtrain throughput %v below 97%% of keep %v", off.Throughput(), keep.Throughput())
 	}
 	_ = units.Bytes(0)
+}
+
+// TestUnrepresentableConfigsRejected: configs the simulator cannot
+// represent are typed errors from Run, not panics or wrapped answers. A
+// 512-layer BERT at the service caps panicked the allocator, and a share
+// of 1e-12 wrapped every transfer time to 1 ns.
+func TestUnrepresentableConfigsRejected(t *testing.T) {
+	huge := models.PaperConfig(models.BERT, 1<<18, 512, 1<<16)
+	huge.SeqLen = 1 << 20
+	_, err := Run(RunConfig{Model: huge, Strategy: SSDTrain})
+	var tooLarge *models.TooLargeError
+	if !errors.As(err, &tooLarge) {
+		t.Errorf("huge model: got %v, want *models.TooLargeError", err)
+	}
+	thin := smallCfg(SSDTrain)
+	thin.SSDBandwidthShare = 1e-12
+	_, err = Run(thin)
+	var share *ShareError
+	if !errors.As(err, &share) {
+		t.Errorf("share 1e-12: got %v, want *ShareError", err)
+	}
+	thin.SSDBandwidthShare = MinSSDBandwidthShare
+	if _, err := Run(thin); err != nil {
+		t.Errorf("share at the floor: %v", err)
+	}
 }

@@ -10,14 +10,11 @@ import (
 	"ssdtrain/internal/units"
 )
 
-// Spec is the grouped configuration form: the same knob surface as the
-// flat RunConfig, organized by concern. RunConfig grew one field at a
-// time across the strategy/ablation/fault/steady-state work and is kept
-// as a deprecated alias for existing callers; new code (and the serve
-// wire schema v2) should speak Spec. Conversion is lossless in both
-// directions — SpecFor(cfg).RunConfig() returns cfg exactly, and
-// s.RunConfig() errors only on internally inconsistent groups (an
-// optimizer-offload flag that contradicts the activation strategy).
+// Spec is the configuration form callers build: one training
+// measurement's knobs, grouped by concern. Spec.RunConfig flattens it
+// into the RunConfig the execution layer runs and caches on. Flattening errors only on an internally
+// inconsistent optimizer group (an optimizer-offload flag that
+// contradicts the activation strategy).
 type Spec struct {
 	// Model is the transformer geometry under test.
 	Model models.Config `json:"model"`
@@ -52,7 +49,7 @@ type OffloadSpec struct {
 	SplitRatio   float64     `json:"split_ratio,omitempty"`
 	// Budget overrides the planned offload budget (0 = plan via Fig 3).
 	Budget units.Bytes `json:"budget,omitempty"`
-	// Cache tuning and ablations, matching the flat fields one-for-one.
+	// Cache tuning and ablations.
 	PrefetchAhead   int           `json:"prefetch_ahead,omitempty"`
 	KeepLastModules int           `json:"keep_last_modules,omitempty"`
 	HostCost        time.Duration `json:"host_cost,omitempty"`
@@ -88,56 +85,12 @@ type InjectSpec struct {
 	SSDBandwidthShare float64     `json:"ssd_bandwidth_share,omitempty"`
 }
 
-// SpecFor regroups a flat config into the Spec form, losslessly:
-// SpecFor(cfg).RunConfig() == (cfg, nil) for every cfg.
-func SpecFor(cfg RunConfig) Spec {
-	return Spec{
-		Model: cfg.Model,
-		Machine: MachineSpec{
-			GPU: cfg.GPU,
-			SSD: cfg.SSD,
-		},
-		Offload: OffloadSpec{
-			Strategy:        cfg.Strategy,
-			Placement:       cfg.Placement,
-			DRAMCapacity:    cfg.DRAMCapacity,
-			SplitRatio:      cfg.SplitRatio,
-			Budget:          cfg.Budget,
-			PrefetchAhead:   cfg.PrefetchAhead,
-			KeepLastModules: cfg.KeepLastModules,
-			HostCost:        cfg.HostCost,
-			DisableGDS:      cfg.DisableGDS,
-			NoForwarding:    cfg.NoForwarding,
-			NoDedup:         cfg.NoDedup,
-			Materialize:     cfg.Materialize,
-			Verify:          cfg.Verify,
-		},
-		Optimizer: OptimizerSpec{
-			Kind:     cfg.OptimKind,
-			Offload:  cfg.Strategy == OptimOffload,
-			Schedule: cfg.Schedule,
-		},
-		Run: RunSpec{
-			Steps:        cfg.Steps,
-			Warmup:       cfg.Warmup,
-			MicroBatches: cfg.MicroBatches,
-			SteadyState:  cfg.SteadyState,
-		},
-		Inject: InjectSpec{
-			Faults:            cfg.Faults,
-			Trace:             cfg.Trace,
-			SSDBandwidthShare: cfg.SSDBandwidthShare,
-		},
-	}
-}
-
 // RunConfig flattens the Spec. The only way a Spec can fail to flatten
 // is an inconsistent optimizer group: Optimizer.Offload selects the
 // OptimOffload strategy, so Offload.Strategy must be unset or agree;
 // conversely a Spec naming the OptimOffload strategy must not clear
 // Optimizer.Offload. (Optimizer.Kind/Schedule against a non-optimizer
-// strategy flatten fine and are rejected later by Normalize, exactly as
-// the flat form is.)
+// strategy flatten fine and are rejected later by Normalize.)
 func (s Spec) RunConfig() (RunConfig, error) {
 	strategy := s.Offload.Strategy
 	if s.Optimizer.Offload {
@@ -177,40 +130,6 @@ func (s Spec) RunConfig() (RunConfig, error) {
 	}, nil
 }
 
-// Normalize validates and canonicalizes the Spec, delegating to the flat
-// Normalize so both forms share one set of rules and defaults.
-func (s Spec) Normalize() (Spec, error) {
-	cfg, err := s.RunConfig()
-	if err != nil {
-		return Spec{}, err
-	}
-	norm, err := Normalize(cfg)
-	if err != nil {
-		return Spec{}, err
-	}
-	return SpecFor(norm), nil
-}
-
-// ShapeHash is the sharded-cluster routing key of the Spec — see the
-// flat ShapeHash.
-func (s Spec) ShapeHash() (uint64, error) {
-	cfg, err := s.RunConfig()
-	if err != nil {
-		return 0, err
-	}
-	return ShapeHash(cfg)
-}
-
-// ConfigHash is the value identity of the Spec — see the flat
-// ConfigHash.
-func (s Spec) ConfigHash() (uint64, error) {
-	cfg, err := s.RunConfig()
-	if err != nil {
-		return 0, err
-	}
-	return ConfigHash(cfg)
-}
-
 // Measure runs the Spec: flatten, then the standard Run path.
 func (s Spec) Measure() (*RunResult, error) {
 	cfg, err := s.RunConfig()
@@ -218,17 +137,4 @@ func (s Spec) Measure() (*RunResult, error) {
 		return nil, err
 	}
 	return Run(cfg)
-}
-
-// SweepSpecs runs a batch of Specs through the deduplicated Sweep.
-func SweepSpecs(workers int, specs []Spec) ([]*RunResult, error) {
-	cfgs := make([]RunConfig, len(specs))
-	for i, s := range specs {
-		cfg, err := s.RunConfig()
-		if err != nil {
-			return nil, fmt.Errorf("exp: spec %d: %w", i, err)
-		}
-		cfgs[i] = cfg
-	}
-	return Sweep(workers, cfgs)
 }

@@ -1,22 +1,25 @@
 package exp
 
 import (
+	"fmt"
+
 	"ssdtrain/internal/pool"
 )
 
 // Sweep executes a batch of measurements with deduplicated work at every
-// level: configs that are value-identical run once and share a result,
-// configs that differ only in the cheap knobs listed on Plan share a
-// compiled plan AND a pool of recycled execution arenas, and
-// configs that share a model shape reuse one graph template. Results are
-// returned in input order; duplicate configs receive the same
-// *RunResult. workers bounds parallelism (0 = GOMAXPROCS); simulations
+// level: specs that flatten to value-identical configs run once and
+// share a result, configs that differ only in the cheap knobs listed on
+// Plan share a compiled plan AND a pool of recycled execution arenas,
+// and configs that share a model shape reuse one graph template.
+// Results are returned in input order; duplicate configs receive the
+// same *RunResult. workers bounds parallelism (0 = GOMAXPROCS); simulations
 // are independent and deterministic, and sessions reset to a
 // just-constructed state between points, so neither the worker count nor
 // arena recycling ever changes the results, only the wall-clock time and
 // the allocation bill. On error, the lowest-indexed failing config's
-// error is returned (also independent of worker count).
-func Sweep(workers int, cfgs []RunConfig) ([]*RunResult, error) {
+// error is returned (also independent of worker count), and a spec that
+// does not flatten fails the sweep before anything runs.
+func Sweep(workers int, specs []Spec) ([]*RunResult, error) {
 	// Dedup identical configs (after defaulting, so spelled-out and
 	// defaulted forms of one measurement coincide). slotOf maps each
 	// input to the index of its distinct config in first-occurrence
@@ -24,8 +27,12 @@ func Sweep(workers int, cfgs []RunConfig) ([]*RunResult, error) {
 	// lowest-ordered failing distinct config.
 	index := make(map[RunConfig]int)
 	var distinct []RunConfig
-	slotOf := make([]int, len(cfgs))
-	for i, cfg := range cfgs {
+	slotOf := make([]int, len(specs))
+	for i, spec := range specs {
+		cfg, err := spec.RunConfig()
+		if err != nil {
+			return nil, fmt.Errorf("exp: spec %d: %w", i, err)
+		}
 		key := cfg.withDefaults()
 		s, ok := index[key]
 		if !ok {
@@ -44,7 +51,7 @@ func Sweep(workers int, cfgs []RunConfig) ([]*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*RunResult, len(cfgs))
+	results := make([]*RunResult, len(specs))
 	for i, s := range slotOf {
 		results[i] = runs[s]
 	}

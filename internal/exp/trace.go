@@ -21,8 +21,7 @@ func ReferenceTraceConfig() RunConfig {
 }
 
 // ReferenceChromeTrace runs the reference traced measurement and returns
-// its Chrome trace-event JSON — the bytes goldengen pins and the golden
-// test compares against.
+// its Chrome trace-event JSON — the bytes the golden test pins.
 func ReferenceChromeTrace() ([]byte, error) {
 	res, err := Run(ReferenceTraceConfig())
 	if err != nil {

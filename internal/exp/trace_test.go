@@ -144,8 +144,7 @@ func TestSessionTraceMatchesFresh(t *testing.T) {
 
 // TestReferenceChromeTraceGolden pins the exported Chrome trace-event
 // JSON of the reference config byte-for-byte, and checks it parses as the
-// trace-event container format. Regenerate (only for a deliberate
-// behaviour change) with `go run ./goldengen`.
+// trace-event container format.
 func TestReferenceChromeTraceGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale geometry")
@@ -154,9 +153,7 @@ func TestReferenceChromeTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := string(blob), readGolden(t, "testdata/trace_chrome.golden"); got != want {
-		t.Errorf("reference Chrome trace diverged from golden (%d vs %d bytes); regenerate with go run ./goldengen if deliberate", len(got), len(want))
-	}
+	checkGolden(t, "testdata/trace_chrome.golden", string(blob))
 	var doc struct {
 		DisplayTimeUnit string                   `json:"displayTimeUnit"`
 		TraceEvents     []map[string]interface{} `json:"traceEvents"`

@@ -15,20 +15,33 @@ func hybridJob(id, gpus, steps int, req units.Bytes) Job {
 	return Job{
 		ID:   id,
 		Name: "hyb",
-		Run: exp.RunConfig{
-			Model:        models.PaperConfig(models.BERT, 2048, 3, 8),
-			Strategy:     exp.HybridOffload,
-			Placement:    exp.PlacementDRAMFirst,
-			DRAMCapacity: req,
+		Run: exp.Spec{
+			Model: models.PaperConfig(models.BERT, 2048, 3, 8),
+			Offload: exp.OffloadSpec{
+				Strategy:     exp.HybridOffload,
+				Placement:    exp.PlacementDRAMFirst,
+				DRAMCapacity: req,
+			},
 		},
 		GPUs:  gpus,
 		Steps: steps,
 	}
 }
 
+// flattened returns j with its Run flattened, as Simulate leaves it.
+func flattened(t *testing.T, j Job) Job {
+	t.Helper()
+	run, err := j.Run.RunConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.run = run
+	return j
+}
+
 func TestDRAMGrantSharesNodeBudget(t *testing.T) {
 	node := DefaultNodeSpec()
-	j := hybridJob(0, 1, 10, 1<<50) // asks for more than any slice
+	j := flattened(t, hybridJob(0, 1, 10, 1<<50)) // asks for more than any slice
 	if got, want := dramGrant(node, j, 1), node.DRAM; got != want {
 		t.Errorf("solo grant = %v, want the full budget %v", got, want)
 	}
@@ -36,7 +49,7 @@ func TestDRAMGrantSharesNodeBudget(t *testing.T) {
 		t.Errorf("4-way grant = %v, want %v", got, want)
 	}
 	// A modest request is never inflated to the slice.
-	small := hybridJob(1, 1, 10, 8*units.GiB)
+	small := flattened(t, hybridJob(1, 1, 10, 8*units.GiB))
 	if got := dramGrant(node, small, 2); got != 8*units.GiB {
 		t.Errorf("capped grant = %v", got)
 	}
@@ -96,7 +109,7 @@ func TestFleetDRAMRelievesArray(t *testing.T) {
 		node.DRAM = dram
 		jobs := []Job{hybridJob(0, 2, 30, 1<<40), hybridJob(1, 2, 30, 1<<40)}
 		for i := range jobs {
-			jobs[i].Run.Budget = units.Bytes(1) << 62
+			jobs[i].Run.Offload.Budget = units.Bytes(1) << 62
 		}
 		rep, err := Simulate(Config{
 			Cluster: ClusterSpec{Nodes: 1, Node: node},
@@ -130,11 +143,11 @@ func TestCPUOffloadOverflowIsInfeasibleNotFatal(t *testing.T) {
 	// The working set a tenant insists on offloading: the unbounded
 	// planner budget, pinned.
 	probe := hybridJob(0, 2, 20, 0)
-	probe.Run.Strategy = exp.CPUOffload
-	probe.Run.Placement = ""
-	probe.Run.DRAMCapacity = 0
+	probe.Run.Offload.Strategy = exp.CPUOffload
+	probe.Run.Offload.Placement = ""
+	probe.Run.Offload.DRAMCapacity = 0
 	p := NewProfiler(0)
-	solo, err := p.Measure(probe.Run, node, 1, 0)
+	solo, err := p.Measure(flattened(t, probe).run, node, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +157,7 @@ func TestCPUOffloadOverflowIsInfeasibleNotFatal(t *testing.T) {
 	cpuJob := func(id int) Job {
 		j := probe
 		j.ID = id
-		j.Run.Budget = solo.PlannedBudget
+		j.Run.Offload.Budget = solo.PlannedBudget
 		return j
 	}
 	// Node budget: a lone 2-GPU tenant's grant (DRAM/2 = 1.5×budget)
@@ -183,12 +196,12 @@ func TestHybridMixReproducible(t *testing.T) {
 		if hyb[i].Run != hyb2[i].Run {
 			t.Fatalf("hybrid mix not reproducible at job %d", i)
 		}
-		if hyb[i].Run.Strategy == exp.HybridOffload {
+		if hyb[i].Run.Offload.Strategy == exp.HybridOffload {
 			converted++
-			if base[i].Run.Strategy != exp.SSDTrain {
-				t.Errorf("job %d converted from %s", i, base[i].Run.Strategy)
+			if base[i].Run.Offload.Strategy != exp.SSDTrain {
+				t.Errorf("job %d converted from %s", i, base[i].Run.Offload.Strategy)
 			}
-			if hyb[i].Run.DRAMCapacity == 0 || hyb[i].Run.Placement != exp.PlacementDRAMFirst {
+			if hyb[i].Run.Offload.DRAMCapacity == 0 || hyb[i].Run.Offload.Placement != exp.PlacementDRAMFirst {
 				t.Errorf("job %d missing hybrid knobs: %+v", i, hyb[i].Run)
 			}
 		} else if hyb[i].Run != base[i].Run {

@@ -79,9 +79,11 @@ type ClusterSpec struct {
 type Job struct {
 	ID   int
 	Name string
-	// Run is the single-GPU measurement config (model, strategy, knobs);
+	// Run is the single-GPU measurement spec (model, strategy, knobs);
 	// the node's GPU and SSD array are bound in by the simulation.
-	Run exp.RunConfig
+	Run exp.Spec
+	// run is Run flattened, once per job, by Simulate.
+	run exp.RunConfig
 	// GPUs is the job's placement footprint on one node.
 	GPUs int
 	// Steps is the training length in optimizer steps.
@@ -202,13 +204,13 @@ func (n *nodeState) dramGrantFor(j *jobState) units.Bytes {
 // DRAM-consuming GPUs share the node's budget.
 func dramGrant(spec NodeSpec, j Job, dramGPUs int) units.Bytes {
 	if !wantsDRAM(j) || spec.DRAM <= 0 {
-		return j.Run.DRAMCapacity
+		return j.run.DRAMCapacity
 	}
 	if dramGPUs <= 0 {
 		dramGPUs = j.GPUs
 	}
 	slice := spec.DRAM / units.Bytes(dramGPUs)
-	if req := j.Run.DRAMCapacity; req > 0 && req < slice {
+	if req := j.run.DRAMCapacity; req > 0 && req < slice {
 		return req
 	}
 	return slice
@@ -219,7 +221,7 @@ func dramGrant(spec NodeSpec, j Job, dramGPUs int) units.Bytes {
 // there; optimizer-offload jobs spill FP32 states and shuttle
 // gradients/parameters through it).
 func offloadsToSSD(j Job) bool {
-	_, nvme := j.Run.Strategy.OffloadTiers()
+	_, nvme := j.run.Strategy.OffloadTiers()
 	return nvme
 }
 
@@ -228,8 +230,8 @@ func offloadsToSSD(j Job) bool {
 // joins the stack when it is the only rung, or when it is granted
 // memory above an NVMe rung.
 func wantsDRAM(j Job) bool {
-	dram, nvme := j.Run.Strategy.OffloadTiers()
-	return dram && (!nvme || j.Run.DRAMCapacity > 0)
+	dram, nvme := j.run.Strategy.OffloadTiers()
+	return dram && (!nvme || j.run.DRAMCapacity > 0)
 }
 
 // validate checks the configuration and that every job can run somewhere.
@@ -280,11 +282,20 @@ func Simulate(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	jobs := make([]Job, len(cfg.Jobs))
+	for i, j := range cfg.Jobs {
+		run, err := j.Run.RunConfig()
+		if err != nil {
+			return nil, fmt.Errorf("fleet: job %d (%s): %w", j.ID, j.Name, err)
+		}
+		j.run = run
+		jobs[i] = j
+	}
 	prof := cfg.Profiler
 	if prof == nil {
 		prof = NewProfiler(cfg.CacheCapacity)
 	}
-	if err := prof.Prime(cfg.Jobs, cfg.Cluster.Node, cfg.Workers); err != nil {
+	if err := prof.prime(jobs, cfg.Cluster.Node, cfg.Workers); err != nil {
 		return nil, err
 	}
 
@@ -296,7 +307,7 @@ func Simulate(cfg Config) (*Report, error) {
 			wear:     ssd.NewArrayWear(cfg.Cluster.Node.SSD.Spec, cfg.Cluster.Node.SSD.Count),
 		})
 	}
-	for _, j := range cfg.Jobs {
+	for _, j := range jobs {
 		s.jobs = append(s.jobs, &jobState{Job: j, node: -1, remaining: float64(j.Steps)})
 	}
 	sort.SliceStable(s.jobs, func(a, b int) bool {
@@ -363,7 +374,7 @@ func (s *simState) exclusiveProfile(j *Job) (Profile, error) {
 		share = 1 / float64(j.GPUs)
 	}
 	grant := dramGrant(s.cfg.Cluster.Node, *j, j.GPUs)
-	return s.prof.Measure(j.Run, s.cfg.Cluster.Node, share, grant)
+	return s.prof.Measure(j.run, s.cfg.Cluster.Node, share, grant)
 }
 
 // admitArrivals moves jobs whose submit time has passed into the queue.
@@ -411,7 +422,7 @@ func (s *simState) canPlace(j *jobState, n int) (bool, error) {
 		if offloadsToSSD(*job) && newOff > 0 {
 			share = 1 / float64(newOff)
 		}
-		p, err := s.prof.Measure(job.Run, node.spec, share, dramGrant(node.spec, *job, newDram))
+		p, err := s.prof.Measure(job.run, node.spec, share, dramGrant(node.spec, *job, newDram))
 		if err != nil {
 			// A cpu-offload tenant whose thinned grant cannot hold its
 			// working set overflows its pool (it has no spill rung): that
@@ -513,7 +524,7 @@ func (s *simState) refreshRates(n int) error {
 				share *= h
 			}
 		}
-		p, err := s.prof.Measure(j.Run, node.spec, share, node.dramGrantFor(j))
+		p, err := s.prof.Measure(j.run, node.spec, share, node.dramGrantFor(j))
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -25,7 +24,7 @@ func planJob(id, gpus, steps int) Job {
 	return Job{
 		ID:    id,
 		Name:  fmt.Sprintf("plan-%d", id),
-		Run:   exp.RunConfig{Model: models.PaperConfig(models.BERT, 8192, 4, 8), Strategy: exp.SSDTrain},
+		Run:   exp.Spec{Model: models.PaperConfig(models.BERT, 8192, 4, 8), Offload: exp.OffloadSpec{Strategy: exp.SSDTrain}},
 		GPUs:  gpus,
 		Steps: steps,
 	}
@@ -37,12 +36,14 @@ func pinJob(id, gpus, steps int) Job {
 	return Job{
 		ID:   id,
 		Name: fmt.Sprintf("pin-%d", id),
-		Run: exp.RunConfig{
-			Model:           models.PaperConfig(models.BERT, 8192, 4, 8),
-			Strategy:        exp.SSDTrain,
-			Budget:          fullOffload,
-			NoForwarding:    true,
-			KeepLastModules: -1,
+		Run: exp.Spec{
+			Model: models.PaperConfig(models.BERT, 8192, 4, 8),
+			Offload: exp.OffloadSpec{
+				Strategy:        exp.SSDTrain,
+				Budget:          fullOffload,
+				NoForwarding:    true,
+				KeepLastModules: -1,
+			},
 		},
 		GPUs:  gpus,
 		Steps: steps,
@@ -224,10 +225,9 @@ func tightPinJob(id, gpus, steps int) Job {
 	return Job{
 		ID:   id,
 		Name: fmt.Sprintf("tight-pin-%d", id),
-		Run: exp.RunConfig{
-			Model:    models.PaperConfig(models.BERT, 8192, 4, 16),
-			Strategy: exp.SSDTrain,
-			Budget:   fullOffload,
+		Run: exp.Spec{
+			Model:   models.PaperConfig(models.BERT, 8192, 4, 16),
+			Offload: exp.OffloadSpec{Strategy: exp.SSDTrain, Budget: fullOffload},
 		},
 		GPUs:  gpus,
 		Steps: steps,
@@ -320,66 +320,6 @@ func TestArrivals(t *testing.T) {
 		if j.Submit+j.Wait+j.Runtime > r.Makespan+time.Millisecond {
 			t.Errorf("job %d finishes after makespan", j.ID)
 		}
-	}
-}
-
-// TestParallelMap pins the pool's contract: input order, worker
-// independence, lowest-index error.
-func TestParallelMap(t *testing.T) {
-	in := make([]int, 100)
-	for i := range in {
-		in[i] = i
-	}
-	for _, workers := range []int{1, 3, 64, 200} {
-		out, err := ParallelMap(workers, in, func(x int) (int, error) { return x * x, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-	wantErr := errors.New("boom-17")
-	_, err := ParallelMap(8, in, func(x int) (int, error) {
-		if x == 17 || x == 63 {
-			return 0, fmt.Errorf("boom-%d", x)
-		}
-		return x, nil
-	})
-	if err == nil || err.Error() != wantErr.Error() {
-		t.Fatalf("error = %v, want lowest-index %v", err, wantErr)
-	}
-	if out, err := ParallelMap(4, nil, func(x int) (int, error) { return x, nil }); err != nil || len(out) != 0 {
-		t.Fatalf("empty input: %v %v", out, err)
-	}
-}
-
-// TestCacheLRU pins eviction order and stats.
-func TestCacheLRU(t *testing.T) {
-	c := NewCache[string, int](2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	c.Put("c", 3) // evicts b (least recently used)
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b survived eviction")
-	}
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatal("a evicted out of order")
-	}
-	if v, ok := c.Get("c"); !ok || v != 3 {
-		t.Fatal("c missing")
-	}
-	hits, misses := c.Stats()
-	if hits != 3 || misses != 1 {
-		t.Fatalf("stats = %d hits %d misses, want 3/1", hits, misses)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
 	}
 }
 

@@ -99,27 +99,27 @@ func DefaultJobMix(cfg MixConfig) []Job {
 		batch := batches[rng.Intn(len(batches))]
 		model := models.PaperConfig(arch, geom[0], geom[1], batch)
 
-		run := exp.RunConfig{Model: model, Strategy: exp.SSDTrain}
+		run := exp.Spec{Model: model, Offload: exp.OffloadSpec{Strategy: exp.SSDTrain}}
 		class := "plan"
 		switch p := rng.Float64(); {
 		case p < 0.55:
 			// Planner-driven SSDTrain (the framework's default posture).
 		case p < 0.70:
 			// Memory-constrained: offload everything, forwarding on.
-			run.Budget = fullOffload
+			run.Offload.Budget = fullOffload
 			class = "pin"
 		case p < 0.80:
 			// Memory-constrained without forwarding: reloads serialize
 			// behind the array, so contention dilates step time hard.
-			run.Budget = fullOffload
-			run.NoForwarding = true
-			run.KeepLastModules = -1
+			run.Offload.Budget = fullOffload
+			run.Offload.NoForwarding = true
+			run.Offload.KeepLastModules = -1
 			class = "pin-nofwd"
 		case p < 0.90:
-			run.Strategy = exp.NoOffload
+			run.Offload.Strategy = exp.NoOffload
 			class = "keep"
 		default:
-			run.Strategy = exp.Recompute
+			run.Offload.Strategy = exp.Recompute
 			class = "recompute"
 		}
 
@@ -148,12 +148,12 @@ func DefaultJobMix(cfg MixConfig) []Job {
 		pools := []units.Bytes{16 * units.GiB, 32 * units.GiB, 64 * units.GiB}
 		for i := range jobs {
 			j := &jobs[i]
-			if j.Run.Strategy != exp.SSDTrain || hrng.Float64() >= cfg.HybridFrac {
+			if j.Run.Offload.Strategy != exp.SSDTrain || hrng.Float64() >= cfg.HybridFrac {
 				continue
 			}
-			j.Run.Strategy = exp.HybridOffload
-			j.Run.Placement = exp.PlacementDRAMFirst
-			j.Run.DRAMCapacity = pools[hrng.Intn(len(pools))]
+			j.Run.Offload.Strategy = exp.HybridOffload
+			j.Run.Offload.Placement = exp.PlacementDRAMFirst
+			j.Run.Offload.DRAMCapacity = pools[hrng.Intn(len(pools))]
 			j.Name += "+dram"
 		}
 	}
@@ -164,19 +164,15 @@ func DefaultJobMix(cfg MixConfig) []Job {
 		pools := []units.Bytes{8 * units.GiB, 16 * units.GiB, 32 * units.GiB}
 		for i := range jobs {
 			j := &jobs[i]
-			if j.Run.Strategy != exp.SSDTrain || orng.Float64() >= cfg.OptimFrac {
+			if j.Run.Offload.Strategy != exp.SSDTrain || orng.Float64() >= cfg.OptimFrac {
 				continue
 			}
-			j.Run.Strategy = exp.OptimOffload
-			j.Run.Budget = 0
-			j.Run.NoForwarding = false
-			j.Run.KeepLastModules = 0
-			j.Run.DRAMCapacity = pools[orng.Intn(len(pools))]
-			j.Run.Schedule = exp.ScheduleSync
+			j.Run.Offload = exp.OffloadSpec{DRAMCapacity: pools[orng.Intn(len(pools))]}
+			j.Run.Optimizer = exp.OptimizerSpec{Offload: true, Schedule: exp.ScheduleSync}
 			if orng.Float64() < 0.5 {
-				j.Run.Schedule = exp.ScheduleOverlap
+				j.Run.Optimizer.Schedule = exp.ScheduleOverlap
 			}
-			j.Name += "+optim-" + j.Run.Schedule
+			j.Name += "+optim-" + j.Run.Optimizer.Schedule
 		}
 	}
 	return jobs

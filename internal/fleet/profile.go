@@ -8,6 +8,7 @@ import (
 	"ssdtrain/internal/core"
 	"ssdtrain/internal/exp"
 	"ssdtrain/internal/lru"
+	"ssdtrain/internal/pool"
 	"ssdtrain/internal/spans"
 	"ssdtrain/internal/units"
 )
@@ -66,7 +67,7 @@ func (p Profile) WriteRate() units.Bandwidth {
 // tree, so it serves as the cache key directly — no serialization on the
 // hot lookup path.
 type Profiler struct {
-	cache  *Cache[exp.RunConfig, profEntry]
+	cache  *lru.Cache[exp.RunConfig, profEntry]
 	flight lru.Singleflight[exp.RunConfig, profEntry]
 	// sessions recycles execution arenas across cache-miss measurements:
 	// a fleet sweep's (share × DRAM-grant) key grid shares a handful of
@@ -106,7 +107,7 @@ func NewProfiler(capacity int) *Profiler {
 		capacity = DefaultCacheCapacity
 	}
 	return &Profiler{
-		cache:    NewCache[exp.RunConfig, profEntry](capacity),
+		cache:    lru.New[exp.RunConfig, profEntry](capacity),
 		sessions: exp.NewSessionPool(0),
 	}
 }
@@ -254,15 +255,15 @@ type primeItem struct {
 	grant units.Bytes
 }
 
-// Prime concurrently precomputes every profile a simulation of the given
-// jobs can request: array-writing jobs contend at per-GPU shares 1/t for
+// prime concurrently precomputes every profile a simulation of the given
+// (flattened) jobs can request: array-writing jobs contend at per-GPU shares 1/t for
 // t = 1..node GPUs, DRAM-consuming jobs at every pool slice the node can
 // grant (the cross product, for hybrid jobs that contend on both axes),
 // and all other strategies only ever run exclusively. Because each
 // profile is deterministic, priming with any worker count leaves the
 // cache in the same logical state, which is what makes the fleet
 // simulation's reports independent of parallelism.
-func (p *Profiler) Prime(jobs []Job, node NodeSpec, workers int) error {
+func (p *Profiler) prime(jobs []Job, node NodeSpec, workers int) error {
 	seen := make(map[exp.RunConfig]bool)
 	var items []primeItem
 	add := func(run exp.RunConfig, share float64, grant units.Bytes) {
@@ -280,7 +281,7 @@ func (p *Profiler) Prime(jobs []Job, node NodeSpec, workers int) error {
 				shares = append(shares, 1/float64(t))
 			}
 		}
-		grants := []units.Bytes{j.Run.DRAMCapacity}
+		grants := []units.Bytes{j.run.DRAMCapacity}
 		if wantsDRAM(j) && node.DRAM > 0 {
 			grants = grants[:0]
 			for t := 1; t <= node.GPUs; t++ {
@@ -289,11 +290,11 @@ func (p *Profiler) Prime(jobs []Job, node NodeSpec, workers int) error {
 		}
 		for _, share := range shares {
 			for _, grant := range grants {
-				add(j.Run, share, grant)
+				add(j.run, share, grant)
 			}
 		}
 	}
-	_, err := ParallelMap(workers, items, func(it primeItem) (Profile, error) {
+	_, err := pool.ParallelMap(workers, items, func(it primeItem) (Profile, error) {
 		prof, err := p.Measure(it.run, node, it.share, it.grant)
 		// A pinned-budget tenant can overflow its pool at contention
 		// levels the scheduler will never actually grant it: that combo

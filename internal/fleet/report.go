@@ -306,8 +306,8 @@ func (r *Report) String() string {
 
 // RenderReports renders a sweep's reports in full — per-report summary,
 // node table and job table, then the policy comparison. The
-// byte-identity goldens pin exactly this rendering, and goldengen
-// regenerates them through the same function, so the two cannot drift.
+// byte-identity golden pins exactly this rendering, and its -update flag
+// regenerates it through the same function, so the two cannot drift.
 func RenderReports(reports []*Report) string {
 	var b strings.Builder
 	for _, r := range reports {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ssdtrain/internal/faults"
+	"ssdtrain/internal/pool"
 	"ssdtrain/internal/trace"
 )
 
@@ -19,7 +20,7 @@ type Scenario struct {
 // Profiler reuse each other's measurement runs; results are identical
 // for any worker count.
 func Sweep(scenarios []Scenario, workers int) ([]*Report, error) {
-	return ParallelMap(workers, scenarios, func(sc Scenario) (*Report, error) {
+	return pool.ParallelMap(workers, scenarios, func(sc Scenario) (*Report, error) {
 		r, err := Simulate(sc.Config)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: scenario %q: %w", sc.Name, err)

@@ -91,11 +91,6 @@ func (c *CostModel) MemoryBound(bytes units.Bytes) time.Duration {
 	return c.roofline(0, 1, bytes)
 }
 
-// EffectiveHBM returns the derated HBM bandwidth.
-func (c *CostModel) EffectiveHBM() units.Bandwidth {
-	return units.Bandwidth(float64(c.Spec.HBMBandwidth) * c.MemEff)
-}
-
 // AllReduceTime models a ring all-reduce of n bytes across tpDegree GPUs
 // over NVLink: each GPU moves 2(t-1)/t of the payload.
 func (c *CostModel) AllReduceTime(n units.Bytes, tpDegree int) time.Duration {

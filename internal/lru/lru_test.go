@@ -32,6 +32,33 @@ func TestCacheEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestCacheLRU pins eviction order and stats.
+func TestCacheLRU(t *testing.T) {
+	c := New[string, int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if _, ok := c.Get("a"); !ok {
+		t.Fatal("a missing")
+	}
+	c.Put("c", 3) // evicts b (least recently used)
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("b survived eviction")
+	}
+	if v, ok := c.Get("a"); !ok || v != 1 {
+		t.Fatal("a evicted out of order")
+	}
+	if v, ok := c.Get("c"); !ok || v != 3 {
+		t.Fatal("c missing")
+	}
+	hits, misses := c.Stats()
+	if hits != 3 || misses != 1 {
+		t.Fatalf("stats = %d hits %d misses, want 3/1", hits, misses)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
+	}
+}
+
 func TestCachePutRefreshes(t *testing.T) {
 	c := New[string, int](4)
 	c.Put("k", 1)

@@ -78,7 +78,42 @@ func (c Config) Validate() error {
 	if c.Arch != GPT && c.Arch != BERT && c.Arch != T5 {
 		return fmt.Errorf("models: unknown arch %q", c.Arch)
 	}
+	if a := c.activationBytes(); a > MaxActivationBytes {
+		return &TooLargeError{Config: c, ActivationBytes: a}
+	}
 	return nil
+}
+
+// MaxActivationBytes bounds a configuration's analytic activation volume
+// per micro-batch step (1 TiB, far past any GPU's memory). The simulator
+// counts bytes and nanoseconds in int64; below this bound its sums over
+// tensors, micro-batches, steps and tiers keep a factor of 2^23 of
+// headroom, and above it they can wrap.
+const MaxActivationBytes = 1 << 40
+
+// TooLargeError rejects a configuration whose analytic activation volume
+// per micro-batch step passes MaxActivationBytes.
+type TooLargeError struct {
+	Config          Config
+	ActivationBytes float64
+}
+
+func (e *TooLargeError) Error() string {
+	return fmt.Sprintf("models: %v produces about %.3g activation bytes per step, past the limit of %d",
+		e.Config, e.ActivationBytes, MaxActivationBytes)
+}
+
+// activationBytes is the analytic activation volume of one micro-batch
+// step: Korthikanti et al.'s s·b·h·(10 + 24/t) bytes per layer, plus the
+// unfused softmax chain's 5·a·s²·b/t without FlashAttention. It is a
+// float64 so that it cannot overflow.
+func (c Config) activationBytes() float64 {
+	s, b, h, t := float64(c.SeqLen), float64(c.Batch), float64(c.Hidden), float64(c.TP)
+	perLayer := s * b * h * (10 + 24/t)
+	if !c.FlashAttention {
+		perLayer += 5 * float64(c.Heads()) * s * s * b / t
+	}
+	return perLayer * float64(c.Layers)
 }
 
 // Heads returns the attention head count.

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -284,5 +285,24 @@ func TestTemplateSharedWhileHeld(t *testing.T) {
 	}
 	if _, bl := GraphCacheStats(); bl != builds+1 {
 		t.Errorf("a forgotten template was not rebuilt: %d builds, want %d", bl, builds+1)
+	}
+}
+
+// TestValidateBoundsActivations: a configuration whose analytic
+// activation volume per step passes MaxActivationBytes is a typed error;
+// every paper geometry is far inside the bound.
+func TestValidateBoundsActivations(t *testing.T) {
+	huge := PaperConfig(GPT, 1<<18, 2, 1<<16)
+	huge.SeqLen = 1 << 20
+	var tooLarge *TooLargeError
+	if err := huge.Validate(); !errors.As(err, &tooLarge) {
+		t.Errorf("huge GPT: got %v, want *TooLargeError", err)
+	}
+	for _, arch := range []Arch{GPT, BERT, T5} {
+		for _, g := range Fig6Geometries() {
+			if err := PaperConfig(arch, g[0], g[1], 64).Validate(); err != nil {
+				t.Errorf("%s %v: %v", arch, g, err)
+			}
+		}
 	}
 }

@@ -78,7 +78,7 @@ func TestBatcherCancelWhileQueued(t *testing.T) {
 	b := newBatcher(exec, l, newStats(time.Now()))
 
 	cfg := func(steps int) exp.RunConfig {
-		c, err := PlanRequest{Model: smallModel(), Strategy: "ssdtrain", Steps: steps}.RunConfig()
+		c, err := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}, Run: RunRequest{Steps: steps}}}.RunConfig()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestCanceledRequestsReturnSlots(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			req := PlanRequest{Model: smallModel(), Strategy: "ssdtrain", Steps: i%6 + 1}
+			req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}, Run: RunRequest{Steps: i%6 + 1}}}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i+1)*time.Millisecond)
 			defer cancel()
 			blob, err := json.Marshal(req)

@@ -73,16 +73,23 @@ func (r *LoadReport) String() string {
 func loadPalette() []PlanRequest {
 	small := ModelSpec{Arch: "bert", Hidden: 2048, Layers: 2, Batch: 4}
 	bigger := ModelSpec{Arch: "gpt", Hidden: 2048, Layers: 2, Batch: 8}
+	contended := planOf(small, OffloadRequest{Strategy: "ssdtrain"})
+	contended.Spec.Inject.SSDBandwidthShare = 0.5
 	return []PlanRequest{
-		{Model: small, Strategy: "ssdtrain"},
-		{Model: small, Strategy: "ssdtrain", SSDBandwidthShare: 0.5},
-		{Model: small, Strategy: "no-offload"},
-		{Model: small, Strategy: "recompute"},
-		{Model: small, Strategy: "cpu-offload"},
-		{Model: bigger, Strategy: "ssdtrain"},
-		{Model: bigger, Strategy: "hybrid", DRAMCapacityBytes: 512 << 20},
-		{Model: bigger, Strategy: "hybrid", Placement: "ssd-only"},
+		planOf(small, OffloadRequest{Strategy: "ssdtrain"}),
+		contended,
+		planOf(small, OffloadRequest{Strategy: "no-offload"}),
+		planOf(small, OffloadRequest{Strategy: "recompute"}),
+		planOf(small, OffloadRequest{Strategy: "cpu-offload"}),
+		planOf(bigger, OffloadRequest{Strategy: "ssdtrain"}),
+		planOf(bigger, OffloadRequest{Strategy: "hybrid", DRAMCapacityBytes: 512 << 20}),
+		planOf(bigger, OffloadRequest{Strategy: "hybrid", Placement: "ssd-only"}),
 	}
+}
+
+// planOf is the plan question for a model under the given offload knobs.
+func planOf(m ModelSpec, off OffloadRequest) PlanRequest {
+	return PlanRequest{Spec: SpecRequest{Model: m, Offload: off}}
 }
 
 // postPlan posts one plan request and returns status, body and latency.
@@ -196,12 +203,12 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	// running when its twins arrive. A palette model finishes in about
 	// 0.5 ms, sometimes before they do.
 	for wave := 0; wave < 5; wave++ {
-		req := PlanRequest{Model: ModelSpec{Arch: "bert", Hidden: 2048, Layers: 24, Batch: 4}, Strategy: "ssdtrain"}
+		req := planOf(ModelSpec{Arch: "bert", Hidden: 2048, Layers: 24, Batch: 4}, OffloadRequest{Strategy: "ssdtrain"})
 		// Steps is a cheap knob (shared plan shape), but the result cache
 		// and singleflight key on the full normalized config — so each
 		// wave's config is previously unseen and must coalesce through
 		// the flight, not the cache.
-		req.Steps = 4 + wave
+		req.Spec.Run.Steps = 4 + wave
 		mism, n5xx, terrs := dedupWave(client, opts.BaseURL, req, opts.Concurrency)
 		rep.Mismatches += mism
 		rep.Status5xx += n5xx
@@ -269,7 +276,7 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	// One small sweep for endpoint coverage: every line must be valid
 	// JSON and none may be a server error.
 	sweep := SweepRequest{
-		Base:   PlanRequest{Model: ModelSpec{Arch: "bert", Hidden: 2048, Layers: 2, Batch: 4}, Strategy: "ssdtrain"},
+		Base:   planOf(ModelSpec{Arch: "bert", Hidden: 2048, Layers: 2, Batch: 4}, OffloadRequest{Strategy: "ssdtrain"}),
 		Shares: []float64{0.25, 0.5, 1},
 	}
 	blob, _ := json.Marshal(sweep)

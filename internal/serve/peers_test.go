@@ -32,12 +32,7 @@ func memClient(peers handlerTransport) *http.Client {
 // asker computed. Hybrid knobs, fractional floats and a fault schedule
 // ride along to cover every field kind on the struct.
 func TestCachefillWireRoundTrip(t *testing.T) {
-	req := PlanRequest{
-		Model: smallModel(), Strategy: "hybrid", Placement: "split",
-		SplitRatio: 0.3, DRAMCapacityBytes: 256 << 20,
-		SSDBandwidthShare: 0.7, Steps: 5,
-		Faults: &FaultSpec{DegradeAtUs: 1500, DegradeFactor: 0.5, DegradeForUs: 2500},
-	}
+	req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "hybrid", Placement: "split", SplitRatio: 0.3, DRAMCapacityBytes: 256 << 20}, Run: RunRequest{Steps: 5}, Inject: InjectRequest{SSDBandwidthShare: 0.7, Faults: &FaultSpec{DegradeAtUs: 1500, DegradeFactor: 0.5, DegradeForUs: 2500}}}}
 	cfg, err := req.RunConfig()
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +63,7 @@ func TestPeerFillWarmsColdReplica(t *testing.T) {
 		PeerClient: memClient(peers),
 	})
 
-	req := PlanRequest{Model: smallModel(), Strategy: "ssdtrain"}
+	req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}}}
 	warmSrv := httptest.NewServer(warm.Handler())
 	defer warmSrv.Close()
 	coldSrv := httptest.NewServer(cold.Handler())
@@ -127,7 +122,7 @@ func TestPeerFillMissFallsBackToSimulation(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	req := PlanRequest{Model: smallModel(), Strategy: "ssdtrain"}
+	req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}}}
 	resp, body := postJSON(t, srv.URL+"/v1/plan", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -152,7 +147,7 @@ func TestCachefillLookupIsInvisible(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	req := PlanRequest{Model: smallModel(), Strategy: "no-offload"}
+	req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "no-offload"}}}
 	postJSON(t, srv.URL+"/v1/plan", req)
 	cfg, err := req.RunConfig()
 	if err != nil {
@@ -179,7 +174,7 @@ func TestStaleLabeling(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	req := PlanRequest{Model: smallModel(), Strategy: "no-offload"}
+	req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "no-offload"}}}
 	resp, _ := postJSON(t, srv.URL+"/v1/plan", req)
 	if resp.Header.Get(HeaderStale) != "" {
 		t.Fatal("fresh render labeled stale")

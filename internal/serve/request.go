@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -83,50 +84,18 @@ func (m ModelSpec) config() (models.Config, error) {
 	return cfg, nil
 }
 
-// PlanRequest is the body of POST /v1/plan: one what-if planning
-// question against the simulated testbed. Two body shapes are accepted:
-// the flat legacy form (Model, Strategy and the knob fields below) and
-// the nested schema-v2 form — a single "spec" object mirroring the
-// grouped exp.Spec. When "spec" is present it IS the request and the
-// flat fields are ignored. In the flat form only Model and Strategy are
-// required; every other field is a knob with the experiment harness's
-// defaults.
+// PlanRequest is the body of POST /v1/plan and /v1/trace, and the base of
+// a /v1/sweep: one what-if planning question against the simulated
+// testbed, as a single "spec" object mirroring exp.Spec group for group.
+// Only spec.model is required; every other field is a knob with the
+// experiment harness's defaults.
 type PlanRequest struct {
-	// Spec is the nested v2 body; nil means the flat legacy form.
-	Spec *SpecRequest `json:"spec,omitempty"`
-
-	Model    ModelSpec `json:"model"`
-	Strategy string    `json:"strategy"` // no-offload | ssdtrain | recompute | cpu-offload | hybrid | optim-offload
-
-	Steps        int `json:"steps,omitempty"`
-	Warmup       int `json:"warmup,omitempty"`
-	MicroBatches int `json:"micro_batches,omitempty"`
-	// BudgetBytes pins the offload budget (0 = plan via the Fig 3
-	// workflow and report the planned value).
-	BudgetBytes int64 `json:"budget_bytes,omitempty"`
-	// SSDBandwidthShare models co-tenants contending for the array
-	// (0 or 1 = exclusive).
-	SSDBandwidthShare float64 `json:"ssd_bandwidth_share,omitempty"`
-	// Placement selects the hybrid strategy's tier routing
-	// (ssd-only | dram-first | split).
-	Placement         string  `json:"placement,omitempty"`
-	DRAMCapacityBytes int64   `json:"dram_capacity_bytes,omitempty"`
-	SplitRatio        float64 `json:"split_ratio,omitempty"`
-	KeepLastModules   int     `json:"keep_last_modules,omitempty"`
-	PrefetchAhead     int     `json:"prefetch_ahead,omitempty"`
-	DisableGDS        bool    `json:"disable_gds,omitempty"`
-	// OptimKind/Schedule configure the optim-offload strategy family
-	// (adam | sgd, sync | overlap).
-	OptimKind string `json:"optim_kind,omitempty"`
-	Schedule  string `json:"schedule,omitempty"`
-	// Faults schedules deterministic fault injection against the run's
-	// NVMe array (nil = none).
-	Faults *FaultSpec `json:"faults,omitempty"`
+	Spec SpecRequest `json:"spec"`
 }
 
-// SpecRequest is the nested v2 request body, mirroring exp.Spec group
-// for group. The machine group is deliberately absent from the wire:
-// the service always simulates its own testbed.
+// SpecRequest is a plan question, mirroring exp.Spec group for group.
+// The machine group is deliberately absent from the wire: the service
+// always simulates its own testbed.
 type SpecRequest struct {
 	Model     ModelSpec        `json:"model"`
 	Offload   OffloadRequest   `json:"offload,omitzero"`
@@ -167,7 +136,7 @@ type InjectRequest struct {
 	SSDBandwidthShare float64    `json:"ssd_bandwidth_share,omitempty"`
 }
 
-// FaultSpec is the wire form of exp.RunConfig.Faults: a single-run fault
+// FaultSpec is the wire form of exp.InjectSpec.Faults: a single-run fault
 // schedule against the NVMe array. Durations are microseconds — a
 // simulated training step is a few hundred milliseconds, so millisecond
 // granularity would be too coarse for mid-step events.
@@ -209,67 +178,22 @@ func (f *FaultSpec) spec() faults.Spec {
 // canonical form the server's result cache, singleflight and batcher all
 // key on, and the identity a cluster router's shard key (exp.ShapeHash)
 // is computed from.
-func (r PlanRequest) RunConfig() (exp.RunConfig, error) { return r.runConfig() }
-
-// runConfig validates the request's knobs and normalizes the result.
-func (r PlanRequest) runConfig() (exp.RunConfig, error) {
-	if r.Spec != nil {
-		return r.Spec.runConfig()
+func (r PlanRequest) RunConfig() (exp.RunConfig, error) {
+	s := r.Spec
+	if s == (SpecRequest{}) {
+		return exp.RunConfig{}, errNoSpec
 	}
-	model, err := r.Model.config()
-	if err != nil {
-		return exp.RunConfig{}, err
-	}
-	if err := checkRunCaps(r.Steps, r.Warmup, r.MicroBatches); err != nil {
-		return exp.RunConfig{}, err
-	}
-	cfg := exp.RunConfig{
-		Model:             model,
-		Strategy:          exp.Strategy(r.Strategy),
-		Steps:             r.Steps,
-		Warmup:            r.Warmup,
-		MicroBatches:      r.MicroBatches,
-		Budget:            units.Bytes(r.BudgetBytes),
-		SSDBandwidthShare: r.SSDBandwidthShare,
-		Placement:         exp.Placement(r.Placement),
-		DRAMCapacity:      units.Bytes(r.DRAMCapacityBytes),
-		SplitRatio:        r.SplitRatio,
-		KeepLastModules:   r.KeepLastModules,
-		PrefetchAhead:     r.PrefetchAhead,
-		DisableGDS:        r.DisableGDS,
-		OptimKind:         r.OptimKind,
-		Schedule:          r.Schedule,
-		Faults:            r.Faults.spec(),
-	}
-	return exp.Normalize(cfg)
-}
-
-// checkRunCaps bounds the measurement-shape knobs shared by both body
-// forms.
-func checkRunCaps(steps, warmup, microBatches int) error {
-	switch {
-	case steps > maxSteps:
-		return fmt.Errorf("serve: steps %d exceeds the service limit %d", steps, maxSteps)
-	case warmup > maxSteps:
-		return fmt.Errorf("serve: warmup %d exceeds the service limit %d", warmup, maxSteps)
-	case microBatches > maxMicroBatches:
-		return fmt.Errorf("serve: micro_batches %d exceeds the service limit %d", microBatches, maxMicroBatches)
-	}
-	return nil
-}
-
-// runConfig resolves the nested v2 body through the grouped exp.Spec,
-// so the wire form and the library form share one flattening and one
-// set of validation rules. A flat request and a spec request describing
-// the same measurement normalize to the same exp.RunConfig — the server
-// caches, coalesces and answers them identically.
-func (s *SpecRequest) runConfig() (exp.RunConfig, error) {
 	model, err := s.Model.config()
 	if err != nil {
 		return exp.RunConfig{}, err
 	}
-	if err := checkRunCaps(s.Run.Steps, s.Run.Warmup, s.Run.MicroBatches); err != nil {
-		return exp.RunConfig{}, err
+	switch {
+	case s.Run.Steps > maxSteps:
+		return exp.RunConfig{}, fmt.Errorf("serve: steps %d exceeds the service limit %d", s.Run.Steps, maxSteps)
+	case s.Run.Warmup > maxSteps:
+		return exp.RunConfig{}, fmt.Errorf("serve: warmup %d exceeds the service limit %d", s.Run.Warmup, maxSteps)
+	case s.Run.MicroBatches > maxMicroBatches:
+		return exp.RunConfig{}, fmt.Errorf("serve: micro_batches %d exceeds the service limit %d", s.Run.MicroBatches, maxMicroBatches)
 	}
 	spec := exp.Spec{
 		Model: model,
@@ -305,6 +229,13 @@ func (s *SpecRequest) runConfig() (exp.RunConfig, error) {
 	return exp.Normalize(cfg)
 }
 
+// specForm is the one body form of a plan question, named by the errors
+// that reject any other.
+const specForm = `a plan question is {"spec": {"model": {...}, "offload": {...}, ...}}`
+
+// errNoSpec rejects a plan question without its "spec" object.
+var errNoSpec = errors.New("serve: " + specForm)
+
 // TierUsage is one rung of the offload hierarchy in a response.
 type TierUsage struct {
 	Name          string `json:"name"`
@@ -321,7 +252,7 @@ type TierUsage struct {
 // configuration.
 type PlanResponse struct {
 	// Schema versions the response body; "v2" marks the generation that
-	// understands nested spec requests and optimizer-offload plans.
+	// answers spec requests and optimizer-offload plans.
 	Schema   string `json:"schema"`
 	Model    string `json:"model"`
 	Strategy string `json:"strategy"`
@@ -454,7 +385,7 @@ const maxSweepPoints = 1024
 // Every point must validate — a sweep with an impossible axis value is
 // rejected whole rather than half-streamed.
 func (r SweepRequest) configs() ([]exp.RunConfig, error) {
-	base, err := r.Base.runConfig()
+	base, err := r.Base.RunConfig()
 	if err != nil {
 		return nil, err
 	}

@@ -247,6 +247,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
 	return nil
 }
 
+// decodePlanBody strictly decodes a body that holds plan questions. A flat
+// body, with the model and knobs at the top level, fails on its first
+// field, and the error names the spec form.
+func decodePlanBody(w http.ResponseWriter, r *http.Request, into any) error {
+	if err := decodeBody(w, r, into); err != nil {
+		return fmt.Errorf("%w; %s", err, specForm)
+	}
+	return nil
+}
+
 // errSaturated reports backpressure: the worker slots are busy and the
 // wait queue is full. Handlers translate it to 429 + Retry-After.
 var errSaturated = errors.New("serve: saturated, retry later")
@@ -437,7 +447,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PlanRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodePlanBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -481,7 +491,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodePlanBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -573,7 +583,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PlanRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodePlanBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,15 +29,15 @@ func smallModel() ModelSpec {
 func identityGrid() []PlanRequest {
 	m := smallModel()
 	return []PlanRequest{
-		{Model: m, Strategy: "no-offload"},
-		{Model: m, Strategy: "recompute"},
-		{Model: m, Strategy: "ssdtrain"},
-		{Model: m, Strategy: "ssdtrain", SSDBandwidthShare: 0.5},
-		{Model: m, Strategy: "cpu-offload"},
-		{Model: m, Strategy: "cpu-offload", DRAMCapacityBytes: 1 << 31},
-		{Model: m, Strategy: "hybrid", DRAMCapacityBytes: 256 << 20},
-		{Model: m, Strategy: "hybrid", Placement: "ssd-only", DRAMCapacityBytes: 256 << 20},
-		{Model: m, Strategy: "hybrid", Placement: "split", SplitRatio: 0.5, DRAMCapacityBytes: 256 << 20},
+		{Spec: SpecRequest{Model: m, Offload: OffloadRequest{Strategy: "no-offload"}}},
+		{Spec: SpecRequest{Model: m, Offload: OffloadRequest{Strategy: "recompute"}}},
+		{Spec: SpecRequest{Model: m, Offload: OffloadRequest{Strategy: "ssdtrain"}}},
+		{Spec: SpecRequest{Model: m, Offload: OffloadRequest{Strategy: "ssdtrain"}, Inject: InjectRequest{SSDBandwidthShare: 0.5}}},
+		{Spec: SpecRequest{Model: m, Offload: OffloadRequest{Strategy: "cpu-offload"}}},
+		{Spec: SpecRequest{Model: m, Offload: OffloadRequest{Strategy: "cpu-offload", DRAMCapacityBytes: 1 << 31}}},
+		{Spec: SpecRequest{Model: m, Offload: OffloadRequest{Strategy: "hybrid", DRAMCapacityBytes: 256 << 20}}},
+		{Spec: SpecRequest{Model: m, Offload: OffloadRequest{Strategy: "hybrid", Placement: "ssd-only", DRAMCapacityBytes: 256 << 20}}},
+		{Spec: SpecRequest{Model: m, Offload: OffloadRequest{Strategy: "hybrid", Placement: "split", SplitRatio: 0.5, DRAMCapacityBytes: 256 << 20}}},
 	}
 }
 
@@ -44,9 +45,9 @@ func identityGrid() []PlanRequest {
 // on a single-use arena, no pool, no cache, no batch.
 func freshBody(t *testing.T, req PlanRequest) []byte {
 	t.Helper()
-	cfg, err := req.runConfig()
+	cfg, err := req.RunConfig()
 	if err != nil {
-		t.Fatalf("runConfig(%+v): %v", req, err)
+		t.Fatalf("RunConfig(%+v): %v", req, err)
 	}
 	plan, err := exp.Compile(cfg)
 	if err != nil {
@@ -107,9 +108,9 @@ func TestPlanByteIdentityConcurrent(t *testing.T) {
 	// arenas) as the healthy cpu-offload entries, but its pinned pool
 	// cannot hold one block — the run errors mid-simulation, and the
 	// arena it dirtied must still serve byte-identical healthy runs.
-	overflow := PlanRequest{Model: smallModel(), Strategy: "cpu-offload", DRAMCapacityBytes: 1 << 20}
+	overflow := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "cpu-offload", DRAMCapacityBytes: 1 << 20}}}
 	// Invalid config: rejected at validation (400), never executed.
-	invalid := PlanRequest{Model: smallModel(), Strategy: "ssdtrain", SplitRatio: 0.5}
+	invalid := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain", SplitRatio: 0.5}}}
 
 	const goroutines = 6
 	const rounds = 2
@@ -191,7 +192,7 @@ func TestSweepStream(t *testing.T) {
 
 	shares := []float64{0.25, 0.5, 1}
 	req := SweepRequest{
-		Base:   PlanRequest{Model: smallModel(), Strategy: "ssdtrain"},
+		Base:   PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}}},
 		Shares: shares,
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/sweep", req)
@@ -206,7 +207,7 @@ func TestSweepStream(t *testing.T) {
 		t.Fatalf("got %d lines, want %d newline-terminated", n-1, len(shares))
 	}
 	for i, share := range shares {
-		point := PlanRequest{Model: smallModel(), Strategy: "ssdtrain", SSDBandwidthShare: share}
+		point := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}, Inject: InjectRequest{SSDBandwidthShare: share}}}
 		if want := freshBody(t, point); !bytes.Equal(lines[i], want) {
 			t.Errorf("sweep line %d (share %v) differs from fresh Plan.Execute", i, share)
 		}
@@ -221,7 +222,7 @@ func TestBackpressure(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	warm := PlanRequest{Model: smallModel(), Strategy: "no-offload"}
+	warm := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "no-offload"}}}
 	if resp, body := postJSON(t, ts.URL+"/v1/plan", warm); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warmup status %d: %s", resp.StatusCode, body)
 	}
@@ -231,7 +232,7 @@ func TestBackpressure(t *testing.T) {
 	}
 	defer srv.limiter.release()
 
-	cold := PlanRequest{Model: smallModel(), Strategy: "recompute"}
+	cold := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "recompute"}}}
 	resp, body := postJSON(t, ts.URL+"/v1/plan", cold)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated cold request: status %d: %s", resp.StatusCode, body)
@@ -272,7 +273,7 @@ func shareRequests(t *testing.T, shares ...float64) ([]PlanRequest, exp.RunConfi
 	t.Helper()
 	reqs := make([]PlanRequest, len(shares))
 	for i, share := range shares {
-		reqs[i] = PlanRequest{Model: smallModel(), Strategy: "ssdtrain", SSDBandwidthShare: share}
+		reqs[i] = PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}, Inject: InjectRequest{SSDBandwidthShare: share}}}
 	}
 	cfg, err := reqs[0].RunConfig()
 	if err != nil {
@@ -422,13 +423,13 @@ func TestSameShapeUsesEveryWorker(t *testing.T) {
 func TestGroupCommitStress(t *testing.T) {
 	var reqs []PlanRequest
 	for _, base := range []PlanRequest{
-		{Model: smallModel(), Strategy: "ssdtrain"},
-		{Model: smallModel(), Strategy: "hybrid", DRAMCapacityBytes: 256 << 20},
-		{Model: ModelSpec{Arch: "gpt", Hidden: 2048, Layers: 2, Batch: 4}, Strategy: "ssdtrain"},
+		{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}}},
+		{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "hybrid", DRAMCapacityBytes: 256 << 20}}},
+		{Spec: SpecRequest{Model: ModelSpec{Arch: "gpt", Hidden: 2048, Layers: 2, Batch: 4}, Offload: OffloadRequest{Strategy: "ssdtrain"}}},
 	} {
 		for _, share := range []float64{0.3, 0.5, 0.7, 0.9} {
 			r := base
-			r.SSDBandwidthShare = share
+			r.Spec.Inject.SSDBandwidthShare = share
 			reqs = append(reqs, r)
 		}
 	}
@@ -484,7 +485,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req := PlanRequest{Model: smallModel(), Strategy: "ssdtrain"}
+	req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}}}
 	for i := 0; i < 3; i++ { // one miss, two result-cache hits
 		if resp, body := postJSON(t, ts.URL+"/v1/plan", req); resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -547,7 +548,7 @@ func TestPlanResponseCarriesSteadyState(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req := PlanRequest{Model: smallModel(), Strategy: "ssdtrain", Steps: 20}
+	req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}, Run: RunRequest{Steps: 20}}}
 	resp, body := postJSON(t, ts.URL+"/v1/plan", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -657,39 +658,68 @@ var rejectedFleetBodies = []string{
 	`{"nodes":1,"jobs":4,"policies":["fifo"],"dram_gib":1048577}`,
 }
 
+// rejectedPlanBodies are /v1/plan bodies the service must answer 400:
+// malformed and flat bodies, unknown fields and values, and hostile
+// knobs. FuzzPlanRequest starts from them.
+var rejectedPlanBodies = []struct{ name, body string }{
+	{"bad json", `{`},
+	{"flat body", `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain"}`},
+	{"no spec", `{}`},
+	{"empty spec", `{"spec":{}}`},
+	{"unknown field", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain","turbo":true}}}`},
+	{"unknown arch", `{"spec":{"model":{"arch":"rnn","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"}}}`},
+	{"unknown strategy", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"teleport"}}}`},
+	{"bad geometry", `{"spec":{"model":{"arch":"bert","hidden":2049,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"}}}`},
+	{"dead knob", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain","split_ratio":0.5}}}`},
+	{"optimizer against strategy", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"},"optimizer":{"offload":true}}}`},
+	{"removed adaptive_steps", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"},"run":{"adaptive_steps":true}}}`},
+	{"negative steps+warmup (panic regression)", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"},"run":{"steps":-1,"warmup":-1}}}`},
+	{"negative steps", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"},"run":{"steps":-1}}}`},
+	{"negative budget", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain","budget_bytes":-1}}}`},
+	{"negative micro batches", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"},"run":{"micro_batches":-2}}}`},
+	{"oversized steps", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"},"run":{"steps":100000000}}}`},
+	{"oversized layers", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":100000,"batch":4},"offload":{"strategy":"ssdtrain"}}}`},
+}
+
 // TestRequestValidation pins the 4xx surface.
 func TestRequestValidation(t *testing.T) {
 	srv := New(Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"bad json", `{`, http.StatusBadRequest},
-		{"unknown field", `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain","turbo":true}`, http.StatusBadRequest},
-		{"unknown arch", `{"model":{"arch":"rnn","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain"}`, http.StatusBadRequest},
-		{"unknown strategy", `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"teleport"}`, http.StatusBadRequest},
-		{"bad geometry", `{"model":{"arch":"bert","hidden":2049,"layers":2,"batch":4},"strategy":"ssdtrain"}`, http.StatusBadRequest},
-		{"dead knob", `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain","split_ratio":0.5}`, http.StatusBadRequest},
-		{"removed flat adaptive_steps", `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain","adaptive_steps":true}`, http.StatusBadRequest},
-		{"removed nested adaptive_steps", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain"},"run":{"adaptive_steps":true}}}`, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range rejectedPlanBodies {
 		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, body)
 		}
 		var eb errorBody
 		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s: error body %q not structured", tc.name, body)
+		}
+	}
+	// A body in any form but {"spec": ...} is a 400 that names the spec
+	// form: the flat form the service once took, an empty body, and a
+	// flat sweep base.
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/plan", `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain"}`},
+		{"/v1/plan", `{}`},
+		{"/v1/trace", `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain"}`},
+		{"/v1/sweep", `{"base":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"ssdtrain"},"shares":[0.5]}`},
+		{"/v1/sweep", `{"base":{},"shares":[0.5]}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `{\"spec\":`) {
+			t.Errorf("%s %s: status %d, body %s; want a 400 naming the spec form", tc.path, tc.body, resp.StatusCode, body)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/plan")
@@ -700,6 +730,61 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/plan: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// cornerPlanBodies sit on both sides of the bounds that keep an accepted
+// question representable: the activation volume of a step and the
+// smallest nonzero bandwidth share.
+var cornerPlanBodies = []struct {
+	name, body string
+	want       int
+}{
+	{"gpt past the activation bound", `{"spec":{"model":{"arch":"gpt","hidden":262144,"layers":2,"batch":65536,"seq_len":1048576},"offload":{"strategy":"ssdtrain"}}}`, http.StatusBadRequest},
+	{"bert past the activation bound", `{"spec":{"model":{"arch":"bert","hidden":262144,"layers":512,"batch":65536,"seq_len":1048576},"offload":{"strategy":"ssdtrain"}}}`, http.StatusBadRequest},
+	{"share below the floor", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain","budget_bytes":67108864,"keep_last_modules":-1},"inject":{"ssd_bandwidth_share":1e-12}}}`, http.StatusBadRequest},
+	{"share at the floor", `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"ssdtrain","budget_bytes":67108864,"keep_last_modules":-1},"inject":{"ssd_bandwidth_share":1e-6}}}`, http.StatusOK},
+	{"gpt under the activation bound", `{"spec":{"model":{"arch":"gpt","hidden":131072,"layers":2,"batch":16,"seq_len":8192},"offload":{"strategy":"ssdtrain"}}}`, http.StatusOK},
+}
+
+// TestUnrepresentableBodiesRejected posts bodies inside every service cap
+// that the simulator cannot represent: models whose activations pass the
+// int64 headroom (the GPT body answered 200 with a wrapped budget, the
+// BERT one panicked the allocator) and a bandwidth share so thin that a
+// step outlasts a time.Duration. Each is a 400. Bodies just inside the
+// bounds answer 200 with no negative field.
+func TestUnrepresentableBodiesRejected(t *testing.T) {
+	srv := New(Options{Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, tc := range cornerPlanBodies {
+		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, body)
+			continue
+		}
+		if tc.want != http.StatusOK {
+			continue
+		}
+		var pr PlanResponse
+		if err := json.Unmarshal(body, &pr); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		v := reflect.ValueOf(pr)
+		for i := range v.NumField() {
+			if f := v.Field(i); f.Kind() == reflect.Int64 && f.Int() < 0 {
+				t.Errorf("%s: %s = %d", tc.name, v.Type().Field(i).Name, f.Int())
+			}
+		}
+		if pr.StepTimeNs <= 0 {
+			t.Errorf("%s: step time %d ns", tc.name, pr.StepTimeNs)
+		}
 	}
 }
 
@@ -743,7 +828,7 @@ func TestSweepPlanNoDeadlock(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			req := SweepRequest{
-				Base:   PlanRequest{Model: smallModel(), Strategy: "ssdtrain"},
+				Base:   PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}}},
 				Shares: shares,
 			}
 			resp, body := postJSON(t, ts.URL+"/v1/sweep", req)
@@ -755,7 +840,7 @@ func TestSweepPlanNoDeadlock(t *testing.T) {
 			wg.Add(1)
 			go func(share float64) {
 				defer wg.Done()
-				req := PlanRequest{Model: smallModel(), Strategy: "ssdtrain", SSDBandwidthShare: share}
+				req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}, Inject: InjectRequest{SSDBandwidthShare: share}}}
 				resp, body := postJSON(t, ts.URL+"/v1/plan", req)
 				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
 					t.Errorf("plan share %v: status %d: %s", share, resp.StatusCode, body)
@@ -780,19 +865,7 @@ func TestHostileKnobsRejected(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	model := `"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4}`
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"negative steps+warmup (panic regression)", `{` + model + `,"strategy":"ssdtrain","steps":-1,"warmup":-1}`},
-		{"negative steps", `{` + model + `,"strategy":"ssdtrain","steps":-1}`},
-		{"negative budget", `{` + model + `,"strategy":"ssdtrain","budget_bytes":-1}`},
-		{"negative micro batches", `{` + model + `,"strategy":"ssdtrain","micro_batches":-2}`},
-		{"oversized steps", `{` + model + `,"strategy":"ssdtrain","steps":100000000}`},
-		{"oversized layers", `{"model":{"arch":"bert","hidden":2048,"layers":100000,"batch":4},"strategy":"ssdtrain"}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range rejectedPlanBodies {
 		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -815,7 +888,7 @@ func TestHostileKnobsRejected(t *testing.T) {
 		}
 	}
 	// The server must still be alive and correct after the barrage.
-	resp, body := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Model: smallModel(), Strategy: "no-offload"})
+	resp, body := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "no-offload"}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy request after hostile barrage: status %d: %s", resp.StatusCode, body)
 	}
@@ -840,7 +913,7 @@ func TestSimulationPanicContained(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	bad := PlanRequest{Model: smallModel(), Strategy: "recompute"}
+	bad := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "recompute"}}}
 	resp, body := postJSON(t, ts.URL+"/v1/plan", bad)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("panicking simulation: status %d, want 422 (%s)", resp.StatusCode, body)
@@ -851,12 +924,12 @@ func TestSimulationPanicContained(t *testing.T) {
 	// The panicking server must still answer — its process survived the
 	// drain-goroutine panic, and validation-level requests never reached
 	// the executor at all.
-	if resp, _ := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Model: smallModel(), Strategy: "recompute", SplitRatio: 1}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "recompute", SplitRatio: 1}}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("validation on panicking server: status %d, want 400", resp.StatusCode)
 	}
 	// The panicked batch returned its slot and retired its shape, so the
 	// next request of that shape gets its own 422 instead of hanging.
-	if resp, _ := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Model: smallModel(), Strategy: "recompute", Steps: 3}); resp.StatusCode != http.StatusUnprocessableEntity {
+	if resp, _ := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "recompute"}, Run: RunRequest{Steps: 3}}}); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("same shape after the panic: status %d, want 422", resp.StatusCode)
 	}
 	waitFor(t, "batcher and limiter drained after the panics", func() bool {

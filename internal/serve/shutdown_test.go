@@ -25,7 +25,7 @@ func TestRequestTimeoutAnswers503(t *testing.T) {
 		t.Fatal("could not take the only worker slot")
 	}
 	start := time.Now()
-	req := PlanRequest{Model: smallModel(), Strategy: "recompute"}
+	req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "recompute"}}}
 	resp, body := postJSON(t, ts.URL+"/v1/plan", req)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("queued-past-deadline request: status %d: %s", resp.StatusCode, body)

@@ -20,8 +20,8 @@ func TestTraceEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req := PlanRequest{Model: smallModel(), Strategy: "ssdtrain"}
-	cfg, err := req.runConfig()
+	req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}}}
+	cfg, err := req.RunConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestTraceEndpointValidation(t *testing.T) {
 		t.Errorf("GET /v1/trace: status %d, want 405", resp.StatusCode)
 	}
 
-	bad := `{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"strategy":"teleport"}`
+	bad := `{"spec":{"model":{"arch":"bert","hidden":2048,"layers":2,"batch":4},"offload":{"strategy":"teleport"}}}`
 	resp, err = http.Post(ts.URL+"/v1/trace", "application/json", strings.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestMetricsJSONShape(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req := PlanRequest{Model: smallModel(), Strategy: "ssdtrain"}
+	req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}}}
 	if resp, body := postJSON(t, ts.URL+"/v1/trace", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("trace status %d: %s", resp.StatusCode, body)
 	}
@@ -139,7 +139,7 @@ func TestMetricsPrometheus(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req := PlanRequest{Model: smallModel(), Strategy: "no-offload"}
+	req := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "no-offload"}}}
 	if resp, body := postJSON(t, ts.URL+"/v1/plan", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan status %d: %s", resp.StatusCode, body)
 	}

@@ -308,14 +308,6 @@ type Trace struct {
 	Dropped uint64
 }
 
-// TrackName resolves a track ID ("?" when out of range).
-func (t *Trace) TrackName(id TrackID) string {
-	if id < 0 || int(id) >= len(t.Tracks) {
-		return "?"
-	}
-	return t.Tracks[id]
-}
-
 // Snapshot clones the recording into an immutable Trace, unrolling the
 // ring into emission order, and folds the recorder's counters into the
 // package-wide totals surfaced by Totals (the /metrics span counters).

@@ -108,6 +108,3 @@ func RequiredWriteBandwidth(activationsPerStep units.Bytes, stepTime time.Durati
 	half := stepTime / 2
 	return units.BandwidthOf(activationsPerStep, half)
 }
-
-// Years converts a duration to years.
-func Years(d time.Duration) float64 { return d.Seconds() / secondsPerYear }

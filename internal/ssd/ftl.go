@@ -259,6 +259,3 @@ func (f *FTL) Stats() WearStats {
 func (f *FTL) HostBytes() units.Bytes {
 	return units.Bytes(f.hostPages) * f.geo.PageSize
 }
-
-// FreeBlocks returns the number of free erase blocks.
-func (f *FTL) FreeBlocks() int { return len(f.free) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync/atomic"
+	"unsafe"
 
 	"ssdtrain/internal/units"
 )
@@ -147,9 +148,6 @@ func (s *Storage) Release() bool {
 	return false
 }
 
-// Refs returns the current strong reference count.
-func (s *Storage) Refs() int { return s.strong }
-
 // Materialize fills the payload deterministically from the seed. It is
 // idempotent for a given seed and enables byte-exact offload round-trip
 // verification.
@@ -184,15 +182,39 @@ func (s *Storage) Checksum() uint32 {
 	return crc32.ChecksumIEEE(s.data)
 }
 
-// fillDeterministic writes a fast xorshift64* stream derived from seed,
-// whole words straight into b.
+// littleEndian reports whether the host stores a word least significant
+// byte first, the byte order of the payload stream.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// fillDeterministic writes a fast xorshift64* stream derived from seed
+// into b, one little-endian word per 8 bytes.
+//
+// On a little-endian host it stores whole words through a uint64 view
+// of b, the one use of unsafe in the repository. The race detector
+// instruments a PutUint64 as eight one-byte stores and a word store as
+// one, and materialized runs fill every activation payload, so under
+// -race this view is what keeps the verified-offload tests in CI's time
+// budget. Other hosts, unaligned payloads and the tail take fillWords.
 func fillDeterministic(b []byte, seed uint64) {
 	x := seed | 1
+	if n := len(b) / 8; littleEndian && n > 0 && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
+		words := unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
+		for i := range words {
+			x = xorshift(x)
+			words[i] = x * xorshiftStar
+		}
+		b = b[n*8:]
+	}
+	fillWords(b, x)
+}
+
+// fillWords is the portable fill, continuing the stream from state x:
+// each word goes through PutUint64, and the last is truncated at the end
+// of b.
+func fillWords(b []byte, x uint64) {
 	for i := 0; i < len(b); i += 8 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		if w := x * 0x2545F4914F6CDD1D; len(b)-i >= 8 {
+		x = xorshift(x)
+		if w := x * xorshiftStar; len(b)-i >= 8 {
 			binary.LittleEndian.PutUint64(b[i:], w)
 		} else {
 			var tail [8]byte
@@ -200,6 +222,17 @@ func fillDeterministic(b []byte, seed uint64) {
 			copy(b[i:], tail[:])
 		}
 	}
+}
+
+// xorshiftStar is xorshift64*'s output multiplier: word = state × it.
+const xorshiftStar = 0x2545F4914F6CDD1D
+
+// xorshift advances the xorshift64 state.
+func xorshift(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x
 }
 
 // Tensor is a shaped, typed view of a storage — the object the model

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -164,35 +163,24 @@ func TestMaterializeDeterministic(t *testing.T) {
 	}
 }
 
-// wordCopyFill is the fill's first form: every word goes through a stack
-// array and is copied out, truncated at the end of b. fillDeterministic
-// must write the same bytes.
-func wordCopyFill(b []byte, seed uint64) {
-	x := seed | 1
-	var word [8]byte
-	for i := 0; i < len(b); i += 8 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		binary.LittleEndian.PutUint64(word[:], x*0x2545F4914F6CDD1D)
-		copy(b[i:], word[:])
-	}
-}
-
-// TestFillMatchesWordCopy pins the payload bytes: every length up to a
-// few words, so each tail length is covered, and one large odd length.
+// TestFillMatchesWordCopy pins the payload bytes to the portable
+// PutUint64 fill: every length up to a few words, so each tail length is
+// covered, one large odd length, and every alignment of the payload, so
+// both the word view and its unaligned fallback are checked.
 func TestFillMatchesWordCopy(t *testing.T) {
 	lengths := []int{1<<16 + 5}
 	for n := 0; n <= 41; n++ {
 		lengths = append(lengths, n)
 	}
 	for _, n := range lengths {
-		for _, seed := range []uint64{0, 1, 7, 1 << 63} {
-			got, want := make([]byte, n), make([]byte, n)
-			fillDeterministic(got, seed)
-			wordCopyFill(want, seed)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("length %d, seed %d: fill differs from the word-copy form", n, seed)
+		for off := range 8 {
+			for _, seed := range []uint64{0, 1, 7, 1 << 63} {
+				got, want := make([]byte, n+off)[off:], make([]byte, n)
+				fillDeterministic(got, seed)
+				fillWords(want, seed|1)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("length %d at offset %d, seed %d: fill differs from the portable form", n, off, seed)
+				}
 			}
 		}
 	}

@@ -6,6 +6,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -84,12 +85,18 @@ func (bw Bandwidth) TimeFor(n Bytes) time.Duration {
 	if n <= 0 || bw <= 0 {
 		return 0
 	}
-	secs := float64(n) / float64(bw)
-	d := time.Duration(secs * float64(time.Second))
-	if d <= 0 {
-		d = time.Nanosecond
+	return durationOf(float64(n) / float64(bw))
+}
+
+// durationOf converts a positive number of seconds to a Duration of at
+// least 1 ns. A time past the largest Duration (about 292 years)
+// saturates there instead of wrapping negative.
+func durationOf(secs float64) time.Duration {
+	ns := secs * float64(time.Second)
+	if ns >= math.MaxInt64 {
+		return math.MaxInt64
 	}
-	return d
+	return max(time.Duration(ns), time.Nanosecond)
 }
 
 // FLOPs counts floating-point operations (not a rate).
@@ -125,12 +132,7 @@ func (r FLOPSRate) TimeFor(n FLOPs) time.Duration {
 	if n <= 0 || r <= 0 {
 		return 0
 	}
-	secs := float64(n) / float64(r)
-	d := time.Duration(secs * float64(time.Second))
-	if d <= 0 {
-		d = time.Nanosecond
-	}
-	return d
+	return durationOf(float64(n) / float64(r))
 }
 
 // Rate divides work by time, returning the achieved rate.

@@ -1,6 +1,7 @@
 package units
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -108,6 +109,25 @@ func TestTimeForMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
+	}
+	// Into the overflow range: at 1 B/s, sizes up to 2e10 B straddle the
+	// largest Duration (about 9.2e9 s, 292 years). A longer transfer
+	// saturates there instead of wrapping negative and then taking the
+	// 1 ns floor.
+	h := func(a, b uint64) bool {
+		lo := Bytes(a % 2e10)
+		hi := lo + Bytes(b%2e10)
+		w := Bandwidth(1)
+		return w.TimeFor(lo) <= w.TimeFor(hi)
+	}
+	if err := quick.Check(h, nil); err != nil {
+		t.Error(err)
+	}
+	if got := Bandwidth(1).TimeFor(math.MaxInt64); got != math.MaxInt64 {
+		t.Errorf("TimeFor(MaxInt64 B) at 1 B/s = %v, want the largest Duration", got)
+	}
+	if got := FLOPSRate(1).TimeFor(1e300); got != math.MaxInt64 {
+		t.Errorf("TimeFor(1e300 FLOP) at 1 FLOP/s = %v, want the largest Duration", got)
 	}
 }
 

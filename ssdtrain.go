@@ -8,12 +8,15 @@
 // module/hook runtime, a transformer model zoo, and the SSDTrain tensor
 // cache — behind a small surface:
 //
-//	cfg := ssdtrain.PaperConfig(ssdtrain.BERT, 12288, 3, 16)
-//	res, err := ssdtrain.Train(ssdtrain.RunConfig{
-//	    Model:    cfg,
-//	    Strategy: ssdtrain.StrategySSDTrain,
+//	res, err := ssdtrain.Train(ssdtrain.Spec{
+//	    Model:   ssdtrain.PaperConfig(ssdtrain.BERT, 12288, 3, 16),
+//	    Offload: ssdtrain.OffloadSpec{Strategy: ssdtrain.StrategySSDTrain},
 //	})
 //	fmt.Println(res.StepTime(), res.Measured.ActPeak)
+//
+// A Spec is the one configuration form: Train, TrainSweep, Compile and
+// the sweep runners all take it, grouped by concern (model, machine,
+// offload, optimizer, run, inject).
 //
 // Every figure and table of the paper's evaluation has a runner here
 // (Fig1, Fig5, Fig6, Fig7, Fig8a, Fig8b, Table1, Table3); see
@@ -48,7 +51,7 @@ const (
 	// StrategyCPUOffload offloads activations to pinned host memory.
 	StrategyCPUOffload = exp.CPUOffload
 	// StrategyHybridOffload offloads across a tiered DRAM+NVMe hierarchy
-	// under a placement policy (RunConfig.Placement, DRAMCapacity,
+	// under a placement policy (OffloadSpec.Placement, DRAMCapacity,
 	// SplitRatio).
 	StrategyHybridOffload = exp.HybridOffload
 	// StrategyOptimOffload offloads optimizer states and gradients to the
@@ -89,8 +92,6 @@ type (
 	Arch = models.Arch
 	// Strategy is an activation placement strategy.
 	Strategy = exp.Strategy
-	// RunConfig configures one training measurement.
-	RunConfig = exp.RunConfig
 	// RunResult is a measurement outcome.
 	RunResult = exp.RunResult
 	// StepMetrics is one measured step.
@@ -116,8 +117,7 @@ type (
 	DRAMSweepResult = exp.DRAMSweepResult
 	// DRAMSweepRow is one point of a DRAM-capacity sweep.
 	DRAMSweepRow = exp.DRAMSweepRow
-	// Spec is the grouped configuration form — the same knob surface as
-	// the flat RunConfig, organized by concern; new code should prefer it.
+	// Spec configures one training measurement, grouped by concern.
 	Spec = exp.Spec
 	// OffloadSpec groups the activation-offload knobs of a Spec.
 	OffloadSpec = exp.OffloadSpec
@@ -145,23 +145,12 @@ func PaperConfig(arch Arch, hidden, layers, batch int) ModelConfig {
 }
 
 // Train runs one training measurement on the simulated testbed.
-func Train(cfg RunConfig) (*RunResult, error) { return exp.Run(cfg) }
-
-// SpecFor regroups a flat RunConfig into the Spec form, losslessly.
-func SpecFor(cfg RunConfig) Spec { return exp.SpecFor(cfg) }
-
-// TrainSpec runs one measurement from the grouped Spec form.
-func TrainSpec(s Spec) (*RunResult, error) { return s.Measure() }
-
-// TrainSweepSpecs is TrainSweep on grouped Specs.
-func TrainSweepSpecs(workers int, specs []Spec) ([]*RunResult, error) {
-	return exp.SweepSpecs(workers, specs)
-}
+func Train(s Spec) (*RunResult, error) { return s.Measure() }
 
 // OptimSweep measures the optimizer-offload strategy across DRAM
 // residency fractions under both step schedules, with the SSDTrain
 // activation baseline alongside (nil fracs selects quarters).
-func OptimSweep(base RunConfig, fracs []float64) (*OptimSweepResult, error) {
+func OptimSweep(base Spec, fracs []float64) (*OptimSweepResult, error) {
 	return exp.OptimSweep(base, fracs)
 }
 
@@ -169,11 +158,18 @@ func OptimSweep(base RunConfig, fracs []float64) (*OptimSweepResult, error) {
 func OptimSweepTable(r *OptimSweepResult) *trace.Table { return exp.OptimSweepTable(r) }
 
 // Compile builds (or fetches from the shared plan cache) the run plan
-// for a configuration; plan.Execute then measures any variant differing
-// only in the cheap knobs: Budget, Steps, Warmup, SSDBandwidthShare,
-// SteadyState, Placement, DRAMCapacity, SplitRatio, OptimKind, Schedule,
-// Trace and Faults.
-func Compile(cfg RunConfig) (*Plan, error) { return exp.Compile(cfg) }
+// for a spec; plan.Execute then measures the flattened config
+// (Spec.RunConfig) of any variant differing only in the cheap knobs:
+// the offload budget, placement, DRAM capacity and split ratio, the
+// optimizer kind and schedule, the step counts and steady-state mode,
+// the bandwidth share, tracing and faults.
+func Compile(s Spec) (*Plan, error) {
+	cfg, err := s.RunConfig()
+	if err != nil {
+		return nil, err
+	}
+	return exp.Compile(cfg)
+}
 
 // NewSession binds a reusable execution arena to a compiled plan, for
 // callers that drive their own repeated-Execute loops; Train and
@@ -181,17 +177,17 @@ func Compile(cfg RunConfig) (*Plan, error) { return exp.Compile(cfg) }
 func NewSession(p *Plan) (*Session, error) { return exp.NewSession(p) }
 
 // TrainSweep executes a batch of measurements with deduplicated work:
-// identical configs run once, cheap-knob variants share compiled plans,
-// and points run concurrently across workers (0 = GOMAXPROCS) without
-// affecting results.
-func TrainSweep(workers int, cfgs []RunConfig) ([]*RunResult, error) {
-	return exp.Sweep(workers, cfgs)
+// specs that flatten to identical configs run once, cheap-knob variants
+// share compiled plans, and points run concurrently across workers
+// (0 = GOMAXPROCS) without affecting results.
+func TrainSweep(workers int, specs []Spec) ([]*RunResult, error) {
+	return exp.Sweep(workers, specs)
 }
 
 // DRAMSweep measures dram-first hybrid step time against DRAM capacity
 // (fractions of the cpu-offload endpoint's residency peak; nil selects
 // ninths), returning the sweep and both single-target endpoints.
-func DRAMSweep(base RunConfig, fracs []float64) (*DRAMSweepResult, error) {
+func DRAMSweep(base Spec, fracs []float64) (*DRAMSweepResult, error) {
 	return exp.DRAMSweep(base, fracs)
 }
 
@@ -306,7 +302,7 @@ func NewFleetProfiler(capacity int) *FleetProfiler { return fleet.NewProfiler(ca
 // end — the same plan yields byte-identical reports and traces.
 type (
 	// FaultSpec injects faults into one training run
-	// (RunConfig.Faults): a single device death (timed or wear-triggered)
+	// (InjectSpec.Faults): a single device death (timed or wear-triggered)
 	// and/or one bandwidth-degradation window.
 	FaultSpec = faults.Spec
 	// FaultPlan schedules fault events across a fleet simulation

@@ -10,11 +10,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	cfg := PaperConfig(GPT, 4096, 3, 8)
 	cfg.SeqLen = 512
 	cfg.Vocab = 16384
-	base, err := Train(RunConfig{Model: cfg, Strategy: StrategyNoOffload})
+	base, err := Train(Spec{Model: cfg, Offload: OffloadSpec{Strategy: StrategyNoOffload}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := Train(RunConfig{Model: cfg, Strategy: StrategySSDTrain})
+	off, err := Train(Spec{Model: cfg, Offload: OffloadSpec{Strategy: StrategySSDTrain}})
 	if err != nil {
 		t.Fatal(err)
 	}
