@@ -53,7 +53,6 @@ type opRun struct {
 	spec   *OpSpec
 	saved  []savedRef
 	finish time.Duration
-	out    *tensor.Tensor
 
 	// outT..recMaskT are the op's recycled tensors: every step (and every
 	// run on a recycled arena) produces the same tensor population, so
@@ -61,6 +60,7 @@ type opRun struct {
 	// executor re-zeroes these in place (reviveInto). Identity semantics
 	// are preserved — a revived storage is unstamped and unreferenced, so
 	// the allocator and the cache treat it exactly like a new allocation.
+	// outT is also the op's output in the current step.
 	outT     *tensor.Tensor
 	gradT    *tensor.Tensor
 	maskT    *tensor.Tensor
@@ -186,17 +186,18 @@ func NewExecutor(rt *Runtime, g *Graph, hooks Hooks, cfg ExecConfig) (*Executor,
 	if cfg.AccumCost == nil {
 		cfg.AccumCost = func(*tensor.Tensor) time.Duration { return 0 }
 	}
+	weights := g.Weights()
 	e := &Executor{
 		rt:            rt,
 		graph:         g,
 		hooks:         hooks,
 		cfg:           cfg,
 		seed:          cfg.Seed,
-		weights:       g.Weights(),
-		gradOf:        make(map[int64]*tensor.Tensor),
-		gradAllocated: make(map[int64]bool),
-		gradOps:       make(map[int64]int),
-		gradLeft:      make(map[int64]int),
+		weights:       weights,
+		gradOf:        make(map[int64]*tensor.Tensor, len(weights)),
+		gradAllocated: make(map[int64]bool, len(weights)),
+		gradOps:       make(map[int64]int, len(weights)),
+		gradLeft:      make(map[int64]int, len(weights)),
 	}
 	for _, b := range g.Blocks {
 		for i := range b.Ops {
@@ -250,7 +251,7 @@ func reviveInto(slot **tensor.Tensor, name string, shape tensor.Shape, dt tensor
 
 // computeConsumers precomputes forward fan-out per block output.
 func (e *Executor) computeConsumers() {
-	e.consumer = make(map[int]int)
+	e.consumer = make(map[int]int, len(e.graph.Blocks))
 	for bi, b := range e.graph.Blocks {
 		// The chained successor, or the loss/backward seed for the final
 		// block, consumes every block output exactly once.
@@ -269,6 +270,18 @@ func (e *Executor) computeStatics() {
 	e.runs = make([]blockRun, len(blocks))
 	e.outs = make([]*tensor.Tensor, len(blocks))
 	e.finishes = make([]time.Duration, len(blocks))
+	// Every op's saved refs share one array, each op's slice capped at
+	// the registrations it makes, so the first step's appends fill it
+	// instead of growing a slice per op.
+	packs := 0
+	for _, b := range blocks {
+		if !b.Checkpoint {
+			for i := range b.Ops {
+				packs += b.Ops[i].packs()
+			}
+		}
+	}
+	saved := make([]savedRef, packs)
 	for bi, b := range blocks {
 		st := &e.static[bi]
 		st.ops = make([]opStatic, len(b.Ops))
@@ -278,7 +291,9 @@ func (e *Executor) computeStatics() {
 			os := &st.ops[oi]
 			os.outName = path + "." + op.Name
 			os.gradName = os.outName + ".grad"
-			os.recName = os.outName + ".rec"
+			if b.Checkpoint {
+				os.recName = os.outName + ".rec"
+			}
 			if op.SaveMask {
 				os.maskName = os.outName + ".mask"
 			}
@@ -324,10 +339,101 @@ func (e *Executor) computeStatics() {
 		run := &e.runs[bi]
 		run.block = b
 		run.ops = make([]opRun, n)
+		if !b.Checkpoint {
+			for oi := range run.ops {
+				k := b.Ops[oi].packs()
+				run.ops[oi].saved, saved = saved[:0:k], saved[k:]
+			}
+		}
 		run.extras = make([]*tensor.Tensor, len(b.ExtraIn))
 		run.extraFinish = make([]time.Duration, len(b.ExtraIn))
 		run.recomputed = make([]*tensor.Tensor, n)
 	}
+}
+
+// saves counts the activations and masks the op registers for backward
+// outside checkpointing.
+func (o *OpSpec) saves() int {
+	n := 0
+	for _, saves := range []bool{o.SaveInput, o.SaveOutput, o.SaveOther1 > 0, o.SaveBlockInput, o.SaveExtra1 > 0, o.SaveMask} {
+		if saves {
+			n++
+		}
+	}
+	return n
+}
+
+// packs counts every tensor the op registers for backward outside
+// checkpointing: its saves, its stats and its transposed weight view.
+func (o *OpSpec) packs() int {
+	n := o.saves()
+	if o.SaveStatsElems > 0 {
+		n++
+	}
+	if o.Weight != nil {
+		n++
+	}
+	return n
+}
+
+// Footprint counts what one training step of a graph puts on the device,
+// from the template alone. A fresh arena sizes its growable scratch from
+// it before the first step, so the step fills room instead of regrowing
+// tables and logs from empty. The counts follow forwardBlock and
+// backwardBlock; TestFootprintMatchesExecutor keeps them in step.
+type Footprint struct {
+	// Allocs is the storages the executor allocates and frees within each
+	// micro-batch: the graph input, the loss-gradient seed, and per op its
+	// output and input gradient, plus the mask and stats it saves or,
+	// under checkpointing, its recomputed output and mask. Each logs an
+	// allocation and a free.
+	Allocs int
+	// Saved is the activations and masks each micro-batch registers for
+	// backward, weights and stats excluded, a tensor registered twice
+	// counting twice. It bounds the tensor cache's records, the tier
+	// stores' blocks and the cache's reload buffers.
+	Saved int
+	// Weights is the distinct parameters. Each gets a gradient buffer at
+	// its first backward touch, which stays allocated.
+	Weights int
+	// Live estimates how many storages are live at once: the weights and
+	// their gradients, every saved tensor and stats, and the largest
+	// block's op outputs in flight.
+	Live int
+}
+
+// Footprint counts the graph's per-step device footprint.
+func (g *Graph) Footprint() Footprint {
+	var f Footprint
+	stats, widest := 0, 0
+	for _, b := range g.Blocks {
+		widest = max(widest, len(b.Ops))
+		if b.Checkpoint {
+			// Forward saves the block inputs only; backward re-runs the
+			// forward chain, masks included, before the gradients.
+			f.Saved += 1 + len(b.ExtraIn)
+		}
+		for i := range b.Ops {
+			op := &b.Ops[i]
+			f.Allocs += 2 // output, input gradient
+			if op.SaveMask {
+				f.Allocs++
+			}
+			if b.Checkpoint {
+				f.Allocs++ // recomputed output
+				continue
+			}
+			f.Saved += op.saves()
+			if op.SaveStatsElems > 0 {
+				f.Allocs++
+				stats++
+			}
+		}
+	}
+	f.Allocs += 2 // graph input, loss-gradient seed
+	f.Weights = len(g.Weights())
+	f.Live = 2*f.Weights + f.Saved + stats + widest
+	return f
 }
 
 // StepResult reports one executed step.
@@ -570,7 +676,7 @@ func (e *Executor) forwardBlock(run *blockRun, st *blockStatic, bi int, inFinish
 		op := &b.Ops[oi]
 		input := blockIn
 		if j := b.InputIndex(oi); j >= 0 {
-			input = run.ops[j].out
+			input = run.ops[j].outT
 		}
 		*hostNow += e.rt.Spec.HostIssue
 		ready := *hostNow
@@ -598,7 +704,7 @@ func (e *Executor) forwardBlock(run *blockRun, st *blockStatic, bi int, inFinish
 		rec := &run.ops[oi]
 		out := reviveInto(&rec.outT, st.ops[oi].outName, op.OutShape, op.OutDType)
 		e.rt.Life.Alloc(start, out.Storage(), gpu.ClassActivations)
-		rec.spec, rec.finish, rec.out = op, finish, out
+		rec.spec, rec.finish = op, finish
 		rec.saved = rec.saved[:0]
 
 		if !b.Checkpoint {
@@ -614,7 +720,7 @@ func (e *Executor) forwardBlock(run *blockRun, st *blockStatic, bi int, inFinish
 		// Release producer refs whose last forward consumer is this op.
 		for j := 0; j < oi; j++ {
 			if st.lastOut[j] == oi {
-				e.rt.Life.Release(run.ops[j].out.Storage(), finish)
+				e.rt.Life.Release(run.ops[j].outT.Storage(), finish)
 			}
 		}
 		// An output nothing consumes dies with its own producing op
@@ -636,7 +742,7 @@ func (e *Executor) forwardBlock(run *blockRun, st *blockStatic, bi int, inFinish
 
 	// The block output carries one producer ref; add one ref per
 	// downstream consumer, then drop the producer ref.
-	out := run.ops[n-1].out
+	out := run.ops[n-1].outT
 	for i := 0; i < e.consumer[bi]; i++ {
 		e.rt.Life.Retain(out.Storage())
 	}
@@ -650,7 +756,7 @@ func (e *Executor) forwardBlock(run *blockRun, st *blockStatic, bi int, inFinish
 // rec.saved.
 func (e *Executor) saveForBackward(rec *opRun, os *opStatic, b *Block, oi int, input, blockIn *tensor.Tensor, extras []*tensor.Tensor, run *blockRun, start, finish time.Duration, hostNow *time.Duration) {
 	op := rec.spec
-	out := rec.out
+	out := rec.outT
 	if op.SaveInput {
 		// The input was produced by an earlier op (or is the block input);
 		// its data is complete by this op's start.
@@ -660,7 +766,7 @@ func (e *Executor) saveForBackward(rec *opRun, os *opStatic, b *Block, oi int, i
 		rec.saved = append(rec.saved, e.pack(out, finish, hostNow))
 	}
 	if op.SaveOther1 > 0 {
-		rec.saved = append(rec.saved, e.pack(run.ops[op.SaveOther1-1].out, start, hostNow))
+		rec.saved = append(rec.saved, e.pack(run.ops[op.SaveOther1-1].outT, start, hostNow))
 	}
 	if op.SaveBlockInput {
 		rec.saved = append(rec.saved, e.pack(blockIn, start, hostNow))

@@ -28,33 +28,36 @@ type OpSpec struct {
 	OutShape tensor.Shape
 	OutDType tensor.DType
 
-	// InputFrom1, when positive, makes this op consume the output of op
-	// InputFrom1-1 in the same block instead of the immediately preceding
-	// op (1-based so the zero value keeps chain semantics). Cross-attention
-	// query/kv projections both consume the cross-LayerNorm output this way.
-	InputFrom1 int
+	// The one-byte save flags sit together beside OutDType, so an OpSpec
+	// packs into 120 bytes.
 
 	// SaveOutput registers the op's own output for backward.
 	SaveOutput bool
 	// SaveInput registers the op's input (previous op's output, or the op
 	// named by InputFrom1).
 	SaveInput bool
-	// SaveOther1, when positive, additionally registers the output of op
-	// SaveOther1-1 in the same block (1-based; zero means none). Fused
-	// cross-attention saves the kv projection's output this way.
-	SaveOther1 int
 	// SaveBlockInput registers the block's input tensor (residual
 	// connections); this deliberately packs a tensor that another op may
 	// also have packed, exercising the cache's deduplication.
 	SaveBlockInput bool
+	// SaveMask additionally saves a bool mask shaped like the output
+	// (dropout).
+	SaveMask bool
+
+	// InputFrom1, when positive, makes this op consume the output of op
+	// InputFrom1-1 in the same block instead of the immediately preceding
+	// op (1-based so the zero value keeps chain semantics). Cross-attention
+	// query/kv projections both consume the cross-LayerNorm output this way.
+	InputFrom1 int
+	// SaveOther1, when positive, additionally registers the output of op
+	// SaveOther1-1 in the same block (1-based; zero means none). Fused
+	// cross-attention saves the kv projection's output this way.
+	SaveOther1 int
 	// SaveExtra1, when positive, registers extra block input SaveExtra1-1
 	// (1-based so the zero value means "none"). Cross-attention uses this
 	// to save the encoder output — the same tensor in every decoder
 	// layer, the paper's headline dedup case.
 	SaveExtra1 int
-	// SaveMask additionally saves a bool mask shaped like the output
-	// (dropout).
-	SaveMask bool
 	// SaveStatsElems additionally saves a small fp32 stats tensor with
 	// this many elements (LayerNorm mean/rstd); small tensors take the
 	// pack hook's early-return path (Alg. 1 line 2).
@@ -263,14 +266,19 @@ func (g *Graph) CloneWithFreshWeights() *Graph {
 		InputDType: g.InputDType,
 		Blocks:     make([]*Block, len(g.Blocks)),
 	}
-	rebound := make(map[*tensor.Storage]*tensor.Storage)
+	// One array each holds every block and every op of the clone.
+	n, weighted := g.size()
+	blocks, ops := make([]Block, len(g.Blocks)), make([]OpSpec, n)
+	rebound := make(map[*tensor.Storage]*tensor.Storage, weighted)
 	for bi, b := range g.Blocks {
-		nb := &Block{
+		nb := &blocks[bi]
+		*nb = Block{
 			Module:     b.Module,
-			Ops:        make([]OpSpec, len(b.Ops)),
+			Ops:        ops[:len(b.Ops):len(b.Ops)],
 			Checkpoint: b.Checkpoint,
 			ExtraIn:    b.ExtraIn,
 		}
+		ops = ops[len(b.Ops):]
 		copy(nb.Ops, b.Ops)
 		for i := range nb.Ops {
 			w := nb.Ops[i].Weight
@@ -291,8 +299,9 @@ func (g *Graph) CloneWithFreshWeights() *Graph {
 
 // Weights returns every distinct parameter tensor in graph order.
 func (g *Graph) Weights() []*tensor.Tensor {
-	seen := make(map[int64]bool)
-	var ws []*tensor.Tensor
+	_, weighted := g.size()
+	seen := make(map[int64]bool, weighted)
+	ws := make([]*tensor.Tensor, 0, weighted)
 	for _, b := range g.Blocks {
 		for i := range b.Ops {
 			if w := b.Ops[i].Weight; w != nil && !seen[w.Storage().Seq()] {
@@ -302,6 +311,19 @@ func (g *Graph) Weights() []*tensor.Tensor {
 		}
 	}
 	return ws
+}
+
+// size counts the graph's ops and, of those, the ops that take a weight.
+func (g *Graph) size() (ops, weighted int) {
+	for _, b := range g.Blocks {
+		ops += len(b.Ops)
+		for i := range b.Ops {
+			if b.Ops[i].Weight != nil {
+				weighted++
+			}
+		}
+	}
+	return ops, weighted
 }
 
 // WeightBytes sums parameter sizes.

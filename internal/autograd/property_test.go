@@ -139,3 +139,40 @@ func TestExecutorFLOPsInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFootprintMatchesExecutor: a graph's Footprint counts exactly the
+// allocator events the executor logs per step. Without hooks nothing
+// else allocates, so the first step logs an allocation and a free per
+// counted storage per micro-batch plus one gradient buffer per weight,
+// and every later step the same less the gradients.
+func TestFootprintMatchesExecutor(t *testing.T) {
+	f := func(blocks []uint8, microBatches uint8) bool {
+		g := randomGraph(blocks)
+		mb := int(microBatches%3) + 1
+		rt := newTestRuntime()
+		ex, err := NewExecutor(rt, g, nil, ExecConfig{MicroBatches: mb})
+		if err != nil {
+			return false
+		}
+		fp := g.Footprint()
+		for step := 0; step < 3; step++ {
+			want := 2 * fp.Allocs * mb
+			if step == 0 {
+				want += fp.Weights
+			}
+			mark := rt.Alloc.EventMark()
+			ex.Run()
+			if got := rt.Alloc.EventMark() - mark; got != want {
+				t.Logf("step %d of %v × %d micro-batches: %d events, footprint %+v", step, blocks, mb, got, fp)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+	if !f([]uint8{0, 1, 2, 3, 4, 5}, 1) || !f([]uint8{7, 15, 23}, 2) {
+		t.Error("footprint misses the checkpointed and mixed graphs")
+	}
+}

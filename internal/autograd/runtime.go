@@ -48,6 +48,16 @@ func NewRuntime(spec gpu.Spec) *Runtime {
 	}
 }
 
+// Presize sizes the allocator's live set and the lifetime table for a
+// graph's footprint, so a fresh arena's first step fills them instead of
+// regrowing them from empty. Call it before the first allocation.
+func (rt *Runtime) Presize(f Footprint) {
+	rt.Alloc.PresizeLive(f.Live)
+	// Only activations and workspace are released piecemeal: the weights
+	// and their gradients stay allocated.
+	rt.Life.freeAt = make(map[int64]time.Duration, f.Live-2*f.Weights)
+}
+
 // Reset rewinds the whole simulated device for reuse by a new
 // measurement on the same arena: the allocator's recorded run is
 // discarded (hooks survive), pending lifetime bookkeeping is dropped, the

@@ -78,16 +78,9 @@ type record struct {
 	// the tensor is kept, being stored, or forwarded.
 	t *tensor.Tensor
 
-	offloaded   bool
 	storeStart  time.Duration
 	storeFinish time.Duration
-	// released marks the original reference as dropped (store completed
-	// and ownership handed to garbage collection).
-	released bool
 
-	forwarded bool
-
-	loading    bool
 	loadStart  time.Duration
 	loadFinish time.Duration
 	loaded     *tensor.Tensor
@@ -95,12 +88,19 @@ type record struct {
 	refs     int // pack registrations (dedup makes this >1)
 	consumed int
 
-	checksum uint32
-
 	// self is the record's boxed handle, created once and reused for every
 	// Pack return while the record lives (including recycled lives) — the
 	// interface conversion would otherwise allocate on every registration.
 	self autograd.Packed
+
+	// The narrow fields come last, so a record packs into 128 bytes.
+	checksum  uint32
+	offloaded bool
+	// released marks the original reference as dropped (store completed
+	// and ownership handed to garbage collection).
+	released  bool
+	forwarded bool
+	loading   bool
 }
 
 // handleOf returns the record's boxed handle, boxing on first use.
@@ -165,6 +165,8 @@ type TensorCache struct {
 	recPool  []*record
 	freeRecs []map[TensorID]*record
 	reloads  map[reloadKey][]*tensor.Tensor
+	// recHint sizes each new record map (Presize).
+	recHint int
 
 	scopeStack []*autograd.Module
 	inBackward bool
@@ -197,6 +199,15 @@ func NewTensorCache(cfg Config) *TensorCache {
 		moduleIndex:  make(map[*autograd.Module]int),
 		reloads:      make(map[reloadKey][]*tensor.Tensor),
 	}
+}
+
+// Presize sizes the record maps and the weight set for a graph's
+// footprint, so a fresh arena's first step fills them instead of
+// regrowing them from empty. Call it before the first step.
+func (c *TensorCache) Presize(f autograd.Footprint) {
+	c.recHint = f.Saved
+	c.recPool = make([]*record, 0, f.Saved)
+	c.weightStamps = make(map[int64]bool, f.Weights)
 }
 
 // Reset rewinds the cache for a new measurement on a recycled arena under
@@ -302,7 +313,7 @@ func (c *TensorCache) popRecMap() map[TensorID]*record {
 		c.freeRecs = c.freeRecs[:n-1]
 		return m
 	}
-	return make(map[TensorID]*record)
+	return make(map[TensorID]*record, c.recHint)
 }
 
 // newRecord returns a zeroed record from the pool, or a fresh one.

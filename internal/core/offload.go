@@ -180,6 +180,10 @@ func (b *tierBase) reset() {
 	b.steady = tierSteady{}
 }
 
+// Presize sizes the tier's block store for n blocks. Call it before the
+// first store.
+func (b *tierBase) Presize(n int) { b.store.Presize(n) }
+
 // Name implements Offloader.
 func (b *tierBase) Name() string { return b.name }
 

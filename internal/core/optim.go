@@ -151,8 +151,6 @@ func NewOptimOffloader(rec *spans.Recorder, dram, nvme Tier) *OptimOffloader {
 		updateT: rec.RegisterTrack("optim.update"),
 		dram:    dram,
 		nvme:    nvme,
-		byState: make(map[int64]*tensor.Tensor),
-		ready:   make(map[int64]time.Duration),
 	}
 }
 
@@ -202,6 +200,12 @@ func optimID(i, slot int) TensorID {
 // stores without timed transfers — staging happens once before training,
 // not on the measured path. Call once per run, after Reset.
 func (o *OptimOffloader) Register(weights []*tensor.Tensor) OptimPlacement {
+	if o.byState == nil {
+		// A fresh pipeline sizes its per-weight tables once.
+		o.byState = make(map[int64]*tensor.Tensor, len(weights))
+		o.ready = make(map[int64]time.Duration, len(weights))
+		o.weights = make([]optimWeight, 0, len(weights))
+	}
 	var p OptimPlacement
 	var dramUsed units.Bytes
 	for i, w := range weights {

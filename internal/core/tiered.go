@@ -160,7 +160,10 @@ type TieredOffloader struct {
 	tiers  []Tier
 	policy PlacementPolicy
 
+	// where is made at the first store, sized for hint blocks (Presize),
+	// so a stack nothing is stored to never allocates a table.
 	where  map[TensorID]placement
+	hint   int
 	placed []units.Bytes
 
 	used units.Bytes
@@ -191,7 +194,6 @@ func NewTieredOffloader(policy PlacementPolicy, tiers ...Tier) *TieredOffloader 
 		name:   "tiered(" + strings.Join(names, ",") + ")",
 		tiers:  tiers,
 		policy: policy,
-		where:  make(map[TensorID]placement),
 		placed: make([]units.Bytes, len(tiers)),
 	}
 }
@@ -246,6 +248,10 @@ func sameTiers(a, b []Tier) bool {
 	}
 	return true
 }
+
+// Presize sizes the placement table for n blocks. Call it before the
+// first store.
+func (o *TieredOffloader) Presize(n int) { o.hint = n }
 
 // SetRecorder attaches the flight recorder placement counters are
 // reported to. Like tier wiring, the recorder survives Reset.
@@ -317,6 +323,9 @@ func (o *TieredOffloader) Store(id TensorID, t *tensor.Tensor, ready time.Durati
 			o.tiers[prev.tier].Delete(id)
 		}
 		o.used -= prev.size
+	}
+	if o.where == nil {
+		o.where = make(map[TensorID]placement, o.hint)
 	}
 	o.where[id] = placement{tier: i, size: n}
 	o.placed[i] += n

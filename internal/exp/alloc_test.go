@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -83,11 +84,12 @@ func resultObjects(res *RunResult) float64 {
 // by design.
 //
 // The per-storage side maps (the allocator's live set, the lifetimes,
-// the block stores, the GDS registry) are Go maps, which draw a new hash
-// seed on every clear, so once in a while one of them grows its table
-// mid-run. That can only add allocations and is rare on a warm arena, so
-// each count is the fewest seen over a few tries; an allocation the
-// simulation makes per step shows in every try.
+// the block stores, the GDS registry) are Go maps that entries churn
+// through every step, and with the hash seed each clear draws, once in a
+// while one of them runs out of room and grows its table mid-run. That
+// can only add allocations and is rare on a warm arena, so each count is
+// the fewest seen over a few tries; an allocation the simulation makes
+// per step shows in every try.
 func TestWarmExecuteAllocs(t *testing.T) {
 	for _, c := range allocCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -128,6 +130,85 @@ func TestWarmExecuteAllocs(t *testing.T) {
 					t.Errorf("steady %s: a warm Execute allocates %v objects, more than the %v its RunResult owns",
 						steady, a60, limit)
 				}
+			}
+		})
+	}
+}
+
+// coldBaseline is what NewSession plus the first Execute allocated, in
+// bytes, for each allocCases config that converges and for the degrade
+// window, at 48 steps, before arenas were sized up front: the event log
+// and every side table grew from empty, copying themselves through a
+// chain of regrowths. Each is the fewest bytes over several runs on
+// go1.24.0.
+var coldBaseline = map[string]uint64{
+	"no-offload":               220984,
+	"recompute":                275288,
+	"ssdtrain":                 260944,
+	"cpu-offload":              254840,
+	"hybrid/dram-first":        262632,
+	"hybrid/ssd-only":          262200,
+	"optim-offload/sync":       260672,
+	"optim-offload/overlap":    260672,
+	"ssdtrain/micro-batches-2": 448376,
+	"ssdtrain/degrade":         2419520,
+}
+
+// bytesOf returns the bytes f allocates, on one P as
+// testing.AllocsPerRun counts them.
+func bytesOf(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestColdSessionAllocs is the cold arena's contract: a fresh arena sizes
+// its scratch before its first step, so NewSession plus the first
+// Execute of a 48-step run allocate at most 60% of coldBaseline, and the
+// event log is left holding at least four fifths of its capacity — sized
+// for the steps the run simulates, not for Steps. It covers every
+// allocCases config that converges, and the degrade window, which
+// simulates every step. The split placement never converges and regrows
+// its log past the horizon, so it is out of scope. As in
+// TestWarmExecuteAllocs, each count is the fewest over a few tries: a
+// side map may draw a hash seed that grows it early.
+func TestColdSessionAllocs(t *testing.T) {
+	for _, c := range allocCases() {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Steps = 48
+			plan, err := Compile(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best := uint64(math.MaxUint64)
+			var res *RunResult
+			for try := 0; try < 5; try++ {
+				var sess *Session
+				n := bytesOf(func() {
+					if sess, err = NewSession(plan); err == nil {
+						res, err = sess.Execute(cfg)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				best = min(best, n)
+				if held, capacity := sess.rt.Alloc.Events(); 4*capacity > 5*held {
+					t.Errorf("the event log holds %d events in a capacity of %d", held, capacity)
+				}
+			}
+			base, ok := coldBaseline[c.name]
+			switch {
+			case ok:
+				if limit := base * 3 / 5; best > limit {
+					t.Errorf("a cold arena allocates %d B, more than 60%% of the %d B it took before sizing (%d B)", best, base, limit)
+				}
+			case res.SteadyState.ExtrapolatedSteps > 0:
+				t.Error("a converging config has no baseline")
 			}
 		})
 	}

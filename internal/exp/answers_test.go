@@ -9,22 +9,47 @@ import (
 	"time"
 
 	"ssdtrain/internal/faults"
+	"ssdtrain/internal/models"
 	"ssdtrain/internal/trace"
+	"ssdtrain/internal/units"
 )
 
 // answerCases is the answers grid: every allocCases config, plus an
 // array member that dies at a fixed time and one that dies when the
-// array's wear crosses a threshold. Both deaths land mid-run, and the
-// survivors absorb them, so the run completes.
+// array's wear crosses a threshold (both deaths land mid-run, and the
+// survivors absorb them, so the run completes), a pinned budget and a
+// half bandwidth share on the GPT base, and the other two Fig 6
+// geometries at batch 16 under ssdtrain with keep-last 1 and under the
+// hybrid stack with keep-last 2 and a DRAM grant.
 func answerCases() []allocCase {
 	cases := allocCases()
-	timed := cases[2].cfg
+	base := cases[2].cfg
+	timed := base
 	timed.Faults = faults.Spec{DeviceDeathAt: 9 * time.Second, Device: 1}
-	worn := cases[2].cfg
+	worn := base
 	worn.Faults = faults.Spec{WearThreshold: 1.5e-9, Device: 1}
-	return append(cases,
+	pinned := base
+	pinned.Budget = 2 * units.GiB
+	half := base
+	half.SSDBandwidthShare = 0.5
+	cases = append(cases,
 		allocCase{"ssdtrain/death-timed", timed},
-		allocCase{"ssdtrain/death-wear", worn})
+		allocCase{"ssdtrain/death-wear", worn},
+		allocCase{"ssdtrain/budget-pinned", pinned},
+		allocCase{"ssdtrain/share-0.5", half})
+	for _, g := range []struct {
+		name          string
+		arch          models.Arch
+		hidden, layer int
+	}{{"bert-12288x3", models.BERT, 12288, 3}, {"t5-16384x2", models.T5, 16384, 2}} {
+		m := models.PaperConfig(g.arch, g.hidden, g.layer, 16)
+		ssd := RunConfig{Model: m, Strategy: SSDTrain, KeepLastModules: 1}
+		hybrid := RunConfig{Model: m, Strategy: HybridOffload, KeepLastModules: 2, DRAMCapacity: 256 << 20}
+		cases = append(cases,
+			allocCase{g.name + "/ssdtrain", ssd},
+			allocCase{g.name + "/hybrid", hybrid})
+	}
+	return cases
 }
 
 // renderAnswers renders a run's answer one field per line as
@@ -105,21 +130,30 @@ func renderField(path string, v reflect.Value, emit func(path, val string)) {
 
 // TestAnswersByteIdentical pins the answer of every answers-grid config
 // over a 20-step run: every RunResult field, counters included. Each
-// config runs with the fast path on and with SteadyState "off", and
-// both must render the golden; the fast-path run's steady-state report
-// follows each config's fields. Regenerate (only for a deliberate
-// behaviour change) with `go test ./internal/exp ./internal/fleet -update`.
+// config runs on a fresh arena with the fast path on, and on a pooled
+// arena with SteadyState "off" and then with the fast path on again;
+// all three must render the golden. The pooled arena has just run the
+// full simulation, and before that the previous config of its shape,
+// so the last rendering comes from a recycled arena. The fresh run's
+// steady-state report follows each config's fields. Regenerate (only
+// for a deliberate behaviour change) with
+// `go test ./internal/exp ./internal/fleet -update`.
 func TestAnswersByteIdentical(t *testing.T) {
 	var b strings.Builder
+	pool := NewSessionPool(0)
 	for _, c := range answerCases() {
 		c.cfg.Steps = 20
 		fast, err := Run(c.cfg)
 		got := renderAnswers(c.name, fast, err)
 		off := c.cfg
 		off.SteadyState = "off"
-		full, errFull := Run(off)
+		full, errFull := pool.Execute(off)
 		if want := renderAnswers(c.name, full, errFull); got != want {
 			t.Errorf("%s: the fast path's answer differs from full simulation:\n--- fast ---\n%s--- full ---\n%s", c.name, got, want)
+		}
+		reused, errReused := pool.Execute(c.cfg)
+		if want := renderAnswers(c.name, reused, errReused); got != want {
+			t.Errorf("%s: a recycled arena's answer differs from a fresh one's:\n--- fresh ---\n%s--- recycled ---\n%s", c.name, got, want)
 		}
 		b.WriteString(got)
 		if err == nil {

@@ -47,6 +47,9 @@ type Plan struct {
 	// rendered once at compile so arena construction never formats
 	// strings on the sweep path.
 	devNames []string
+	// footprint is the template's per-step device footprint, which sizes
+	// a fresh arena's scratch before its first step.
+	footprint autograd.Footprint
 
 	// budgetByKey memoizes the Fig 3 budget per budgetKey; budgetFlight
 	// coalesces concurrent planner runs for one uncached key.
@@ -316,6 +319,7 @@ func compile(key RunConfig) (*Plan, error) {
 	}
 	p.fwdTime, p.bwdTime = graphTimes(tmpl)
 	p.eligible, p.lastModule = eligibleBytes(tmpl)
+	p.footprint = tmpl.Footprint()
 	return p, nil
 }
 
@@ -391,10 +395,13 @@ func (p *Plan) BudgetComputes() int64 { return p.budgetComputes.Load() }
 // Execute runs one measurement under the plan on a fresh, single-use
 // arena. cfg must match the plan's shape in everything except the cheap
 // knobs listed on Plan; Execute rejects mismatched configs rather than
-// silently measuring the wrong model. Callers that
-// Execute one shape repeatedly should hold a Session (or route through a
-// SessionPool) instead: a recycled arena produces byte-identical results
-// at a fraction of the allocations.
+// silently measuring the wrong model. The arena is built at size (see
+// Session): its tables come sized from the plan's footprint and its event
+// log from the steps the run simulates, so a first-seen shape pays for
+// each once instead of regrowing it from empty. Callers that Execute one
+// shape repeatedly should hold a Session (or route through a SessionPool)
+// instead: a recycled arena produces byte-identical results at a
+// fraction of the allocations.
 func (p *Plan) Execute(cfg RunConfig) (*RunResult, error) {
 	// Fail fast: reject bad knobs and mismatched shapes before paying
 	// arena construction. Session.Execute re-validates (it is also a

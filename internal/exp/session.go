@@ -31,10 +31,22 @@ import (
 // strategy, so a warm Execute allocates only the RunResult it returns
 // (the struct, its PerStep and Tiers rows and its optimizer summary; the
 // memory report and the counter snapshot are values inside the struct),
-// whatever its step count. TestWarmExecuteAllocs pins it. The one
-// exception is rare: the per-storage side tables are Go maps, which may
-// grow a table after a clear draws a new hash seed. A traced run also
-// grows the span log, and a materialized one fills payloads.
+// whatever its step count. TestWarmExecuteAllocs pins it.
+//
+// A cold arena follows the same rule. NewSession sizes every growable
+// table once, from the plan's footprint: the allocator's live set and
+// the lifetime table, the GDS registry, the tier stores, the cache's
+// record maps. The first Execute sizes the event log twice, for the
+// first step and then, from that step's exact count, for the steps the
+// run simulates; it never sizes for Steps, which the fast path mostly
+// synthesizes. So nothing regrows from empty, and the log keeps no
+// slack for an idle arena to hold. TestColdSessionAllocs pins it.
+//
+// The one exception is rare, on cold and warm arenas alike: entries churn
+// through the per-storage side tables (Go maps) every step, and with the
+// hash seed each clear draws, a table can now and then run out of room
+// mid-run and grow. The grown table is kept. A traced run also grows
+// the span log, and a materialized one fills payloads.
 //
 // A Session is single-owner: it must not run two Executes concurrently.
 // Use a SessionPool to share arenas across sweep workers. The cheap knobs
@@ -96,9 +108,13 @@ func NewSession(p *Plan) (*Session, error) {
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown strategy %q", shape.Strategy)
 	}
+	// Every growable table is sized once from the plan's footprint, so
+	// the first step fills room instead of regrowing it from empty.
+	fp := p.footprint
 	rt := autograd.NewRuntime(shape.GPU)
+	rt.Presize(fp)
 	graph := p.tmpl.CloneWithFreshWeights()
-	s := &Session{plan: p, rt: rt, graph: graph, weights: graph.Weights()}
+	s := &Session{plan: p, rt: rt, graph: graph}
 
 	var hooks autograd.Hooks = autograd.NoHooks{}
 	if preset.dram || preset.nvme {
@@ -110,6 +126,7 @@ func NewSession(p *Plan) (*Session, error) {
 			// rung is wiring, and an unused tier schedules nothing.
 			host = pcie.NewLink(rt.Rec, preset.hostLink, pcie.DefaultGen4x16())
 			s.cpuTier = core.NewCPUOffloader(rt.Rec, "/dev/shm", host, 0)
+			s.cpuTier.Presize(fp.Saved)
 		}
 		if preset.nvme {
 			// NVMe rung over the GDS peer-to-peer path: striped device
@@ -125,8 +142,14 @@ func NewSession(p *Plan) (*Session, error) {
 			registry.SetRecorder(rt.Rec)
 			hook := gds.NewMallocHook(registry)
 			hook.Enabled = !shape.DisableGDS
+			if hook.Enabled {
+				// The hook registers every allocation: the registry mirrors
+				// the allocator's live set.
+				registry.Presize(fp.Live)
+			}
 			rt.Alloc.AddHook(hook)
 			s.ssdTier = core.NewSSDOffloader(rt.Rec, "/mnt/md1", link, array, registry)
+			s.ssdTier.Presize(fp.Saved)
 		}
 		if preset.optim {
 			// Optimizer rungs: own queues and block stores over the shared
@@ -137,6 +160,10 @@ func NewSession(p *Plan) (*Session, error) {
 			s.optimDRAM = core.NewCPUOffloader(rt.Rec, "optim-dram", host, 0)
 			s.optimNVMe = core.NewSSDOffloader(rt.Rec, "optim-nvme", link, array, gds.NewRegistry())
 			s.optimNVMe.SharedArray = true
+			// Each weight's state, parameter and gradient blocks land on
+			// one of the two rungs; the other never makes its table.
+			s.optimDRAM.Presize(3 * fp.Weights)
+			s.optimNVMe.Presize(3 * fp.Weights)
 			s.optim = core.NewOptimOffloader(rt.Rec, s.optimDRAM, s.optimNVMe)
 		}
 		var tiers []core.Tier
@@ -148,6 +175,7 @@ func NewSession(p *Plan) (*Session, error) {
 		}
 		s.offloader = core.NewTieredOffloader(nil, tiers...)
 		s.offloader.SetRecorder(rt.Rec)
+		s.offloader.Presize(fp.Saved)
 		s.cache = core.NewTensorCache(core.Config{
 			Runtime:         rt,
 			Offloader:       s.offloader,
@@ -158,8 +186,20 @@ func NewSession(p *Plan) (*Session, error) {
 			NoForwarding:    shape.NoForwarding,
 			NoDedup:         shape.NoDedup,
 		})
+		s.cache.Presize(fp)
 		hooks = s.cache
 	}
+
+	// The event log gets room for the weights and a first step: every
+	// storage the footprint counts allocated and freed in each
+	// micro-batch, plus a reload buffer per saved tensor when the arena
+	// offloads, plus the gradient buffers. runMeasurement sizes the rest
+	// of a run once that step has shown its exact count.
+	reloads := 0
+	if s.cache != nil {
+		reloads = fp.Saved
+	}
+	rt.Alloc.Reserve(2*fp.Weights + 2*(fp.Allocs+reloads)*shape.MicroBatches)
 
 	exec, err := autograd.NewExecutor(rt, graph, hooks, autograd.ExecConfig{
 		MicroBatches: shape.MicroBatches,
@@ -180,6 +220,7 @@ func NewSession(p *Plan) (*Session, error) {
 		return nil, err
 	}
 	s.exec = exec
+	s.weights = exec.Weights()
 	s.steady = steadyTracker{rt: rt, off: s.offloader, optim: s.optim}
 	return s, nil
 }
@@ -330,7 +371,43 @@ func (s *Session) Execute(cfg RunConfig) (*RunResult, error) {
 func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 	rt, exec, cache, off, optim := s.rt, s.exec, s.cache, s.offloader, s.optim
 	res.PerStep = make([]StepMetrics, 0, cfg.Warmup+cfg.Steps)
+
+	// The per-step signature detector (see steady.go) runs only when the
+	// run may extrapolate: untraced, fault-free, with the knob on — a
+	// traced run can't synthesize spans, and an armed fault spec could
+	// trigger inside the extrapolated region.
+	var tracker *steadyTracker
+	if cfg.SteadyState != "off" && !cfg.Trace && cfg.Faults.Empty() {
+		tracker = &s.steady
+		tracker.reset()
+	}
+
+	// The event log is sized ahead of the steps, not by append's doubling,
+	// so a fresh arena allocates it about once and keeps no slack. The
+	// first step runs in the room NewSession reserved; its exact count
+	// then sizes the rest of the horizon: every step of a run that cannot
+	// extrapolate, else the warm-up and the two measured steps convergence
+	// needs. Below four measured steps the fast path could skip only one,
+	// so such a run reserves every step rather than risk a regrowth. A run
+	// that outlasts its horizon doubles its room in steps, never past its
+	// last step. A warm arena already has the room: each Reserve is a
+	// no-op.
+	total := cfg.Warmup + cfg.Steps
+	horizon := total
+	if tracker != nil && cfg.Steps > 3 {
+		horizon = cfg.Warmup + 2
+	}
+	logStart, perStep := rt.Alloc.EventMark(), 0
 	runStep := func() (StepMetrics, error) {
+		switch done := len(res.PerStep); {
+		case done == 1:
+			perStep = rt.Alloc.EventMark() - logStart
+			rt.Alloc.Reserve(perStep * (horizon - 1))
+		case done >= horizon:
+			if n, c := rt.Alloc.Events(); c-n < perStep {
+				rt.Alloc.Reserve(perStep * min(total-done, done))
+			}
+		}
 		sr := exec.Run()
 		m := StepMetrics{
 			Stats:      sr.Stats,
@@ -350,16 +427,6 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 		}
 		res.PerStep = append(res.PerStep, m)
 		return m, nil
-	}
-
-	// The per-step signature detector (see steady.go) runs only when the
-	// run may extrapolate: untraced, fault-free, with the knob on — a
-	// traced run can't synthesize spans, and an armed fault spec could
-	// trigger inside the extrapolated region.
-	var tracker *steadyTracker
-	if cfg.SteadyState != "off" && !cfg.Trace && cfg.Faults.Empty() {
-		tracker = &s.steady
-		tracker.reset()
 	}
 
 	for i := 0; i < cfg.Warmup; i++ {

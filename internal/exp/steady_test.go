@@ -306,22 +306,57 @@ func fuzzSteadyCfg(preset, placement uint8, share float64, dramMiB uint16, steps
 	return cfg
 }
 
+// fuzzPriorCfg is the config a recycled arena runs before the fuzzed
+// one: the same plan under other cheap knobs, all picked by prior. It
+// takes the planner's budget, 1–24 steps, 1–3 warm-up steps and, when
+// prior's top bit is set, full simulation; on stacked presets a placement
+// of its own; half the DRAM grant on presets with a DRAM rung; and on
+// presets with an NVMe rung a degrade window over steps two to four.
+func fuzzPriorCfg(cfg RunConfig, prior uint8) RunConfig {
+	p := cfg
+	p.Budget = 0
+	p.Steps = 1 + int(prior)%24
+	p.Warmup = 1 + int(prior/24)%3
+	if prior&0x80 != 0 {
+		p.SteadyState = "off"
+	}
+	t := presets[p.Strategy]
+	if t.stacked() {
+		p.Placement = fuzzPlacements[int(prior/8)%len(fuzzPlacements)]
+		p.SplitRatio = 0
+		if p.Placement == PlacementSplit {
+			p.SplitRatio = 0.5
+		}
+	}
+	if t.dram && prior&0x40 != 0 {
+		p.DRAMCapacity /= 2
+	}
+	if t.nvme && prior&0x20 != 0 {
+		p.Faults = faults.Spec{DegradeAt: 20 * time.Millisecond, DegradeFactor: 0.5, DegradeFor: 30 * time.Millisecond}
+	}
+	return p
+}
+
 // FuzzSteadyMatchesFull is the fast path's property over random small
 // configs: with the fast path on, a run's RunResult is byte-identical
 // to the fully simulated one in everything but the knob echo and the
 // fast-path metadata, its simulated and extrapolated steps add up to
 // Steps, and a run that fails fails the same way in both modes. The
-// seed corpus is the seven steadyVariants at 20 steps.
+// fuzzed config also runs on a recycled arena of its plan, after the
+// fuzzPriorCfg config has run on it, and must give the fresh arena's
+// result exactly. Every run that succeeds must end with only the
+// weights and their gradient buffers live. The seed corpus is the seven
+// steadyVariants at 20 steps, each after a prior run.
 func FuzzSteadyMatchesFull(f *testing.F) {
-	for _, v := range steadyVariants() {
+	for i, v := range steadyVariants() {
 		c := v.cfg.withDefaults()
 		c.Steps = 20
 		preset := slices.Index(fuzzPresets, fuzzPreset{c.Strategy, c.Schedule})
 		placement := max(slices.Index(fuzzPlacements, c.Placement), 0)
 		f.Add(uint8(preset), uint8(placement), c.SSDBandwidthShare, 0.0, uint16(c.DRAMCapacity/units.MiB),
-			uint8(c.Steps-1), uint8(c.Warmup), uint8(c.KeepLastModules-1), uint8(c.MicroBatches-1))
+			uint8(c.Steps-1), uint8(c.Warmup), uint8(c.KeepLastModules-1), uint8(c.MicroBatches-1), uint8(37*i))
 	}
-	f.Fuzz(func(t *testing.T, preset, placement uint8, share, budgetFrac float64, dramMiB uint16, steps, warmup, keepLast, micro uint8) {
+	f.Fuzz(func(t *testing.T, preset, placement uint8, share, budgetFrac float64, dramMiB uint16, steps, warmup, keepLast, micro, prior uint8) {
 		for _, x := range []float64{share, budgetFrac} {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				t.Skip("non-finite float")
@@ -331,24 +366,54 @@ func FuzzSteadyMatchesFull(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
+		plan, err := Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// The budget is a fraction of the plan's eligible bytes; 0 leaves
 		// it to the planner.
 		if budgetFrac != 0 {
-			plan, err := Compile(cfg)
+			cfg.Budget = units.Bytes(unitFrac(budgetFrac) * float64(plan.EligibleBytes()))
+		}
+		// run executes cfg on sess and checks what the run left live.
+		run := func(sess *Session, cfg RunConfig) (*RunResult, error) {
+			res, err := sess.Execute(cfg)
+			if err == nil {
+				a := sess.rt.Alloc
+				if n, b := a.LiveCount(), a.LiveBytes(); n != 2*len(sess.weights) || b != 2*plan.WeightBytes() {
+					t.Errorf("%d storages (%v) live after a run, want the %d weights and their gradients (%v) (cfg %+v)",
+						n, b, len(sess.weights), 2*plan.WeightBytes(), cfg)
+				}
+			}
+			return res, err
+		}
+		fresh := func(cfg RunConfig) (*RunResult, error) {
+			sess, err := NewSession(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Budget = units.Bytes(unitFrac(budgetFrac) * float64(plan.EligibleBytes()))
+			return run(sess, cfg)
 		}
-		fast, errFast := Run(cfg)
+		fast, errFast := fresh(cfg)
 		slow := cfg
 		slow.SteadyState = "off"
-		full, errFull := Run(slow)
-		if errFast != nil || errFull != nil {
-			if errFast == nil || errFull == nil || errFast.Error() != errFull.Error() {
-				t.Fatalf("fast run error %v, full run error %v (cfg %+v)", errFast, errFull, cfg)
+		full, errFull := fresh(slow)
+		recycled, err := NewSession(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pcfg, err := Normalize(fuzzPriorCfg(cfg, prior)); err == nil {
+			run(recycled, pcfg) // its answer is not under test, only what it leaves behind
+		}
+		again, errAgain := run(recycled, cfg)
+		if errFast != nil || errFull != nil || errAgain != nil {
+			if errFast == nil || errFull == nil || errAgain == nil || errFast.Error() != errFull.Error() || errFast.Error() != errAgain.Error() {
+				t.Fatalf("fast run error %v, full run error %v, recycled run error %v (cfg %+v)", errFast, errFull, errAgain, cfg)
 			}
 			return
+		}
+		if !reflect.DeepEqual(fast, again) {
+			t.Errorf("a recycled arena's result differs from a fresh one's (cfg %+v, prior %+v)", cfg, fuzzPriorCfg(cfg, prior))
 		}
 		if got := fast.SteadyState.SimulatedSteps + fast.SteadyState.ExtrapolatedSteps; got != cfg.Steps {
 			t.Errorf("simulated %d + extrapolated %d != %d steps",

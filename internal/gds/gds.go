@@ -70,6 +70,11 @@ func (r *Registry) Reset() {
 	r.deregistrations = 0
 }
 
+// Presize sizes the registry for n concurrent registrations, so a fresh
+// arena's first step fills the table instead of regrowing it from empty.
+// Call it before the first Register.
+func (r *Registry) Presize(n int) { r.registered = make(map[int64]bool, n) }
+
 // SetRecorder attaches the flight recorder the registry reports
 // registration counters to.
 func (r *Registry) SetRecorder(rec *spans.Recorder) { r.rec = rec }

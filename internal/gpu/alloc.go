@@ -54,12 +54,13 @@ type AllocHook interface {
 	OnFree(s *tensor.Storage)
 }
 
-// memEvent is a buffered level delta.
+// memEvent is a buffered level delta. It packs into 24 bytes, since the
+// log holds several hundred per simulated step, so seq is 32-bit.
 type memEvent struct {
 	at    time.Duration
 	delta units.Bytes
+	seq   int32
 	class Class
-	seq   int
 }
 
 // Allocator is the device caching allocator model. Allocation and free
@@ -72,25 +73,26 @@ type Allocator struct {
 	events   []memEvent
 	hooks    []AllocHook
 	live     map[int64]memEvent
-	seq      int
+	seq      int32
 	final    bool
 	// liveBytes/liveCount are running totals over live, kept by Alloc,
 	// Free and Reset so the per-step fold does not walk the map.
 	liveBytes units.Bytes
 	liveCount int
 
-	// repl holds a pending virtual replication (ReplicateTail): one cycle's
-	// events sorted by (at, seq), to be applied replN times at replPeriod
-	// spacing by Finalize — analytically, without ever materializing the
-	// copies. Empty when no replication is pending; a later Alloc or Free
-	// materializes the copies first so event ordering stays exact.
-	repl       []memEvent
+	// replN > 0 marks a pending virtual replication (ReplicateTail): the
+	// replLen events numbered replSeq and up, the last cycle, repeat replN
+	// more times at replPeriod spacing, and Finalize applies the copies
+	// analytically, without ever materializing them. The cycle stays in
+	// the log, which Finalize sorts anyway, so the cycle is read back in
+	// (at, seq) order by its sequence numbers rather than copied out.
+	// replStart is its earliest event. A later Alloc or Free materializes
+	// the copies first so event ordering stays exact.
+	replSeq    int32
+	replLen    int
+	replStart  time.Duration
 	replN      int
 	replPeriod time.Duration
-	// cycle is Finalize's per-event view of repl. It is scratch: its
-	// capacity survives Reset, so a recycled arena replicates without
-	// allocating.
-	cycle []cyclePoint
 
 	// rec/memT emit instant alloc/free events (named by class) when the
 	// flight recorder is on. Like the hooks, the wiring survives Reset.
@@ -113,6 +115,45 @@ func (a *Allocator) SetRecorder(r *spans.Recorder) {
 // AddHook attaches an allocation observer.
 func (a *Allocator) AddHook(h AllocHook) { a.hooks = append(a.hooks, h) }
 
+// PresizeLive sizes the live set for n storages, so a fresh arena's
+// first step fills the table instead of regrowing it from empty. Call it
+// before the first Alloc.
+func (a *Allocator) PresizeLive(n int) {
+	if len(a.live) > 0 {
+		panic("gpu: PresizeLive on a live allocator")
+	}
+	a.live = make(map[int64]memEvent, n)
+}
+
+// Reserve makes room in the event log for n more events. A log that must
+// grow grows to exactly that size, not by append's doubling, so a fresh
+// arena that reserves each phase of a run up front never copies its log
+// through a chain of growths, and keeps no slack. A log with room is left
+// alone: a warm arena's Reserve allocates nothing.
+func (a *Allocator) Reserve(n int) {
+	if n <= cap(a.events)-len(a.events) {
+		return
+	}
+	evs := make([]memEvent, len(a.events), len(a.events)+n)
+	copy(evs, a.events)
+	a.events = evs
+}
+
+// Events returns how many events the log holds and how many it has room
+// for.
+func (a *Allocator) Events() (n, capacity int) { return len(a.events), cap(a.events) }
+
+// nextSeq numbers the next event. No simulation comes near 2^31 events
+// (a 10k-step full simulation logs a few million), but a wrapped number
+// would silently reorder the log, so overflow panics.
+func (a *Allocator) nextSeq() int32 {
+	if a.seq == math.MaxInt32 {
+		panic("gpu: event log overflow")
+	}
+	a.seq++
+	return a.seq
+}
+
 // Reset discards the recorded run (events, live set, pending replication)
 // for reuse by a new simulation on the same arena. Attached hooks survive
 // — they are wiring, not run state — and the event buffer's capacity is
@@ -123,7 +164,6 @@ func (a *Allocator) Reset() {
 	a.liveBytes, a.liveCount = 0, 0
 	a.seq = 0
 	a.final = false
-	a.repl = a.repl[:0]
 	a.replN = 0
 }
 
@@ -137,8 +177,7 @@ func (a *Allocator) Alloc(at time.Duration, s *tensor.Storage, class Class) {
 		panic(fmt.Sprintf("gpu: double alloc of storage %d", s.Seq()))
 	}
 	a.materializeRepl()
-	a.seq++
-	ev := memEvent{at: at, delta: s.Bytes(), class: class, seq: a.seq}
+	ev := memEvent{at: at, delta: s.Bytes(), class: class, seq: a.nextSeq()}
 	a.live[s.Seq()] = ev
 	a.liveBytes += ev.delta
 	a.liveCount++
@@ -169,8 +208,7 @@ func (a *Allocator) Free(at time.Duration, s *tensor.Storage) {
 	delete(a.live, s.Seq())
 	a.liveBytes -= ev.delta
 	a.liveCount--
-	a.seq++
-	a.events = append(a.events, memEvent{at: at, delta: -ev.delta, class: ev.class, seq: a.seq})
+	a.events = append(a.events, memEvent{at: at, delta: -ev.delta, class: ev.class, seq: a.nextSeq()})
 	a.rec.Span(a.memT, spans.KindFree, -1, ev.class.String(), at, at, ev.delta, 0)
 	for _, h := range a.hooks {
 		h.OnFree(s)
@@ -232,34 +270,41 @@ func (a *Allocator) ReplicateTail(mark, n int, period time.Duration) {
 	if len(tail) == 0 || n <= 0 {
 		return
 	}
-	a.repl = append(a.repl[:0], tail...)
-	sortEvents(a.repl)
+	first, last := tail[0].at, tail[0].at
+	for _, ev := range tail[1:] {
+		first, last = min(first, ev.at), max(last, ev.at)
+	}
+	a.replSeq, a.replLen, a.replStart = tail[0].seq, len(tail), first
 	a.replN = n
 	a.replPeriod = period
-	if span := a.repl[len(a.repl)-1].at - a.repl[0].at; period <= 0 || span > period {
+	if period <= 0 || last-first > period {
 		a.materializeRepl()
 	}
 }
 
-// materializeRepl turns a pending virtual replication into real events in
-// recording order (Finalize then sorts everything), restoring exact
-// event-buffer semantics for the rare callers that keep allocating after
+// materializeRepl turns a pending virtual replication into real events
+// (Finalize then sorts everything), restoring exact event-buffer
+// semantics for the rare callers that keep allocating after
 // ReplicateTail or replicate an over-long cycle. No-op without one.
+// Each copy's events take their numbers in the order the cycle's events
+// sit in the log. That is recording order, or (at, seq) order when
+// Finalize has sorted it, and both order events with equal times the
+// same way, so the sorted log comes out the same.
 func (a *Allocator) materializeRepl() {
 	if a.replN == 0 {
 		return
 	}
-	n, block := a.replN, a.repl
+	n, evs := a.replN, a.events
 	a.replN = 0
-	a.events = slices.Grow(a.events, n*len(block))
+	a.Reserve(n * a.replLen)
 	for j := 1; j <= n; j++ {
 		shift := time.Duration(j) * a.replPeriod
-		for _, ev := range block {
-			a.seq++
-			a.events = append(a.events, memEvent{at: ev.at + shift, delta: ev.delta, class: ev.class, seq: a.seq})
+		for _, ev := range evs {
+			if ev.seq >= a.replSeq {
+				a.events = append(a.events, memEvent{at: ev.at + shift, delta: ev.delta, class: ev.class, seq: a.nextSeq()})
+			}
 		}
 	}
-	a.repl = a.repl[:0]
 }
 
 // MemReport summarizes memory behaviour over a run.
@@ -316,7 +361,7 @@ func (a *Allocator) Finalize(windows []Window) MemReport {
 	// the first copy's start would interleave, so fall back to really
 	// appending the copies and re-sorting. The span-fits-period check in
 	// ReplicateTail makes this unreachable in practice.
-	if a.replN > 0 && len(evs) > 0 && evs[len(evs)-1].at > a.repl[0].at+a.replPeriod {
+	if a.replN > 0 && len(evs) > 0 && evs[len(evs)-1].at > a.replStart+a.replPeriod {
 		a.materializeRepl()
 		evs = a.events
 		sortEvents(evs)
@@ -345,7 +390,7 @@ func (a *Allocator) Finalize(windows []Window) MemReport {
 		r.apply(evs[k])
 	}
 	if a.replN > 0 {
-		a.replicate(&r, windows)
+		a.replicate(&r, evs, windows)
 	}
 	rep.Overflowed = rep.PeakTotal > a.capacity
 	return rep
@@ -393,60 +438,50 @@ func (r *levelRun) apply(ev memEvent) {
 
 func (r *levelRun) levels() levels { return levels{r.total, r.byClass[ClassActivations]} }
 
-// cyclePoint is one event of the replicated cycle, in (at, seq) order:
-// its unshifted time, the cycle's running levels through it, and the
-// highest running levels from the cycle's start through it (pre) and
-// from it through the cycle's end (suf).
-type cyclePoint struct {
-	at           time.Duration
-	lv, pre, suf levels
-}
-
 // replicate folds the replN pending copies of the cycle into the report
-// and the windows in closed form. Copy j (1-based) applies the cycle
-// shifted by j×period on top of the level base + (j-1)×net, where base
-// is the level after the real events and net the cycle's own: every
-// level is affine in j, so each peak is taken at the first or the last
-// copy, and integer arithmetic keeps it exact. The strict comparisons
-// reproduce an event-by-event fold's first-occurrence tie-breaking.
-func (a *Allocator) replicate(r *levelRun, windows []Window) {
+// and the windows in closed form. evs is the sorted log, every event of
+// it applied. Copy j (1-based) applies the cycle shifted by j×period on
+// top of the level base + (j-1)×net, where base is the level after the
+// real events and net the cycle's own: every level is affine in j, so
+// each peak is taken at the first or the last copy, and integer
+// arithmetic keeps it exact. The strict comparisons reproduce an
+// event-by-event fold's first-occurrence tie-breaking.
+func (a *Allocator) replicate(r *levelRun, evs []memEvent, windows []Window) {
 	rep, n := r.rep, a.replN
-	// One pass over the cycle: its running levels and maxima, the total's
-	// peak with its first time and class snapshot, and each class's net,
-	// highest and lowest running level.
-	cyc := slices.Grow(a.cycle[:0], len(a.repl))
+	// The cycle's events, compacted in (at, seq) order to the front of
+	// the log: the log is terminal, so the prefix it has applied is free
+	// room, and the cycle needs no copy.
+	cyc := evs[:0]
+	for _, ev := range evs {
+		if ev.seq >= a.replSeq {
+			cyc = append(cyc, ev)
+		}
+	}
+	// One pass over the cycle: its running levels and their maximum, the
+	// total's peak with its first time and class snapshot, and each
+	// class's net, highest and lowest running level.
 	var run levels
-	pre := levels{math.MinInt64, math.MinInt64} // below any level: the first event sets it
+	top := minLevels
 	var peakAt time.Duration
 	// net ends as each class's net per cycle; hi and lo start from the
 	// carry-in level, which is a real level too.
 	var net, hi, lo, peakSnap [classCount]units.Bytes
-	for _, ev := range a.repl {
-		run.total += ev.delta
-		if ev.class == ClassActivations {
-			run.act += ev.delta
-		}
+	for _, ev := range cyc {
+		run = run.plus(ev)
 		net[ev.class] += ev.delta
 		hi[ev.class] = max(hi[ev.class], net[ev.class])
 		lo[ev.class] = min(lo[ev.class], net[ev.class])
-		if run.total > pre.total {
+		if run.total > top.total {
 			peakAt, peakSnap = ev.at, net
 		}
-		pre = pre.max(run)
-		cyc = append(cyc, cyclePoint{at: ev.at, lv: run, pre: pre})
-	}
-	a.cycle = cyc
-	suf := run
-	for i := len(cyc) - 1; i >= 0; i-- {
-		suf = suf.max(cyc[i].lv)
-		cyc[i].suf = suf
+		top = top.max(run)
 	}
 
 	jStar := 1
 	if run.total > 0 {
 		jStar = n
 	}
-	if cand := r.total + units.Bytes(jStar-1)*run.total + pre.total; cand > rep.PeakTotal {
+	if cand := r.total + units.Bytes(jStar-1)*run.total + top.total; cand > rep.PeakTotal {
 		rep.PeakTotal = cand
 		rep.PeakAt = peakAt + time.Duration(jStar)*a.replPeriod
 		for c := range rep.ClassAtTotalPeak {
@@ -466,7 +501,7 @@ func (a *Allocator) replicate(r *levelRun, windows []Window) {
 		}
 	}
 
-	cp := copies{cyc: cyc, n: n, period: a.replPeriod, base: r.levels(), net: run}
+	cp := copies{cyc: cyc, n: n, period: a.replPeriod, base: r.levels(), net: run, top: top, last: cut{i1: -1}}
 	first := cyc[0].at + a.replPeriod
 	for i := range windows {
 		w := &windows[i]
@@ -475,16 +510,30 @@ func (a *Allocator) replicate(r *levelRun, windows []Window) {
 		}
 		j1, i1 := cp.pos(w.Start)
 		j2, i2 := cp.pos(w.End)
+		k := cp.cutAt(i1, i2)
 		pk := levels{w.Total, w.Act}
 		if j1 > 1 || i1 > 0 {
 			// Copies precede the window, so its carry-in level is theirs.
-			pk = cp.before(j1, i1)
+			pk = cp.offset(j1).add(k.carry)
 		}
-		if m, ok := cp.peak(j1, i1, j2, i2); ok {
+		if m, ok := cp.peak(j1, i1, j2, i2, k); ok {
 			pk = pk.max(m)
 		}
 		w.Total, w.Act = pk.total, pk.act
 	}
+}
+
+// minLevels is below any level: the first max with it takes the other
+// side.
+var minLevels = levels{math.MinInt64, math.MinInt64}
+
+// plus returns the levels after applying ev.
+func (l levels) plus(ev memEvent) levels {
+	l.total += ev.delta
+	if ev.class == ClassActivations {
+		l.act += ev.delta
+	}
+	return l
 }
 
 // copies views replN virtual copies of a cycle. Copies never overlap:
@@ -492,10 +541,50 @@ func (a *Allocator) replicate(r *levelRun, windows []Window) {
 // events all precede copy j+1's, and a position in the replicated
 // stream is a (copy, index) pair.
 type copies struct {
-	cyc       []cyclePoint
+	cyc       []memEvent // the cycle in (at, seq) order
 	n         int
 	period    time.Duration
 	base, net levels
+	// top is the cycle's highest running levels.
+	top levels
+	// last is the last cut cutAt scanned; i1 -1 before the first.
+	last cut
+}
+
+// cut is what a window cutting each copy at indices i1 and i2 needs:
+// the running level carried in before i1, and the highest running levels
+// over [i1, n), over [0, i2) and over [i1, i2).
+type cut struct {
+	i1, i2               int
+	carry, suf, pre, mid levels
+}
+
+// cutAt scans the cycle once for cut (i1, i2). Step windows lie a whole
+// period apart, so they all cut the cycle at the same two indices: the
+// last cut is kept, and a run's windows cost one scan, not one each.
+func (c *copies) cutAt(i1, i2 int) cut {
+	if c.last.i1 == i1 && c.last.i2 == i2 {
+		return c.last
+	}
+	k := cut{i1: i1, i2: i2, suf: minLevels, pre: minLevels, mid: minLevels}
+	var run levels
+	for i, ev := range c.cyc {
+		if i == i1 {
+			k.carry = run
+		}
+		run = run.plus(ev)
+		if i >= i1 {
+			k.suf = k.suf.max(run)
+		}
+		if i < i2 {
+			k.pre = k.pre.max(run)
+			if i >= i1 {
+				k.mid = k.mid.max(run)
+			}
+		}
+	}
+	c.last = k
+	return k
 }
 
 // offset is the level copy j starts from.
@@ -514,47 +603,28 @@ func (c *copies) pos(t time.Duration) (j, i int) {
 	if j > c.n {
 		return c.n + 1, 0
 	}
-	i, _ = slices.BinarySearchFunc(c.cyc, t-time.Duration(j)*c.period, func(p cyclePoint, t time.Duration) int {
-		return cmp.Compare(p.at, t)
+	i, _ = slices.BinarySearchFunc(c.cyc, t-time.Duration(j)*c.period, func(ev memEvent, t time.Duration) int {
+		return cmp.Compare(ev.at, t)
 	})
 	return j, i
 }
 
-// before returns the level just before position (j, i).
-func (c *copies) before(j, i int) levels {
-	if i == 0 {
-		return c.offset(j)
-	}
-	return c.offset(j).add(c.cyc[i-1].lv)
-}
-
 // peak returns the highest levels at the copied events in positions
-// [(j1, i1), (j2, i2)); ok is false when the range is empty. A copy the
-// range covers partly contributes a prefix or a suffix of the cycle, and
-// the copies it covers whole peak at one end of their run, so the cost
-// is constant in the number of copies.
-func (c *copies) peak(j1, i1, j2, i2 int) (m levels, ok bool) {
+// [(j1, i1), (j2, i2)), given the cut k those positions make; ok is
+// false when the range is empty. A copy the range covers partly
+// contributes a prefix or a suffix of the cycle, and the copies it covers
+// whole peak at one end of their run, so the cost is constant in the
+// number of copies.
+func (c *copies) peak(j1, i1, j2, i2 int, k cut) (m levels, ok bool) {
 	if j1 > j2 || j1 == j2 && i1 >= i2 {
 		return m, false
 	}
-	n := len(c.cyc)
 	if j1 == j2 {
 		// pos never returns (j, n), so the range ends inside copy j.
-		off := c.offset(j1)
-		if i1 == 0 {
-			return off.add(c.cyc[i2-1].pre), true
-		}
-		// Cut at both ends: only a window shorter than the cycle's span
-		// does that (a step window is a whole period long).
-		m = c.cyc[i1].lv
-		for _, p := range c.cyc[i1+1 : i2] {
-			m = m.max(p.lv)
-		}
-		return off.add(m), true
+		return c.offset(j1).add(k.mid), true
 	}
-	m = c.offset(j1).add(c.cyc[i1].suf)
+	m = c.offset(j1).add(k.suf)
 	if j2-j1 > 1 {
-		top := c.cyc[n-1].pre
 		hiTotal, hiAct := j1+1, j1+1
 		if c.net.total > 0 {
 			hiTotal = j2 - 1
@@ -562,10 +632,10 @@ func (c *copies) peak(j1, i1, j2, i2 int) (m levels, ok bool) {
 		if c.net.act > 0 {
 			hiAct = j2 - 1
 		}
-		m = m.max(levels{c.offset(hiTotal).total + top.total, c.offset(hiAct).act + top.act})
+		m = m.max(levels{c.offset(hiTotal).total + c.top.total, c.offset(hiAct).act + c.top.act})
 	}
 	if i2 > 0 {
-		m = m.max(c.offset(j2).add(c.cyc[i2-1].pre))
+		m = m.max(c.offset(j2).add(k.pre))
 	}
 	return m, true
 }

@@ -34,6 +34,8 @@ func Build(cfg Config, cost *gpu.CostModel) (*autograd.Graph, error) {
 		Root:       b.root,
 		InputShape: tensor.NewShape(cfg.Batch, cfg.SeqLen),
 		InputDType: tensor.INT32,
+		// The layers plus at most two embeddings and a head.
+		Blocks: make([]*autograd.Block, 0, cfg.Layers+3),
 	}
 
 	switch cfg.Arch {
@@ -223,7 +225,16 @@ func (b *builder) layerBlock(name string, causal bool, encLast int) *autograd.Bl
 	hidden := b.hiddenShape(int(h))
 	e := cfg.DType.Size()
 
-	var ops []autograd.OpSpec
+	// Twelve ops, three more for the unfused softmax chain, seven more for
+	// cross-attention: the slice is allocated once, at its final size.
+	size := 12
+	if !cfg.FlashAttention {
+		size += 3
+	}
+	if encLast >= 0 {
+		size += 7
+	}
+	ops := make([]autograd.OpSpec, 0, size)
 	push := func(op autograd.OpSpec) int {
 		ops = append(ops, op)
 		return len(ops) // 1-based index of the pushed op

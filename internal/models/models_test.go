@@ -80,6 +80,24 @@ func TestGraphStructure(t *testing.T) {
 	}
 }
 
+// TestLayerOpsSizedOnce: the builder sizes each layer's op slice at its
+// final length, fused or unfused, with and without cross-attention, so a
+// first-seen shape's template build never regrows one.
+func TestLayerOpsSizedOnce(t *testing.T) {
+	for _, arch := range []Arch{GPT, BERT, T5} {
+		for _, flash := range []bool{true, false} {
+			cfg := testConfig(arch)
+			cfg.FlashAttention = flash
+			for _, blk := range build(t, cfg).Blocks {
+				if len(blk.Ops) != cap(blk.Ops) {
+					t.Errorf("%s flash=%v %s: %d ops in a slice sized for %d",
+						arch, flash, blk.Module.Path(), len(blk.Ops), cap(blk.Ops))
+				}
+			}
+		}
+	}
+}
+
 // TestSavedBytesMatchKorthikanti is the Table III cross-check at unit
 // level: the activation bytes that emerge from the op graph must match
 // the analytic per-layer formula s·b·h·(10 + 24/t) within the small terms

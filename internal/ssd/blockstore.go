@@ -15,7 +15,10 @@ import (
 // of formatting path strings on the simulation hot path; rendering the
 // paper-style "/mnt/md1/t1.pt" name is deferred to diagnostics.
 type BlockStore[K comparable] struct {
+	// files is made at the first write, sized for hint files (Presize),
+	// so a store nothing writes to never allocates a table.
 	files map[K]*storedFile
+	hint  int
 	// free recycles storedFile boxes across the write/delete churn of a
 	// training step (every offload file is written and unlinked once per
 	// step), so steady-state stores allocate nothing.
@@ -34,9 +37,12 @@ type storedFile struct {
 }
 
 // NewBlockStore returns an empty store.
-func NewBlockStore[K comparable]() *BlockStore[K] {
-	return &BlockStore[K]{files: make(map[K]*storedFile)}
-}
+func NewBlockStore[K comparable]() *BlockStore[K] { return &BlockStore[K]{} }
+
+// Presize sizes the store for n files, so a fresh arena's first step
+// fills the table instead of regrowing it from empty. Call it before the
+// first write.
+func (b *BlockStore[K]) Presize(n int) { b.hint = n }
 
 // WriteFile stores a payload-backed file, overwriting any previous file at
 // the path. The payload is copied.
@@ -72,6 +78,9 @@ func (b *BlockStore[K]) newFile() *storedFile {
 }
 
 func (b *BlockStore[K]) put(path K, f *storedFile) {
+	if b.files == nil {
+		b.files = make(map[K]*storedFile, b.hint)
+	}
 	b.files[path] = f
 	b.written += f.size
 	b.used += f.size

@@ -41,9 +41,8 @@ type Storage struct {
 	// seq is a process-unique allocation number, used only for diagnostics;
 	// it is deliberately NOT the cache identifier (the paper explains that
 	// address/object-identity based IDs collide once memory is recycled).
-	seq    int64
-	bytes  units.Bytes
-	device Device
+	seq   int64
+	bytes units.Bytes
 
 	// stamp is the cache-assigned logical timestamp (0 = unassigned). It is
 	// the paper's "additional attribute added to t.untyped_storage()".
@@ -53,12 +52,15 @@ type Storage struct {
 	// leave it nil; I/O-correctness tests materialize it.
 	data []byte
 
-	// freed marks the storage as released; weak references observe this.
-	freed bool
-
 	// strong is the number of strong references held by the runtime and
 	// the cache. The executor frees the storage when it reaches zero.
 	strong int
+
+	// The one-byte fields come last, so a tensor and its storage fit one
+	// 128-byte allocation (New).
+	device Device
+	// freed marks the storage as released; weak references observe this.
+	freed bool
 }
 
 // initStorage is the single construction path for storage metadata; both
@@ -240,8 +242,8 @@ func xorshift(x uint64) uint64 {
 type Tensor struct {
 	name    string
 	shape   Shape
-	dtype   DType
 	storage *Storage
+	dtype   DType
 	// weight marks parameters (and their transposed views); the cache
 	// excludes them from offloading (§III-C1).
 	weight bool
