@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"ssdtrain/internal/gpu"
@@ -54,13 +55,15 @@ type opRun struct {
 	saved  []savedRef
 	finish time.Duration
 
-	// outT..recMaskT are the op's recycled tensors: every step (and every
-	// run on a recycled arena) produces the same tensor population, so
-	// instead of allocating fresh tensor+storage pairs each iteration the
-	// executor re-zeroes these in place (reviveInto). Identity semantics
-	// are preserved — a revived storage is unstamped and unreferenced, so
-	// the allocator and the cache treat it exactly like a new allocation.
-	// outT is also the op's output in the current step.
+	// outT..recMaskT are the op's tensors, built once (computeStatics):
+	// every step (and every run on a recycled arena) produces the same
+	// tensor population, so instead of allocating fresh tensor+storage
+	// pairs each iteration the executor re-zeroes these in place
+	// (revive). Identity semantics are preserved — a revived storage is
+	// unstamped and unreferenced, so the allocator and the cache treat it
+	// exactly like a new allocation. outT is also the op's output in the
+	// current step. An op has the tensors its flags and its block's
+	// checkpointing call for; the others stay nil.
 	outT     *tensor.Tensor
 	gradT    *tensor.Tensor
 	maskT    *tensor.Tensor
@@ -92,20 +95,20 @@ type blockRun struct {
 }
 
 // opStatic is the per-op state that never changes across steps: tensor
-// names, the pre-transposed weight view, and the stats-tensor shape. The
-// seed executor rebuilt all of these with fmt.Sprintf on every step —
-// string formatting was a third of the simulator's allocations.
+// names and the pre-transposed weight view. The seed executor rebuilt
+// these with fmt.Sprintf on every step — string formatting was a third
+// of the simulator's allocations.
 type opStatic struct {
-	outName   string
-	gradName  string
-	recName   string
-	maskName  string
-	statsName string
+	outName  string
+	gradName string
+	recName  string
+	maskName string
 	// wt is the transposed weight view registered for backward; one view
-	// object per op, reused every step (identity semantics are unchanged —
-	// the cache identifies tensors by storage stamp + shape, not object).
-	wt         *tensor.Tensor
-	statsShape tensor.Shape
+	// per op, reused every step (identity semantics are unchanged — the
+	// cache identifies tensors by storage stamp + shape, not object).
+	wt *tensor.Tensor
+	// wi indexes the op's weight in Executor.weights, or is -1.
+	wi int
 }
 
 // blockStatic is the per-block forward prepass, computed once: the last
@@ -117,6 +120,18 @@ type blockStatic struct {
 	lastOut   []int
 	lastIn    int
 	lastExtra []int
+}
+
+// weightRun is one parameter's per-step state: its gradient buffer,
+// allocated at the first backward touch and retained across steps
+// (frameworks keep .grad buffers resident); whether that happened in
+// the current run; and, for an offloaded optimizer, the backward ops
+// that touch it per micro-batch and their countdown in the last one, so
+// GradReady fires exactly when its gradient is complete.
+type weightRun struct {
+	grad      *tensor.Tensor
+	ops, left int
+	allocated bool
 }
 
 // Executor drives training steps of a Graph on a Runtime through the
@@ -135,26 +150,19 @@ type Executor struct {
 	// weights caches the graph's distinct parameters (graph order): the
 	// optimizer touches them every step and Reset re-registers them, so
 	// recomputing the list per use would put a map+slice on the hot path.
+	// wruns holds each one's gradient state, in the same order.
 	weights []*tensor.Tensor
-	gradOf  map[int64]*tensor.Tensor // weight storage seq → grad tensor
-	// gradAllocated marks grad buffers registered with the allocator in
-	// the current run; cleared by Reset so a recycled arena re-allocates
-	// them at first backward touch exactly like a fresh executor.
-	gradAllocated map[int64]bool
-	consumer      map[int]int // block index → forward consumer count
+	wruns   []weightRun
+	// consumer counts each block output's forward consumers.
+	consumer []int
 
 	// optim, when set, replaces the on-GPU optimizer loop with an
-	// offloaded pipeline (ConfigureOptim). gradOps counts each weight's
-	// backward ops per micro-batch (static); gradLeft counts down during
-	// the last micro-batch so GradReady fires exactly when the weight's
-	// gradient is complete.
+	// offloaded pipeline (ConfigureOptim).
 	optim        OptimPipeline
 	optimOverlap bool
-	gradOps      map[int64]int
-	gradLeft     map[int64]int
 
-	// inT/gradSeedT are the recycled per-micro-batch graph input and loss
-	// gradient seed (see opRun's recycled tensors).
+	// inT/gradSeedT are the per-micro-batch graph input and loss
+	// gradient seed (see opRun's tensors).
 	inT       *tensor.Tensor
 	gradSeedT *tensor.Tensor
 
@@ -168,8 +176,8 @@ type Executor struct {
 	unpacked []*tensor.Tensor
 }
 
-// NewExecutor validates the graph, allocates weights (and their
-// gradient buffers lazily), and returns an executor.
+// NewExecutor validates the graph, builds every tensor a step will
+// create, registers the weights, and returns an executor.
 func NewExecutor(rt *Runtime, g *Graph, hooks Hooks, cfg ExecConfig) (*Executor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -186,31 +194,18 @@ func NewExecutor(rt *Runtime, g *Graph, hooks Hooks, cfg ExecConfig) (*Executor,
 	if cfg.AccumCost == nil {
 		cfg.AccumCost = func(*tensor.Tensor) time.Duration { return 0 }
 	}
-	weights := g.Weights()
 	e := &Executor{
-		rt:            rt,
-		graph:         g,
-		hooks:         hooks,
-		cfg:           cfg,
-		seed:          cfg.Seed,
-		weights:       weights,
-		gradOf:        make(map[int64]*tensor.Tensor, len(weights)),
-		gradAllocated: make(map[int64]bool, len(weights)),
-		gradOps:       make(map[int64]int, len(weights)),
-		gradLeft:      make(map[int64]int, len(weights)),
+		rt:      rt,
+		graph:   g,
+		hooks:   hooks,
+		cfg:     cfg,
+		seed:    cfg.Seed,
+		weights: g.Weights(),
 	}
-	for _, b := range g.Blocks {
-		for i := range b.Ops {
-			if w := b.Ops[i].Weight; w != nil {
-				e.gradOps[w.Storage().Seq()]++
-			}
-		}
-	}
+	e.computeStatics()
 	for _, w := range e.weights {
 		rt.Life.Alloc(0, w.Storage(), gpu.ClassWeights)
 	}
-	e.computeConsumers()
-	e.computeStatics()
 	return e, nil
 }
 
@@ -226,93 +221,214 @@ func (e *Executor) Weights() []*tensor.Tensor { return e.weights }
 func (e *Executor) Reset() {
 	e.clock = 0
 	e.seed = e.cfg.Seed
-	clear(e.gradAllocated)
-	clear(e.gradLeft)
+	for i := range e.wruns {
+		e.wruns[i].allocated, e.wruns[i].left = false, 0
+	}
 	for _, w := range e.weights {
 		e.rt.Life.Alloc(0, w.Storage(), gpu.ClassWeights)
 	}
 }
 
-// reviveInto returns the cached tensor with its storage re-zeroed,
-// allocating the tensor on first use. A revived tensor keeps its identity
-// (name, shape, dtype); its storage is unstamped, unreferenced and
-// unmaterialized, indistinguishable from a fresh allocation to the
-// allocator and the cache.
-func reviveInto(slot **tensor.Tensor, name string, shape tensor.Shape, dt tensor.DType) *tensor.Tensor {
-	t := *slot
-	if t == nil {
-		t = tensor.New(name, shape, dt, tensor.GPU)
-		*slot = t
-		return t
-	}
+// revive re-zeroes one of the executor's tensors for its next use: its
+// storage is unstamped, unreferenced and unmaterialized,
+// indistinguishable from a fresh allocation to the allocator and the
+// cache, while the tensor keeps its identity (name, shape, dtype).
+func revive(t *tensor.Tensor) *tensor.Tensor {
 	t.Storage().ResetForReuse()
 	return t
 }
 
-// computeConsumers precomputes forward fan-out per block output.
-func (e *Executor) computeConsumers() {
-	e.consumer = make(map[int]int, len(e.graph.Blocks))
-	for bi, b := range e.graph.Blocks {
+// computeStatics builds, once, everything a step needs besides virtual
+// time: the forward fan-out of each block, the tensor names, the
+// transposed weight views, the last-consumer prepass, the per-step
+// scratch, and every tensor a step allocates (Footprint.Allocs of them,
+// plus a gradient buffer per weight). Each kind comes from one
+// allocation sized from the graph, so a fresh arena pays a few heap
+// objects for them instead of one per tensor, name and slice.
+func (e *Executor) computeStatics() {
+	blocks := e.graph.Blocks
+	// Count first: the tensors (the graph input and loss seed, then per
+	// op its output, input gradient and mask, and either its stats or
+	// its recomputed output), the names' bytes, the saved refs, the
+	// views and their dimensions, the checkpoint scratch.
+	nOps, nExtra, packs, views, dims, names := 0, 0, 0, 0, 0, 0
+	boxes, chkRefs, chkMasks, widest := 2+len(e.weights), 0, 0, 1
+	for _, b := range blocks {
+		nOps += len(b.Ops)
+		nExtra += len(b.ExtraIn)
+		path := b.Module.pathLen()
+		names += path
+		if b.Checkpoint {
+			widest = max(widest, 1+len(b.ExtraIn))
+			chkRefs += 1 + 2*len(b.ExtraIn)
+		}
+		for i := range b.Ops {
+			op := &b.Ops[i]
+			out := path + 1 + len(op.Name)
+			names += out + len(".grad")
+			boxes += 2
+			if op.SaveMask {
+				names += out + len(".mask")
+				boxes++
+			}
+			if b.Checkpoint {
+				names += out + len(".rec")
+				boxes++
+				if op.SaveMask {
+					chkMasks++
+				}
+				continue
+			}
+			packs += op.packs()
+			widest = max(widest, op.packs())
+			if op.SaveStatsElems > 0 {
+				names += out + len(".stats")
+				boxes++
+				dims++
+			}
+			if op.Weight != nil {
+				names += len(op.Weight.Name()) + len(".T")
+				views++
+				dims += len(op.Weight.Shape())
+			}
+		}
+	}
+	for _, w := range e.weights {
+		names += len(w.Name()) + len(".grad")
+	}
+
+	var sb strings.Builder
+	sb.Grow(names)
+	// cat writes parts to sb as one name that shares sb's buffer.
+	cat := func(parts ...string) string {
+		start := sb.Len()
+		for _, p := range parts {
+			sb.WriteString(p)
+		}
+		return sb.String()[start:]
+	}
+	var slab tensor.Slab
+	slab.Reserve(boxes)
+	wts := make([]tensor.Tensor, views)
+	dimBuf := make(tensor.Shape, dims)
+	// take carves the next n dimensions off dimBuf.
+	take := func(n int) tensor.Shape {
+		d := dimBuf[:n:n]
+		dimBuf = dimBuf[n:]
+		return d
+	}
+
+	e.wruns = make([]weightRun, len(e.weights))
+	for i, w := range e.weights {
+		e.wruns[i].grad = slab.New(cat(w.Name(), ".grad"), w.Shape(), w.DType(), tensor.GPU)
+	}
+	e.inT = slab.New("input", e.graph.InputShape, e.graph.InputDType, tensor.GPU)
+	last := blocks[len(blocks)-1]
+	final := &last.Ops[len(last.Ops)-1]
+	e.gradSeedT = slab.New("gradseed", final.OutShape, final.OutDType, tensor.GPU)
+
+	e.consumer = make([]int, len(blocks))
+	e.static = make([]blockStatic, len(blocks))
+	e.runs = make([]blockRun, len(blocks))
+	e.outs = make([]*tensor.Tensor, len(blocks))
+	e.finishes = make([]time.Duration, len(blocks))
+	e.unpacked = make([]*tensor.Tensor, 0, widest)
+	// Every op's saved refs share one array, each op's slice capped at
+	// the registrations it makes, so the first step's appends fill it
+	// instead of growing a slice per op. The per-op and per-extra-input
+	// slices of every block are carved from shared arrays the same way.
+	saved := make([]savedRef, packs)
+	statics := make([]opStatic, nOps)
+	runs := make([]opRun, nOps)
+	ints := make([]int, nOps+nExtra)
+	recomputed := make([]*tensor.Tensor, nOps)
+	extras := make([]*tensor.Tensor, nExtra)
+	extraFinish := make([]time.Duration, nExtra)
+	refs := make([]savedRef, chkRefs)
+	masks := make([]*tensor.Tensor, chkMasks)
+	inShape, inDType := e.graph.InputShape, e.graph.InputDType
+	for bi, b := range blocks {
 		// The chained successor, or the loss/backward seed for the final
 		// block, consumes every block output exactly once.
 		e.consumer[bi]++
 		for _, x := range b.ExtraIn {
 			e.consumer[x]++
 		}
-	}
-}
 
-// computeStatics precomputes names, transposed weight views, the
-// last-consumer prepass, and the per-step scratch structures.
-func (e *Executor) computeStatics() {
-	blocks := e.graph.Blocks
-	e.static = make([]blockStatic, len(blocks))
-	e.runs = make([]blockRun, len(blocks))
-	e.outs = make([]*tensor.Tensor, len(blocks))
-	e.finishes = make([]time.Duration, len(blocks))
-	// Every op's saved refs share one array, each op's slice capped at
-	// the registrations it makes, so the first step's appends fill it
-	// instead of growing a slice per op.
-	packs := 0
-	for _, b := range blocks {
-		if !b.Checkpoint {
-			for i := range b.Ops {
-				packs += b.Ops[i].packs()
-			}
-		}
-	}
-	saved := make([]savedRef, packs)
-	for bi, b := range blocks {
+		n, nx := len(b.Ops), len(b.ExtraIn)
 		st := &e.static[bi]
-		st.ops = make([]opStatic, len(b.Ops))
-		path := b.Module.Path()
+		st.ops, statics = statics[:n:n], statics[n:]
+		run := &e.runs[bi]
+		run.block = b
+		run.ops, runs = runs[:n:n], runs[n:]
+		run.recomputed, recomputed = recomputed[:n:n], recomputed[n:]
+		run.extras, extras = extras[:nx:nx], extras[nx:]
+		run.extraFinish, extraFinish = extraFinish[:nx:nx], extraFinish[nx:]
+		st.lastOut, st.lastExtra, ints = ints[:n:n], ints[n:n+nx:n+nx], ints[n+nx:]
+		if b.Checkpoint {
+			run.extraPacked, run.chkRefs, refs = refs[:0:nx], refs[nx:nx:1+2*nx], refs[1+2*nx:]
+			m := 0
+			for oi := range b.Ops {
+				if b.Ops[oi].SaveMask {
+					m++
+				}
+			}
+			run.recMasks, masks = masks[:0:m], masks[m:]
+		}
+
+		start := sb.Len()
+		b.Module.writePath(&sb)
+		path := sb.String()[start:]
 		for oi := range b.Ops {
 			op := &b.Ops[oi]
 			os := &st.ops[oi]
-			os.outName = path + "." + op.Name
-			os.gradName = os.outName + ".grad"
-			if b.Checkpoint {
-				os.recName = os.outName + ".rec"
+			r := &run.ops[oi]
+			os.gradName = cat(path, ".", op.Name, ".grad")
+			os.outName = os.gradName[:len(os.gradName)-len(".grad")]
+			r.outT = slab.New(os.outName, op.OutShape, op.OutDType, tensor.GPU)
+			// The gradient wrt the op's input, shaped like the input.
+			gShape, gDType := inShape, inDType
+			if j := b.InputIndex(oi); j >= 0 {
+				gShape, gDType = b.Ops[j].OutShape, b.Ops[j].OutDType
 			}
+			r.gradT = slab.New(os.gradName, gShape, gDType, tensor.GPU)
 			if op.SaveMask {
-				os.maskName = os.outName + ".mask"
+				os.maskName = cat(os.outName, ".mask")
+			}
+			os.wi = -1
+			if op.Weight != nil {
+				os.wi = e.weightIndex(op.Weight)
+				e.wruns[os.wi].ops++
+			}
+			if b.Checkpoint {
+				os.recName = cat(os.outName, ".rec")
+				r.recT = slab.New(os.recName, op.OutShape, op.OutDType, tensor.GPU)
+				if op.SaveMask {
+					r.recMaskT = slab.New(os.maskName, op.OutShape, tensor.BOOL, tensor.GPU)
+				}
+				continue
+			}
+			k := op.packs()
+			r.saved, saved = saved[:0:k], saved[k:]
+			if op.SaveMask {
+				r.maskT = slab.New(os.maskName, op.OutShape, tensor.BOOL, tensor.GPU)
 			}
 			if op.SaveStatsElems > 0 {
-				os.statsName = os.outName + ".stats"
-				os.statsShape = tensor.NewShape(int(op.SaveStatsElems))
+				shape := take(1)
+				shape[0] = int(op.SaveStatsElems)
+				r.statsT = slab.New(cat(os.outName, ".stats"), shape, tensor.FP32, tensor.GPU)
 			}
-			if op.Weight != nil {
-				os.wt = op.Weight.Transpose()
+			if w := op.Weight; w != nil {
+				os.wt, wts = w.TransposeInto(&wts[0], cat(w.Name(), ".T"), take(len(w.Shape()))), wts[1:]
 			}
 		}
+		last := &b.Ops[n-1]
+		inShape, inDType = last.OutShape, last.OutDType
 
 		// Last-consumer prepass (static: depends only on the op specs).
-		n := len(b.Ops)
-		st.lastOut = make([]int, n)
 		for j := range st.lastOut {
 			st.lastOut[j] = -1
 		}
-		st.lastExtra = make([]int, len(b.ExtraIn))
 		for k := range st.lastExtra {
 			st.lastExtra[k] = -1
 		}
@@ -335,20 +451,18 @@ func (e *Executor) computeStatics() {
 				st.lastExtra[k] = oi
 			}
 		}
-
-		run := &e.runs[bi]
-		run.block = b
-		run.ops = make([]opRun, n)
-		if !b.Checkpoint {
-			for oi := range run.ops {
-				k := b.Ops[oi].packs()
-				run.ops[oi].saved, saved = saved[:0:k], saved[k:]
-			}
-		}
-		run.extras = make([]*tensor.Tensor, len(b.ExtraIn))
-		run.extraFinish = make([]time.Duration, len(b.ExtraIn))
-		run.recomputed = make([]*tensor.Tensor, n)
 	}
+}
+
+// weightIndex returns w's index in the executor's weights: the weight
+// that shares w's storage, as Graph.Weights dedups them.
+func (e *Executor) weightIndex(w *tensor.Tensor) int {
+	for i, x := range e.weights {
+		if x.Storage() == w.Storage() {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("autograd: weight %s is not among the graph's weights", w.Name()))
 }
 
 // saves counts the activations and masks the op registers for backward
@@ -396,6 +510,8 @@ type Footprint struct {
 	// Weights is the distinct parameters. Each gets a gradient buffer at
 	// its first backward touch, which stays allocated.
 	Weights int
+	// Blocks is the graph's blocks, the modules each micro-batch enters.
+	Blocks int
 	// Live estimates how many storages are live at once: the weights and
 	// their gradients, every saved tensor and stats, and the largest
 	// block's op outputs in flight.
@@ -432,6 +548,7 @@ func (g *Graph) Footprint() Footprint {
 	}
 	f.Allocs += 2 // graph input, loss-gradient seed
 	f.Weights = len(g.Weights())
+	f.Blocks = len(g.Blocks)
 	f.Live = 2*f.Weights + f.Saved + stats + widest
 	return f
 }
@@ -464,7 +581,7 @@ func (e *Executor) Run() StepResult {
 
 		// Graph input (token ids). It carries a producer ref plus one
 		// consumer ref for the first block.
-		in := reviveInto(&e.inT, "input", e.graph.InputShape, e.graph.InputDType)
+		in := revive(e.inT)
 		e.rt.Life.Alloc(hostNow, in.Storage(), gpu.ClassWorkspace)
 		e.rt.Life.Retain(in.Storage())
 
@@ -498,14 +615,14 @@ func (e *Executor) Run() StepResult {
 		if e.optim != nil && mb == e.cfg.MicroBatches-1 {
 			// Last micro-batch: arm the per-weight countdowns so GradReady
 			// fires at each weight's final gradient (post-accumulation).
-			for seq, n := range e.gradOps {
-				e.gradLeft[seq] = n
+			for i := range e.wruns {
+				e.wruns[i].left = e.wruns[i].ops
 			}
 		}
 		final := e.outs[len(e.outs)-1]
 		finalFinish := e.finishes[len(e.finishes)-1]
 		// Loss gradient seed, shaped like the final output.
-		grad := reviveInto(&e.gradSeedT, "gradseed", final.Shape(), final.DType())
+		grad := revive(e.gradSeedT)
 		e.rt.Life.Alloc(hostNow, grad.Storage(), gpu.ClassWorkspace)
 		// The loss consumer ref on the final output: the gradient seed's
 		// computation reads it once the forward output exists.
@@ -702,13 +819,13 @@ func (e *Executor) forwardBlock(run *blockRun, st *blockStatic, bi int, inFinish
 		*modelFLOPs += op.FwdFLOPs
 
 		rec := &run.ops[oi]
-		out := reviveInto(&rec.outT, st.ops[oi].outName, op.OutShape, op.OutDType)
+		out := revive(rec.outT)
 		e.rt.Life.Alloc(start, out.Storage(), gpu.ClassActivations)
 		rec.spec, rec.finish = op, finish
 		rec.saved = rec.saved[:0]
 
 		if !b.Checkpoint {
-			e.saveForBackward(rec, &st.ops[oi], b, oi, input, blockIn, extras, run, start, finish, hostNow)
+			e.saveForBackward(rec, input, blockIn, extras, run, start, finish, hostNow)
 			// Weight transpose views are registered on the graph by linear
 			// layers even under checkpointing (PyTorch re-registers during
 			// recomputation; net effect on the cache is identical).
@@ -754,7 +871,7 @@ func (e *Executor) forwardBlock(run *blockRun, st *blockStatic, bi int, inFinish
 
 // saveForBackward evaluates an op's save flags, packing each tensor into
 // rec.saved.
-func (e *Executor) saveForBackward(rec *opRun, os *opStatic, b *Block, oi int, input, blockIn *tensor.Tensor, extras []*tensor.Tensor, run *blockRun, start, finish time.Duration, hostNow *time.Duration) {
+func (e *Executor) saveForBackward(rec *opRun, input, blockIn *tensor.Tensor, extras []*tensor.Tensor, run *blockRun, start, finish time.Duration, hostNow *time.Duration) {
 	op := rec.spec
 	out := rec.outT
 	if op.SaveInput {
@@ -775,14 +892,14 @@ func (e *Executor) saveForBackward(rec *opRun, os *opStatic, b *Block, oi int, i
 		rec.saved = append(rec.saved, e.pack(extras[op.SaveExtra1-1], start, hostNow))
 	}
 	if op.SaveMask {
-		mask := reviveInto(&rec.maskT, os.maskName, op.OutShape, tensor.BOOL)
+		mask := revive(rec.maskT)
 		e.rt.Life.Alloc(start, mask.Storage(), gpu.ClassActivations)
 		ref := e.pack(mask, finish, hostNow)
 		e.rt.Life.Release(mask.Storage(), finish) // producer ref
 		rec.saved = append(rec.saved, ref)
 	}
 	if op.SaveStatsElems > 0 {
-		stats := reviveInto(&rec.statsT, os.statsName, os.statsShape, tensor.FP32)
+		stats := revive(rec.statsT)
 		e.rt.Life.Alloc(start, stats.Storage(), gpu.ClassActivations)
 		ref := e.pack(stats, finish, hostNow)
 		e.rt.Life.Release(stats.Storage(), finish)
@@ -809,11 +926,11 @@ func (e *Executor) backwardBlock(run *blockRun, st *blockStatic, gradIn *tensor.
 			finish := e.rt.Compute.Submit(*hostNow, op.FwdTime)
 			start := finish - op.FwdTime
 			e.rt.Rec.Span(e.rt.ComputeTrack, spans.KindRecompute, int32(bi), st.ops[oi].recName, start, finish, 0, 0)
-			out := reviveInto(&run.ops[oi].recT, st.ops[oi].recName, op.OutShape, op.OutDType)
+			out := revive(run.ops[oi].recT)
 			e.rt.Life.Alloc(start, out.Storage(), gpu.ClassActivations)
 			run.recomputed[oi] = out
 			if op.SaveMask {
-				m := reviveInto(&run.ops[oi].recMaskT, st.ops[oi].maskName, op.OutShape, tensor.BOOL)
+				m := revive(run.ops[oi].recMaskT)
 				e.rt.Life.Alloc(start, m.Storage(), gpu.ClassActivations)
 				run.recMasks = append(run.recMasks, m)
 			}
@@ -843,31 +960,16 @@ func (e *Executor) backwardBlock(run *blockRun, st *blockStatic, gradIn *tensor.
 		lastFinish = finish
 
 		// Gradient wrt this op's input.
-		var inShape tensor.Shape
-		var inDType tensor.DType
-		if j := b.InputIndex(oi); j >= 0 {
-			inShape, inDType = b.Ops[j].OutShape, b.Ops[j].OutDType
-		} else {
-			inShape, inDType = run.in.Shape(), run.in.DType()
-		}
-		gnext := reviveInto(&run.ops[oi].gradT, st.ops[oi].gradName, inShape, inDType)
+		gnext := revive(run.ops[oi].gradT)
 		e.rt.Life.Alloc(start, gnext.Storage(), gpu.ClassWorkspace)
 
 		// Weight gradient buffer, allocated on first backward touch and
-		// retained across steps (frameworks keep .grad buffers resident);
-		// a recycled arena revives the buffer instead of reallocating it.
+		// retained across steps (frameworks keep .grad buffers resident).
 		if op.Weight != nil {
-			seq := op.Weight.Storage().Seq()
-			if !e.gradAllocated[seq] {
-				g, ok := e.gradOf[seq]
-				if !ok {
-					g = tensor.New(op.Weight.Name()+".grad", op.Weight.Shape(), op.Weight.DType(), tensor.GPU)
-					e.gradOf[seq] = g
-				} else {
-					g.Storage().ResetForReuse()
-				}
-				e.rt.Life.Alloc(start, g.Storage(), gpu.ClassGradients)
-				e.gradAllocated[seq] = true
+			wr := &e.wruns[st.ops[oi].wi]
+			if !wr.allocated {
+				e.rt.Life.Alloc(start, revive(wr.grad).Storage(), gpu.ClassGradients)
+				wr.allocated = true
 			}
 			gradDone := finish
 			if mb > 0 {
@@ -878,8 +980,8 @@ func (e *Executor) backwardBlock(run *blockRun, st *blockStatic, gradIn *tensor.
 				gradDone = af
 			}
 			if e.optim != nil && mb == e.cfg.MicroBatches-1 {
-				e.gradLeft[seq]--
-				if e.gradLeft[seq] == 0 {
+				wr.left--
+				if wr.left == 0 {
 					// The weight's final gradient is complete: hand it to the
 					// offloaded pipeline so the download overlaps the rest of
 					// backward.

@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ssdtrain/internal/tensor"
@@ -266,9 +267,12 @@ func (g *Graph) CloneWithFreshWeights() *Graph {
 		InputDType: g.InputDType,
 		Blocks:     make([]*Block, len(g.Blocks)),
 	}
-	// One array each holds every block and every op of the clone.
+	// One array each holds every block and every op of the clone, and
+	// one slab every rebound weight and its fresh storage.
 	n, weighted := g.size()
 	blocks, ops := make([]Block, len(g.Blocks)), make([]OpSpec, n)
+	var slab tensor.Slab
+	slab.Reserve(weighted)
 	rebound := make(map[*tensor.Storage]*tensor.Storage, weighted)
 	for bi, b := range g.Blocks {
 		nb := &blocks[bi]
@@ -285,27 +289,27 @@ func (g *Graph) CloneWithFreshWeights() *Graph {
 			if w == nil {
 				continue
 			}
-			s, ok := rebound[w.Storage()]
-			if !ok {
-				s = tensor.NewStorage(w.Storage().Bytes(), w.Storage().Device())
-				rebound[w.Storage()] = s
+			if s, ok := rebound[w.Storage()]; ok {
+				nb.Ops[i].Weight = w.WithStorage(s)
+				continue
 			}
-			nb.Ops[i].Weight = w.WithStorage(s)
+			nw := slab.NewWeight(w.Name(), w.Shape(), w.DType(), w.Device())
+			rebound[w.Storage()] = nw.Storage()
+			nb.Ops[i].Weight = nw
 		}
 		clone.Blocks[bi] = nb
 	}
 	return clone
 }
 
-// Weights returns every distinct parameter tensor in graph order.
+// Weights returns every distinct parameter tensor in graph order: the
+// first op's view of each weight storage.
 func (g *Graph) Weights() []*tensor.Tensor {
 	_, weighted := g.size()
-	seen := make(map[int64]bool, weighted)
 	ws := make([]*tensor.Tensor, 0, weighted)
 	for _, b := range g.Blocks {
 		for i := range b.Ops {
-			if w := b.Ops[i].Weight; w != nil && !seen[w.Storage().Seq()] {
-				seen[w.Storage().Seq()] = true
+			if w := b.Ops[i].Weight; w != nil && !slices.ContainsFunc(ws, func(x *tensor.Tensor) bool { return x.Storage() == w.Storage() }) {
 				ws = append(ws, w)
 			}
 		}

@@ -7,7 +7,10 @@
 // to the runtime itself (the interoperability property of Table I).
 package autograd
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Module is a node in the model tree. Concrete layers embed or reference
 // one; the hook machinery cares only about identity and names.
@@ -20,6 +23,19 @@ type Module struct {
 // NewModule creates a root module.
 func NewModule(name string) *Module {
 	return &Module{name: name}
+}
+
+// NewModules creates a root module and one child per name, all from one
+// array: a model's block modules come this way.
+func NewModules(root string, children []string) *Module {
+	ms := make([]Module, 1+len(children))
+	kids := make([]*Module, len(children))
+	for i, name := range children {
+		ms[1+i] = Module{name: name, parent: &ms[0]}
+		kids[i] = &ms[1+i]
+	}
+	ms[0] = Module{name: root, children: kids}
+	return &ms[0]
 }
 
 // Child creates (and registers) a child module.
@@ -45,3 +61,20 @@ func (m *Module) Children() []*Module { return m.children }
 
 // String renders the module path.
 func (m *Module) String() string { return fmt.Sprintf("module(%s)", m.Path()) }
+
+// pathLen returns len(m.Path()) without building the path.
+func (m *Module) pathLen() int {
+	if m.parent == nil {
+		return len(m.name)
+	}
+	return m.parent.pathLen() + 1 + len(m.name)
+}
+
+// writePath writes m.Path() to sb.
+func (m *Module) writePath(sb *strings.Builder) {
+	if m.parent != nil {
+		m.parent.writePath(sb)
+		sb.WriteByte('.')
+	}
+	sb.WriteString(m.name)
+}

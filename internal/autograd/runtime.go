@@ -21,7 +21,7 @@ type Runtime struct {
 	Cost     *gpu.CostModel
 	Alloc    *gpu.Allocator
 	Life     *Lifetimes
-	Compute  *sim.Server
+	Compute  sim.Server
 	Counters trace.Counters
 
 	// Rec is the arena's flight recorder, constructed disabled; the
@@ -42,7 +42,6 @@ func NewRuntime(spec gpu.Spec) *Runtime {
 		Cost:         gpu.DefaultCostModel(spec),
 		Alloc:        alloc,
 		Life:         NewLifetimes(alloc),
-		Compute:      sim.NewServer(),
 		Rec:          rec,
 		ComputeTrack: rec.RegisterTrack("gpu.compute"),
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ssdtrain/internal/autograd"
@@ -88,12 +89,12 @@ type record struct {
 	refs     int // pack registrations (dedup makes this >1)
 	consumed int
 
-	// self is the record's boxed handle, created once and reused for every
-	// Pack return while the record lives (including recycled lives) — the
-	// interface conversion would otherwise allocate on every registration.
-	self autograd.Packed
+	// prev is the record packed before this one in the same module, so a
+	// module's records form a list its backward walks in reverse pack
+	// order (TensorCache.modHead).
+	prev *record
 
-	// The narrow fields come last, so a record packs into 128 bytes.
+	// The narrow fields come last, so a record packs into 120 bytes.
 	checksum  uint32
 	offloaded bool
 	// released marks the original reference as dropped (store completed
@@ -103,16 +104,9 @@ type record struct {
 	loading   bool
 }
 
-// handleOf returns the record's boxed handle, boxing on first use.
-func (r *record) handleOf() autograd.Packed {
-	if r.self == nil {
-		r.self = handle{r}
-	}
-	return r.self
-}
-
 // handle is what the cache returns from Pack in place of the tensor — the
-// identifier registered on the computation graph.
+// identifier registered on the computation graph. It is one pointer, so
+// it converts to autograd.Packed without allocating.
 type handle struct{ rec *record }
 
 // StepIO summarizes the cache's traffic for one step.
@@ -140,9 +134,11 @@ type TensorCache struct {
 	// Fig 2).
 	curMB       int
 	recs        map[TensorID]*record
-	byModule    map[*autograd.Module][]*record
 	moduleOrder []*autograd.Module
 	moduleIndex map[*autograd.Module]int
+	// modHead holds, for each module of moduleOrder, the last record
+	// packed in it: the head of that module's record list.
+	modHead     []*record
 	offloadedMB units.Bytes
 
 	// stepRecs accumulates all records of the step for the end-of-step
@@ -164,9 +160,15 @@ type TensorCache struct {
 	// collector and the steady-state step allocates (almost) nothing.
 	recPool  []*record
 	freeRecs []map[TensorID]*record
-	reloads  map[reloadKey][]*tensor.Tensor
-	// recHint sizes each new record map (Presize).
+	reloads  []*tensor.Tensor
+	// recHint is the records a micro-batch makes at most (Presize): it
+	// sizes each record map and each slab of records.
 	recHint int
+	// recSlab and reloadSlab are where new records and reload buffers
+	// come from when the pools run dry, a slab at a time (newRecord,
+	// newReload).
+	recSlab    []record
+	reloadSlab tensor.Slab
 
 	scopeStack []*autograd.Module
 	inBackward bool
@@ -195,19 +197,22 @@ func NewTensorCache(cfg Config) *TensorCache {
 		ids:          NewIDSource(),
 		weightStamps: make(map[int64]bool),
 		keepLast:     make(map[*autograd.Module]bool),
-		byModule:     make(map[*autograd.Module][]*record),
 		moduleIndex:  make(map[*autograd.Module]int),
-		reloads:      make(map[reloadKey][]*tensor.Tensor),
 	}
 }
 
-// Presize sizes the record maps and the weight set for a graph's
-// footprint, so a fresh arena's first step fills them instead of
-// regrowing them from empty. Call it before the first step.
+// Presize sizes the cache's tables for a graph's footprint, so a fresh
+// arena's first step fills them instead of regrowing them from empty:
+// the record maps and record slabs for the tensors a micro-batch saves,
+// the module tables for its blocks, the weight set for its weights.
+// Call it before the first step.
 func (c *TensorCache) Presize(f autograd.Footprint) {
 	c.recHint = f.Saved
-	c.recPool = make([]*record, 0, f.Saved)
 	c.weightStamps = make(map[int64]bool, f.Weights)
+	c.moduleIndex = make(map[*autograd.Module]int, f.Blocks)
+	c.prevOrder = make([]*autograd.Module, 0, f.Blocks)
+	c.spareOrder = make([]*autograd.Module, 0, f.Blocks)
+	c.modHead = make([]*record, 0, f.Blocks)
 }
 
 // Reset rewinds the cache for a new measurement on a recycled arena under
@@ -228,6 +233,7 @@ func (c *TensorCache) Reset(budget units.Bytes) {
 	// Both forward-order buffers survive, emptied: between steps
 	// moduleOrder is prevOrder and spareOrder holds the other buffer.
 	c.moduleOrder, c.prevOrder, c.spareOrder = nil, c.prevOrder[:0], c.spareOrder[:0]
+	c.modHead = c.modHead[:0]
 	c.offloadedMB = 0
 	clear(c.keepLast)
 	c.scopeStack = c.scopeStack[:0]
@@ -281,10 +287,8 @@ func (c *TensorCache) Phase(ev autograd.PhaseEvent, mb int, hostNow time.Duratio
 			c.stepRecs = append(c.stepRecs, c.recs)
 		}
 		c.recs = c.popRecMap()
-		for m, rs := range c.byModule {
-			c.byModule[m] = rs[:0]
-		}
 		clear(c.moduleIndex)
+		c.modHead = c.modHead[:0]
 		c.moduleOrder = c.spareOrder[:0]
 		c.spareOrder = nil
 		c.offloadedMB = 0
@@ -316,7 +320,9 @@ func (c *TensorCache) popRecMap() map[TensorID]*record {
 	return make(map[TensorID]*record, c.recHint)
 }
 
-// newRecord returns a zeroed record from the pool, or a fresh one.
+// newRecord returns a zeroed record from the pool or, when the pool is
+// dry, from the record slab, which it refills with room for a
+// micro-batch's records.
 func (c *TensorCache) newRecord() *record {
 	if n := len(c.recPool); n > 0 {
 		rec := c.recPool[n-1]
@@ -324,51 +330,58 @@ func (c *TensorCache) newRecord() *record {
 		c.recPool = c.recPool[:n-1]
 		return rec
 	}
-	return &record{}
+	if len(c.recSlab) == 0 {
+		c.recSlab = make([]record, max(c.recHint, 1))
+		// The pool's capacity counts every record made, so the sweep that
+		// pools them all never grows it.
+		c.recPool = slices.Grow(c.recPool, cap(c.recPool)+len(c.recSlab))
+	}
+	rec := &c.recSlab[0]
+	c.recSlab = c.recSlab[1:]
+	return rec
 }
 
 // recycleRecord zeroes a fully processed record and pools it, salvaging
-// its reload buffer and boxed handle for the next step.
+// its reload buffer for the next step.
 func (c *TensorCache) recycleRecord(rec *record) {
 	if rec.loaded != nil {
-		c.poolReload(rec.loaded)
+		c.reloads = append(c.reloads, rec.loaded)
 	}
-	self := rec.self
-	*rec = record{self: self}
+	*rec = record{}
 	c.recPool = append(c.recPool, rec)
 }
 
-// reloadKey indexes the reload-buffer pool by tensor geometry; the pooled
-// tensor's shape is verified on pop, so a hash collision degrades to an
-// allocation, never to a wrong buffer.
-type reloadKey struct {
-	shape uint64
-	dtype tensor.DType
-}
-
-// poolReload returns a released reload buffer to the pool.
-func (c *TensorCache) poolReload(buf *tensor.Tensor) {
-	k := reloadKey{shape: buf.Shape().Hash(), dtype: buf.DType()}
-	c.reloads[k] = append(c.reloads[k], buf)
-}
-
-// newReload returns a reload buffer shaped like t: a recycled buffer with
-// its storage re-zeroed when one fits, a fresh allocation otherwise. A
-// recycled buffer keeps the diagnostic name of its first life; everything
-// the simulation observes — storage size, shape, dtype, payload — is
-// indistinguishable from a fresh buffer.
-func (c *TensorCache) newReload(t *tensor.Tensor) *tensor.Tensor {
-	k := reloadKey{shape: t.Shape().Hash(), dtype: t.DType()}
-	if pool := c.reloads[k]; len(pool) > 0 {
-		buf := pool[len(pool)-1]
-		if buf.Shape().Equal(t.Shape()) {
-			pool[len(pool)-1] = nil
-			c.reloads[k] = pool[:len(pool)-1]
-			buf.Storage().ResetForReuse()
-			return buf
-		}
+// newReload returns a reload buffer for t: a pooled buffer of any shape,
+// re-initialized as a fresh tensor shaped like t and carrying t's name
+// (tensor.Recycle), or, when the pool is dry, one from the reload slab.
+// A dry pool refills the slab with exactly the buffers the micro-batch
+// is now bound to load: every record offloaded and neither forwarded
+// nor loading whose store finished by ready (from here on the host can
+// only load it), or every such record under NoForwarding. So a buffer
+// the budget never needs is never allocated. Everything the simulation
+// observes — storage size, shape, dtype, payload — is indistinguishable
+// from a fresh buffer.
+func (c *TensorCache) newReload(t *tensor.Tensor, ready time.Duration) *tensor.Tensor {
+	if n := len(c.reloads); n > 0 {
+		buf := c.reloads[n-1]
+		c.reloads[n-1] = nil
+		c.reloads = c.reloads[:n-1]
+		buf.Recycle(t.Name(), t.Shape(), t.DType())
+		return buf
 	}
-	return tensor.New(t.Name()+".reload", t.Shape(), t.DType(), tensor.GPU)
+	if c.reloadSlab.Len() == 0 {
+		bound := 0
+		for _, rec := range c.recs {
+			if rec.offloaded && !rec.forwarded && !rec.loading && (c.cfg.NoForwarding || rec.storeFinish <= ready) {
+				bound++
+			}
+		}
+		c.reloadSlab.Reserve(bound)
+		// The pool's capacity counts every buffer made, so the sweep that
+		// pools them all never grows it.
+		c.reloads = slices.Grow(c.reloads, cap(c.reloads)+bound)
+	}
+	return c.reloadSlab.New(t.Name(), t.Shape(), t.DType(), tensor.GPU)
 }
 
 // recycleStepState drains any outstanding per-step record maps into the
@@ -396,6 +409,7 @@ func (c *TensorCache) ForwardPre(m *autograd.Module, hostNow time.Duration) {
 	if _, ok := c.moduleIndex[m]; !ok {
 		c.moduleIndex[m] = len(c.moduleOrder)
 		c.moduleOrder = append(c.moduleOrder, m)
+		c.modHead = append(c.modHead, nil)
 	}
 }
 
@@ -427,9 +441,8 @@ func (c *TensorCache) BackwardPre(m *autograd.Module, hostNow time.Duration) {
 		// Within a module, backward consumes tensors in reverse pack
 		// order, so loads are issued in reverse too: the first-needed
 		// tensor leads the FIFO queue.
-		recs := c.byModule[c.moduleOrder[j]]
-		for i := len(recs) - 1; i >= 0; i-- {
-			c.prefetch(recs[i], hostNow)
+		for rec := c.modHead[j]; rec != nil; rec = rec.prev {
+			c.prefetch(rec, hostNow)
 		}
 	}
 }
@@ -490,7 +503,7 @@ func (c *TensorCache) issueLoad(rec *record, ready time.Duration) {
 		start, finish, data = ready, ready, nil
 		c.rt.Counters.Add(trace.CacheLoadErrors, 1)
 	}
-	buf := c.newReload(rec.t)
+	buf := c.newReload(rec.t, ready)
 	if data != nil {
 		buf.Storage().SetData(data)
 		if c.cfg.Verify {
@@ -548,7 +561,7 @@ func (c *TensorCache) Pack(t *tensor.Tensor, producedAt, hostNow time.Duration) 
 		rec.refs++
 		c.cur.DedupHits++
 		c.rt.Counters.Add(trace.CacheDedupHits, 1)
-		return rec.handleOf()
+		return handle{rec}
 	}
 
 	rec := c.newRecord()
@@ -559,7 +572,9 @@ func (c *TensorCache) Pack(t *tensor.Tensor, producedAt, hostNow time.Duration) 
 	rec.t = t
 	rec.refs = 1
 	c.recs[id] = rec
-	c.byModule[rec.scope] = append(c.byModule[rec.scope], rec)
+	if j, ok := c.moduleIndex[rec.scope]; ok {
+		rec.prev, c.modHead[j] = c.modHead[j], rec
+	}
 
 	keep := c.inBackward || c.keepLast[rec.scope] ||
 		c.offloadedMB >= c.cfg.Budget
@@ -589,7 +604,7 @@ func (c *TensorCache) Pack(t *tensor.Tensor, producedAt, hostNow time.Duration) 
 			c.rt.Counters.Add(trace.CacheStores, 1)
 		}
 	}
-	return rec.handleOf()
+	return handle{rec}
 }
 
 // Unpack implements autograd.Hooks — Alg. 1's unpack_hook. It returns the

@@ -137,8 +137,8 @@ type tierBase struct {
 	store *ssd.BlockStore[TensorID]
 
 	// storeQ and loadQ are the two FIFO "thread pool" queues.
-	storeQ *sim.Server
-	loadQ  *sim.Server
+	storeQ sim.Server
+	loadQ  sim.Server
 
 	writeBW units.Bandwidth
 	readBW  units.Bandwidth
@@ -159,8 +159,6 @@ func newTierBase(rec *spans.Recorder, name string, latency time.Duration, writeB
 	return tierBase{
 		name:    name,
 		store:   ssd.NewBlockStore[TensorID](),
-		storeQ:  sim.NewServer(),
-		loadQ:   sim.NewServer(),
 		writeBW: writeBW,
 		readBW:  readBW,
 		latency: latency,

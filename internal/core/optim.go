@@ -115,7 +115,7 @@ type optimWeight struct {
 // ledger. Transfers take the host-mediated path (no GDS): the CPU owns
 // the update, exactly as ZeRO-Offload's architecture prescribes.
 type OptimOffloader struct {
-	update  *sim.Server
+	update  sim.Server
 	rec     *spans.Recorder
 	updateT spans.TrackID
 
@@ -125,8 +125,8 @@ type OptimOffloader struct {
 	cfg     OptimConfig
 	updBW   units.Bandwidth
 	weights []optimWeight
-	byState map[int64]*tensor.Tensor // storage seq → reusable state tensor
-	ready   map[int64]time.Duration  // storage seq → updated-weight arrival
+	states  []*tensor.Tensor        // per registered weight: its reusable state tensor
+	ready   map[int64]time.Duration // storage seq → updated-weight arrival
 	drain   time.Duration
 	placed  OptimPlacement
 
@@ -146,7 +146,6 @@ type OptimOffloader struct {
 // caller, which resets them per run before Reset/Register.
 func NewOptimOffloader(rec *spans.Recorder, dram, nvme Tier) *OptimOffloader {
 	return &OptimOffloader{
-		update:  sim.NewServer(),
 		rec:     rec,
 		updateT: rec.RegisterTrack("optim.update"),
 		dram:    dram,
@@ -200,11 +199,20 @@ func optimID(i, slot int) TensorID {
 // stores without timed transfers — staging happens once before training,
 // not on the measured path. Call once per run, after Reset.
 func (o *OptimOffloader) Register(weights []*tensor.Tensor) OptimPlacement {
-	if o.byState == nil {
-		// A fresh pipeline sizes its per-weight tables once.
-		o.byState = make(map[int64]*tensor.Tensor, len(weights))
+	if len(o.states) != len(weights) {
+		// A fresh pipeline sizes its per-weight tables once, and builds
+		// every weight's CPU-side FP32 state tensor, named after its
+		// weight, from one slab and one array of dimensions.
 		o.ready = make(map[int64]time.Duration, len(weights))
 		o.weights = make([]optimWeight, 0, len(weights))
+		o.states = make([]*tensor.Tensor, len(weights))
+		dims := make([]int, len(weights))
+		var slab tensor.Slab
+		slab.Reserve(len(weights))
+		for i, w := range weights {
+			dims[i] = int(o.cfg.Kind.StateBytes(w.Bytes()) / 4)
+			o.states[i] = slab.New(w.Name(), dims[i:i+1:i+1], tensor.FP32, tensor.CPU)
+		}
 	}
 	var p OptimPlacement
 	var dramUsed units.Bytes
@@ -212,13 +220,17 @@ func (o *OptimOffloader) Register(weights []*tensor.Tensor) OptimPlacement {
 		pb := w.Bytes()
 		sb := o.cfg.Kind.StateBytes(pb)
 		need := sb + 2*pb // state + grad shuttle + param shuttle
+		if o.states[i].Bytes() != sb {
+			// The kind, and so the state's size, changed since the last run.
+			o.states[i].Recycle(w.Name(), tensor.NewShape(int(sb/4)), tensor.FP32)
+		}
 		ow := optimWeight{
 			w:       w,
 			seq:     w.Storage().Seq(),
 			gradID:  optimID(i, 0),
 			stateID: optimID(i, 1),
 			paramID: optimID(i, 2),
-			state:   o.stateTensor(w, sb),
+			state:   o.states[i],
 		}
 		ow.onDRAM = o.dram != nil && dramUsed+need <= o.cfg.DRAMGrant
 		t := o.nvme
@@ -250,18 +262,6 @@ func preload(t Tier, id TensorID, n units.Bytes) {
 		Preload(id TensorID, n units.Bytes)
 	}
 	t.(preloader).Preload(id, n)
-}
-
-// stateTensor returns the reusable CPU-side FP32 state tensor for a
-// weight, rebuilt when the kind (and so the size) changed between runs.
-func (o *OptimOffloader) stateTensor(w *tensor.Tensor, sb units.Bytes) *tensor.Tensor {
-	seq := w.Storage().Seq()
-	if t := o.byState[seq]; t != nil && t.Bytes() == sb {
-		return t
-	}
-	t := tensor.New(w.Name()+".optstate", tensor.NewShape(int(sb/4)), tensor.FP32, tensor.CPU)
-	o.byState[seq] = t
-	return t
 }
 
 // GradReady implements autograd.OptimPipeline: offload the gradient the

@@ -154,27 +154,48 @@ var coldBaseline = map[string]uint64{
 	"ssdtrain/degrade":         2419520,
 }
 
-// bytesOf returns the bytes f allocates, on one P as
+// coldObjects is what NewSession plus the first Execute allocated, in
+// heap objects, for every allocCases config at 48 steps, before a cold
+// arena was built from slabs: one object per tensor, name, record, file
+// and FIFO server. Each is the fewest objects over several runs on
+// go1.24.0.
+var coldObjects = map[string]uint64{
+	"no-offload":               489,
+	"recompute":                586,
+	"ssdtrain":                 762,
+	"cpu-offload":              735,
+	"hybrid/dram-first":        786,
+	"hybrid/ssd-only":          777,
+	"hybrid/split":             796,
+	"optim-offload/sync":       791,
+	"optim-offload/overlap":    791,
+	"ssdtrain/micro-batches-2": 866,
+	"ssdtrain/degrade":         763,
+}
+
+// allocsOf returns the heap objects and bytes f allocates, on one P as
 // testing.AllocsPerRun counts them.
-func bytesOf(f func()) uint64 {
+func allocsOf(f func()) (objects, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestColdSessionAllocs is the cold arena's contract: a fresh arena sizes
-// its scratch before its first step, so NewSession plus the first
-// Execute of a 48-step run allocate at most 60% of coldBaseline, and the
-// event log is left holding at least four fifths of its capacity — sized
-// for the steps the run simulates, not for Steps. It covers every
-// allocCases config that converges, and the degrade window, which
-// simulates every step. The split placement never converges and regrows
-// its log past the horizon, so it is out of scope. As in
-// TestWarmExecuteAllocs, each count is the fewest over a few tries: a
-// side map may draw a hash seed that grows it early.
+// its scratch before its first step and takes its tensors, names,
+// records, files and servers from a few slabs, so NewSession plus the
+// first Execute of a 48-step run allocate at most 60% of coldBaseline's
+// bytes and a quarter of coldObjects' objects, and the event log is left
+// holding at least four fifths of its capacity — sized for the steps the
+// run simulates, not for Steps. The object ceiling covers every
+// allocCases config. The byte bound and the log cover every config that
+// converges, and the degrade window, which simulates every step; the
+// split placement never converges and regrows its log past the horizon.
+// As in TestWarmExecuteAllocs, each count is the fewest over a few tries:
+// a side map may draw a hash seed that grows it early.
 func TestColdSessionAllocs(t *testing.T) {
 	for _, c := range allocCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -184,11 +205,11 @@ func TestColdSessionAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			best := uint64(math.MaxUint64)
+			best, fewest := uint64(math.MaxUint64), uint64(math.MaxUint64)
 			var res *RunResult
 			for try := 0; try < 5; try++ {
 				var sess *Session
-				n := bytesOf(func() {
+				objects, n := allocsOf(func() {
 					if sess, err = NewSession(plan); err == nil {
 						res, err = sess.Execute(cfg)
 					}
@@ -196,10 +217,14 @@ func TestColdSessionAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				best = min(best, n)
+				best, fewest = min(best, n), min(fewest, objects)
 				if held, capacity := sess.rt.Alloc.Events(); 4*capacity > 5*held {
 					t.Errorf("the event log holds %d events in a capacity of %d", held, capacity)
 				}
+			}
+			if limit := coldObjects[c.name] / 4; fewest > limit {
+				t.Errorf("a cold arena allocates %d objects, more than a quarter of the %d it took before slabs (%d)",
+					fewest, coldObjects[c.name], limit)
 			}
 			base, ok := coldBaseline[c.name]
 			switch {

@@ -67,7 +67,7 @@ func seedRun(t *testing.T, cfg RunConfig) *RunResult {
 		budgetByKey: make(map[budgetKey]units.Bytes),
 	}
 	p.fwdTime, p.bwdTime = graphTimes(graph)
-	p.eligible, p.lastModule = eligibleBytes(graph)
+	p.eligible, p.lastModule = eligibleBytes(p.saved)
 	res, err := p.Execute(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestExecuteRejectsShapeMismatch(t *testing.T) {
 // with len(saved) == 0.
 func TestEligibleBytesZeroBlocks(t *testing.T) {
 	g := &autograd.Graph{Name: "empty"}
-	total, last := eligibleBytes(g)
+	total, last := eligibleBytes(blockSavedBytes(g))
 	if total != 0 || last != 0 {
 		t.Fatalf("eligibleBytes(empty) = %v, %v; want 0, 0", total, last)
 	}

@@ -312,24 +312,26 @@ func compile(key RunConfig) (*Plan, error) {
 		bwd:         blockBwdTimes(tmpl),
 		weightBytes: tmpl.WeightBytes(),
 		budgetByKey: make(map[budgetKey]units.Bytes),
-		devNames:    make([]string, key.SSD.Count),
 	}
-	for i := range p.devNames {
-		p.devNames[i] = fmt.Sprintf("nvme%d", i)
-	}
+	p.devNames = p.deviceNames()
 	p.fwdTime, p.bwdTime = graphTimes(tmpl)
-	p.eligible, p.lastModule = eligibleBytes(tmpl)
+	p.eligible, p.lastModule = eligibleBytes(p.saved)
 	p.footprint = tmpl.Footprint()
 	return p, nil
 }
 
-// devName returns the precomputed member-device name, formatting on the
-// spot for plans assembled outside compile (tests build bare literals).
-func (p *Plan) devName(i int) string {
-	if i < len(p.devNames) {
-		return p.devNames[i]
+// deviceNames returns the precomputed member-device names, formatting
+// them on the spot for plans assembled outside compile (tests build bare
+// literals).
+func (p *Plan) deviceNames() []string {
+	if len(p.devNames) == p.shape.SSD.Count {
+		return p.devNames
 	}
-	return fmt.Sprintf("nvme%d", i)
+	names := make([]string, p.shape.SSD.Count)
+	for i := range names {
+		names[i] = fmt.Sprintf("nvme%d", i)
+	}
+	return names
 }
 
 // Shape returns the plan's identity config (defaulted, cheap knobs

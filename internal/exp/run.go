@@ -349,27 +349,27 @@ func (r *RunResult) Throughput() units.FLOPSRate { return r.Measured.Stats.Model
 // sees (excluding weights).
 func blockSavedBytes(g *autograd.Graph) []units.Bytes {
 	var prevOut units.Bytes
-	var outs []units.Bytes
 	saved := make([]units.Bytes, len(g.Blocks))
+	outs := make([]units.Bytes, len(g.Blocks))
+	var extras []units.Bytes
 	for bi, b := range g.Blocks {
-		extras := make([]units.Bytes, len(b.ExtraIn))
-		for k, src := range b.ExtraIn {
-			extras[k] = outs[src]
+		extras = extras[:0]
+		for _, src := range b.ExtraIn {
+			extras = append(extras, outs[src])
 		}
 		saved[bi] = b.SavedBytes(prevOut, extras)
 		prevOut = b.Ops[len(b.Ops)-1].OutBytes()
-		outs = append(outs, prevOut)
+		outs[bi] = prevOut
 	}
 	return saved
 }
 
-// eligibleBytes sums the activation bytes the pack hook would offload
-// (excluding small tensors' stats — counted, they are noise — and
-// weights, which never reach the budget), and returns the final block's
+// eligibleBytes sums the per-block activation bytes the pack hook would
+// offload (blockSavedBytes: small tensors' stats are counted, they are
+// noise; weights never reach the budget), and returns the final block's
 // volume (the bytes the planner keeps resident). A graph with no blocks
 // has nothing to offload and nothing to keep: (0, 0).
-func eligibleBytes(g *autograd.Graph) (total, last units.Bytes) {
-	saved := blockSavedBytes(g)
+func eligibleBytes(saved []units.Bytes) (total, last units.Bytes) {
 	if len(saved) == 0 {
 		return 0, 0
 	}

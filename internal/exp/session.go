@@ -133,11 +133,7 @@ func NewSession(p *Plan) (*Session, error) {
 			// array, malloc-hook registry. Devices are built with the base
 			// spec; Execute re-derates them per call's bandwidth share.
 			link = pcie.NewLink(rt.Rec, "pcie0", pcie.DefaultGen4x16())
-			devs := make([]*ssd.Device, shape.SSD.Count)
-			for i := range devs {
-				devs[i] = ssd.NewDevice(rt.Rec, p.devName(i), shape.SSD.Spec)
-			}
-			array = ssd.NewArray("/mnt/md1", shape.SSD.Stripe, devs...)
+			array = ssd.NewArray("/mnt/md1", shape.SSD.Stripe, ssd.NewDevices(rt.Rec, shape.SSD.Spec, p.deviceNames()...)...)
 			registry := gds.NewRegistry()
 			registry.SetRecorder(rt.Rec)
 			hook := gds.NewMallocHook(registry)
@@ -720,9 +716,11 @@ func (sp *SessionPool) acquire(p *Plan) (*Session, error) {
 		}
 		// Drop one fifo entry for this plan (the newest, matching the
 		// popped session; any entry works — they are interchangeable).
+		// Delete clears the slot it vacates, so the fifo's array keeps no
+		// plan reachable after its arenas left the pool.
 		for i := len(sp.fifo) - 1; i >= 0; i-- {
 			if sp.fifo[i] == p {
-				sp.fifo = append(sp.fifo[:i], sp.fifo[i+1:]...)
+				sp.fifo = slices.Delete(sp.fifo, i, i+1)
 				break
 			}
 		}
@@ -741,7 +739,7 @@ func (sp *SessionPool) release(p *Plan, s *Session) {
 	defer sp.mu.Unlock()
 	if len(sp.fifo) >= sp.maxIdle {
 		old := sp.fifo[0]
-		sp.fifo = sp.fifo[1:]
+		sp.fifo = slices.Delete(sp.fifo, 0, 1)
 		sp.evictions++
 		if ss := sp.free[old]; len(ss) > 0 {
 			if len(ss) == 1 {

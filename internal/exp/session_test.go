@@ -2,8 +2,10 @@ package exp
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"ssdtrain/internal/core"
 	"ssdtrain/internal/units"
@@ -389,5 +391,60 @@ func TestPlanHoldsSharedTemplate(t *testing.T) {
 	}
 	if sess.graph == a.tmpl {
 		t.Error("session executes the shared template instead of a clone")
+	}
+}
+
+// TestSessionPoolForgetsPlans asserts the pool keeps no plan reachable
+// once its arenas have left: one evicted by a full pool, one acquired and
+// never released. Each plan is compiled outside the shared plan cache, so
+// the pool's FIFO is the only place that could still hold it.
+func TestSessionPoolForgetsPlans(t *testing.T) {
+	key := shapeKey(smallCfg(NoOffload).withDefaults())
+	plan := func() *Plan {
+		p, err := compile(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	idle := func(sp *SessionPool, p *Plan) {
+		s, err := sp.acquire(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.release(p, s)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(sp *SessionPool) weak.Pointer[Plan]
+	}{
+		{"evicted", func(sp *SessionPool) weak.Pointer[Plan] {
+			p := plan()
+			idle(sp, p)
+			for i := 0; i < 3; i++ {
+				idle(sp, plan())
+			}
+			return weak.Make(p)
+		}},
+		{"acquired", func(sp *SessionPool) weak.Pointer[Plan] {
+			idle(sp, plan())
+			p := plan()
+			idle(sp, p)
+			if _, err := sp.acquire(p); err != nil {
+				t.Fatal(err)
+			}
+			return weak.Make(p)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := NewSessionPool(3)
+			w := tc.run(sp)
+			runtime.GC()
+			runtime.GC()
+			if w.Value() != nil {
+				t.Error("a plan whose arenas left the pool is still reachable")
+			}
+			runtime.KeepAlive(sp)
+		})
 	}
 }

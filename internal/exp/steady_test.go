@@ -2,6 +2,7 @@ package exp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -337,6 +338,36 @@ func fuzzPriorCfg(cfg RunConfig, prior uint8) RunConfig {
 	return p
 }
 
+// ioConservation returns what a successful run broke of I/O
+// conservation, or "". Every step reloads or forwards each byte it
+// offloads and leaks no record, and the activation rungs write exactly
+// the bytes the steps offload and read exactly the bytes they reload.
+// The optimizer rungs carry shuttles the tensor cache never sees, so
+// they are left out.
+func ioConservation(sess *Session, res *RunResult) string {
+	var offloaded, reloaded units.Bytes
+	for i, m := range res.PerStep {
+		if m.IO.Offloaded != m.IO.Reloaded+m.IO.Forwarded || m.IO.Leaked != 0 {
+			return fmt.Sprintf("step %d offloaded %v, reloaded %v, forwarded %v, leaked %d records",
+				i+1, m.IO.Offloaded, m.IO.Reloaded, m.IO.Forwarded, m.IO.Leaked)
+		}
+		offloaded += m.IO.Offloaded
+		reloaded += m.IO.Reloaded
+	}
+	var written, read units.Bytes
+	if sess.offloader != nil {
+		for _, tu := range res.Tiers[:len(sess.offloader.Tiers())] {
+			written += tu.Written
+			read += tu.Read
+		}
+	}
+	if written != offloaded || read != reloaded {
+		return fmt.Sprintf("activation rungs wrote %v and read %v; the steps offloaded %v and reloaded %v",
+			written, read, offloaded, reloaded)
+	}
+	return ""
+}
+
 // FuzzSteadyMatchesFull is the fast path's property over random small
 // configs: with the fast path on, a run's RunResult is byte-identical
 // to the fully simulated one in everything but the knob echo and the
@@ -375,7 +406,8 @@ func FuzzSteadyMatchesFull(f *testing.F) {
 		if budgetFrac != 0 {
 			cfg.Budget = units.Bytes(unitFrac(budgetFrac) * float64(plan.EligibleBytes()))
 		}
-		// run executes cfg on sess and checks what the run left live.
+		// run executes cfg on sess and checks what the run left live and
+		// that it conserved its I/O.
 		run := func(sess *Session, cfg RunConfig) (*RunResult, error) {
 			res, err := sess.Execute(cfg)
 			if err == nil {
@@ -383,6 +415,9 @@ func FuzzSteadyMatchesFull(f *testing.F) {
 				if n, b := a.LiveCount(), a.LiveBytes(); n != 2*len(sess.weights) || b != 2*plan.WeightBytes() {
 					t.Errorf("%d storages (%v) live after a run, want the %d weights and their gradients (%v) (cfg %+v)",
 						n, b, len(sess.weights), 2*plan.WeightBytes(), cfg)
+				}
+				if msg := ioConservation(sess, res); msg != "" {
+					t.Errorf("%s (cfg %+v)", msg, cfg)
 				}
 			}
 			return res, err

@@ -1,7 +1,8 @@
 package models
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"ssdtrain/internal/autograd"
@@ -10,13 +11,23 @@ import (
 	"ssdtrain/internal/units"
 )
 
-// builder assembles a per-GPU (tensor-parallel shard) op graph.
+// builder assembles a per-GPU (tensor-parallel shard) op graph. A
+// template is built once per first-seen shape, from a few pieces sized
+// for the whole graph: one array each of ops and blocks, one slab of
+// weights, one buffer of names, and one shape per distinct dimension
+// list, shared by every op and weight that has it (shapes are
+// immutable).
 type builder struct {
 	cfg  Config
 	cost *gpu.CostModel
-	root *autograd.Module
 	// embedTable is the vocab-parallel embedding, tied to the LM head.
 	embedTable *tensor.Tensor
+
+	ops     []autograd.OpSpec
+	weights tensor.Slab
+	names   strings.Builder
+	shapes  []tensor.Shape
+	dims    []int
 }
 
 // Build constructs the training graph for one tensor-parallel rank.
@@ -24,59 +35,108 @@ func Build(cfg Config, cost *gpu.CostModel) (*autograd.Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	b := &builder{cfg: cfg, cost: cost, root: autograd.NewModule(string(cfg.Arch))}
-	e := cfg.DType.Size()
-	b.embedTable = tensor.NewWeight("embed.table",
-		tensor.NewShape(cfg.Vocab/cfg.TP, cfg.Hidden), cfg.DType, tensor.GPU)
+	b := &builder{cfg: cfg, cost: cost}
 
-	g := &autograd.Graph{
-		Name:       cfg.String(),
-		Root:       b.root,
-		InputShape: tensor.NewShape(cfg.Batch, cfg.SeqLen),
-		InputDType: tensor.INT32,
-		// The layers plus at most two embeddings and a head.
-		Blocks: make([]*autograd.Block, 0, cfg.Layers+3),
+	// The graph is one stack of layers between an embedding and the head;
+	// T5 has two, the encoder's and the decoder's, each with its own
+	// embedding, and its decoder layers cross-attend to the encoder.
+	type stack struct {
+		embed, prefix string
+		layers        int
+	}
+	stacks := []stack{{"embed", "layers.", cfg.Layers}}
+	headName := "head"
+	switch cfg.Arch {
+	case BERT:
+		headName = "mlm_head"
+	case T5:
+		stacks = []stack{{"enc_embed", "enc.", cfg.EncoderLayers()}, {"dec_embed", "dec.", cfg.DecoderLayers()}}
+	}
+	cross := func(si int) bool { return cfg.Arch == T5 && si == 1 }
+	// Twelve ops per layer, three more for the unfused softmax chain,
+	// seven more for cross-attention; two per embedding, three in the head.
+	layerOps := 12
+	if !cfg.FlashAttention {
+		layerOps += 3
 	}
 
-	switch cfg.Arch {
-	case GPT:
-		g.Blocks = append(g.Blocks, b.embedBlock("embed", true))
-		for i := 0; i < cfg.Layers; i++ {
-			g.Blocks = append(g.Blocks, b.layerBlock(fmt.Sprintf("layers.%d", i), true, -1))
+	// Size every piece: a layer's module name is its prefix and index,
+	// and each of its four weights (seven with cross-attention) is named
+	// after it (layerBlock). A graph has about a dozen distinct shapes.
+	blocks, ops, weights, names := 1, 3, 1, 0
+	for si, st := range stacks {
+		blocks += 1 + st.layers
+		ops += 2 + st.layers*layerOps
+		nw, suffixes := 4, len(".wqkv.wproj.wfc1.wfc2")
+		if cross(si) {
+			ops += 7 * st.layers
+			nw, suffixes = 7, suffixes+len(".wxkv.wxq.wxo")
 		}
-		g.Blocks = append(g.Blocks, b.headBlock("head"))
-	case BERT:
-		g.Blocks = append(g.Blocks, b.embedBlock("embed", true))
-		for i := 0; i < cfg.Layers; i++ {
-			g.Blocks = append(g.Blocks, b.layerBlock(fmt.Sprintf("layers.%d", i), false, -1))
+		weights += nw * st.layers
+		for i := 0; i < st.layers; i++ {
+			names += (1+nw)*(len(st.prefix)+len(strconv.Itoa(i))) + suffixes
 		}
-		g.Blocks = append(g.Blocks, b.headBlock("mlm_head"))
-	case T5:
-		enc := cfg.EncoderLayers()
-		dec := cfg.DecoderLayers()
-		g.Blocks = append(g.Blocks, b.embedBlock("enc_embed", true))
-		for i := 0; i < enc; i++ {
-			g.Blocks = append(g.Blocks, b.layerBlock(fmt.Sprintf("enc.%d", i), false, -1))
+	}
+	b.names.Grow(names)
+	b.ops = make([]autograd.OpSpec, ops)
+	b.weights.Reserve(weights)
+	b.shapes = make([]tensor.Shape, 0, 16)
+	b.dims = make([]int, 0, 64)
+
+	modNames := make([]string, 0, blocks)
+	for _, st := range stacks {
+		modNames = append(modNames, st.embed)
+		for i := 0; i < st.layers; i++ {
+			modNames = append(modNames, b.cat(st.prefix, strconv.Itoa(i)))
 		}
-		encLast := len(g.Blocks) - 1
+	}
+	root := autograd.NewModules(string(cfg.Arch), append(modNames, headName))
+	mods := root.Children()
+
+	b.embedTable = b.weights.NewWeight("embed.table",
+		b.shape(cfg.Vocab/cfg.TP, cfg.Hidden), cfg.DType, tensor.GPU)
+	g := &autograd.Graph{
+		Name:       cfg.String(),
+		Root:       root,
+		InputShape: tensor.NewShape(cfg.Batch, cfg.SeqLen),
+		InputDType: tensor.INT32,
+		Blocks:     make([]*autograd.Block, blocks),
+	}
+	blockArr := make([]autograd.Block, blocks)
+	for i := range g.Blocks {
+		g.Blocks[i] = &blockArr[i]
+	}
+	// Every decoder layer cross-attends to the encoder's last layer; they
+	// share one ExtraIn list (block lists are immutable).
+	var encOut []int
+	bi := 0
+	for si, st := range stacks {
 		// The decoder embedding consumes fresh token ids; its chain input
 		// (the encoder output) is a graph-plumbing artifact and is not
 		// registered for backward.
-		g.Blocks = append(g.Blocks, b.embedBlock("dec_embed", false))
-		for i := 0; i < dec; i++ {
-			g.Blocks = append(g.Blocks, b.layerBlock(fmt.Sprintf("dec.%d", i), true, encLast))
+		b.embedBlock(g.Blocks[bi], mods[bi], si == 0)
+		bi++
+		for i := 0; i < st.layers; i++ {
+			var extraIn []int
+			if cross(si) {
+				extraIn = encOut
+			}
+			b.layerBlock(g.Blocks[bi], mods[bi], cfg.Arch == GPT || cross(si), extraIn, layerOps)
+			bi++
 		}
-		g.Blocks = append(g.Blocks, b.headBlock("head"))
+		if cross(si + 1) {
+			encOut = []int{bi - 1}
+		}
 	}
+	b.headBlock(g.Blocks[bi], mods[bi])
 
-	_ = e
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// --- shape and cost helpers ---
+// --- shape, name and cost helpers ---
 
 func (b *builder) bytesOf(shape tensor.Shape) units.Bytes {
 	return units.Bytes(shape.NumElems() * int64(b.cfg.DType.Size()))
@@ -86,10 +146,45 @@ func (b *builder) mem(bytes units.Bytes) time.Duration {
 	return b.cost.MemoryBound(bytes)
 }
 
-// hiddenShape is [batch, seq, dims...].
-func (b *builder) hiddenShape(dims ...int) tensor.Shape {
-	s := []int{b.cfg.Batch, b.cfg.SeqLen}
-	return tensor.NewShape(append(s, dims...)...)
+// shape returns the graph's one shape with these dimensions, making it
+// on first use.
+func (b *builder) shape(dims ...int) tensor.Shape {
+	for _, s := range b.shapes {
+		if s.Equal(dims) {
+			return s
+		}
+	}
+	n := len(b.dims)
+	b.dims = append(b.dims, dims...)
+	s := tensor.NewShape(b.dims[n:len(b.dims):len(b.dims)]...)
+	b.shapes = append(b.shapes, s)
+	return s
+}
+
+// hiddenShape is [batch, seq, d].
+func (b *builder) hiddenShape(d int) tensor.Shape {
+	return b.shape(b.cfg.Batch, b.cfg.SeqLen, d)
+}
+
+// cat writes parts into the names buffer as one name sharing it.
+func (b *builder) cat(parts ...string) string {
+	start := b.names.Len()
+	for _, p := range parts {
+		b.names.WriteString(p)
+	}
+	return b.names.String()[start:]
+}
+
+// weight returns a new parameter of the layer module m, named after it.
+func (b *builder) weight(m *autograd.Module, suffix string, shape tensor.Shape) *tensor.Tensor {
+	return b.weights.NewWeight(b.cat(m.Name(), suffix), shape, b.cfg.DType, tensor.GPU)
+}
+
+// take returns the next n ops of the graph's op array, for one block.
+func (b *builder) take(n int) []autograd.OpSpec {
+	ops := b.ops[:0:n]
+	b.ops = b.ops[n:]
+	return ops
 }
 
 // lnOp is LayerNorm: memory-bound, saves its input plus per-token stats.
@@ -189,11 +284,11 @@ func (b *builder) fusedAttnOp(name string, causal bool, kvSeq int64) autograd.Op
 	}
 }
 
-// embedBlock is the token embedding + dropout. saveIDs registers the
-// input token ids (a small tensor exercising the pack early-return path).
-func (b *builder) embedBlock(name string, saveIDs bool) *autograd.Block {
+// embedBlock builds the token embedding + dropout into blk. saveIDs
+// registers the input token ids (a small tensor exercising the pack
+// early-return path).
+func (b *builder) embedBlock(blk *autograd.Block, m *autograd.Module, saveIDs bool) {
 	cfg := b.cfg
-	m := b.root.Child(name)
 	h := cfg.Hidden
 	out := b.hiddenShape(h)
 	bytes := b.bytesOf(out)
@@ -207,16 +302,14 @@ func (b *builder) embedBlock(name string, saveIDs bool) *autograd.Block {
 		SaveInput: saveIDs, // token ids: small, takes the pack early-return path
 		Weight:    b.embedTable,
 	}
-	drop := b.dropoutOp("drop", out)
-	return &autograd.Block{Module: m, Ops: []autograd.OpSpec{lookup, drop}}
+	*blk = autograd.Block{Module: m, Ops: append(b.take(2), lookup, b.dropoutOp("drop", out))}
 }
 
-// layerBlock is one transformer layer (pre-LN). causal selects decoder
-// attention; encLast ≥ 0 adds a T5 cross-attention sublayer consuming
-// that block's output.
-func (b *builder) layerBlock(name string, causal bool, encLast int) *autograd.Block {
+// layerBlock builds one transformer layer (pre-LN) of size ops into blk.
+// causal selects decoder attention; an extraIn block adds a T5
+// cross-attention sublayer consuming that block's output.
+func (b *builder) layerBlock(blk *autograd.Block, m *autograd.Module, causal bool, extraIn []int, size int) {
 	cfg := b.cfg
-	m := b.root.Child(name)
 	h := int64(cfg.Hidden)
 	t := int64(cfg.TP)
 	n := cfg.Tokens()
@@ -225,16 +318,10 @@ func (b *builder) layerBlock(name string, causal bool, encLast int) *autograd.Bl
 	hidden := b.hiddenShape(int(h))
 	e := cfg.DType.Size()
 
-	// Twelve ops, three more for the unfused softmax chain, seven more for
-	// cross-attention: the slice is allocated once, at its final size.
-	size := 12
-	if !cfg.FlashAttention {
-		size += 3
-	}
-	if encLast >= 0 {
+	if extraIn != nil {
 		size += 7
 	}
-	ops := make([]autograd.OpSpec, 0, size)
+	ops := b.take(size)
 	push := func(op autograd.OpSpec) int {
 		ops = append(ops, op)
 		return len(ops) // 1-based index of the pushed op
@@ -242,14 +329,14 @@ func (b *builder) layerBlock(name string, causal bool, encLast int) *autograd.Bl
 
 	// Self-attention sublayer.
 	push(b.lnOp("ln1", hidden))
-	wqkv := tensor.NewWeight(name+".wqkv", tensor.NewShape(int(h), 3*hl), cfg.DType, tensor.GPU)
+	wqkv := b.weight(m, ".wqkv", b.shape(int(h), 3*hl))
 	push(b.linearOp("qkv", n, h, 3*(h/t), b.hiddenShape(3*hl), wqkv))
 	if cfg.FlashAttention {
 		push(b.fusedAttnOp("attn", causal, int64(cfg.SeqLen)))
 	} else {
 		b.pushUnfusedAttention(&ops, causal)
 	}
-	wproj := tensor.NewWeight(name+".wproj", tensor.NewShape(hl, int(h)), cfg.DType, tensor.GPU)
+	wproj := b.weight(m, ".wproj", b.shape(hl, int(h)))
 	proj := b.linearOp("proj", n, h/t, h, hidden, wproj)
 	// Row-parallel linear: all-reduce of the output in forward; the
 	// column-parallel qkv gets the conjugate all-reduce in backward.
@@ -260,20 +347,18 @@ func (b *builder) layerBlock(name string, causal bool, encLast int) *autograd.Bl
 	push(b.addOp("add1", hidden))
 	addSelf := len(ops)
 
-	extraIn := []int(nil)
-	if encLast >= 0 {
+	if extraIn != nil {
 		// T5 cross-attention sublayer. The kv projection consumes the
 		// encoder output — the same tensor in every decoder layer, which
 		// the cache deduplicates (§III-C1).
-		extraIn = []int{encLast}
 		lnx := push(b.lnOp("lnx", hidden))
-		wkv := tensor.NewWeight(name+".wxkv", tensor.NewShape(int(h), 2*hl), cfg.DType, tensor.GPU)
+		wkv := b.weight(m, ".wxkv", b.shape(int(h), 2*hl))
 		kv := b.linearOp("xkv", n, h, 2*(h/t), b.hiddenShape(2*hl), wkv)
 		kv.InputFrom1 = lnx
 		kv.SaveInput = false // its compute input is the encoder output
 		kv.SaveExtra1 = 1
 		kvIdx := push(kv)
-		wq := tensor.NewWeight(name+".wxq", tensor.NewShape(int(h), hl), cfg.DType, tensor.GPU)
+		wq := b.weight(m, ".wxq", b.shape(int(h), hl))
 		q := b.linearOp("xq", n, h, h/t, b.hiddenShape(hl), wq)
 		q.InputFrom1 = lnx
 		qIdx := push(q)
@@ -281,7 +366,7 @@ func (b *builder) layerBlock(name string, causal bool, encLast int) *autograd.Bl
 		xattn.InputFrom1 = qIdx
 		xattn.SaveOther1 = kvIdx
 		push(xattn)
-		wxo := tensor.NewWeight(name+".wxo", tensor.NewShape(hl, int(h)), cfg.DType, tensor.GPU)
+		wxo := b.weight(m, ".wxo", b.shape(hl, int(h)))
 		xproj := b.linearOp("xproj", n, h/t, h, hidden, wxo)
 		xproj.FwdTime += b.cost.AllReduceTime(b.bytesOf(hidden), cfg.TP)
 		ops[kvIdx-1].BwdTime += b.cost.AllReduceTime(b.bytesOf(hidden), cfg.TP)
@@ -296,10 +381,10 @@ func (b *builder) layerBlock(name string, causal bool, encLast int) *autograd.Bl
 
 	// MLP sublayer.
 	push(b.lnOp("ln2", hidden))
-	wfc1 := tensor.NewWeight(name+".wfc1", tensor.NewShape(int(h), ffnLocal), cfg.DType, tensor.GPU)
+	wfc1 := b.weight(m, ".wfc1", b.shape(int(h), ffnLocal))
 	fc1Idx := push(b.linearOp("fc1", n, h, int64(ffnLocal), b.hiddenShape(ffnLocal), wfc1))
 	push(b.geluOp("gelu", b.hiddenShape(ffnLocal)))
-	wfc2 := tensor.NewWeight(name+".wfc2", tensor.NewShape(ffnLocal, int(h)), cfg.DType, tensor.GPU)
+	wfc2 := b.weight(m, ".wfc2", b.shape(ffnLocal, int(h)))
 	fc2 := b.linearOp("fc2", n, int64(ffnLocal), h, hidden, wfc2)
 	fc2.FwdTime += b.cost.AllReduceTime(b.bytesOf(hidden), cfg.TP)
 	ops[fc1Idx-1].BwdTime += b.cost.AllReduceTime(b.bytesOf(hidden), cfg.TP)
@@ -308,7 +393,7 @@ func (b *builder) layerBlock(name string, causal bool, encLast int) *autograd.Bl
 	push(b.addOp("add2", hidden))
 
 	_ = e
-	return &autograd.Block{
+	*blk = autograd.Block{
 		Module:     m,
 		Ops:        ops,
 		Checkpoint: cfg.Checkpoint,
@@ -327,7 +412,7 @@ func (b *builder) pushUnfusedAttention(ops *[]autograd.OpSpec, causal bool) {
 	batchHeads := int64(cfg.Batch) * headsLocal
 	hl := cfg.Hidden / cfg.TP
 	e := cfg.DType.Size()
-	scoreShape := tensor.NewShape(cfg.Batch, int(headsLocal), cfg.SeqLen, cfg.SeqLen)
+	scoreShape := b.shape(cfg.Batch, int(headsLocal), cfg.SeqLen, cfg.SeqLen)
 	scoreBytes := units.Bytes(scoreShape.NumElems() * int64(e))
 	causalScale := 1.0
 	if causal {
@@ -366,11 +451,10 @@ func (b *builder) pushUnfusedAttention(ops *[]autograd.OpSpec, causal bool) {
 	*ops = append(*ops, scores, softmax, adrop, ctx)
 }
 
-// headBlock is the final LayerNorm, the (embedding-tied) vocabulary
-// projection, and the cross-entropy loss.
-func (b *builder) headBlock(name string) *autograd.Block {
+// headBlock builds the final LayerNorm, the (embedding-tied) vocabulary
+// projection, and the cross-entropy loss into blk.
+func (b *builder) headBlock(blk *autograd.Block, m *autograd.Module) {
 	cfg := b.cfg
-	m := b.root.Child(name)
 	h := int64(cfg.Hidden)
 	n := cfg.Tokens()
 	vLocal := cfg.Vocab / cfg.TP
@@ -391,5 +475,5 @@ func (b *builder) headBlock(name string) *autograd.Block {
 		OutDType:   cfg.DType,
 		SaveOutput: true, // softmax probabilities for the CE gradient
 	}
-	return &autograd.Block{Module: m, Ops: []autograd.OpSpec{lnf, lm, ce}}
+	*blk = autograd.Block{Module: m, Ops: append(b.take(3), lnf, lm, ce)}
 }

@@ -73,8 +73,8 @@ func (c LinkConfig) Effective() units.Bandwidth {
 type Link struct {
 	cfg  LinkConfig
 	name string
-	down *sim.Server // toward the device (GPU→SSD writes)
-	up   *sim.Server // toward the GPU (SSD→GPU reads)
+	down sim.Server // toward the device (GPU→SSD writes)
+	up   sim.Server // toward the GPU (SSD→GPU reads)
 
 	rec        *spans.Recorder
 	downT, upT spans.TrackID
@@ -86,8 +86,6 @@ func NewLink(rec *spans.Recorder, name string, cfg LinkConfig) *Link {
 	return &Link{
 		cfg:   cfg,
 		name:  name,
-		down:  sim.NewServer(),
-		up:    sim.NewServer(),
 		rec:   rec,
 		downT: rec.RegisterTrack(name + ".down"),
 		upT:   rec.RegisterTrack(name + ".up"),

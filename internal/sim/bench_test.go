@@ -11,7 +11,7 @@ import (
 // kernel launch and DMA transfer.
 func BenchmarkServerSubmit(b *testing.B) {
 	b.ReportAllocs()
-	srv := sim.NewServer()
+	srv := &sim.Server{}
 	for i := 0; i < b.N; i++ {
 		srv.Submit(0, time.Microsecond)
 	}

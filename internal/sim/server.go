@@ -12,7 +12,8 @@ import "time"
 // Server is a serial FIFO resource: jobs are served one at a time in
 // submission order. GPU streams, DMA engines, NVMe submission queues and
 // the host launch thread are all Servers. A job's start time is
-// max(its ready time, previous job's finish).
+// max(its ready time, previous job's finish). The zero Server is idle;
+// substrates hold theirs by value.
 type Server struct {
 	// busyUntil is when the most recently accepted job finishes.
 	busyUntil time.Duration
@@ -20,9 +21,6 @@ type Server struct {
 	busy time.Duration
 	jobs int
 }
-
-// NewServer creates an idle FIFO server.
-func NewServer() *Server { return &Server{} }
 
 // Reset clears the server's backlog and accounting for reuse by a new
 // simulation: the queue is empty and no busy time has accrued, exactly

@@ -7,7 +7,7 @@ import (
 )
 
 func TestServerFIFO(t *testing.T) {
-	s := NewServer()
+	s := &Server{}
 	f1 := s.Submit(0, 10*time.Millisecond)
 	f2 := s.Submit(0, 5*time.Millisecond)
 	if f1 != 10*time.Millisecond {
@@ -36,7 +36,7 @@ func TestServerFIFO(t *testing.T) {
 // predicts that start without submitting.
 func TestServerNoOverlapProperty(t *testing.T) {
 	f := func(durs []uint16, readies []uint16) bool {
-		s := NewServer()
+		s := &Server{}
 		var lastFinish time.Duration
 		n := min(len(durs), len(readies))
 		for i := 0; i < n; i++ {
@@ -61,7 +61,7 @@ func TestServerNoOverlapProperty(t *testing.T) {
 
 // TestServerReset asserts a reset server accepts jobs like a fresh one.
 func TestServerReset(t *testing.T) {
-	s := NewServer()
+	s := &Server{}
 	s.Submit(0, 5*time.Microsecond)
 	s.Submit(0, 5*time.Microsecond)
 	if s.BusyUntil() != 10*time.Microsecond || s.Jobs() != 2 {

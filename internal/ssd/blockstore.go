@@ -16,13 +16,12 @@ import (
 // paper-style "/mnt/md1/t1.pt" name is deferred to diagnostics.
 type BlockStore[K comparable] struct {
 	// files is made at the first write, sized for hint files (Presize),
-	// so a store nothing writes to never allocates a table.
-	files map[K]*storedFile
+	// so a store nothing writes to never allocates a table. Files are
+	// held by value: every offload file is written and unlinked once per
+	// step, and the table's own slots carry that churn without a heap
+	// object per file.
+	files map[K]storedFile
 	hint  int
-	// free recycles storedFile boxes across the write/delete churn of a
-	// training step (every offload file is written and unlinked once per
-	// step), so steady-state stores allocate nothing.
-	free []*storedFile
 
 	written units.Bytes
 	read    units.Bytes
@@ -50,9 +49,7 @@ func (b *BlockStore[K]) WriteFile(path K, data []byte) {
 	b.remove(path)
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	f := b.newFile()
-	f.size, f.data = units.Bytes(len(data)), cp
-	b.put(path, f)
+	b.put(path, storedFile{size: units.Bytes(len(data)), data: cp})
 }
 
 // WriteSize stores a size-only file (no payload).
@@ -61,25 +58,12 @@ func (b *BlockStore[K]) WriteSize(path K, n units.Bytes) {
 		panic(fmt.Sprintf("ssd: negative file size %d", n))
 	}
 	b.remove(path)
-	f := b.newFile()
-	f.size = n
-	b.put(path, f)
+	b.put(path, storedFile{size: n})
 }
 
-// newFile pops a recycled file box or allocates one.
-func (b *BlockStore[K]) newFile() *storedFile {
-	if n := len(b.free); n > 0 {
-		f := b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
-		return f
-	}
-	return &storedFile{}
-}
-
-func (b *BlockStore[K]) put(path K, f *storedFile) {
+func (b *BlockStore[K]) put(path K, f storedFile) {
 	if b.files == nil {
-		b.files = make(map[K]*storedFile, b.hint)
+		b.files = make(map[K]storedFile, b.hint)
 	}
 	b.files[path] = f
 	b.written += f.size
@@ -94,19 +78,15 @@ func (b *BlockStore[K]) remove(path K) {
 		b.used -= old.size
 		b.deleted += old.size
 		delete(b.files, path)
-		old.size, old.data = 0, nil
-		b.free = append(b.free, old)
 	}
 }
 
 // Reset empties the store and zeroes all counters for reuse by a new
-// simulation, returning live file boxes to the free pool; map buckets and
-// pool capacity are retained so a replayed workload allocates nothing.
+// simulation; map buckets are retained so a replayed workload allocates
+// nothing.
 func (b *BlockStore[K]) Reset() {
-	for path, f := range b.files {
+	for path := range b.files {
 		delete(b.files, path)
-		f.size, f.data = 0, nil
-		b.free = append(b.free, f)
 	}
 	b.written, b.read, b.deleted, b.used, b.peak = 0, 0, 0, 0, 0
 }

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"strings"
 	"time"
 
 	"ssdtrain/internal/sim"
@@ -16,8 +17,8 @@ import (
 type Device struct {
 	spec   Spec
 	name   string
-	writeQ *sim.Server
-	readQ  *sim.Server
+	writeQ sim.Server
+	readQ  sim.Server
 
 	hostWritten units.Bytes
 	hostRead    units.Bytes
@@ -29,15 +30,31 @@ type Device struct {
 // NewDevice creates an idle device whose transfers emit spans to rec
 // (nil records nothing).
 func NewDevice(rec *spans.Recorder, name string, spec Spec) *Device {
-	return &Device{
-		spec:   spec,
-		name:   name,
-		writeQ: sim.NewServer(),
-		readQ:  sim.NewServer(),
-		rec:    rec,
-		wT:     rec.RegisterTrack(name + ".write"),
-		rT:     rec.RegisterTrack(name + ".read"),
+	return NewDevices(rec, spec, name)[0]
+}
+
+// NewDevices creates one idle device per name, as NewDevice does, from
+// one array of devices and one buffer for their track names.
+func NewDevices(rec *spans.Recorder, spec Spec, names ...string) []*Device {
+	size := 0
+	for _, name := range names {
+		size += 2*len(name) + len(".write.read")
 	}
+	var sb strings.Builder
+	sb.Grow(size)
+	track := func(name, dir string) spans.TrackID {
+		start := sb.Len()
+		sb.WriteString(name)
+		sb.WriteString(dir)
+		return rec.RegisterTrack(sb.String()[start:])
+	}
+	devs := make([]Device, len(names))
+	ptrs := make([]*Device, len(names))
+	for i, name := range names {
+		devs[i] = Device{spec: spec, name: name, rec: rec, wT: track(name, ".write"), rT: track(name, ".read")}
+		ptrs[i] = &devs[i]
+	}
+	return ptrs
 }
 
 // Spec returns the device specification.

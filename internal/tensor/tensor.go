@@ -64,7 +64,7 @@ type Storage struct {
 }
 
 // initStorage is the single construction path for storage metadata; both
-// NewStorage and the combined tensor+storage allocation in New go
+// NewStorage and the combined tensor+storage boxes of New and Slab go
 // through it so their invariants cannot diverge.
 func initStorage(s *Storage, n units.Bytes, dev Device) {
 	if n < 0 {
@@ -249,26 +249,77 @@ type Tensor struct {
 	weight bool
 }
 
+// box is a tensor and the storage it owns, allocated together: a
+// tensor New makes costs one heap object, and one from a Slab a share of
+// one.
+type box struct {
+	t Tensor
+	s Storage
+}
+
 // New allocates a fresh tensor with its own storage on the device. The
-// tensor and its storage come from one combined allocation — the executor
-// creates one per op per step, so halving the object count matters on the
-// simulation hot path.
+// tensor and its storage come from one combined allocation.
 func New(name string, shape Shape, dt DType, dev Device) *Tensor {
-	n := units.Bytes(shape.NumElems() * int64(dt.Size()))
-	box := &struct {
-		t Tensor
-		s Storage
-	}{}
-	initStorage(&box.s, n, dev)
-	box.t = Tensor{name: name, shape: shape, dtype: dt, storage: &box.s}
-	return &box.t
+	var s Slab
+	return s.New(name, shape, dt, dev)
+}
+
+// Slab hands out tensors that own their storage from one allocation
+// instead of one each. A fresh execution arena knows how many tensors it
+// will create before it creates them (its graph's footprint), so it
+// reserves them at once.
+type Slab struct{ boxes []box }
+
+// Len returns how many tensors are left in the reserved room.
+func (s *Slab) Len() int { return len(s.boxes) }
+
+// Reserve makes the next n New calls take their tensors from one
+// allocation. Room left over from an earlier Reserve is dropped unless
+// it already holds n.
+func (s *Slab) Reserve(n int) {
+	if len(s.boxes) < n {
+		s.boxes = make([]box, n)
+	}
+}
+
+// New is the package-level New, taking the tensor from the reserved room
+// while any is left.
+func (s *Slab) New(name string, shape Shape, dt DType, dev Device) *Tensor {
+	var b *box
+	if len(s.boxes) > 0 {
+		b, s.boxes = &s.boxes[0], s.boxes[1:]
+	} else {
+		b = new(box)
+	}
+	b.t = Tensor{name: name, shape: shape, dtype: dt, storage: &b.s}
+	initStorage(&b.s, units.Bytes(shape.NumElems()*int64(dt.Size())), dev)
+	return &b.t
+}
+
+// NewWeight is the package-level NewWeight, from the slab.
+func (s *Slab) NewWeight(name string, shape Shape, dt DType, dev Device) *Tensor {
+	t := s.New(name, shape, dt, dev)
+	t.weight = true
+	return t
+}
+
+// Recycle re-initializes t, which must own its storage (New or a Slab
+// made it), as a fresh tensor of another name, shape and type: the
+// storage keeps its allocation number and device, is resized for the
+// shape, and is left unstamped, unreferenced and unmaterialized, as
+// ResetForReuse leaves it. A pool of interchangeable buffers, such as
+// the tensor cache's reload buffers, serves tensors of any shape this
+// way.
+func (t *Tensor) Recycle(name string, shape Shape, dt DType) {
+	t.storage.ResetForReuse()
+	t.storage.bytes = units.Bytes(shape.NumElems() * int64(dt.Size()))
+	t.name, t.shape, t.dtype = name, shape, dt
 }
 
 // NewWeight allocates a parameter tensor (flagged as a weight).
 func NewWeight(name string, shape Shape, dt DType, dev Device) *Tensor {
-	t := New(name, shape, dt, dev)
-	t.weight = true
-	return t
+	var s Slab
+	return s.NewWeight(name, shape, dt, dev)
 }
 
 // WithStorage returns a copy of the tensor view bound to a different
@@ -295,13 +346,20 @@ func (t *Tensor) View(name string, shape Shape) *Tensor {
 // Transpose returns the transposed view sharing storage — the view linear
 // layers register on the computation graph for backward (§III-C1).
 func (t *Tensor) Transpose() *Tensor {
-	return &Tensor{
-		name:    t.name + ".T",
-		shape:   t.shape.Transposed(),
-		dtype:   t.dtype,
-		storage: t.storage,
-		weight:  t.weight,
+	return t.TransposeInto(new(Tensor), t.name+".T", make(Shape, len(t.shape)))
+}
+
+// TransposeInto is Transpose building the view in v, under the given
+// name, with its shape written into dims (one int per dimension of t),
+// and returns v. An executor builds all its transposed weight views from
+// one array of views and one of dimensions this way.
+func (t *Tensor) TransposeInto(v *Tensor, name string, dims Shape) *Tensor {
+	copy(dims, t.shape)
+	if n := len(dims); n >= 2 {
+		dims[n-1], dims[n-2] = dims[n-2], dims[n-1]
 	}
+	*v = Tensor{name: name, shape: dims, dtype: t.dtype, storage: t.storage, weight: t.weight}
+	return v
 }
 
 // Name returns the tensor's diagnostic name.
