@@ -4,9 +4,10 @@
 // what-ifs (/v1/fleet) and flight-recorder traces (/v1/trace), with
 // /metrics exposing every cache, pool and dedup counter behind them (JSON
 // by default, Prometheus text under Accept: text/plain). Concurrent
-// identical requests coalesce into one simulation; compatible cheap-knob
-// requests that wait for a worker together run as one batch on one
-// pooled execution arena; saturation answers 429 with Retry-After.
+// identical requests coalesce into one simulation; every simulation runs
+// on a recycled execution arena under one of -workers slots, up to
+// -queue more requests wait for a slot, and beyond that the server
+// answers 429 with Retry-After.
 //
 // Usage:
 //

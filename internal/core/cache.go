@@ -128,8 +128,6 @@ type TensorCache struct {
 	off Offloader
 	ids *IDSource
 
-	weightStamps map[int64]bool
-
 	// Per-micro-batch state (the paper's per-micro-batch records, ② in
 	// Fig 2).
 	curMB       int
@@ -191,24 +189,21 @@ func NewTensorCache(cfg Config) *TensorCache {
 		panic("core: cache requires a runtime and an offloader")
 	}
 	return &TensorCache{
-		cfg:          cfg,
-		rt:           cfg.Runtime,
-		off:          cfg.Offloader,
-		ids:          NewIDSource(),
-		weightStamps: make(map[int64]bool),
-		keepLast:     make(map[*autograd.Module]bool),
-		moduleIndex:  make(map[*autograd.Module]int),
+		cfg:         cfg,
+		rt:          cfg.Runtime,
+		off:         cfg.Offloader,
+		ids:         NewIDSource(),
+		keepLast:    make(map[*autograd.Module]bool),
+		moduleIndex: make(map[*autograd.Module]int),
 	}
 }
 
 // Presize sizes the cache's tables for a graph's footprint, so a fresh
 // arena's first step fills them instead of regrowing them from empty:
-// the record maps and record slabs for the tensors a micro-batch saves,
-// the module tables for its blocks, the weight set for its weights.
-// Call it before the first step.
+// the record maps and record slabs for the tensors a micro-batch saves
+// and the module tables for its blocks. Call it before the first step.
 func (c *TensorCache) Presize(f autograd.Footprint) {
 	c.recHint = f.Saved
-	c.weightStamps = make(map[int64]bool, f.Weights)
 	c.moduleIndex = make(map[*autograd.Module]int, f.Blocks)
 	c.prevOrder = make([]*autograd.Module, 0, f.Blocks)
 	c.spareOrder = make([]*autograd.Module, 0, f.Blocks)
@@ -217,17 +212,16 @@ func (c *TensorCache) Presize(f autograd.Footprint) {
 
 // Reset rewinds the cache for a new measurement on a recycled arena under
 // a freshly planned offload budget. All per-run state — records, module
-// orders, the learned keep-last set, error latches, I/O totals, the stamp
-// clock and the registered weight set — returns to the just-constructed
-// state; the recycling pools and map buckets survive, which is what makes
-// a reused cache cheaper than a new one. The caller must have reset the
+// orders, the learned keep-last set, error latches, I/O totals and the
+// stamp clock — returns to the just-constructed state; the recycling
+// pools and map buckets survive, which is what makes a reused cache
+// cheaper than a new one. The caller must have reset the
 // previously stamped storages in place (the ID clock restarts) and must
 // re-register the run's weights afterwards.
 func (c *TensorCache) Reset(budget units.Bytes) {
 	c.recycleStepState()
 	c.cfg.Budget = budget
 	c.ids.Reset()
-	clear(c.weightStamps)
 	c.curMB = 0
 	clear(c.moduleIndex)
 	// Both forward-order buffers survive, emptied: between steps
@@ -243,25 +237,16 @@ func (c *TensorCache) Reset(budget units.Bytes) {
 	c.err = nil
 }
 
-// RegisterWeights records the identifiers of all parameters (and, via the
-// shared storage stamp, their transposed views) before training, so the
-// pack hook can exclude them (§III-C1).
+// RegisterWeights stamps the parameters before training. The pack hook
+// skips a weight by its flag, which every parameter and every view of
+// one carries (§III-C1), so the stamps mark nothing: the weights take the
+// clock's first values so that every activation's TensorID, which names
+// its offload file and labels its trace spans, starts after them (the
+// Chrome trace golden pins those IDs).
 func (c *TensorCache) RegisterWeights(ws []*tensor.Tensor) {
 	for _, w := range ws {
-		id := c.ids.GetID(w)
-		c.weightStamps[id.Stamp] = true
+		c.ids.GetID(w)
 	}
-}
-
-// isWeight reports whether the tensor is a registered parameter or view.
-func (c *TensorCache) isWeight(t *tensor.Tensor) bool {
-	if t.IsWeight() {
-		return true
-	}
-	if s := t.Storage().Stamp(); s != 0 {
-		return c.weightStamps[s]
-	}
-	return false
 }
 
 func (c *TensorCache) curScope() *autograd.Module {
@@ -538,7 +523,7 @@ func (c *TensorCache) Pack(t *tensor.Tensor, producedAt, hostNow time.Duration) 
 	if t.IsCPU() {
 		return t
 	}
-	if c.isWeight(t) {
+	if t.IsWeight() {
 		c.rt.Counters.Add(trace.CacheWeightSkips, 1)
 		return t
 	}

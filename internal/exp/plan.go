@@ -51,11 +51,10 @@ type Plan struct {
 	// a fresh arena's scratch before its first step.
 	footprint autograd.Footprint
 
-	// budgetByKey memoizes the Fig 3 budget per budgetKey; budgetFlight
-	// coalesces concurrent planner runs for one uncached key.
+	// budgetByKey memoizes the Fig 3 budget per budgetKey; mu guards it
+	// and is held while the planner runs.
 	mu             sync.Mutex
 	budgetByKey    map[budgetKey]units.Bytes
-	budgetFlight   lru.Singleflight[budgetKey, units.Bytes]
 	budgetComputes atomic.Int64
 }
 
@@ -124,7 +123,8 @@ func Normalize(cfg RunConfig) (RunConfig, error) {
 // ShapeKey validates cfg and reduces it to its plan identity: the
 // normalized config with the cheap knobs zeroed. Two configs with equal
 // shape keys compile to the same *Plan and can share a pooled execution
-// arena — the grouping key behind the serve layer's request batcher.
+// arena — the routing key a sharded cluster hashes (ShapeHash), so one
+// shape's requests reach the replica whose arenas are warm for it.
 func ShapeKey(cfg RunConfig) (RunConfig, error) {
 	n, err := Normalize(cfg)
 	if err != nil {
@@ -350,42 +350,29 @@ func (p *Plan) LastModuleBytes() units.Bytes { return p.lastModule }
 func (p *Plan) WeightBytes() units.Bytes { return p.weightBytes }
 
 // plannedBudget returns the Fig 3 budget for a tier mix, memoized per
-// budget key: the tiers are read only on a memo miss. Concurrent
-// computes of one uncached key are coalesced through a singleflight: a
-// fleet Prime fans the same (share, grant) keys across its workers, and
-// without the flight every worker would run the full Fig 3 planner just
-// to overwrite the same memo entry (last write wins, work wasted).
+// budget key: the tiers are read only on a memo miss. The planner runs
+// under p.mu, so concurrent callers of one uncached key (a fleet Prime
+// fans the same (share, grant) keys across its workers) run it once. A
+// planner run costs microseconds, the simulation that asks for its
+// budget milliseconds, so holding the lock costs nothing that
+// coalescing outside it would save.
 func (p *Plan) plannedBudget(key budgetKey, tiers []core.TierPlan) units.Bytes {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if b, ok := p.budgetByKey[key]; ok {
-		p.mu.Unlock()
 		return b
 	}
-	p.mu.Unlock()
-	b, _, _ := p.budgetFlight.Do(key, func() (units.Bytes, error) {
-		// Double-check under the flight: a racing caller may have filled
-		// the memo between our miss and the flight acquisition.
-		p.mu.Lock()
-		if b, ok := p.budgetByKey[key]; ok {
-			p.mu.Unlock()
-			return b, nil
-		}
-		p.mu.Unlock()
-		p.budgetComputes.Add(1)
-		b := core.PlanHierarchyBudget(core.ModulePlan{
-			SavedBytes:   p.saved,
-			BwdTime:      p.bwd,
-			ForwardTime:  p.fwdTime,
-			BackwardTime: p.bwdTime,
-		}, tiers)
-		p.mu.Lock()
-		if len(p.budgetByKey) >= budgetMemoSize {
-			clear(p.budgetByKey)
-		}
-		p.budgetByKey[key] = b
-		p.mu.Unlock()
-		return b, nil
-	})
+	p.budgetComputes.Add(1)
+	b := core.PlanHierarchyBudget(core.ModulePlan{
+		SavedBytes:   p.saved,
+		BwdTime:      p.bwd,
+		ForwardTime:  p.fwdTime,
+		BackwardTime: p.bwdTime,
+	}, tiers)
+	if len(p.budgetByKey) >= budgetMemoSize {
+		clear(p.budgetByKey)
+	}
+	p.budgetByKey[key] = b
 	return b
 }
 

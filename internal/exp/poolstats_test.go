@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
 	"ssdtrain/internal/units"
@@ -40,50 +38,6 @@ func TestSessionPoolStats(t *testing.T) {
 	}
 	if rate := st.HitRate(); rate <= 0.33 || rate >= 0.34 {
 		t.Fatalf("hit rate = %v, want 1/3", rate)
-	}
-}
-
-// TestExecuteBatch runs a same-shape knob batch on one borrowed arena
-// and checks every slot is byte-identical to a fresh Plan.Execute, with
-// per-item errors isolated from their neighbours.
-func TestExecuteBatch(t *testing.T) {
-	sp := NewSessionPool(0)
-	base := smallCfg(SSDTrain)
-	half := base
-	half.SSDBandwidthShare = 0.5
-	budget := base
-	budget.Budget = 32 * units.MiB
-	bad := base
-	bad.SSDBandwidthShare = 2 // invalid knob: fails Compile, not the batch
-	mismatch := smallCfg(Recompute)
-
-	results := sp.ExecuteBatch([]RunConfig{base, bad, half, mismatch, budget})
-	plan, err := Compile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range []RunConfig{base, half, budget} {
-		slot := []int{0, 2, 4}[i]
-		if results[slot].Err != nil {
-			t.Fatalf("slot %d: %v", slot, results[slot].Err)
-		}
-		fresh, err := plan.Execute(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fresh, results[slot].Result) {
-			t.Errorf("slot %d differs from fresh Execute", slot)
-		}
-	}
-	if results[1].Err == nil || results[1].Result != nil {
-		t.Errorf("invalid-knob slot: result=%v err=%v", results[1].Result, results[1].Err)
-	}
-	if err := results[3].Err; err == nil || !strings.Contains(err.Error(), "does not match compiled plan") {
-		t.Errorf("mismatched-shape slot error = %v", err)
-	}
-	st := sp.Stats()
-	if st.Misses != 1 {
-		t.Errorf("batch built %d arenas, want 1 (stats %+v)", st.Misses, st)
 	}
 }
 

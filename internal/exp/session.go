@@ -761,53 +761,3 @@ func (sp *SessionPool) Idle() int {
 	defer sp.mu.Unlock()
 	return len(sp.fifo)
 }
-
-// BatchResult is one ExecuteBatch outcome: exactly one of Result and Err
-// is set.
-type BatchResult struct {
-	Result *RunResult
-	Err    error
-}
-
-// ExecuteBatch runs several measurements that share one plan shape on a
-// single borrowed arena: one Compile (via the shared plan cache), one
-// acquire, len(cfgs) Executes, one release. This is the micro-batching
-// primitive behind the serve layer's group-commit batcher — compatible
-// cheap-knob requests that wait for a worker together pay arena traffic
-// once instead of once each. Failures are per-item: a config that fails
-// validation, mismatches the batch's shape, or errors mid-simulation
-// reports through its own slot without disturbing its neighbours
-// (Execute fully resets the arena on entry, so an errored run cannot
-// leak state into the next). Results are byte-identical to per-config
-// Plan.Execute calls.
-func (sp *SessionPool) ExecuteBatch(cfgs []RunConfig) []BatchResult {
-	out := make([]BatchResult, len(cfgs))
-	var plan *Plan
-	var sess *Session
-	for i, cfg := range cfgs {
-		if sess == nil {
-			// The first config that compiles establishes the batch's plan
-			// and arena. Later items are not recompiled: Session.Execute
-			// validates their knobs and shape itself, so a mismatched item
-			// errors individually — and the check cannot be confused by
-			// the shared plan cache evicting and recompiling the shape to
-			// a new pointer mid-batch.
-			p, err := Compile(cfg)
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
-			s, err := sp.acquire(p)
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
-			plan, sess = p, s
-		}
-		out[i].Result, out[i].Err = sess.Execute(cfg)
-	}
-	if sess != nil {
-		sp.release(plan, sess)
-	}
-	return out
-}

@@ -35,10 +35,12 @@ func (l *limiter) acquire(ctx context.Context) bool {
 		return true
 	default:
 	}
-	if !l.enter() {
+	select {
+	case l.queue <- struct{}{}:
+	default:
 		return false
 	}
-	defer l.leave()
+	defer func() { <-l.queue }()
 	select {
 	case l.slots <- struct{}{}:
 		return true
@@ -46,19 +48,6 @@ func (l *limiter) acquire(ctx context.Context) bool {
 		return false
 	}
 }
-
-// enter takes a place in the wait line without waiting for a slot,
-// reporting false when the line is full; leave gives the place back.
-func (l *limiter) enter() bool {
-	select {
-	case l.queue <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (l *limiter) leave() { <-l.queue }
 
 // release frees a slot claimed by acquire.
 func (l *limiter) release() { <-l.slots }

@@ -71,12 +71,6 @@ func (m Metrics) Prometheus() []byte {
 		fmt.Fprintf(&b, "ssdtrain_peer_fill_total{event=\"served_hit\"} %d\n", m.PeerFill.ServedHits)
 		fmt.Fprintf(&b, "ssdtrain_peer_fill_total{event=\"served_miss\"} %d\n", m.PeerFill.ServedMisses)
 	})
-	counter("ssdtrain_batch_flushes_total", "Same-shape /v1/plan batches run.", func() {
-		fmt.Fprintf(&b, "ssdtrain_batch_flushes_total %d\n", m.Batch.Flushes)
-	})
-	counter("ssdtrain_batched_requests_total", "Requests executed in a same-shape /v1/plan batch.", func() {
-		fmt.Fprintf(&b, "ssdtrain_batched_requests_total %d\n", m.Batch.BatchedRequests)
-	})
 
 	counter("ssdtrain_cache_events_total", "Cache traffic, by cache and event.", func() {
 		for _, c := range []struct {

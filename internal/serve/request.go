@@ -175,9 +175,9 @@ func (f *FaultSpec) spec() faults.Spec {
 }
 
 // RunConfig resolves the request to its normalized exp.RunConfig — the
-// canonical form the server's result cache, singleflight and batcher all
-// key on, and the identity a cluster router's shard key (exp.ShapeHash)
-// is computed from.
+// canonical form the server's result cache and singleflight key on, and
+// the identity a cluster router's shard key (exp.ShapeHash) is computed
+// from.
 func (r PlanRequest) RunConfig() (exp.RunConfig, error) {
 	s := r.Spec
 	if s == (SpecRequest{}) {

@@ -8,14 +8,13 @@
 // and it is built directly on the reuse layers of the harness: rendered
 // results sit in an LRU keyed by the normalized config, concurrent
 // identical requests coalesce into one simulation through a
-// singleflight, compatible cheap-knob requests that wait for a worker
-// together group-commit onto a single pooled execution arena
+// singleflight, every simulation runs on a recycled execution arena
 // (exp.SessionPool → exp.Session, keyed per plan shape), and fleet
 // what-ifs share one profiler cache across all requests. Admission is
 // bounded: a fixed worker count plus a bounded wait queue, with 429 +
 // Retry-After beyond that. Responses are deterministic — a served body
 // is byte-identical to rendering a fresh Plan.Execute of the same
-// config, whichever cache, flight or batch actually produced it.
+// config, whichever cache, flight or arena actually produced it.
 package serve
 
 import (
@@ -122,7 +121,9 @@ type Server struct {
 	fleetRes *lru.Cache[string, []byte]
 	fleetFl  lru.Singleflight[string, stamped]
 	sessions *exp.SessionPool
-	batcher  *batcher
+	// exec runs one simulation on a pooled arena: sessions.Execute,
+	// unless a test swaps it before the server starts.
+	exec     func(exp.RunConfig) (*exp.RunResult, error)
 	limiter  *limiter
 	profiler *fleet.Profiler
 	peers    *peerSet
@@ -168,7 +169,7 @@ func New(opts Options) *Server {
 	if len(opts.Peers) > 0 && opts.PeerFillTimeout > 0 {
 		s.peers = newPeerSet(opts.Peers, opts.PeerClient, opts.PeerFillTimeout, s.stats)
 	}
-	s.batcher = newBatcher(s.runPooled, s.limiter, s.stats)
+	s.exec = s.sessions.Execute
 	s.mux.HandleFunc("/v1/plan", s.instrument("plan", s.handlePlan))
 	s.mux.HandleFunc("/v1/sweep", s.instrument("sweep", s.handleSweep))
 	s.mux.HandleFunc("/v1/fleet", s.instrument("fleet", s.handleFleet))
@@ -306,29 +307,26 @@ func (s *Server) writeBackpressure(w http.ResponseWriter) {
 	writeError(w, http.StatusTooManyRequests, errSaturated)
 }
 
-// runPooled executes cfgs on the shared session pool, converting any
-// panic in the simulation stack into per-item errors so one poisonous
-// request cannot take down the process. This matters most for the
-// batcher, whose batches run in goroutines of their own, outside
-// net/http's per-connection recovery — an unrecovered panic there would
-// kill the whole server. A panicked ExecuteBatch also never releases its arena,
-// so a possibly-corrupted session is dropped rather than recycled.
-func (s *Server) runPooled(cfgs []exp.RunConfig) []exp.BatchResult {
-	return recoverBatch(cfgs, s.sessions.ExecuteBatch)
-}
-
-// recoverBatch runs exec, converting a panic into per-item errors.
-func recoverBatch(cfgs []exp.RunConfig, exec func([]exp.RunConfig) []exp.BatchResult) (out []exp.BatchResult) {
+// runPooled is the one path from a request to an execution arena:
+// every pooled simulation (a /v1/plan miss, a /v1/sweep point, a
+// /v1/trace run) claims a worker slot under the request's context, runs
+// on the shared session pool and releases the slot, so no slot is held
+// across client-paced response writes. A panic in the simulation stack
+// becomes an error, so the request and its flight joiners get a 422
+// instead of a dropped connection; a panicked Execute never releases
+// its arena, so a possibly-corrupted session is dropped rather than
+// recycled.
+func (s *Server) runPooled(ctx context.Context, cfg exp.RunConfig) (res *exp.RunResult, err error) {
+	if err := s.acquireSlot(ctx); err != nil {
+		return nil, err
+	}
+	defer s.limiter.release()
 	defer func() {
 		if r := recover(); r != nil {
-			err := fmt.Errorf("serve: simulation panicked: %v", r)
-			out = make([]exp.BatchResult, len(cfgs))
-			for i := range out {
-				out[i].Err = err
-			}
+			res, err = nil, fmt.Errorf("serve: simulation panicked: %v", r)
 		}
 	}()
-	return exec(cfgs)
+	return s.exec(cfg)
 }
 
 // RenderPlanResult renders a measurement result to the canonical
@@ -397,14 +395,10 @@ func cachedBody[K comparable](ctx context.Context, s *Server, cache *lru.Cache[K
 }
 
 // planBody answers one normalized config through cachedBody over a
-// (possibly batched) pooled execution. Only for the duration of the
-// simulation is a worker slot held — never across client-paced response
-// writes — which is also why no caller can deadlock holding a slot
-// another flight's owner is waiting for. viaBatch selects whether a
-// cold config goes through the batcher; sweep points claim a slot
-// directly — their arena reuse comes from the session pool, and a
-// sweep already runs its points one after another.
-func (s *Server) planBody(ctx context.Context, cfg exp.RunConfig, viaBatch bool) ([]byte, time.Time, error) {
+// pooled execution. Only for the duration of the simulation is a worker
+// slot held, which is also why no caller can deadlock holding a slot
+// another flight's owner is waiting for.
+func (s *Server) planBody(ctx context.Context, cfg exp.RunConfig) ([]byte, time.Time, error) {
 	return cachedBody(ctx, s, s.results, &s.flight, cfg, func() (stamped, error) {
 		// Peer fill first: a clustered replica asks its peers' caches
 		// before paying a simulation. The lookup is cheap (no worker slot),
@@ -417,20 +411,7 @@ func (s *Server) planBody(ctx context.Context, cfg exp.RunConfig, viaBatch bool)
 				return stamped{body: body, at: at}, nil
 			}
 		}
-		var res *exp.RunResult
-		var err error
-		if viaBatch {
-			// The batcher claims one worker slot per batch; the member
-			// waits holding nothing.
-			res, err = s.batcher.run(ctx, cfg)
-		} else {
-			if err := s.acquireSlot(ctx); err != nil {
-				return stamped{}, err
-			}
-			out := s.runPooled([]exp.RunConfig{cfg})
-			s.limiter.release()
-			res, err = out[0].Result, out[0].Err
-		}
+		res, err := s.runPooled(ctx, cfg)
 		if err != nil {
 			return stamped{}, err
 		}
@@ -456,7 +437,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	body, at, err := s.planBody(r.Context(), cfg, true)
+	body, at, err := s.planBody(r.Context(), cfg)
 	if errors.Is(err, errSaturated) {
 		s.writeBackpressure(w)
 		return
@@ -509,7 +490,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return // deadline or client gone: remaining points are unwanted
 		}
-		body, _, err := s.planBody(r.Context(), cfg, false)
+		body, _, err := s.planBody(r.Context(), cfg)
 		if err != nil {
 			// The stream is already committed at 200; a failing point
 			// reports inline and the sweep continues, so one infeasible
@@ -593,22 +574,17 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg.Trace = true
-	if err := s.acquireSlot(r.Context()); err != nil {
-		if errors.Is(err, errSaturated) {
-			s.writeBackpressure(w)
-			return
-		}
+	res, err := s.runPooled(r.Context(), cfg)
+	if errors.Is(err, errSaturated) {
+		s.writeBackpressure(w)
+		return
+	}
+	if err != nil {
 		s.writeRunError(w, err)
 		return
 	}
-	out := s.runPooled([]exp.RunConfig{cfg})
-	s.limiter.release()
-	if out[0].Err != nil {
-		writeError(w, http.StatusUnprocessableEntity, out[0].Err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(out[0].Result.Trace.ChromeJSON())
+	w.Write(res.Trace.ChromeJSON())
 }
 
 // WantsPrometheus reports whether the request negotiated the Prometheus
@@ -655,13 +631,10 @@ func (s *Server) Metrics() Metrics {
 			ServedHits:   s.stats.cachefillHits.Load(),
 			ServedMisses: s.stats.cachefillMisses.Load(),
 		},
-		Batch: BatchMetrics{
-			Flushes:         s.stats.flushes.Load(),
-			BatchedRequests: s.stats.batched.Load(),
-			MaxBatch:        s.stats.maxBatch.Load(),
-		},
 		Sessions: s.sessions.Stats(),
 	}
+	runs := m.Sessions.Hits + m.Sessions.Misses
+	m.Batch = BatchMetrics{Flushes: runs, BatchedRequests: runs}
 	ph, pm, pe, pl := exp.PlanCacheSnapshot()
 	m.PlanCache = cacheMetrics(ph, pm, pe, pl)
 	rh, rm := s.results.Stats()

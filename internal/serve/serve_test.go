@@ -42,7 +42,7 @@ func identityGrid() []PlanRequest {
 }
 
 // freshBody renders the request the reference way: a fresh Plan.Execute
-// on a single-use arena, no pool, no cache, no batch.
+// on a single-use arena, no pool, no cache.
 func freshBody(t *testing.T, req PlanRequest) []byte {
 	t.Helper()
 	cfg, err := req.RunConfig()
@@ -60,20 +60,27 @@ func freshBody(t *testing.T, req PlanRequest) []byte {
 	return RenderPlanResult(res)
 }
 
+// postJSON posts body as JSON and returns the response and its body.
+// Tests call it from goroutines of their own too, so a failure is
+// reported with t.Error, never t.Fatal, and returns a response with
+// status 0, which no caller accepts.
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	blob, err := json.Marshal(body)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return &http.Response{}, nil
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(blob))
 	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+		t.Errorf("POST %s: %v", url, err)
+		return &http.Response{}, nil
 	}
 	got, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatal(err)
+		t.Errorf("POST %s: reading the body: %v", url, err)
+		return &http.Response{}, nil
 	}
 	return resp, got
 }
@@ -83,11 +90,11 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 // every strategy × placement — against a server deliberately configured
 // for churn (result cache far smaller than the working set, a
 // single-arena session pool that evicts on every cross-shape release,
-// same-shape requests batching behind each other), interleaved with
-// requests that error
-// mid-simulation on the same arenas. Every 200 body must be
-// byte-identical to rendering a fresh Plan.Execute. Run under -race this
-// is also the proof that the cache/arena layers are safe to share.
+// same-shape requests waiting behind each other), interleaved with
+// requests that error mid-simulation on the same arenas. Every 200 body
+// must be byte-identical to rendering a fresh Plan.Execute. Run under
+// -race this is also the proof that the cache/arena layers are safe to
+// share.
 func TestPlanByteIdentityConcurrent(t *testing.T) {
 	grid := identityGrid()
 	want := make([][]byte, len(grid))
@@ -248,113 +255,50 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// holdFirstBatch swaps in an executor that holds the server's first
-// batch until release is called; running is closed once it is held.
-// release is idempotent, so a test can also defer it to free the held
-// request before its server closes. The executor is swapped before the
-// server starts (goroutine creation is the happens-before edge), never
-// while it serves.
-func holdFirstBatch(srv *Server) (running <-chan struct{}, release func()) {
+// holdFirstRun swaps in an executor that holds the server's first
+// simulation until release is called; running is closed once it is
+// held. release is idempotent, so a test can also defer it to free the
+// held request before its server closes. The executor is swapped before
+// the server starts (goroutine creation is the happens-before edge),
+// never while it serves.
+func holdFirstRun(srv *Server) (running <-chan struct{}, release func()) {
 	held, free := make(chan struct{}), make(chan struct{})
-	var batches atomic.Int32
-	srv.batcher.exec = func(cfgs []exp.RunConfig) []exp.BatchResult {
-		if batches.Add(1) == 1 {
+	var runs atomic.Int32
+	srv.exec = func(cfg exp.RunConfig) (*exp.RunResult, error) {
+		if runs.Add(1) == 1 {
 			close(held)
 			<-free
 		}
-		return srv.runPooled(cfgs)
+		return srv.sessions.Execute(cfg)
 	}
 	return held, sync.OnceFunc(func() { close(free) })
 }
 
 // shareRequests returns same-shape plan requests that differ only in
-// their SSD bandwidth share, and the shape they share.
-func shareRequests(t *testing.T, shares ...float64) ([]PlanRequest, exp.RunConfig) {
-	t.Helper()
+// their SSD bandwidth share.
+func shareRequests(shares ...float64) []PlanRequest {
 	reqs := make([]PlanRequest, len(shares))
 	for i, share := range shares {
 		reqs[i] = PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}, Inject: InjectRequest{SSDBandwidthShare: share}}}
 	}
-	cfg, err := reqs[0].RunConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape, err := exp.ShapeKey(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reqs, shape
+	return reqs
 }
 
-// TestGroupCommitBatchesWaitingArrivals pins the batcher's group commit:
-// same-shape requests with distinct cheap knobs that arrive while every
-// worker slot is busy wait as one batch and execute together on one
-// arena once a slot frees. The running batch is held until every other
-// request has joined, so the batch forms whatever the scheduling.
-func TestGroupCommitBatchesWaitingArrivals(t *testing.T) {
-	srv := New(Options{Workers: 1})
-	running, release := holdFirstBatch(srv)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer release()
-
-	reqs, shape := shareRequests(t, 0.2, 0.4, 0.6, 0.8)
-	want := make([][]byte, len(reqs))
-	for i := range reqs {
-		want[i] = freshBody(t, reqs[i])
-	}
-	var wg sync.WaitGroup
-	post := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/plan", reqs[i])
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
-			} else if !bytes.Equal(body, want[i]) {
-				t.Errorf("request %d: batched body differs from fresh Plan.Execute", i)
-			}
-		}()
-	}
-	post(0)
-	<-running
-	for i := 1; i < len(reqs); i++ {
-		post(i)
-	}
-	waitFor(t, "the other requests wait as one batch, each in the wait line", func() bool {
-		srv.batcher.mu.Lock()
-		defer srv.batcher.mu.Unlock()
-		bt := srv.batcher.waiting[shape]
-		return bt != nil && len(bt.cfgs) == len(reqs)-1 && srv.limiter.waiting() == len(reqs)-1
-	})
-	release()
-	wg.Wait()
-
-	m := srv.Metrics()
-	if m.Batch.MaxBatch < 2 {
-		t.Errorf("max batch = %d, want >= 2 (batches %d, batched %d)",
-			m.Batch.MaxBatch, m.Batch.Flushes, m.Batch.BatchedRequests)
-	}
-	if builds := srv.sessions.Stats().Misses; builds >= int64(len(reqs)) {
-		t.Errorf("batched requests built %d arenas, want fewer than %d", builds, len(reqs))
-	}
-}
-
-// TestBatcherBackpressure: requests waiting to join a batch count
-// against the wait line. With the only worker slot running a batch of
-// shape S and the one wait-line place taken by the next S batch, a
-// further S request is refused with 429 and Retry-After instead of
-// joining; once the slot frees, the admitted requests complete.
-func TestBatcherBackpressure(t *testing.T) {
+// TestWaitLineBackpressure: a request waiting for a worker slot holds a
+// place in the wait line. With the only worker slot running a request
+// and the one wait-line place taken by a second, a third request of the
+// same shape is refused with 429 and Retry-After; once the slot frees,
+// the admitted requests complete.
+func TestWaitLineBackpressure(t *testing.T) {
 	// The deadline turns a request that waits instead of being refused
 	// into a 503 rather than a hang.
 	srv := New(Options{Workers: 1, Queue: 1, RequestTimeout: 10 * time.Second})
-	running, release := holdFirstBatch(srv)
+	running, release := holdFirstRun(srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer release()
 
-	reqs, shape := shareRequests(t, 0.2, 0.4, 0.6)
+	reqs := shareRequests(0.2, 0.4, 0.6)
 	codes := make(chan int, 2)
 	post := func(req PlanRequest) {
 		resp, _ := postJSON(t, ts.URL+"/v1/plan", req)
@@ -363,10 +307,8 @@ func TestBatcherBackpressure(t *testing.T) {
 	go post(reqs[0])
 	<-running
 	go post(reqs[1])
-	waitFor(t, "the second request's batch holds the wait line", func() bool {
-		srv.batcher.mu.Lock()
-		defer srv.batcher.mu.Unlock()
-		return srv.batcher.waiting[shape] != nil && srv.limiter.waiting() == 1
+	waitFor(t, "the second request holds the wait line", func() bool {
+		return srv.limiter.waiting() == 1
 	})
 	resp, body := postJSON(t, ts.URL+"/v1/plan", reqs[2])
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -386,19 +328,83 @@ func TestBatcherBackpressure(t *testing.T) {
 	}
 }
 
-// TestSameShapeUsesEveryWorker: a request that arrives while a batch of
-// its shape runs starts a batch of its own on another free worker slot,
-// so one shape's traffic is not held to one worker.
+// TestAdmissionBound pins the -queue bound as exact: the server never
+// admits more than workers + queue requests, whatever shape they share.
+// With one worker and two wait-line places, one run holds the slot, two
+// same-shape misses wait and a fourth is refused. Once the run ends, one
+// waiting miss takes the slot and the other keeps its place, so of two
+// more misses exactly one is admitted.
+func TestAdmissionBound(t *testing.T) {
+	// The deadline turns a request that waits instead of being refused
+	// into a 503 rather than a hang.
+	srv := New(Options{Workers: 1, Queue: 2, RequestTimeout: 10 * time.Second})
+	started, proceed := make(chan struct{}, 8), make(chan struct{})
+	srv.exec = func(cfg exp.RunConfig) (*exp.RunResult, error) {
+		started <- struct{}{}
+		<-proceed
+		return srv.sessions.Execute(cfg)
+	}
+	releaseAll := sync.OnceFunc(func() { close(proceed) })
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer releaseAll()
+
+	reqs := shareRequests(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+	codes := make(chan int, len(reqs))
+	post := func(req PlanRequest) {
+		go func() {
+			resp, _ := postJSON(t, ts.URL+"/v1/plan", req)
+			codes <- resp.StatusCode
+		}()
+	}
+	post(reqs[0])
+	<-started
+	post(reqs[1])
+	post(reqs[2])
+	waitFor(t, "two misses hold both wait-line places", func() bool {
+		return srv.limiter.waiting() == 2
+	})
+	if resp, body := postJSON(t, ts.URL+"/v1/plan", reqs[3]); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("miss past a full wait line: status %d: %s", resp.StatusCode, body)
+	}
+
+	proceed <- struct{}{}
+	if code := <-codes; code != http.StatusOK {
+		t.Fatalf("released run: status %d", code)
+	}
+	<-started
+	waitFor(t, "one miss runs and the other keeps its place", func() bool {
+		return srv.limiter.waiting() == 1
+	})
+	post(reqs[4])
+	post(reqs[5])
+	if code := <-codes; code != http.StatusTooManyRequests {
+		t.Fatalf("two misses for one free wait-line place: first answer %d, want 429", code)
+	}
+	releaseAll()
+	for range 3 {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("admitted miss: status %d", code)
+		}
+	}
+	if got := srv.Metrics().RejectedRequests; got != 2 {
+		t.Errorf("rejected %d requests, want 2", got)
+	}
+}
+
+// TestSameShapeUsesEveryWorker: a request that arrives while a run of
+// its shape holds one worker slot runs on another free slot, so one
+// shape's traffic is not held to one worker.
 func TestSameShapeUsesEveryWorker(t *testing.T) {
-	// The deadline turns a request that waits for the held batch into a
+	// The deadline turns a request that waits for the held run into a
 	// 503 rather than a hang.
 	srv := New(Options{Workers: 2, RequestTimeout: 10 * time.Second})
-	running, release := holdFirstBatch(srv)
+	running, release := holdFirstRun(srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer release()
 
-	reqs, _ := shareRequests(t, 0.2, 0.4)
+	reqs := shareRequests(0.2, 0.4)
 	first := make(chan int, 1)
 	go func() {
 		resp, _ := postJSON(t, ts.URL+"/v1/plan", reqs[0])
@@ -406,7 +412,7 @@ func TestSameShapeUsesEveryWorker(t *testing.T) {
 	}()
 	<-running
 	if resp, body := postJSON(t, ts.URL+"/v1/plan", reqs[1]); resp.StatusCode != http.StatusOK {
-		t.Fatalf("same-shape request beside a held batch: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("same-shape request beside a held run: status %d: %s", resp.StatusCode, body)
 	}
 	release()
 	if code := <-first; code != http.StatusOK {
@@ -414,13 +420,12 @@ func TestSameShapeUsesEveryWorker(t *testing.T) {
 	}
 }
 
-// TestGroupCommitStress runs concurrent clients over several plan
-// shapes, each asking distinct cheap-knob variants in its own order, so
-// batches of every size form and retire while other shapes run. Every
-// body must be byte-identical to rendering a fresh exp.Run, and once the
-// clients are done the batcher must have retired every shape and the
-// limiter must be back at zero.
-func TestGroupCommitStress(t *testing.T) {
+// TestPlanStress runs concurrent clients over several plan shapes, each
+// asking distinct cheap-knob variants in its own order, so same-shape
+// misses wait for and recycle each other's arenas while other shapes
+// run. Every body must be byte-identical to rendering a fresh exp.Run,
+// and once the clients are done the limiter must be back at zero.
+func TestPlanStress(t *testing.T) {
 	var reqs []PlanRequest
 	for _, base := range []PlanRequest{
 		{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain"}}},
@@ -446,7 +451,7 @@ func TestGroupCommitStress(t *testing.T) {
 		want[i] = RenderPlanResult(res)
 	}
 
-	// A one-body result cache sends nearly every request to the batcher.
+	// A one-body result cache sends nearly every request to the pool.
 	srv := New(Options{Workers: 2, Queue: 4096, CacheCapacity: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -469,13 +474,16 @@ func TestGroupCommitStress(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	waitFor(t, "batcher retired every shape and limiter drained", func() bool {
-		srv.batcher.mu.Lock()
-		defer srv.batcher.mu.Unlock()
-		return len(srv.batcher.waiting) == 0 && len(srv.limiter.slots) == 0 && srv.limiter.waiting() == 0
+	waitFor(t, "limiter drained", func() bool {
+		return len(srv.limiter.slots) == 0 && srv.limiter.waiting() == 0
 	})
-	if m := srv.Metrics(); m.Batch.Flushes == 0 {
-		t.Error("no request went through the batcher")
+	m := srv.Metrics()
+	runs := m.Sessions.Hits + m.Sessions.Misses
+	if runs == 0 {
+		t.Error("no request reached the session pool")
+	}
+	if m.Batch.Flushes != runs || m.Batch.BatchedRequests != runs {
+		t.Errorf("batch = %+v, want every one of the %d pooled runs counted as a batch of one", m.Batch, runs)
 	}
 }
 
@@ -895,20 +903,16 @@ func TestHostileKnobsRejected(t *testing.T) {
 }
 
 // TestSimulationPanicContained pins the panic boundary: a panic below
-// the request-validation layer surfaces as a 422, even when it fires in
-// the batcher's drain goroutine (outside net/http's recovery), and the
-// process keeps serving. The panic is injected through the same
-// recoverBatch seam production uses (runPooled = recoverBatch over
-// ExecuteBatch), so the delivery path — drain, flight, handler — is the
-// real one end to end.
+// the request-validation layer surfaces as a 422 and the process keeps
+// serving. The panic is injected through the executor runPooled calls,
+// inside its recovery, so the delivery path — slot, flight, handler — is
+// the real one end to end.
 func TestSimulationPanicContained(t *testing.T) {
 	// The executor is swapped before the server starts (goroutine
 	// creation is the happens-before edge), never while it serves.
 	srv := New(Options{Workers: 2})
-	srv.batcher.exec = func(cfgs []exp.RunConfig) []exp.BatchResult {
-		return recoverBatch(cfgs, func([]exp.RunConfig) []exp.BatchResult {
-			panic("injected simulation panic")
-		})
+	srv.exec = func(exp.RunConfig) (*exp.RunResult, error) {
+		panic("injected simulation panic")
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -922,19 +926,17 @@ func TestSimulationPanicContained(t *testing.T) {
 		t.Errorf("panic not surfaced in error body: %s", body)
 	}
 	// The panicking server must still answer — its process survived the
-	// drain-goroutine panic, and validation-level requests never reached
-	// the executor at all.
+	// panic, and validation-level requests never reached the executor at
+	// all.
 	if resp, _ := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "recompute", SplitRatio: 1}}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("validation on panicking server: status %d, want 400", resp.StatusCode)
 	}
-	// The panicked batch returned its slot and retired its shape, so the
-	// next request of that shape gets its own 422 instead of hanging.
+	// The panicked run returned its slot, so the next request of that
+	// shape gets its own 422 instead of hanging.
 	if resp, _ := postJSON(t, ts.URL+"/v1/plan", PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "recompute"}, Run: RunRequest{Steps: 3}}}); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("same shape after the panic: status %d, want 422", resp.StatusCode)
 	}
-	waitFor(t, "batcher and limiter drained after the panics", func() bool {
-		srv.batcher.mu.Lock()
-		defer srv.batcher.mu.Unlock()
-		return len(srv.batcher.waiting) == 0 && len(srv.limiter.slots) == 0 && srv.limiter.waiting() == 0
+	waitFor(t, "limiter drained after the panics", func() bool {
+		return len(srv.limiter.slots) == 0 && srv.limiter.waiting() == 0
 	})
 }

@@ -144,26 +144,10 @@ type stats struct {
 	peerFillMisses  atomic.Int64
 	cachefillHits   atomic.Int64
 	cachefillMisses atomic.Int64
-	// flushes/batched/maxBatch describe the batcher: batches run,
-	// requests that ran in them, and the largest batch.
-	flushes  atomic.Int64
-	batched  atomic.Int64
-	maxBatch atomic.Int64
 }
 
 func newStats(start time.Time, endpoints ...string) *stats {
 	return &stats{start: start, endpoints: NewEndpointRegistry(endpoints...)}
-}
-
-func (s *stats) recordBatch(n int) {
-	s.flushes.Add(1)
-	s.batched.Add(int64(n))
-	for {
-		cur := s.maxBatch.Load()
-		if int64(n) <= cur || s.maxBatch.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
 }
 
 // EndpointMetrics is one endpoint's snapshot in a /metrics response.
@@ -195,12 +179,13 @@ func cacheMetrics(hits, misses, evictions int64, length int) CacheMetrics {
 	return m
 }
 
-// BatchMetrics describes the /v1/plan batcher. Flushes counts the
-// batches run; the wire name predates group commit.
+// BatchMetrics is a wire shape kept for the clients that still read
+// it. Every pooled simulation runs alone, a batch of one, so both
+// fields count the session pool's acquires (Sessions.Hits +
+// Sessions.Misses).
 type BatchMetrics struct {
 	Flushes         int64 `json:"flushes"`
 	BatchedRequests int64 `json:"batched_requests"`
-	MaxBatch        int64 `json:"max_batch"`
 }
 
 // SpanMetrics snapshots the process-wide flight-recorder totals
