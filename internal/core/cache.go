@@ -46,6 +46,12 @@ type Config struct {
 	// NoDedup disables §III-C1 deduplication (ablation): every pack gets
 	// its own record and its own I/O, as with address-based identifiers.
 	NoDedup bool
+	// Footprint sizes the cache's tables for the graph it will run, so a
+	// fresh arena's first step fills them instead of regrowing them from
+	// empty: the record maps and record slabs for the tensors a
+	// micro-batch saves and the module tables for its blocks. The zero
+	// footprint leaves them to grow.
+	Footprint autograd.Footprint
 }
 
 // withDefaults fills unset fields.
@@ -159,7 +165,7 @@ type TensorCache struct {
 	recPool  []*record
 	freeRecs []map[TensorID]*record
 	reloads  []*tensor.Tensor
-	// recHint is the records a micro-batch makes at most (Presize): it
+	// recHint is the records a micro-batch makes at most (Footprint): it
 	// sizes each record map and each slab of records.
 	recHint int
 	// recSlab and reloadSlab are where new records and reload buffers
@@ -188,26 +194,19 @@ func NewTensorCache(cfg Config) *TensorCache {
 	if cfg.Runtime == nil || cfg.Offloader == nil {
 		panic("core: cache requires a runtime and an offloader")
 	}
+	f := cfg.Footprint
 	return &TensorCache{
 		cfg:         cfg,
 		rt:          cfg.Runtime,
 		off:         cfg.Offloader,
 		ids:         NewIDSource(),
 		keepLast:    make(map[*autograd.Module]bool),
-		moduleIndex: make(map[*autograd.Module]int),
+		recHint:     f.Saved,
+		moduleIndex: make(map[*autograd.Module]int, f.Blocks),
+		prevOrder:   make([]*autograd.Module, 0, f.Blocks),
+		spareOrder:  make([]*autograd.Module, 0, f.Blocks),
+		modHead:     make([]*record, 0, f.Blocks),
 	}
-}
-
-// Presize sizes the cache's tables for a graph's footprint, so a fresh
-// arena's first step fills them instead of regrowing them from empty:
-// the record maps and record slabs for the tensors a micro-batch saves
-// and the module tables for its blocks. Call it before the first step.
-func (c *TensorCache) Presize(f autograd.Footprint) {
-	c.recHint = f.Saved
-	c.moduleIndex = make(map[*autograd.Module]int, f.Blocks)
-	c.prevOrder = make([]*autograd.Module, 0, f.Blocks)
-	c.spareOrder = make([]*autograd.Module, 0, f.Blocks)
-	c.modHead = make([]*record, 0, f.Blocks)
 }
 
 // Reset rewinds the cache for a new measurement on a recycled arena under

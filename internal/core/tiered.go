@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"ssdtrain/internal/spans"
@@ -186,16 +185,26 @@ func NewTieredOffloader(policy PlacementPolicy, tiers ...Tier) *TieredOffloader 
 	if policy == nil {
 		policy = DRAMFirstPolicy()
 	}
-	names := make([]string, len(tiers))
-	for i, t := range tiers {
-		names[i] = t.Name()
-	}
 	return &TieredOffloader{
-		name:   "tiered(" + strings.Join(names, ",") + ")",
+		name:   tieredName(tiers),
 		tiers:  tiers,
 		policy: policy,
 		placed: make([]units.Bytes, len(tiers)),
 	}
+}
+
+// tieredName is the stack's diagnostic name, "tiered(a,b)", built in one
+// allocation.
+func tieredName(tiers []Tier) string {
+	var buf [64]byte
+	b := append(buf[:0], "tiered("...)
+	for i, t := range tiers {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, t.Name()...)
+	}
+	return string(append(b, ')'))
 }
 
 // Reset rebinds the hierarchy to a (possibly different) tier stack and
@@ -215,11 +224,7 @@ func (o *TieredOffloader) Reset(policy PlacementPolicy, tiers ...Tier) {
 	}
 	if !sameTiers(o.tiers, tiers) {
 		o.tiers = append(o.tiers[:0], tiers...)
-		names := make([]string, len(tiers))
-		for i, t := range tiers {
-			names[i] = t.Name()
-		}
-		o.name = "tiered(" + strings.Join(names, ",") + ")"
+		o.name = tieredName(tiers)
 	}
 	o.policy = policy
 	clear(o.where)

@@ -213,3 +213,20 @@ func TestPlanHierarchyBudgetDegenerates(t *testing.T) {
 		t.Error("mixed budget is zero")
 	}
 }
+
+// TestTieredName pins the stack's diagnostic name through a rebind to a
+// different stack, and that building it costs one allocation.
+func TestTieredName(t *testing.T) {
+	stack, dram, nvme := newStack(nil, units.GiB)
+	if got := stack.Name(); got != "tiered(/dev/shm,/mnt/md1)" {
+		t.Errorf("name %q", got)
+	}
+	stack.Reset(nil, nvme)
+	if got := stack.Name(); got != "tiered(/mnt/md1)" {
+		t.Errorf("rebound name %q", got)
+	}
+	tiers := []Tier{dram, nvme}
+	if n := testing.AllocsPerRun(10, func() { _ = tieredName(tiers) }); n != 1 {
+		t.Errorf("the name takes %v allocations, want 1", n)
+	}
+}

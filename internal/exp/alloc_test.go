@@ -136,11 +136,10 @@ func TestWarmExecuteAllocs(t *testing.T) {
 }
 
 // coldBaseline is what NewSession plus the first Execute allocated, in
-// bytes, for each allocCases config that converges and for the degrade
-// window, at 48 steps, before arenas were sized up front: the event log
-// and every side table grew from empty, copying themselves through a
-// chain of regrowths. Each is the fewest bytes over several runs on
-// go1.24.0.
+// bytes, for each allocCases config at 48 steps, before arenas were sized
+// up front: the event log and every side table grew from empty, copying
+// themselves through a chain of regrowths. Each is the fewest bytes over
+// several runs on go1.24.0.
 var coldBaseline = map[string]uint64{
 	"no-offload":               220984,
 	"recompute":                275288,
@@ -148,6 +147,7 @@ var coldBaseline = map[string]uint64{
 	"cpu-offload":              254840,
 	"hybrid/dram-first":        262632,
 	"hybrid/ssd-only":          262200,
+	"hybrid/split":             2421464,
 	"optim-offload/sync":       260672,
 	"optim-offload/overlap":    260672,
 	"ssdtrain/micro-batches-2": 448376,
@@ -188,14 +188,14 @@ func allocsOf(f func()) (objects, bytes uint64) {
 // its scratch before its first step and takes its tensors, names,
 // records, files and servers from a few slabs, so NewSession plus the
 // first Execute of a 48-step run allocate at most 60% of coldBaseline's
-// bytes and a quarter of coldObjects' objects, and the event log is left
-// holding at least four fifths of its capacity — sized for the steps the
-// run simulates, not for Steps. The object ceiling covers every
-// allocCases config. The byte bound and the log cover every config that
-// converges, and the degrade window, which simulates every step; the
-// split placement never converges and regrows its log past the horizon.
-// As in TestWarmExecuteAllocs, each count is the fewest over a few tries:
-// a side map may draw a hash seed that grows it early.
+// bytes and a quarter of coldObjects' objects. The allocator folds each
+// step's events into its report before the next step runs, so the event
+// log never outgrows the one step NewSession reserves: its capacity is
+// that reservation after the run, whether the run converges or not, and
+// after a run of ten times the steps with the fast path off. Every bound
+// covers every allocCases config. As in TestWarmExecuteAllocs, each
+// count is the fewest over a few tries: a side map may draw a hash seed
+// that grows it early.
 func TestColdSessionAllocs(t *testing.T) {
 	for _, c := range allocCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -206,20 +206,21 @@ func TestColdSessionAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			best, fewest := uint64(math.MaxUint64), uint64(math.MaxUint64)
-			var res *RunResult
+			var sess *Session
+			var reserved int
 			for try := 0; try < 5; try++ {
-				var sess *Session
 				objects, n := allocsOf(func() {
 					if sess, err = NewSession(plan); err == nil {
-						res, err = sess.Execute(cfg)
+						_, reserved = sess.rt.Alloc.Events()
+						_, err = sess.Execute(cfg)
 					}
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				best, fewest = min(best, n), min(fewest, objects)
-				if held, capacity := sess.rt.Alloc.Events(); 4*capacity > 5*held {
-					t.Errorf("the event log holds %d events in a capacity of %d", held, capacity)
+				if _, capacity := sess.rt.Alloc.Events(); capacity != reserved {
+					t.Errorf("the event log grew from the %d events NewSession reserved to %d", reserved, capacity)
 				}
 			}
 			if limit := coldObjects[c.name] / 4; fewest > limit {
@@ -227,13 +228,21 @@ func TestColdSessionAllocs(t *testing.T) {
 					fewest, coldObjects[c.name], limit)
 			}
 			base, ok := coldBaseline[c.name]
-			switch {
-			case ok:
-				if limit := base * 3 / 5; best > limit {
-					t.Errorf("a cold arena allocates %d B, more than 60%% of the %d B it took before sizing (%d B)", best, base, limit)
-				}
-			case res.SteadyState.ExtrapolatedSteps > 0:
-				t.Error("a converging config has no baseline")
+			if !ok {
+				t.Fatal("no baseline")
+			}
+			if limit := base * 3 / 5; best > limit {
+				t.Errorf("a cold arena allocates %d B, more than 60%% of the %d B it took before sizing (%d B)", best, base, limit)
+			}
+			t.Logf("%d objects, %d B, event log of %d", fewest, best, reserved)
+
+			long := cfg
+			long.Steps, long.SteadyState = 10*cfg.Steps, "off"
+			if _, err := sess.Execute(long); err != nil {
+				t.Fatal(err)
+			}
+			if _, capacity := sess.rt.Alloc.Events(); capacity != reserved {
+				t.Errorf("%d steps with the fast path off grew the event log from %d to %d", long.Steps, reserved, capacity)
 			}
 		})
 	}

@@ -36,11 +36,11 @@ import (
 // A cold arena follows the same rule. NewSession sizes every growable
 // table once, from the plan's footprint: the allocator's live set and
 // the lifetime table, the GDS registry, the tier stores, the cache's
-// record maps. The first Execute sizes the event log twice, for the
-// first step and then, from that step's exact count, for the steps the
-// run simulates; it never sizes for Steps, which the fast path mostly
-// synthesizes. So nothing regrows from empty, and the log keeps no
-// slack for an idle arena to hold. TestColdSessionAllocs pins it.
+// record maps, and the allocator's event log, for one step. One step is
+// all the log holds: each step's events fold into the run's memory
+// report before the next step runs, so the log does not grow with the
+// run's length. So nothing regrows from empty. TestColdSessionAllocs
+// pins it.
 //
 // The one exception is rare, on cold and warm arenas alike: entries churn
 // through the per-storage side tables (Go maps) every step, and with the
@@ -181,16 +181,17 @@ func NewSession(p *Plan) (*Session, error) {
 			Verify:          shape.Verify,
 			NoForwarding:    shape.NoForwarding,
 			NoDedup:         shape.NoDedup,
+			Footprint:       fp,
 		})
-		s.cache.Presize(fp)
 		hooks = s.cache
 	}
 
 	// The event log gets room for the weights and a first step: every
 	// storage the footprint counts allocated and freed in each
 	// micro-batch, plus a reload buffer per saved tensor when the arena
-	// offloads, plus the gradient buffers. runMeasurement sizes the rest
-	// of a run once that step has shown its exact count.
+	// offloads, plus the gradient buffers. That is all the room a run
+	// needs: runMeasurement folds each step's events out of the log
+	// before the next step runs.
 	reloads := 0
 	if s.cache != nil {
 		reloads = fp.Saved
@@ -378,31 +379,24 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 		tracker.reset()
 	}
 
-	// The event log is sized ahead of the steps, not by append's doubling,
-	// so a fresh arena allocates it about once and keeps no slack. The
-	// first step runs in the room NewSession reserved; its exact count
-	// then sizes the rest of the horizon: every step of a run that cannot
-	// extrapolate, else the warm-up and the two measured steps convergence
-	// needs. Below four measured steps the fast path could skip only one,
-	// so such a run reserves every step rather than risk a regrowth. A run
-	// that outlasts its horizon doubles its room in steps, never past its
-	// last step. A warm arena already has the room: each Reserve is a
-	// no-op.
-	total := cfg.Warmup + cfg.Steps
-	horizon := total
-	if tracker != nil && cfg.Steps > 3 {
-		horizon = cfg.Warmup + 2
-	}
-	logStart, perStep := rt.Alloc.EventMark(), 0
-	runStep := func() (StepMetrics, error) {
-		switch done := len(res.PerStep); {
-		case done == 1:
-			perStep = rt.Alloc.EventMark() - logStart
-			rt.Alloc.Reserve(perStep * (horizon - 1))
-		case done >= horizon:
-			if n, c := rt.Alloc.Events(); c-n < perStep {
-				rt.Alloc.Reserve(perStep * min(total-done, done))
-			}
+	// Each step's window folds into the allocator's running report just
+	// before the next step runs: every event the next step records lands
+	// at or after its start, which is this step's end. So the event log
+	// holds about one step whatever the run's length, and NewSession's
+	// one-step reservation is its only sizing. The last simulated step
+	// stays in the log, for Finalize and, as the exemplar, for
+	// ReplicateTail. The windows, simulated and synthesized, number
+	// Warmup + Steps, so their scratch never regrows mid-run.
+	s.windows = slices.Grow(s.windows[:0], cfg.Warmup+cfg.Steps)
+	wins := s.windows
+	simulated := 0
+	converged := false
+	for i := 0; i < cfg.Warmup+cfg.Steps; i++ {
+		if i > 0 {
+			rt.Alloc.FoldWindow(&wins[i-1])
+		}
+		if tracker != nil {
+			tracker.beginStep()
 		}
 		sr := exec.Run()
 		m := StepMetrics{
@@ -414,7 +408,7 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 		}
 		if cache != nil {
 			if err := cache.Err(); err != nil {
-				return m, fmt.Errorf("exp: offload failed in step %d: %w", len(res.PerStep)+1, err)
+				return fmt.Errorf("exp: offload failed in step %d: %w", i+1, err)
 			}
 			m.IO = cache.LastStep()
 			m.Stats.OffloadedBytes = m.IO.Offloaded
@@ -422,42 +416,21 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 			m.Stats.ForwardedBytes = m.IO.Forwarded
 		}
 		res.PerStep = append(res.PerStep, m)
-		return m, nil
-	}
-
-	for i := 0; i < cfg.Warmup; i++ {
-		if tracker != nil {
-			tracker.beginStep()
+		wins = append(wins, gpu.Window{Start: m.Start, End: m.End})
+		measured := i >= cfg.Warmup
+		if measured {
+			simulated++
 		}
-		m, err := runStep()
-		if err != nil {
-			return err
-		}
-		if tracker != nil {
-			tracker.fold(m, false)
-		}
-	}
-	simulated := 0
-	converged := false
-	for i := 0; i < cfg.Steps; i++ {
-		if tracker != nil {
-			tracker.beginStep()
-		}
-		m, err := runStep()
-		if err != nil {
-			return err
-		}
-		simulated++
-		if tracker == nil {
-			continue
-		}
-		if tracker.fold(m, true) {
+		// Warm-up steps fold too, so the first measured step's deltas
+		// cover exactly one step; only measured steps can match.
+		if tracker != nil && tracker.fold(m, measured) {
 			converged = true
 			break
 		}
 	}
 
 	res.SteadyState.SimulatedSteps = simulated
+	last := len(wins) - 1
 	switch {
 	case converged:
 		// The exemplar (last simulated) step is one exact cycle; synthesize
@@ -481,6 +454,7 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 				m.Start += time.Duration(j) * period
 				m.End += time.Duration(j) * period
 				res.PerStep = append(res.PerStep, m)
+				wins = append(wins, gpu.Window{Start: m.Start, End: m.End})
 			}
 		}
 		steadyGlobal.hits.Add(1)
@@ -499,12 +473,7 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 		steadyGlobal.fallbackNoConv.Add(1)
 	}
 
-	wins := slices.Grow(s.windows[:0], len(res.PerStep))
-	for _, m := range res.PerStep {
-		wins = append(wins, gpu.Window{Start: m.Start, End: m.End})
-	}
-	s.windows = wins
-	res.Mem = rt.Alloc.Finalize(wins)
+	res.Mem = rt.Alloc.Finalize(wins[last:])
 	for i, w := range wins {
 		m := &res.PerStep[i]
 		m.ActPeak, m.Stats.ActivationPeak = w.Act, w.Act
@@ -624,6 +593,12 @@ const DefaultMaxIdleSessions = 32
 type SessionPool struct {
 	mu   sync.Mutex
 	free map[*Plan][]*Session
+	// spare is the array of the last free list emptied, its slots
+	// cleared, for the next plan that gets an idle arena: an emptied list
+	// leaves the map, so the pool keeps no plan reachable that has no idle
+	// arena, and a run that pops a plan's one idle arena and releases it
+	// again reuses the array instead of allocating a new one.
+	spare []*Session
 	// fifo records the release order of idle sessions (one plan entry per
 	// idle session, oldest first), so a full pool evicts its oldest arena
 	// rather than refusing the newest. Eviction is what keeps a long-lived
@@ -709,11 +684,7 @@ func (sp *SessionPool) acquire(p *Plan) (*Session, error) {
 		sp.hits++
 		s := ss[len(ss)-1]
 		ss[len(ss)-1] = nil
-		if len(ss) == 1 {
-			delete(sp.free, p)
-		} else {
-			sp.free[p] = ss[:len(ss)-1]
-		}
+		sp.setFree(p, ss[:len(ss)-1])
 		// Drop one fifo entry for this plan (the newest, matching the
 		// popped session; any entry works — they are interchangeable).
 		// Delete clears the slot it vacates, so the fifo's array keeps no
@@ -742,17 +713,28 @@ func (sp *SessionPool) release(p *Plan, s *Session) {
 		sp.fifo = slices.Delete(sp.fifo, 0, 1)
 		sp.evictions++
 		if ss := sp.free[old]; len(ss) > 0 {
-			if len(ss) == 1 {
-				delete(sp.free, old)
-			} else {
-				copy(ss, ss[1:])
-				ss[len(ss)-1] = nil
-				sp.free[old] = ss[:len(ss)-1]
-			}
+			copy(ss, ss[1:])
+			ss[len(ss)-1] = nil
+			sp.setFree(old, ss[:len(ss)-1])
 		}
 	}
-	sp.free[p] = append(sp.free[p], s)
+	ss := sp.free[p]
+	if ss == nil {
+		ss, sp.spare = sp.spare, nil
+	}
+	sp.free[p] = append(ss, s)
 	sp.fifo = append(sp.fifo, p)
+}
+
+// setFree stores ss as plan p's free list, whose vacated slots the
+// caller has cleared. An empty list leaves the map and becomes the spare.
+func (sp *SessionPool) setFree(p *Plan, ss []*Session) {
+	if len(ss) > 0 {
+		sp.free[p] = ss
+		return
+	}
+	delete(sp.free, p)
+	sp.spare = ss
 }
 
 // Idle reports how many arenas the pool currently retains.

@@ -448,3 +448,26 @@ func TestSessionPoolForgetsPlans(t *testing.T) {
 		})
 	}
 }
+
+// TestSessionPoolReuseAllocs: popping a plan's one idle arena and
+// releasing it again, the common pooled run, allocates nothing. The
+// emptied free list's array waits unkeyed for the release instead of
+// being dropped with the plan's entry.
+func TestSessionPoolReuseAllocs(t *testing.T) {
+	plan, err := Compile(smallCfg(NoOffload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := NewSessionPool(2)
+	reuse := func() {
+		s, err := sp.acquire(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.release(plan, s)
+	}
+	reuse()
+	if n := testing.AllocsPerRun(10, reuse); n != 0 {
+		t.Errorf("a pooled acquire and release allocate %v objects", n)
+	}
+}

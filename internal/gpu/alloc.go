@@ -66,8 +66,10 @@ type memEvent struct {
 // Allocator is the device caching allocator model. Allocation and free
 // calls carry virtual timestamps; because the training executor computes
 // completion times out of chronological order (stores complete while later
-// ops are being issued), events are buffered and folded in time order at
-// Finalize.
+// ops are being issued), events are buffered and applied in time order:
+// FoldWindow applies those before a step's end once no later call can
+// land there, and Finalize the rest. The log holds only events not yet
+// applied, so its size follows a step, not the run.
 type Allocator struct {
 	capacity units.Bytes
 	events   []memEvent
@@ -75,6 +77,12 @@ type Allocator struct {
 	live     map[int64]memEvent
 	seq      int32
 	final    bool
+	// run is the levels and peaks after the events applied so far, and
+	// folded the time before which every event is applied (zero, where
+	// virtual time starts, until the first fold): a later Alloc or Free
+	// timed before it panics.
+	run    levelRun
+	folded time.Duration
 	// liveBytes/liveCount are running totals over live, kept by Alloc,
 	// Free and Reset so the per-step fold does not walk the map.
 	liveBytes units.Bytes
@@ -127,9 +135,8 @@ func (a *Allocator) PresizeLive(n int) {
 
 // Reserve makes room in the event log for n more events. A log that must
 // grow grows to exactly that size, not by append's doubling, so a fresh
-// arena that reserves each phase of a run up front never copies its log
-// through a chain of growths, and keeps no slack. A log with room is left
-// alone: a warm arena's Reserve allocates nothing.
+// arena that reserves its step up front keeps no slack. A log with room
+// is left alone.
 func (a *Allocator) Reserve(n int) {
 	if n <= cap(a.events)-len(a.events) {
 		return
@@ -154,17 +161,26 @@ func (a *Allocator) nextSeq() int32 {
 	return a.seq
 }
 
-// Reset discards the recorded run (events, live set, pending replication)
-// for reuse by a new simulation on the same arena. Attached hooks survive
-// — they are wiring, not run state — and the event buffer's capacity is
-// retained so a replayed run appends without growing.
+// Reset discards the recorded run (events, live set, folded levels,
+// pending replication) for reuse by a new simulation on the same arena.
+// Attached hooks survive — they are wiring, not run state — and the event
+// buffer's capacity is retained so a replayed run appends without growing.
 func (a *Allocator) Reset() {
 	a.events = a.events[:0]
 	clear(a.live)
 	a.liveBytes, a.liveCount = 0, 0
 	a.seq = 0
 	a.final = false
+	a.run, a.folded = levelRun{}, 0
 	a.replN = 0
+}
+
+// checkTime panics on an event timed before the folded point: its place
+// in the (at, seq) order has already been applied.
+func (a *Allocator) checkTime(at time.Duration) {
+	if at < a.folded {
+		panic(fmt.Sprintf("gpu: event at %v before the folded point %v", at, a.folded))
+	}
 }
 
 // Alloc records that storage s of the given class is resident from virtual
@@ -176,6 +192,7 @@ func (a *Allocator) Alloc(at time.Duration, s *tensor.Storage, class Class) {
 	if _, ok := a.live[s.Seq()]; ok {
 		panic(fmt.Sprintf("gpu: double alloc of storage %d", s.Seq()))
 	}
+	a.checkTime(at)
 	a.materializeRepl()
 	ev := memEvent{at: at, delta: s.Bytes(), class: class, seq: a.nextSeq()}
 	a.live[s.Seq()] = ev
@@ -204,6 +221,7 @@ func (a *Allocator) Free(at time.Duration, s *tensor.Storage) {
 		// allocation point. Clamp, as the CUDA caching allocator does.
 		at = ev.at
 	}
+	a.checkTime(at)
 	a.materializeRepl()
 	delete(a.live, s.Seq())
 	a.liveBytes -= ev.delta
@@ -224,7 +242,7 @@ func (a *Allocator) LiveCount() int { return a.liveCount }
 
 // EventMark returns a position in the event buffer; the half-open range
 // [mark, EventMark()) taken later identifies the events appended in
-// between. Marks are invalidated by Reset.
+// between. Marks are invalidated by Reset and FoldWindow.
 func (a *Allocator) EventMark() int { return len(a.events) }
 
 // FoldTail folds the events appended since mark into sig, with timestamps
@@ -330,7 +348,7 @@ func (r MemReport) PeakActivations() units.Bytes {
 }
 
 // Window is a half-open virtual-time interval [Start, End) of the run.
-// Finalize fills Total and Act with the highest total and
+// FoldWindow or Finalize fills Total and Act with the highest total and
 // activation-class levels reached in it, counting the level carried in
 // at Start: a training step's memory peaks (Fig 6b) when the window is
 // the step.
@@ -339,12 +357,36 @@ type Window struct {
 	Total, Act units.Bytes
 }
 
+// FoldWindow applies the buffered events before w.End in (at, seq) order
+// and fills w's peaks, keeping only the later events. The caller promises
+// that no event before w.End is still to come: a later Alloc or Free
+// timed before it panics. A training step's events land at or after the
+// step's start, and steps are contiguous, so a step's window folds once
+// the next step is about to run. Windows fold in order and must not
+// overlap; Finalize then takes the windows after the last folded one.
+// Marks taken before a fold are invalid after it.
+func (a *Allocator) FoldWindow(w *Window) {
+	if a.final {
+		panic("gpu: FoldWindow after Finalize")
+	}
+	if w.Start < a.folded {
+		panic(fmt.Sprintf("gpu: window at %v before the folded point %v", w.Start, a.folded))
+	}
+	a.materializeRepl()
+	evs := a.events
+	sortEvents(evs)
+	k := a.run.window(evs, w)
+	a.events = evs[:copy(evs, evs[k:])]
+	a.folded = w.End
+}
+
 // Finalize applies the buffered events in (at, seq) order, with any
-// pending replication in closed form, and returns the run's peaks. It
-// fills each window's peaks on the way; windows must be sorted by Start
-// and must not overlap. Finalize may be called once; further allocator
-// use panics, and so does a class level going negative, which only a
-// bug can produce.
+// pending replication in closed form, and returns the run's peaks,
+// counting the events FoldWindow applied before it. It fills each
+// window's peaks on the way; windows must be sorted by Start, must not
+// overlap, and must follow every folded one. Finalize may be called once;
+// further allocator use panics, and so does a class level going negative,
+// which only a bug can produce.
 func (a *Allocator) Finalize(windows []Window) MemReport {
 	if a.final {
 		panic("gpu: Finalize called twice")
@@ -366,34 +408,23 @@ func (a *Allocator) Finalize(windows []Window) MemReport {
 		evs = a.events
 		sortEvents(evs)
 	}
-	rep := MemReport{Capacity: a.capacity}
-	r := levelRun{rep: &rep}
+	r := &a.run
+	r.rep.Capacity = a.capacity
 	// One merged pass: windows and events are both sorted, so each window
 	// takes the level carried in at its start and the levels after the
 	// events inside it.
 	k := 0
 	for i := range windows {
-		w := &windows[i]
-		for k < len(evs) && evs[k].at < w.Start {
-			r.apply(evs[k])
-			k++
-		}
-		pk := r.levels()
-		for k < len(evs) && evs[k].at < w.End {
-			r.apply(evs[k])
-			k++
-			pk = pk.max(r.levels())
-		}
-		w.Total, w.Act = pk.total, pk.act
+		k += r.window(evs[k:], &windows[i])
 	}
 	for ; k < len(evs); k++ {
 		r.apply(evs[k])
 	}
 	if a.replN > 0 {
-		a.replicate(&r, evs, windows)
+		a.replicate(r, evs, windows)
 	}
-	rep.Overflowed = rep.PeakTotal > a.capacity
-	return rep
+	r.rep.Overflowed = r.rep.PeakTotal > a.capacity
+	return r.rep
 }
 
 func sortEvents(evs []memEvent) {
@@ -414,10 +445,10 @@ type levels struct{ total, act units.Bytes }
 func (l levels) max(o levels) levels { return levels{max(l.total, o.total), max(l.act, o.act)} }
 func (l levels) add(o levels) levels { return levels{l.total + o.total, l.act + o.act} }
 
-// levelRun is Finalize's running state over the real events: the levels
-// after the events applied so far, and the report's peaks.
+// levelRun is the running state over the real events: the levels after
+// the events applied so far, and the report's peaks.
 type levelRun struct {
-	rep     *MemReport
+	rep     MemReport
 	total   units.Bytes
 	byClass [classCount]units.Bytes
 }
@@ -438,6 +469,24 @@ func (r *levelRun) apply(ev memEvent) {
 
 func (r *levelRun) levels() levels { return levels{r.total, r.byClass[ClassActivations]} }
 
+// window applies the sorted events before w.End, fills w's peaks and
+// returns how many events it applied.
+func (r *levelRun) window(evs []memEvent, w *Window) int {
+	k := 0
+	for k < len(evs) && evs[k].at < w.Start {
+		r.apply(evs[k])
+		k++
+	}
+	pk := r.levels()
+	for k < len(evs) && evs[k].at < w.End {
+		r.apply(evs[k])
+		k++
+		pk = pk.max(r.levels())
+	}
+	w.Total, w.Act = pk.total, pk.act
+	return k
+}
+
 // replicate folds the replN pending copies of the cycle into the report
 // and the windows in closed form. evs is the sorted log, every event of
 // it applied. Copy j (1-based) applies the cycle shifted by j×period on
@@ -447,7 +496,7 @@ func (r *levelRun) levels() levels { return levels{r.total, r.byClass[ClassActiv
 // arithmetic keeps it exact. The strict comparisons reproduce an
 // event-by-event fold's first-occurrence tie-breaking.
 func (a *Allocator) replicate(r *levelRun, evs []memEvent, windows []Window) {
-	rep, n := r.rep, a.replN
+	rep, n := &r.rep, a.replN
 	// The cycle's events, compacted in (at, seq) order to the front of
 	// the log: the log is terminal, so the prefix it has applied is free
 	// room, and the cycle needs no copy.

@@ -11,6 +11,7 @@ package models
 
 import (
 	"fmt"
+	"strconv"
 
 	"ssdtrain/internal/tensor"
 )
@@ -161,9 +162,19 @@ func (c Config) ParamCount() int64 {
 	return layers*per + int64(c.Vocab)*h
 }
 
-// String renders the configuration the way the paper labels columns.
+// String renders the configuration the way the paper labels columns,
+// "gpt H8192 L4 B16", in one allocation: the service renders it into
+// every plan response.
 func (c Config) String() string {
-	return fmt.Sprintf("%s H%d L%d B%d", c.Arch, c.Hidden, c.Layers, c.Batch)
+	var buf [64]byte
+	b := append(buf[:0], c.Arch...)
+	b = append(b, " H"...)
+	b = strconv.AppendInt(b, int64(c.Hidden), 10)
+	b = append(b, " L"...)
+	b = strconv.AppendInt(b, int64(c.Layers), 10)
+	b = append(b, " B"...)
+	b = strconv.AppendInt(b, int64(c.Batch), 10)
+	return string(b)
 }
 
 // defaultVocab returns the padded per-architecture vocabulary.

@@ -2,6 +2,7 @@ package models
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -321,6 +322,20 @@ func TestValidateBoundsActivations(t *testing.T) {
 			if err := PaperConfig(arch, g[0], g[1], 64).Validate(); err != nil {
 				t.Errorf("%s %v: %v", arch, g, err)
 			}
+		}
+	}
+}
+
+// TestConfigString pins the column label's form and that it costs one
+// allocation, the string itself.
+func TestConfigString(t *testing.T) {
+	for _, c := range []Config{PaperConfig(GPT, 8192, 4, 16), PaperConfig(T5, 12288, 16, 2), {Arch: BERT, Hidden: -1}} {
+		want := fmt.Sprintf("%s H%d L%d B%d", c.Arch, c.Hidden, c.Layers, c.Batch)
+		if got := c.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = c.String() }); n != 1 {
+			t.Errorf("%v: String allocates %v objects, want 1", c, n)
 		}
 	}
 }

@@ -188,8 +188,14 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{cap: capacity, counts: make(map[string]int64)}
+	return &Recorder{cap: capacity, tracks: make([]string, 0, trackRoom), counts: make(map[string]int64)}
 }
+
+// trackRoom is the track table's first size. An arena registers 2 to 23
+// tracks on the strategy presets (the GPU's two, two per PCIe link and
+// tier queue, two per NVMe device, the optimizer's update), so its
+// registrations fill one table instead of doubling one from empty.
+const trackRoom = 32
 
 // Enabled reports whether the recorder is capturing. Safe on nil.
 func (r *Recorder) Enabled() bool { return r != nil && r.on }
