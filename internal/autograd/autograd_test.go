@@ -56,7 +56,7 @@ func toyGraph() *Graph {
 
 func newTestRuntime() *Runtime {
 	spec := gpu.A100PCIe()
-	return NewRuntime(spec)
+	return NewRuntime(spec, Footprint{})
 }
 
 func TestModuleTree(t *testing.T) {
@@ -330,8 +330,8 @@ func TestNoHooksPassthrough(t *testing.T) {
 }
 
 func TestLifetimesRelease(t *testing.T) {
-	alloc := gpu.NewAllocator(units.GiB)
-	life := NewLifetimes(alloc)
+	alloc := gpu.NewAllocator(units.GiB, 0)
+	life := NewLifetimes(alloc, 0)
 	s := tensor.NewStorage(100, tensor.GPU)
 	life.Alloc(time.Millisecond, s, gpu.ClassActivations)
 	life.Retain(s)

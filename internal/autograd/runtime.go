@@ -31,30 +31,24 @@ type Runtime struct {
 	ComputeTrack spans.TrackID
 }
 
-// NewRuntime builds a runtime for one GPU. Every substrate built later in
-// the arena takes Rec at construction and registers its tracks on it.
-func NewRuntime(spec gpu.Spec) *Runtime {
+// NewRuntime builds a runtime for one GPU, its allocator's live set and
+// lifetime table sized for a graph's footprint (the zero Footprint sizes
+// nothing). Every substrate built later in the arena takes Rec at
+// construction and registers its tracks on it.
+func NewRuntime(spec gpu.Spec, f Footprint) *Runtime {
 	rec := spans.NewRecorder(0)
-	alloc := gpu.NewAllocator(spec.Memory)
+	alloc := gpu.NewAllocator(spec.Memory, f.Live)
 	alloc.SetRecorder(rec)
 	return &Runtime{
-		Spec:         spec,
-		Cost:         gpu.DefaultCostModel(spec),
-		Alloc:        alloc,
-		Life:         NewLifetimes(alloc),
+		Spec:  spec,
+		Cost:  gpu.DefaultCostModel(spec),
+		Alloc: alloc,
+		// Only activations and workspace are released piecemeal: the
+		// weights and their gradients stay allocated.
+		Life:         NewLifetimes(alloc, f.Live-2*f.Weights),
 		Rec:          rec,
 		ComputeTrack: rec.RegisterTrack("gpu.compute"),
 	}
-}
-
-// Presize sizes the allocator's live set and the lifetime table for a
-// graph's footprint, so a fresh arena's first step fills them instead of
-// regrowing them from empty. Call it before the first allocation.
-func (rt *Runtime) Presize(f Footprint) {
-	rt.Alloc.PresizeLive(f.Live)
-	// Only activations and workspace are released piecemeal: the weights
-	// and their gradients stay allocated.
-	rt.Life.freeAt = make(map[int64]time.Duration, f.Live-2*f.Weights)
 }
 
 // Reset rewinds the whole simulated device for reuse by a new
@@ -81,9 +75,10 @@ type Lifetimes struct {
 	freeAt map[int64]time.Duration
 }
 
-// NewLifetimes creates a tracker bound to the allocator.
-func NewLifetimes(alloc *gpu.Allocator) *Lifetimes {
-	return &Lifetimes{alloc: alloc, freeAt: make(map[int64]time.Duration)}
+// NewLifetimes creates a tracker bound to the allocator, sized for n
+// storages pending release at once.
+func NewLifetimes(alloc *gpu.Allocator, n int) *Lifetimes {
+	return &Lifetimes{alloc: alloc, freeAt: make(map[int64]time.Duration, n)}
 }
 
 // Alloc registers the storage with the allocator at virtual time at and

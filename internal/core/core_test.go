@@ -60,14 +60,14 @@ type testRig struct {
 }
 
 func newRig() *testRig {
-	rt := autograd.NewRuntime(gpu.A100PCIe())
+	rt := autograd.NewRuntime(gpu.A100PCIe(), autograd.Footprint{})
 	link := pcie.NewLink(rt.Rec, "pcie0", pcie.DefaultGen4x16())
 	devs := []*ssd.Device{
 		ssd.NewDevice(rt.Rec, "n0", ssd.IntelP5800X16TB()),
 		ssd.NewDevice(rt.Rec, "n1", ssd.IntelP5800X16TB()),
 	}
 	arr := ssd.NewArray("/mnt/md1", 512*units.KiB, devs...)
-	off := NewSSDOffloader(rt.Rec, "/mnt/md1", link, arr, gds.NewRegistry())
+	off := NewSSDOffloader(rt.Rec, "/mnt/md1", link, arr, gds.NewRegistry(0))
 	return &testRig{rt: rt, off: off}
 }
 
@@ -402,7 +402,7 @@ func TestOffloaderBouncePath(t *testing.T) {
 }
 
 func TestCPUOffloaderPool(t *testing.T) {
-	rt := autograd.NewRuntime(gpu.A100PCIe())
+	rt := autograd.NewRuntime(gpu.A100PCIe(), autograd.Footprint{})
 	link := pcie.NewLink(rt.Rec, "pcie0", pcie.DefaultGen4x16())
 	o := NewCPUOffloader(rt.Rec, "/dev/shm", link, 0)
 	x := tensor.New("x", tensor.NewShape(1<<20), tensor.FP16, tensor.GPU)

@@ -156,16 +156,16 @@ type tierBase struct {
 // newTierBase wires the shared tier machinery; its store/load spans go
 // to rec (nil records nothing).
 func newTierBase(rec *spans.Recorder, name string, latency time.Duration, writeBW, readBW units.Bandwidth) tierBase {
-	return tierBase{
+	b := tierBase{
 		name:    name,
 		store:   ssd.NewBlockStore[TensorID](),
 		writeBW: writeBW,
 		readBW:  readBW,
 		latency: latency,
 		rec:     rec,
-		storeT:  rec.RegisterTrack(name + ".store"),
-		loadT:   rec.RegisterTrack(name + ".load"),
 	}
+	b.storeT, b.loadT = rec.RegisterPair(name, ".store", ".load")
+	return b
 }
 
 // reset clears the shared tier machinery — block store, both FIFO queues —
@@ -273,7 +273,7 @@ func gdsPathRates(link *pcie.Link, array *ssd.Array) (wb, rb units.Bandwidth) {
 // The effective rates are the path bottlenecks (gdsPathRates).
 func NewSSDOffloader(rec *spans.Recorder, name string, link *pcie.Link, array *ssd.Array, registry *gds.Registry) *SSDOffloader {
 	if registry == nil {
-		registry = gds.NewRegistry()
+		registry = gds.NewRegistry(0)
 	}
 	wb, rb := gdsPathRates(link, array)
 	return &SSDOffloader{

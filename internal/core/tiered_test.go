@@ -16,7 +16,7 @@ import (
 
 // newStack builds a two-rung DRAM+NVMe hierarchy for direct tier tests.
 func newStack(policy PlacementPolicy, dramCap units.Bytes) (*TieredOffloader, *CPUOffloader, *SSDOffloader) {
-	rt := autograd.NewRuntime(gpu.A100PCIe())
+	rt := autograd.NewRuntime(gpu.A100PCIe(), autograd.Footprint{})
 	host := pcie.NewLink(rt.Rec, "pcie-host", pcie.DefaultGen4x16())
 	dram := NewCPUOffloader(rt.Rec, "/dev/shm", host, dramCap)
 	link := pcie.NewLink(rt.Rec, "pcie0", pcie.DefaultGen4x16())
@@ -25,7 +25,7 @@ func newStack(policy PlacementPolicy, dramCap units.Bytes) (*TieredOffloader, *C
 		ssd.NewDevice(rt.Rec, "n1", ssd.IntelP5800X16TB()),
 	}
 	arr := ssd.NewArray("/mnt/md1", 512*units.KiB, devs...)
-	nvme := NewSSDOffloader(rt.Rec, "/mnt/md1", link, arr, gds.NewRegistry())
+	nvme := NewSSDOffloader(rt.Rec, "/mnt/md1", link, arr, gds.NewRegistry(0))
 	return NewTieredOffloader(policy, dram, nvme), dram, nvme
 }
 

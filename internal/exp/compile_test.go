@@ -52,7 +52,7 @@ func seedRun(t *testing.T, cfg RunConfig) *RunResult {
 	cfg = cfg.withDefaults()
 	mcfg := cfg.Model
 	mcfg.Checkpoint = cfg.Strategy == Recompute
-	rt := autograd.NewRuntime(cfg.GPU)
+	rt := autograd.NewRuntime(cfg.GPU, autograd.Footprint{})
 	graph, err := models.Build(mcfg, rt.Cost)
 	if err != nil {
 		t.Fatal(err)

@@ -168,8 +168,9 @@ type RunConfig struct {
 	// simulation has entered an exact cycle, so the remaining steps are
 	// extrapolated — step metrics shifted in time, tier/device byte
 	// counters (the §III-D wear ledger's inputs) and runtime counters
-	// advanced by per-cycle deltas, the memory event log replicated — with
-	// a RunResult byte-identical to full simulation. "" and "on" enable it
+	// advanced by per-cycle deltas, the last step's memory events
+	// repeated (Allocator.Repeat) — with a RunResult byte-identical to
+	// full simulation. "" and "on" enable it
 	// (the default); "off" forces full simulation. Runs fall back to full
 	// simulation on their own when Trace is set (recorded spans cannot be
 	// synthesized) or a fault spec is armed (a trigger could fire inside

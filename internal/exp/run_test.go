@@ -72,6 +72,41 @@ func TestSSDTrainReducesPeakKeepsTime(t *testing.T) {
 		base.StepTime(), off.StepTime(), ratio)
 }
 
+// TestOffloadAddsExactlyItsStall pins the modeled step's stall identity:
+// offloading activations lengthens a step by exactly the time compute
+// waited on reloads, StepTime(offload) − StepTime(no-offload) ==
+// ComputeStall, on the Fig 6 architectures over a grid of geometries, for
+// every activation-offload strategy (hybrid with a 1 GiB DRAM grant,
+// cpu-offload with its unbounded profiling pool).
+func TestOffloadAddsExactlyItsStall(t *testing.T) {
+	offload := []RunConfig{
+		{Strategy: SSDTrain},
+		{Strategy: CPUOffload},
+		{Strategy: HybridOffload, DRAMCapacity: units.GiB},
+	}
+	for _, arch := range []models.Arch{models.GPT, models.BERT, models.T5} {
+		for _, hidden := range []int{4096, 8192, 12288} {
+			for _, layers := range []int{2, 3, 4} {
+				m := models.PaperConfig(arch, hidden, layers, 16)
+				base, err := Run(RunConfig{Model: m, Strategy: NoOffload})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cfg := range offload {
+					cfg.Model = m
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d, stall := res.StepTime()-base.StepTime(), res.Measured.Stats.ComputeStall; d != stall {
+						t.Errorf("%v %s: step %v − no-offload %v = %v, stall %v", m, cfg.Strategy, res.StepTime(), base.StepTime(), d, stall)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWithDefaultsIdempotent pins the defaulting to be a fixed point:
 // Sweep dedups on the defaulted config and Run defaults it again, so any
 // non-idempotent mapping silently changes swept configs. The seed's

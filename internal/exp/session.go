@@ -33,14 +33,15 @@ import (
 // memory report and the counter snapshot are values inside the struct),
 // whatever its step count. TestWarmExecuteAllocs pins it.
 //
-// A cold arena follows the same rule. NewSession sizes every growable
-// table once, from the plan's footprint: the allocator's live set and
-// the lifetime table, the GDS registry, the tier stores, the cache's
+// A cold arena follows the same rule. NewSession builds every growable
+// table at its size, from the plan's footprint: the allocator's live set
+// and the lifetime table, the GDS registry, the tier stores, the cache's
 // record maps, and the allocator's event log, for one step. One step is
 // all the log holds: each step's events fold into the run's memory
-// report before the next step runs, so the log does not grow with the
-// run's length. So nothing regrows from empty. TestColdSessionAllocs
-// pins it.
+// report before the next step runs, and the steps a converged run
+// synthesizes repeat the last simulated one's (Allocator.Repeat), so the
+// log does not grow with the run's length. So nothing regrows from
+// empty. TestColdSessionAllocs pins it.
 //
 // The one exception is rare, on cold and warm arenas alike: entries churn
 // through the per-storage side tables (Go maps) every step, and with the
@@ -111,8 +112,7 @@ func NewSession(p *Plan) (*Session, error) {
 	// Every growable table is sized once from the plan's footprint, so
 	// the first step fills room instead of regrowing it from empty.
 	fp := p.footprint
-	rt := autograd.NewRuntime(shape.GPU)
-	rt.Presize(fp)
+	rt := autograd.NewRuntime(shape.GPU, fp)
 	graph := p.tmpl.CloneWithFreshWeights()
 	s := &Session{plan: p, rt: rt, graph: graph}
 
@@ -134,15 +134,16 @@ func NewSession(p *Plan) (*Session, error) {
 			// spec; Execute re-derates them per call's bandwidth share.
 			link = pcie.NewLink(rt.Rec, "pcie0", pcie.DefaultGen4x16())
 			array = ssd.NewArray("/mnt/md1", shape.SSD.Stripe, ssd.NewDevices(rt.Rec, shape.SSD.Spec, p.deviceNames()...)...)
-			registry := gds.NewRegistry()
+			// The malloc hook registers every allocation, so the registry
+			// mirrors the allocator's live set unless GDS is off.
+			live := fp.Live
+			if shape.DisableGDS {
+				live = 0
+			}
+			registry := gds.NewRegistry(live)
 			registry.SetRecorder(rt.Rec)
 			hook := gds.NewMallocHook(registry)
 			hook.Enabled = !shape.DisableGDS
-			if hook.Enabled {
-				// The hook registers every allocation: the registry mirrors
-				// the allocator's live set.
-				registry.Presize(fp.Live)
-			}
 			rt.Alloc.AddHook(hook)
 			s.ssdTier = core.NewSSDOffloader(rt.Rec, "/mnt/md1", link, array, registry)
 			s.ssdTier.Presize(fp.Saved)
@@ -154,7 +155,7 @@ func NewSession(p *Plan) (*Session, error) {
 			// rate, and SharedArray keeps the steady-state fast path from
 			// double-advancing the member devices' wear counters.
 			s.optimDRAM = core.NewCPUOffloader(rt.Rec, "optim-dram", host, 0)
-			s.optimNVMe = core.NewSSDOffloader(rt.Rec, "optim-nvme", link, array, gds.NewRegistry())
+			s.optimNVMe = core.NewSSDOffloader(rt.Rec, "optim-nvme", link, array, gds.NewRegistry(0))
 			s.optimNVMe.SharedArray = true
 			// Each weight's state, parameter and gradient blocks land on
 			// one of the two rungs; the other never makes its table.
@@ -384,9 +385,9 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 	// at or after its start, which is this step's end. So the event log
 	// holds about one step whatever the run's length, and NewSession's
 	// one-step reservation is its only sizing. The last simulated step
-	// stays in the log, for Finalize and, as the exemplar, for
-	// ReplicateTail. The windows, simulated and synthesized, number
-	// Warmup + Steps, so their scratch never regrows mid-run.
+	// stays in the log, for Finalize or, as the exemplar, for Repeat.
+	// The windows, simulated and synthesized, number Warmup + Steps, so
+	// their scratch never regrows mid-run.
 	s.windows = slices.Grow(s.windows[:0], cfg.Warmup+cfg.Steps)
 	wins := s.windows
 	simulated := 0
@@ -430,18 +431,21 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 	}
 
 	res.SteadyState.SimulatedSteps = simulated
-	last := len(wins) - 1
+	// unfolded is the windows Finalize fills: the last simulated step's,
+	// unless Repeat folds it with its repeats.
+	unfolded := wins[len(wins)-1:]
 	switch {
 	case converged:
 		// The exemplar (last simulated) step is one exact cycle; synthesize
 		// the remaining steps from it. The simulator's steps are contiguous
 		// in virtual time, so the cycle period is the exemplar's duration.
+		// The allocator repeats the exemplar's memory events over the
+		// synthesized steps' windows and folds them all.
 		r := cfg.Steps - simulated
 		res.SteadyState.ExtrapolatedSteps = r
 		if r > 0 {
 			ex := res.PerStep[len(res.PerStep)-1]
 			period := ex.End - ex.Start
-			rt.Alloc.ReplicateTail(tracker.allocMark, r, period)
 			if off != nil {
 				off.ExtrapolateCycles(int64(r))
 			}
@@ -456,6 +460,8 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 				res.PerStep = append(res.PerStep, m)
 				wins = append(wins, gpu.Window{Start: m.Start, End: m.End})
 			}
+			rt.Alloc.Repeat(tracker.allocMark, wins[len(wins)-r-1:])
+			unfolded = nil
 		}
 		steadyGlobal.hits.Add(1)
 		steadyGlobal.extrapolated.Add(uint64(r))
@@ -473,7 +479,7 @@ func (s *Session) runMeasurement(cfg RunConfig, res *RunResult) error {
 		steadyGlobal.fallbackNoConv.Add(1)
 	}
 
-	res.Mem = rt.Alloc.Finalize(wins[last:])
+	res.Mem = rt.Alloc.Finalize(unfolded)
 	for i, w := range wins {
 		m := &res.PerStep[i]
 		m.ActPeak, m.Stats.ActivationPeak = w.Act, w.Act

@@ -91,7 +91,8 @@ type steadyTracker struct {
 
 	// allocMark is the allocator event-log position at the current step's
 	// start; the tail from the mark is the step's own event block, folded
-	// into the signature and replicated verbatim on extrapolation.
+	// into the signature and, on extrapolation, the exemplar that
+	// Allocator.Repeat repeats.
 	allocMark int
 
 	prevBusy time.Duration

@@ -55,9 +55,11 @@ type Registry struct {
 	rec *spans.Recorder
 }
 
-// NewRegistry returns an empty registry with the default bounce penalty.
-func NewRegistry() *Registry {
-	return &Registry{registered: make(map[int64]bool), BouncePenalty: 0.5}
+// NewRegistry returns an empty registry with the default bounce penalty,
+// sized for n concurrent registrations, so a fresh arena's first step
+// fills the table instead of regrowing it from empty.
+func NewRegistry(n int) *Registry {
+	return &Registry{registered: make(map[int64]bool, n), BouncePenalty: 0.5}
 }
 
 // Reset forgets all registrations and zeroes the counters for reuse by a
@@ -69,11 +71,6 @@ func (r *Registry) Reset() {
 	r.registrations = 0
 	r.deregistrations = 0
 }
-
-// Presize sizes the registry for n concurrent registrations, so a fresh
-// arena's first step fills the table instead of regrowing it from empty.
-// Call it before the first Register.
-func (r *Registry) Presize(n int) { r.registered = make(map[int64]bool, n) }
 
 // SetRecorder attaches the flight recorder the registry reports
 // registration counters to.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRegistryBasics(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(0)
 	s := tensor.NewStorage(1024, tensor.GPU)
 	if r.IsRegistered(s) {
 		t.Error("fresh storage registered")
@@ -32,7 +32,7 @@ func TestRegistryBasics(t *testing.T) {
 }
 
 func TestEffectiveBandwidthDerating(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(0)
 	s := tensor.NewStorage(1024, tensor.GPU)
 	nominal := units.Bandwidth(20 * units.GBps)
 	if bw := r.EffectiveBandwidth(s, nominal); bw != 10*units.GBps {
@@ -45,7 +45,7 @@ func TestEffectiveBandwidthDerating(t *testing.T) {
 }
 
 func TestMallocHook(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(0)
 	h := NewMallocHook(r)
 	s := tensor.NewStorage(64, tensor.GPU)
 	h.OnAlloc(s)

@@ -68,8 +68,9 @@ type memEvent struct {
 // completion times out of chronological order (stores complete while later
 // ops are being issued), events are buffered and applied in time order:
 // FoldWindow applies those before a step's end once no later call can
-// land there, and Finalize the rest. The log holds only events not yet
-// applied, so its size follows a step, not the run.
+// land there, Repeat applies a step's repeats, and Finalize the rest.
+// The log holds only events not yet applied, so its size follows a
+// step, not the run.
 type Allocator struct {
 	capacity units.Bytes
 	events   []memEvent
@@ -88,29 +89,17 @@ type Allocator struct {
 	liveBytes units.Bytes
 	liveCount int
 
-	// replN > 0 marks a pending virtual replication (ReplicateTail): the
-	// replLen events numbered replSeq and up, the last cycle, repeat replN
-	// more times at replPeriod spacing, and Finalize applies the copies
-	// analytically, without ever materializing them. The cycle stays in
-	// the log, which Finalize sorts anyway, so the cycle is read back in
-	// (at, seq) order by its sequence numbers rather than copied out.
-	// replStart is its earliest event. A later Alloc or Free materializes
-	// the copies first so event ordering stays exact.
-	replSeq    int32
-	replLen    int
-	replStart  time.Duration
-	replN      int
-	replPeriod time.Duration
-
 	// rec/memT emit instant alloc/free events (named by class) when the
 	// flight recorder is on. Like the hooks, the wiring survives Reset.
 	rec  *spans.Recorder
 	memT spans.TrackID
 }
 
-// NewAllocator creates an allocator for a device with the given capacity.
-func NewAllocator(capacity units.Bytes) *Allocator {
-	return &Allocator{capacity: capacity, live: make(map[int64]memEvent), memT: -1}
+// NewAllocator creates an allocator for a device with the given capacity,
+// its live set sized for live storages, so a fresh arena's first step
+// fills the table instead of regrowing it from empty.
+func NewAllocator(capacity units.Bytes, live int) *Allocator {
+	return &Allocator{capacity: capacity, live: make(map[int64]memEvent, live), memT: -1}
 }
 
 // SetRecorder attaches the flight recorder and registers the allocator's
@@ -122,16 +111,6 @@ func (a *Allocator) SetRecorder(r *spans.Recorder) {
 
 // AddHook attaches an allocation observer.
 func (a *Allocator) AddHook(h AllocHook) { a.hooks = append(a.hooks, h) }
-
-// PresizeLive sizes the live set for n storages, so a fresh arena's
-// first step fills the table instead of regrowing it from empty. Call it
-// before the first Alloc.
-func (a *Allocator) PresizeLive(n int) {
-	if len(a.live) > 0 {
-		panic("gpu: PresizeLive on a live allocator")
-	}
-	a.live = make(map[int64]memEvent, n)
-}
 
 // Reserve makes room in the event log for n more events. A log that must
 // grow grows to exactly that size, not by append's doubling, so a fresh
@@ -161,10 +140,10 @@ func (a *Allocator) nextSeq() int32 {
 	return a.seq
 }
 
-// Reset discards the recorded run (events, live set, folded levels,
-// pending replication) for reuse by a new simulation on the same arena.
-// Attached hooks survive — they are wiring, not run state — and the event
-// buffer's capacity is retained so a replayed run appends without growing.
+// Reset discards the recorded run (events, live set, folded levels) for
+// reuse by a new simulation on the same arena. Attached hooks survive —
+// they are wiring, not run state — and the event buffer's capacity is
+// retained so a replayed run appends without growing.
 func (a *Allocator) Reset() {
 	a.events = a.events[:0]
 	clear(a.live)
@@ -172,7 +151,6 @@ func (a *Allocator) Reset() {
 	a.seq = 0
 	a.final = false
 	a.run, a.folded = levelRun{}, 0
-	a.replN = 0
 }
 
 // checkTime panics on an event timed before the folded point: its place
@@ -193,7 +171,6 @@ func (a *Allocator) Alloc(at time.Duration, s *tensor.Storage, class Class) {
 		panic(fmt.Sprintf("gpu: double alloc of storage %d", s.Seq()))
 	}
 	a.checkTime(at)
-	a.materializeRepl()
 	ev := memEvent{at: at, delta: s.Bytes(), class: class, seq: a.nextSeq()}
 	a.live[s.Seq()] = ev
 	a.liveBytes += ev.delta
@@ -222,7 +199,6 @@ func (a *Allocator) Free(at time.Duration, s *tensor.Storage) {
 		at = ev.at
 	}
 	a.checkTime(at)
-	a.materializeRepl()
 	delete(a.live, s.Seq())
 	a.liveBytes -= ev.delta
 	a.liveCount--
@@ -242,14 +218,14 @@ func (a *Allocator) LiveCount() int { return a.liveCount }
 
 // EventMark returns a position in the event buffer; the half-open range
 // [mark, EventMark()) taken later identifies the events appended in
-// between. Marks are invalidated by Reset and FoldWindow.
+// between. Marks are invalidated by Reset, FoldWindow and Repeat.
 func (a *Allocator) EventMark() int { return len(a.events) }
 
 // FoldTail folds the events appended since mark into sig, with timestamps
 // taken relative to origin, plus a summary of the live set. Two steps of a
 // periodic workload fold identically exactly when their allocation traffic
 // is a time-shifted copy — the property the steady-state fast path's
-// ReplicateTail relies on.
+// Repeat relies on.
 func (a *Allocator) FoldTail(sig *sim.Sig, mark int, origin time.Duration) {
 	tail := a.events[mark:]
 	sig.FoldInt(int64(len(tail)))
@@ -260,69 +236,6 @@ func (a *Allocator) FoldTail(sig *sim.Sig, mark int, origin time.Duration) {
 	}
 	sig.FoldInt(int64(a.liveCount))
 	sig.FoldInt(int64(a.liveBytes))
-}
-
-// ReplicateTail records that the events appended since mark repeat n more
-// times, copy j shifted by j×period. The copies are virtual: Finalize
-// applies them analytically — one cycle's level profile is computed once
-// and every copy's peaks, and every window's, follow from it by pure
-// arithmetic — which is what makes a 10k-step extrapolated run cost a few
-// warm-up steps instead of materializing millions of identical events.
-// The synthesized outcome is byte-identical to really appending the
-// copies: within a copy the events are applied in (at, seq) order, copies
-// cannot overlap when the cycle's span fits the period, and integer level
-// arithmetic is exact. A later Alloc or Free materializes the pending
-// copies first, and a cycle whose span exceeds the period (a backdated
-// event straddling blocks), or a period that is not positive, is
-// materialized immediately so overlapping copies still go through the
-// full sort.
-// Recorder spans and hooks do not fire for the copies: replication is only
-// used when the flight recorder is off, and hook-driven accounting is
-// extrapolated by the caller from per-cycle counter deltas.
-func (a *Allocator) ReplicateTail(mark, n int, period time.Duration) {
-	if a.final {
-		panic("gpu: ReplicateTail after Finalize")
-	}
-	a.materializeRepl()
-	tail := a.events[mark:]
-	if len(tail) == 0 || n <= 0 {
-		return
-	}
-	first, last := tail[0].at, tail[0].at
-	for _, ev := range tail[1:] {
-		first, last = min(first, ev.at), max(last, ev.at)
-	}
-	a.replSeq, a.replLen, a.replStart = tail[0].seq, len(tail), first
-	a.replN = n
-	a.replPeriod = period
-	if period <= 0 || last-first > period {
-		a.materializeRepl()
-	}
-}
-
-// materializeRepl turns a pending virtual replication into real events
-// (Finalize then sorts everything), restoring exact event-buffer
-// semantics for the rare callers that keep allocating after
-// ReplicateTail or replicate an over-long cycle. No-op without one.
-// Each copy's events take their numbers in the order the cycle's events
-// sit in the log. That is recording order, or (at, seq) order when
-// Finalize has sorted it, and both order events with equal times the
-// same way, so the sorted log comes out the same.
-func (a *Allocator) materializeRepl() {
-	if a.replN == 0 {
-		return
-	}
-	n, evs := a.replN, a.events
-	a.replN = 0
-	a.Reserve(n * a.replLen)
-	for j := 1; j <= n; j++ {
-		shift := time.Duration(j) * a.replPeriod
-		for _, ev := range evs {
-			if ev.seq >= a.replSeq {
-				a.events = append(a.events, memEvent{at: ev.at + shift, delta: ev.delta, class: ev.class, seq: a.nextSeq()})
-			}
-		}
-	}
 }
 
 // MemReport summarizes memory behaviour over a run.
@@ -348,10 +261,10 @@ func (r MemReport) PeakActivations() units.Bytes {
 }
 
 // Window is a half-open virtual-time interval [Start, End) of the run.
-// FoldWindow or Finalize fills Total and Act with the highest total and
-// activation-class levels reached in it, counting the level carried in
-// at Start: a training step's memory peaks (Fig 6b) when the window is
-// the step.
+// FoldWindow, Repeat or Finalize fills Total and Act with the highest
+// total and activation-class levels reached in it, counting the level
+// carried in at Start: a training step's memory peaks (Fig 6b) when the
+// window is the step.
 type Window struct {
 	Start, End time.Duration
 	Total, Act units.Bytes
@@ -372,7 +285,6 @@ func (a *Allocator) FoldWindow(w *Window) {
 	if w.Start < a.folded {
 		panic(fmt.Sprintf("gpu: window at %v before the folded point %v", w.Start, a.folded))
 	}
-	a.materializeRepl()
 	evs := a.events
 	sortEvents(evs)
 	k := a.run.window(evs, w)
@@ -380,13 +292,108 @@ func (a *Allocator) FoldWindow(w *Window) {
 	a.folded = w.End
 }
 
-// Finalize applies the buffered events in (at, seq) order, with any
-// pending replication in closed form, and returns the run's peaks,
-// counting the events FoldWindow applied before it. It fills each
-// window's peaks on the way; windows must be sorted by Start, must not
-// overlap, and must follow every folded one. Finalize may be called once;
-// further allocator use panics, and so does a class level going negative,
-// which only a bug can produce.
+// Repeat folds steps[0], the exemplar step whose events were recorded
+// since mark, and then steps[1:], its repeats: repeat j records the
+// exemplar's events shifted j periods on, the period being the
+// exemplar's length. It panics unless the steps are contiguous and one
+// period long each, and every exemplar event is timed at or after its
+// step's start, as a training step's are. Every step's window gets its
+// peaks; Finalize then takes none of them.
+//
+// When the exemplar leaves pending the events pending before it shifted
+// one period on, and nets every class to zero, each repeat applies the
+// exemplar's deltas in the exemplar's order from the exemplar's levels.
+// So it reaches the exemplar's peaks, it cannot raise the report (a peak
+// keeps its first occurrence), and it leaves the pending events one
+// period further on: Repeat copies the peaks and shifts the pending
+// events, recording nothing. Any other exemplar is repeated for real,
+// each repeat's events appended and folded, which is exact too.
+//
+// Recorder spans and hooks do not fire for repeats: the fast path runs
+// only with the flight recorder off, and its caller extrapolates
+// hook-driven accounting from per-cycle counter deltas.
+func (a *Allocator) Repeat(mark int, steps []Window) {
+	if a.final {
+		panic("gpu: Repeat after Finalize")
+	}
+	ex := steps[0]
+	period := ex.End - ex.Start
+	for j := 1; j < len(steps); j++ {
+		if steps[j].Start != steps[j-1].End || steps[j].End-steps[j].Start != period {
+			panic(fmt.Sprintf("gpu: repeat [%v, %v) is not the period after [%v, %v)", steps[j].Start, steps[j].End, steps[j-1].Start, steps[j-1].End))
+		}
+	}
+	cyc := a.events[mark:]
+	sortEvents(a.events[:mark])
+	sortEvents(cyc)
+	if len(cyc) > 0 && cyc[0].at < ex.Start {
+		panic(fmt.Sprintf("gpu: exemplar event at %v before its step's start %v", cyc[0].at, ex.Start))
+	}
+	if !a.periodic(mark, ex.End, period) {
+		cyc = slices.Clone(cyc)
+		a.FoldWindow(&steps[0])
+		for j := 1; j < len(steps); j++ {
+			shift := time.Duration(j) * period
+			for _, ev := range cyc {
+				a.events = append(a.events, memEvent{at: ev.at + shift, delta: ev.delta, class: ev.class, seq: a.nextSeq()})
+			}
+			a.FoldWindow(&steps[j])
+		}
+		return
+	}
+	a.FoldWindow(&steps[0])
+	for j := 1; j < len(steps); j++ {
+		steps[j].Total, steps[j].Act = steps[0].Total, steps[0].Act
+	}
+	shift := time.Duration(len(steps)-1) * period
+	for i := range a.events {
+		a.events[i].at += shift
+	}
+	a.folded = steps[len(steps)-1].End
+}
+
+// periodic reports whether the exemplar at events[mark:] nets every
+// class to zero and leaves pending past end the events before mark
+// shifted one period on. Both halves of the log are sorted; in the
+// (at, seq) order the fold applies, an event before mark precedes an
+// exemplar event at the same time.
+func (a *Allocator) periodic(mark int, end, period time.Duration) bool {
+	pre, cyc := a.events[:mark], a.events[mark:]
+	var net [classCount]units.Bytes
+	for _, ev := range cyc {
+		net[ev.class] += ev.delta
+	}
+	if net != [classCount]units.Bytes{} {
+		return false
+	}
+	pending := func(evs []memEvent) int {
+		i, _ := slices.BinarySearchFunc(evs, end, func(ev memEvent, t time.Duration) int { return cmp.Compare(ev.at, t) })
+		return i
+	}
+	i, k := pending(pre), pending(cyc)
+	if len(pre)-i+len(cyc)-k != len(pre) {
+		return false
+	}
+	for _, p := range pre {
+		var ev memEvent
+		if k == len(cyc) || i < len(pre) && pre[i].at <= cyc[k].at {
+			ev, i = pre[i], i+1
+		} else {
+			ev, k = cyc[k], k+1
+		}
+		if ev.at != p.at+period || ev.delta != p.delta || ev.class != p.class {
+			return false
+		}
+	}
+	return true
+}
+
+// Finalize applies the buffered events in (at, seq) order and returns
+// the run's peaks, counting the events FoldWindow and Repeat applied
+// before it. It fills each window's peaks on the way; windows must be
+// sorted by Start, must not overlap, and must follow every folded one.
+// Finalize may be called once; further allocator use panics, and so does
+// a class level going negative, which only a bug can produce.
 func (a *Allocator) Finalize(windows []Window) MemReport {
 	if a.final {
 		panic("gpu: Finalize called twice")
@@ -398,16 +405,6 @@ func (a *Allocator) Finalize(windows []Window) MemReport {
 	// budget.
 	evs := a.events
 	sortEvents(evs)
-	// A pending virtual replication (ReplicateTail) is valid only when the
-	// copies land strictly after every real event; an event sorting past
-	// the first copy's start would interleave, so fall back to really
-	// appending the copies and re-sorting. The span-fits-period check in
-	// ReplicateTail makes this unreachable in practice.
-	if a.replN > 0 && len(evs) > 0 && evs[len(evs)-1].at > a.replStart+a.replPeriod {
-		a.materializeRepl()
-		evs = a.events
-		sortEvents(evs)
-	}
 	r := &a.run
 	r.rep.Capacity = a.capacity
 	// One merged pass: windows and events are both sorted, so each window
@@ -419,9 +416,6 @@ func (a *Allocator) Finalize(windows []Window) MemReport {
 	}
 	for ; k < len(evs); k++ {
 		r.apply(evs[k])
-	}
-	if a.replN > 0 {
-		a.replicate(r, evs, windows)
 	}
 	r.rep.Overflowed = r.rep.PeakTotal > a.capacity
 	return r.rep
@@ -443,10 +437,9 @@ func sortEvents(evs []memEvent) {
 type levels struct{ total, act units.Bytes }
 
 func (l levels) max(o levels) levels { return levels{max(l.total, o.total), max(l.act, o.act)} }
-func (l levels) add(o levels) levels { return levels{l.total + o.total, l.act + o.act} }
 
-// levelRun is the running state over the real events: the levels after
-// the events applied so far, and the report's peaks.
+// levelRun is the running state over the events: the levels after the
+// events applied so far, and the report's peaks.
 type levelRun struct {
 	rep     MemReport
 	total   units.Bytes
@@ -485,206 +478,4 @@ func (r *levelRun) window(evs []memEvent, w *Window) int {
 	}
 	w.Total, w.Act = pk.total, pk.act
 	return k
-}
-
-// replicate folds the replN pending copies of the cycle into the report
-// and the windows in closed form. evs is the sorted log, every event of
-// it applied. Copy j (1-based) applies the cycle shifted by j×period on
-// top of the level base + (j-1)×net, where base is the level after the
-// real events and net the cycle's own: every level is affine in j, so
-// each peak is taken at the first or the last copy, and integer
-// arithmetic keeps it exact. The strict comparisons reproduce an
-// event-by-event fold's first-occurrence tie-breaking.
-func (a *Allocator) replicate(r *levelRun, evs []memEvent, windows []Window) {
-	rep, n := &r.rep, a.replN
-	// The cycle's events, compacted in (at, seq) order to the front of
-	// the log: the log is terminal, so the prefix it has applied is free
-	// room, and the cycle needs no copy.
-	cyc := evs[:0]
-	for _, ev := range evs {
-		if ev.seq >= a.replSeq {
-			cyc = append(cyc, ev)
-		}
-	}
-	// One pass over the cycle: its running levels and their maximum, the
-	// total's peak with its first time and class snapshot, and each
-	// class's net, highest and lowest running level.
-	var run levels
-	top := minLevels
-	var peakAt time.Duration
-	// net ends as each class's net per cycle; hi and lo start from the
-	// carry-in level, which is a real level too.
-	var net, hi, lo, peakSnap [classCount]units.Bytes
-	for _, ev := range cyc {
-		run = run.plus(ev)
-		net[ev.class] += ev.delta
-		hi[ev.class] = max(hi[ev.class], net[ev.class])
-		lo[ev.class] = min(lo[ev.class], net[ev.class])
-		if run.total > top.total {
-			peakAt, peakSnap = ev.at, net
-		}
-		top = top.max(run)
-	}
-
-	jStar := 1
-	if run.total > 0 {
-		jStar = n
-	}
-	if cand := r.total + units.Bytes(jStar-1)*run.total + top.total; cand > rep.PeakTotal {
-		rep.PeakTotal = cand
-		rep.PeakAt = peakAt + time.Duration(jStar)*a.replPeriod
-		for c := range rep.ClassAtTotalPeak {
-			rep.ClassAtTotalPeak[c] = r.byClass[c] + units.Bytes(jStar-1)*net[c] + peakSnap[c]
-		}
-	}
-	for c := Class(0); c < classCount; c++ {
-		jHi, jLo := 1, 1
-		if net[c] > 0 {
-			jHi = n
-		} else if net[c] < 0 {
-			jLo = n
-		}
-		rep.PeakByClass[c] = max(rep.PeakByClass[c], r.byClass[c]+units.Bytes(jHi-1)*net[c]+hi[c])
-		if low := r.byClass[c] + units.Bytes(jLo-1)*net[c] + lo[c]; low < 0 {
-			panic(fmt.Sprintf("gpu: %v level went negative (%v) in replicated cycle %d", c, low, jLo))
-		}
-	}
-
-	cp := copies{cyc: cyc, n: n, period: a.replPeriod, base: r.levels(), net: run, top: top, last: cut{i1: -1}}
-	first := cyc[0].at + a.replPeriod
-	for i := range windows {
-		w := &windows[i]
-		if w.End <= first {
-			continue
-		}
-		j1, i1 := cp.pos(w.Start)
-		j2, i2 := cp.pos(w.End)
-		k := cp.cutAt(i1, i2)
-		pk := levels{w.Total, w.Act}
-		if j1 > 1 || i1 > 0 {
-			// Copies precede the window, so its carry-in level is theirs.
-			pk = cp.offset(j1).add(k.carry)
-		}
-		if m, ok := cp.peak(j1, i1, j2, i2, k); ok {
-			pk = pk.max(m)
-		}
-		w.Total, w.Act = pk.total, pk.act
-	}
-}
-
-// minLevels is below any level: the first max with it takes the other
-// side.
-var minLevels = levels{math.MinInt64, math.MinInt64}
-
-// plus returns the levels after applying ev.
-func (l levels) plus(ev memEvent) levels {
-	l.total += ev.delta
-	if ev.class == ClassActivations {
-		l.act += ev.delta
-	}
-	return l
-}
-
-// copies views replN virtual copies of a cycle. Copies never overlap:
-// the cycle spans at most one period, so in (at, seq) order copy j's
-// events all precede copy j+1's, and a position in the replicated
-// stream is a (copy, index) pair.
-type copies struct {
-	cyc       []memEvent // the cycle in (at, seq) order
-	n         int
-	period    time.Duration
-	base, net levels
-	// top is the cycle's highest running levels.
-	top levels
-	// last is the last cut cutAt scanned; i1 -1 before the first.
-	last cut
-}
-
-// cut is what a window cutting each copy at indices i1 and i2 needs:
-// the running level carried in before i1, and the highest running levels
-// over [i1, n), over [0, i2) and over [i1, i2).
-type cut struct {
-	i1, i2               int
-	carry, suf, pre, mid levels
-}
-
-// cutAt scans the cycle once for cut (i1, i2). Step windows lie a whole
-// period apart, so they all cut the cycle at the same two indices: the
-// last cut is kept, and a run's windows cost one scan, not one each.
-func (c *copies) cutAt(i1, i2 int) cut {
-	if c.last.i1 == i1 && c.last.i2 == i2 {
-		return c.last
-	}
-	k := cut{i1: i1, i2: i2, suf: minLevels, pre: minLevels, mid: minLevels}
-	var run levels
-	for i, ev := range c.cyc {
-		if i == i1 {
-			k.carry = run
-		}
-		run = run.plus(ev)
-		if i >= i1 {
-			k.suf = k.suf.max(run)
-		}
-		if i < i2 {
-			k.pre = k.pre.max(run)
-			if i >= i1 {
-				k.mid = k.mid.max(run)
-			}
-		}
-	}
-	c.last = k
-	return k
-}
-
-// offset is the level copy j starts from.
-func (c *copies) offset(j int) levels {
-	k := units.Bytes(j - 1)
-	return levels{c.base.total + k*c.net.total, c.base.act + k*c.net.act}
-}
-
-// pos returns the position of the first copied event at or after t:
-// (n+1, 0) when every copy lies before t.
-func (c *copies) pos(t time.Duration) (j, i int) {
-	j = 1
-	if d := t - c.cyc[len(c.cyc)-1].at; d > 0 {
-		j = int((d-1)/c.period) + 1 // the first copy whose last event is at or after t
-	}
-	if j > c.n {
-		return c.n + 1, 0
-	}
-	i, _ = slices.BinarySearchFunc(c.cyc, t-time.Duration(j)*c.period, func(ev memEvent, t time.Duration) int {
-		return cmp.Compare(ev.at, t)
-	})
-	return j, i
-}
-
-// peak returns the highest levels at the copied events in positions
-// [(j1, i1), (j2, i2)), given the cut k those positions make; ok is
-// false when the range is empty. A copy the range covers partly
-// contributes a prefix or a suffix of the cycle, and the copies it covers
-// whole peak at one end of their run, so the cost is constant in the
-// number of copies.
-func (c *copies) peak(j1, i1, j2, i2 int, k cut) (m levels, ok bool) {
-	if j1 > j2 || j1 == j2 && i1 >= i2 {
-		return m, false
-	}
-	if j1 == j2 {
-		// pos never returns (j, n), so the range ends inside copy j.
-		return c.offset(j1).add(k.mid), true
-	}
-	m = c.offset(j1).add(k.suf)
-	if j2-j1 > 1 {
-		hiTotal, hiAct := j1+1, j1+1
-		if c.net.total > 0 {
-			hiTotal = j2 - 1
-		}
-		if c.net.act > 0 {
-			hiAct = j2 - 1
-		}
-		m = m.max(levels{c.offset(hiTotal).total + c.top.total, c.offset(hiAct).act + c.top.act})
-	}
-	if i2 > 0 {
-		m = m.max(c.offset(j2).add(k.pre))
-	}
-	return m, true
 }

@@ -36,8 +36,8 @@ type foldCall struct {
 // foldStream is a random allocator trace cut into contiguous windows:
 // a prefix recorded before the first window, then each window's calls,
 // each timed at or after its window's start and possibly past its end.
-// copies > 0 replicates the last window's calls that many more times,
-// one window length apart.
+// copies > 0 repeats the last window's calls that many more times, one
+// window length apart.
 type foldStream struct {
 	prefix  []foldCall
 	windows []Window
@@ -101,16 +101,21 @@ type foldRun struct {
 	panic   string
 }
 
-// run records the stream on a fresh allocator and finalizes it, folding
-// every window but the last on the way when fold is set. A panic is
-// returned, not raised: both ways must panic alike.
+// run records the stream on a fresh allocator and finalizes it. Folded,
+// it folds every window before the next one's calls and repeats the
+// last window's calls with Repeat; otherwise it issues every repeat for
+// real and finalizes the whole log at once. A repeat frees its own
+// copy of each storage the last window frees but did not allocate, so
+// the real run allocates those copies in the prefix, and so, to keep the
+// two logs alike, does the folded one. A panic is returned, not raised:
+// both ways must panic alike.
 func (s foldStream) run(t *testing.T, fold bool) (out foldRun) {
 	defer func() {
 		if r := recover(); r != nil {
 			out.panic = fmt.Sprint(r)
 		}
 	}()
-	a := NewAllocator(units.GiB)
+	a := NewAllocator(units.GiB, 0)
 	storages := map[int]*tensor.Storage{}
 	allocAt := map[int]time.Duration{}
 	issue := func(c foldCall) {
@@ -123,10 +128,40 @@ func (s foldStream) run(t *testing.T, fold bool) (out foldRun) {
 		allocAt[c.id] = c.at
 		a.Alloc(c.at, storages[c.id], c.class)
 	}
+	last := len(s.windows) - 1
+	allocs := map[int]foldCall{}
+	for _, calls := range append([][]foldCall{s.prefix}, s.calls...) {
+		for _, c := range calls {
+			if c.size > 0 {
+				allocs[c.id] = c
+			}
+		}
+	}
+	// carried[j][id] is repeat j's copy of storage id, freed by the last
+	// window but allocated before it.
+	carried := make([]map[int]*tensor.Storage, s.copies+1)
+	for j := 1; j <= s.copies; j++ {
+		carried[j] = map[int]*tensor.Storage{}
+		mine := map[int]bool{}
+		for _, c := range s.calls[last] {
+			if c.size > 0 {
+				mine[c.id] = true
+			} else if !mine[c.id] {
+				st := tensor.NewStorage(allocs[c.id].size, tensor.GPU)
+				a.Alloc(0, st, allocs[c.id].class)
+				carried[j][c.id] = st
+			}
+		}
+	}
 	for _, c := range s.prefix {
 		issue(c)
 	}
 	wins := append([]Window(nil), s.windows...)
+	period := wins[last].End - wins[last].Start
+	for j := 1; j <= s.copies; j++ {
+		shift := time.Duration(j) * period
+		wins = append(wins, Window{Start: wins[last].Start + shift, End: wins[last].End + shift})
+	}
 	mark := 0
 	for i, calls := range s.calls {
 		if fold && i > 0 {
@@ -138,20 +173,33 @@ func (s foldStream) run(t *testing.T, fold bool) (out foldRun) {
 			issue(c)
 		}
 	}
-	last := len(wins) - 1
-	if s.copies > 0 {
-		period := wins[last].End - wins[last].Start
-		a.ReplicateTail(mark, s.copies, period)
+	switch {
+	case fold && s.copies > 0:
+		a.Repeat(mark, wins[last:])
+		checkFoldedPoint(t, a, wins[len(wins)-1].End, storages, allocAt)
+		out.rep = a.Finalize(nil)
+	case fold:
+		out.rep = a.Finalize(wins[last:])
+	default:
 		for j := 1; j <= s.copies; j++ {
 			shift := time.Duration(j) * period
-			wins = append(wins, Window{Start: wins[last].Start + shift, End: wins[last].End + shift})
+			local := map[int]*tensor.Storage{}
+			for _, c := range s.calls[last] {
+				switch {
+				case c.size > 0:
+					local[c.id] = tensor.NewStorage(c.size, tensor.GPU)
+					a.Alloc(c.at+shift, local[c.id], c.class)
+				case local[c.id] != nil:
+					a.Free(c.at+shift, local[c.id])
+				default:
+					// The last window's free was clamped to the time its
+					// storage was allocated; so is the repeat's.
+					a.Free(max(c.at, allocs[c.id].at)+shift, carried[j][c.id])
+				}
+			}
 		}
+		out.rep = a.Finalize(wins)
 	}
-	first := 0
-	if fold {
-		first = last
-	}
-	out.rep = a.Finalize(wins[first:])
 	out.windows = wins
 	return out
 }
@@ -183,10 +231,10 @@ func checkFoldedPoint(t *testing.T, a *Allocator, folded time.Duration, storages
 	}
 }
 
-// checkFold is the fold's property: folding window by window and then
-// finalizing gives the same report and window peaks as one Finalize over
-// the whole log, with and without a pending replication, and the same
-// panic when a replicated cycle drives a level negative.
+// checkFold is the fold's property: folding window by window, repeating
+// the last window with Repeat, and then finalizing gives the same report
+// and window peaks as issuing every repeat for real and one Finalize
+// over the whole log.
 func checkFold(t *testing.T, in foldInput) {
 	s := decodeFoldStream(in)
 	for _, copies := range []int{0, s.copies} {
@@ -199,10 +247,10 @@ func checkFold(t *testing.T, in foldInput) {
 	}
 }
 
-// FuzzFoldMatchesFinalize pins FoldWindow against Finalize over random
-// streams cut into contiguous windows, each window's events recorded
-// during it and never before its start, and checks that a call timed
-// before the folded point panics.
+// FuzzFoldMatchesFinalize pins FoldWindow and Repeat against Finalize
+// over random streams cut into contiguous windows, each window's events
+// recorded during it and never before its start, and checks that a call
+// timed before the folded point panics.
 func FuzzFoldMatchesFinalize(f *testing.F) {
 	rng := rand.New(rand.NewPCG(26, 2408))
 	for range 64 {

@@ -91,7 +91,7 @@ func TestMatmulEfficiencyMonotoneProperty(t *testing.T) {
 }
 
 func TestAllocatorPeaks(t *testing.T) {
-	a := NewAllocator(units.GiB)
+	a := NewAllocator(units.GiB, 0)
 	s1 := tensor.NewStorage(400*units.MiB, tensor.GPU)
 	s2 := tensor.NewStorage(300*units.MiB, tensor.GPU)
 	s3 := tensor.NewStorage(200*units.MiB, tensor.GPU)
@@ -125,7 +125,7 @@ func TestAllocatorPeaks(t *testing.T) {
 func TestAllocatorOutOfOrderTimestamps(t *testing.T) {
 	// The executor frees storages at times computed out of host order;
 	// Finalize must sort them.
-	a := NewAllocator(units.GiB)
+	a := NewAllocator(units.GiB, 0)
 	s1 := tensor.NewStorage(100, tensor.GPU)
 	s2 := tensor.NewStorage(100, tensor.GPU)
 	a.Alloc(5*time.Millisecond, s1, ClassActivations)
@@ -137,7 +137,7 @@ func TestAllocatorOutOfOrderTimestamps(t *testing.T) {
 		t.Errorf("peak = %v (events not time-sorted?)", rep.PeakTotal)
 	}
 	// And a non-overlapping pair folds to a peak of one tensor.
-	a2 := NewAllocator(units.GiB)
+	a2 := NewAllocator(units.GiB, 0)
 	s3 := tensor.NewStorage(100, tensor.GPU)
 	s4 := tensor.NewStorage(100, tensor.GPU)
 	a2.Alloc(5*time.Millisecond, s3, ClassActivations)
@@ -150,7 +150,7 @@ func TestAllocatorOutOfOrderTimestamps(t *testing.T) {
 }
 
 func TestAllocatorStreamOrderedFreeClamp(t *testing.T) {
-	a := NewAllocator(units.GiB)
+	a := NewAllocator(units.GiB, 0)
 	s := tensor.NewStorage(100, tensor.GPU)
 	a.Alloc(5*time.Millisecond, s, ClassWorkspace)
 	// Host dropped the ref before the kernel ran; clamped to alloc time.
@@ -162,7 +162,7 @@ func TestAllocatorStreamOrderedFreeClamp(t *testing.T) {
 }
 
 func TestAllocatorDoubleAllocPanics(t *testing.T) {
-	a := NewAllocator(units.GiB)
+	a := NewAllocator(units.GiB, 0)
 	s := tensor.NewStorage(100, tensor.GPU)
 	a.Alloc(0, s, ClassWeights)
 	defer func() {
@@ -174,7 +174,7 @@ func TestAllocatorDoubleAllocPanics(t *testing.T) {
 }
 
 func TestAllocatorUnknownFreePanics(t *testing.T) {
-	a := NewAllocator(units.GiB)
+	a := NewAllocator(units.GiB, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("unknown free did not panic")
@@ -184,7 +184,7 @@ func TestAllocatorUnknownFreePanics(t *testing.T) {
 }
 
 func TestAllocatorOverflowDetection(t *testing.T) {
-	a := NewAllocator(100)
+	a := NewAllocator(100, 0)
 	s := tensor.NewStorage(200, tensor.GPU)
 	a.Alloc(0, s, ClassActivations)
 	rep := a.Finalize(nil)
@@ -199,7 +199,7 @@ func (h *countingHook) OnAlloc(*tensor.Storage) { h.allocs++ }
 func (h *countingHook) OnFree(*tensor.Storage)  { h.frees++ }
 
 func TestAllocatorHooks(t *testing.T) {
-	a := NewAllocator(units.GiB)
+	a := NewAllocator(units.GiB, 0)
 	h := &countingHook{}
 	a.AddHook(h)
 	s := tensor.NewStorage(100, tensor.GPU)
@@ -217,7 +217,7 @@ func TestAllocatorHooks(t *testing.T) {
 // and peak ≥ every class peak.
 func TestAllocatorPeakProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		a := NewAllocator(units.Bytes(1) << 40)
+		a := NewAllocator(units.Bytes(1)<<40, 0)
 		var storages []*tensor.Storage
 		at := time.Duration(0)
 		for i, sz := range sizes {

@@ -83,13 +83,9 @@ type Link struct {
 // NewLink creates an idle link whose transfers emit spans to rec (nil
 // records nothing).
 func NewLink(rec *spans.Recorder, name string, cfg LinkConfig) *Link {
-	return &Link{
-		cfg:   cfg,
-		name:  name,
-		rec:   rec,
-		downT: rec.RegisterTrack(name + ".down"),
-		upT:   rec.RegisterTrack(name + ".up"),
-	}
+	l := &Link{cfg: cfg, name: name, rec: rec}
+	l.downT, l.upT = rec.RegisterPair(name, ".down", ".up")
+	return l
 }
 
 // Config returns the link configuration.

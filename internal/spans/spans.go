@@ -230,6 +230,17 @@ func (r *Recorder) RegisterTrack(name string) TrackID {
 	return TrackID(len(r.tracks) - 1)
 }
 
+// RegisterPair registers the tracks name+a and name+b, the two
+// directions of one substrate, building both names in one allocation.
+func (r *Recorder) RegisterPair(name, a, b string) (TrackID, TrackID) {
+	if r == nil {
+		return -1, -1
+	}
+	names := name + a + name + b
+	n := len(name) + len(a)
+	return r.RegisterTrack(names[:n]), r.RegisterTrack(names[n:])
+}
+
 // Tracks returns the registered track names (shared slice; do not mutate).
 func (r *Recorder) Tracks() []string {
 	if r == nil {

@@ -98,6 +98,17 @@ func TestRegisterTrackIdempotent(t *testing.T) {
 	if got := r.RegisterTrack("pcie0.down"); got != a {
 		t.Fatalf("re-registration returned %d, want %d", got, a)
 	}
+	// A pair registers the same names, built in one allocation.
+	if down, up := r.RegisterPair("pcie0", ".down", ".up"); down != a || up != b {
+		t.Fatalf("pair registered %d, %d, want %d, %d", down, up, a, b)
+	}
+	st, ld := r.RegisterPair("/mnt/md1", ".store", ".load")
+	if names := r.Tracks(); names[st] != "/mnt/md1.store" || names[ld] != "/mnt/md1.load" {
+		t.Fatalf("pair named %q, %q", names[st], names[ld])
+	}
+	if n := testing.AllocsPerRun(10, func() { r.RegisterPair("pcie1", ".down", ".up") }); n != 1 {
+		t.Errorf("a pair takes %v allocations, want 1", n)
+	}
 }
 
 // chromeDoc mirrors the trace-event JSON object format.
