@@ -107,17 +107,6 @@ func TestGraphAccounting(t *testing.T) {
 	if g.WeightBytes() != units.Bytes(64*512*2) {
 		t.Errorf("weight bytes = %v", g.WeightBytes())
 	}
-	// 3 blocks × 2 ops × (1+2) GFLOP for saving ops… just check positive
-	// and equal to the sum of spec fields.
-	var want units.FLOPs
-	for _, b := range g.Blocks {
-		for i := range b.Ops {
-			want += b.Ops[i].FwdFLOPs + b.Ops[i].BwdFLOPs
-		}
-	}
-	if g.ModelFLOPsPerMicroBatch() != want {
-		t.Errorf("model flops = %v, want %v", g.ModelFLOPsPerMicroBatch(), want)
-	}
 }
 
 func TestSavedBytesDedup(t *testing.T) {
@@ -129,9 +118,9 @@ func TestSavedBytesDedup(t *testing.T) {
 		{Name: "a", OutShape: shape, OutDType: tensor.FP16, SaveOutput: true},
 		{Name: "b", OutShape: shape, OutDType: tensor.FP16, SaveInput: true},
 	}}
-	got := b.SavedBytes(0, nil)
-	if got != units.Bytes(1024*2) {
-		t.Errorf("saved bytes = %v, want one tensor (2048)", got)
+	got, largest := b.SavedBytes(0, nil)
+	if got != units.Bytes(1024*2) || largest != got {
+		t.Errorf("saved bytes = %v, largest %v, want one tensor (2048)", got, largest)
 	}
 }
 

@@ -115,10 +115,14 @@ func (b *Block) InputIndex(oi int) int {
 }
 
 // SavedBytes returns the total bytes this block registers for backward in
-// normal (non-checkpoint) execution, excluding weights. Duplicate
-// registrations of the same tensor (the dedup cases) are counted once.
-func (b *Block) SavedBytes(blockInBytes units.Bytes, extraBytes []units.Bytes) units.Bytes {
-	var total units.Bytes
+// normal (non-checkpoint) execution, excluding weights, and the largest
+// tensor among them. Duplicate registrations of the same tensor (the
+// dedup cases) are counted once.
+func (b *Block) SavedBytes(blockInBytes units.Bytes, extraBytes []units.Bytes) (total, largest units.Bytes) {
+	save := func(n units.Bytes) {
+		total += n
+		largest = max(largest, n)
+	}
 	// savedOut/savedIn/savedExtra dedup repeated registrations.
 	savedOut := make(map[int]bool)
 	savedIn := false
@@ -132,7 +136,7 @@ func (b *Block) SavedBytes(blockInBytes units.Bytes, extraBytes []units.Bytes) u
 	saveOut := func(j int) {
 		if j >= 0 && !savedOut[j] {
 			savedOut[j] = true
-			total += b.Ops[j].OutBytes()
+			save(b.Ops[j].OutBytes())
 		}
 	}
 	for i := range b.Ops {
@@ -142,7 +146,7 @@ func (b *Block) SavedBytes(blockInBytes units.Bytes, extraBytes []units.Bytes) u
 				saveOut(j)
 			} else if !savedIn {
 				savedIn = true
-				total += inBytes(i)
+				save(inBytes(i))
 			}
 		}
 		if op.SaveOutput {
@@ -153,20 +157,20 @@ func (b *Block) SavedBytes(blockInBytes units.Bytes, extraBytes []units.Bytes) u
 		}
 		if op.SaveBlockInput && !savedIn {
 			savedIn = true
-			total += blockInBytes
+			save(blockInBytes)
 		}
 		if k := op.SaveExtra1 - 1; k >= 0 && k < len(extraBytes) && !savedExtra[k] {
 			savedExtra[k] = true
-			total += extraBytes[k]
+			save(extraBytes[k])
 		}
 		if op.SaveMask {
-			total += units.Bytes(op.OutShape.NumElems()) // bool mask
+			save(units.Bytes(op.OutShape.NumElems())) // bool mask
 		}
 		if op.SaveStatsElems > 0 {
-			total += units.Bytes(op.SaveStatsElems * 4)
+			save(units.Bytes(op.SaveStatsElems * 4))
 		}
 	}
-	return total
+	return total, largest
 }
 
 // FwdFLOPs sums the block's forward work.
@@ -337,15 +341,4 @@ func (g *Graph) WeightBytes() units.Bytes {
 		n += w.Bytes()
 	}
 	return n
-}
-
-// ModelFLOPsPerMicroBatch returns forward+backward algorithmic work.
-func (g *Graph) ModelFLOPsPerMicroBatch() units.FLOPs {
-	var f units.FLOPs
-	for _, b := range g.Blocks {
-		for i := range b.Ops {
-			f += b.Ops[i].FwdFLOPs + b.Ops[i].BwdFLOPs
-		}
-	}
-	return f
 }

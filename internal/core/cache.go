@@ -12,17 +12,20 @@ import (
 	"ssdtrain/internal/units"
 )
 
+// minElems is the small-tensor passthrough threshold in elements (Alg. 1
+// line 2: math.prod(t.size()) < 2**20).
+const minElems = 1 << 20
+
 // Config configures the tensor cache.
 type Config struct {
-	Runtime   *autograd.Runtime
-	Offloader Offloader
+	Runtime *autograd.Runtime
+	// Offloader is the tier stack the cache writes to; a single-target
+	// cache is a one-rung stack.
+	Offloader *TieredOffloader
 	// Budget bounds the bytes submitted for offload per micro-batch
 	// (Alg. 1's is_offload_amount_reached); 0 offloads nothing. Use
 	// PlanHierarchyBudget to derive it from the Fig 3 workflow inputs.
 	Budget units.Bytes
-	// MinElems is the small-tensor passthrough threshold in elements
-	// (Alg. 1 line 2: math.prod(t.size()) < 2**20).
-	MinElems int64
 	// HostCost is the CPU time per hook invocation, charged to host time.
 	HostCost time.Duration
 	// PrefetchAhead is how many upcoming modules to prefetch when entering
@@ -56,9 +59,6 @@ type Config struct {
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.MinElems == 0 {
-		c.MinElems = 1 << 20
-	}
 	if c.HostCost == 0 {
 		c.HostCost = 15 * time.Microsecond
 	}
@@ -131,7 +131,7 @@ type StepIO struct {
 type TensorCache struct {
 	cfg Config
 	rt  *autograd.Runtime
-	off Offloader
+	off *TieredOffloader
 	ids *IDSource
 
 	// Per-micro-batch state (the paper's per-micro-batch records, ② in
@@ -188,7 +188,7 @@ type TensorCache struct {
 	err error
 }
 
-// NewTensorCache builds a cache bound to a runtime and an offloader.
+// NewTensorCache builds a cache bound to a runtime and a tier stack.
 func NewTensorCache(cfg Config) *TensorCache {
 	cfg = cfg.withDefaults()
 	if cfg.Runtime == nil || cfg.Offloader == nil {
@@ -526,7 +526,7 @@ func (c *TensorCache) Pack(t *tensor.Tensor, producedAt, hostNow time.Duration) 
 		c.rt.Counters.Add(trace.CacheWeightSkips, 1)
 		return t
 	}
-	if t.NumElems() < c.cfg.MinElems {
+	if t.NumElems() < minElems {
 		c.rt.Counters.Add(trace.CacheSmallSkips, 1)
 		return t
 	}
@@ -716,8 +716,5 @@ func (c *TensorCache) LastStep() StepIO { return c.last }
 
 // Totals returns cumulative I/O across steps.
 func (c *TensorCache) Totals() StepIO { return c.totals }
-
-// Offloader returns the cache's offload target.
-func (c *TensorCache) Offloader() Offloader { return c.off }
 
 var _ autograd.Hooks = (*TensorCache)(nil)

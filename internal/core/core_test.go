@@ -53,7 +53,9 @@ func TestFileNameStable(t *testing.T) {
 	}
 }
 
-// testRig wires a runtime plus SSD offloader for cache tests.
+// testRig wires a runtime plus SSD offloader for cache tests; newCache
+// hands the cache the SSD rung as a one-rung stack, as every production
+// arena does.
 type testRig struct {
 	rt  *autograd.Runtime
 	off *SSDOffloader
@@ -77,7 +79,7 @@ const noLimit = units.Bytes(1) << 62
 
 func newCache(rig *testRig, cfg Config) *TensorCache {
 	cfg.Runtime = rig.rt
-	cfg.Offloader = rig.off
+	cfg.Offloader = NewTieredOffloader(1, rig.off)
 	return NewTensorCache(cfg)
 }
 
@@ -413,7 +415,7 @@ func TestCPUOffloaderPool(t *testing.T) {
 	o.Delete(TensorID{Stamp: 1, ShapeHash: 0xa})
 	// Fix the pool just under two tensors; one fits, a second overflows
 	// with a typed error (the seed panicked the whole process here).
-	o.SetCapacity(x.Bytes() + x.Bytes()/2)
+	o.Reset(x.Bytes() + x.Bytes()/2)
 	if _, _, err := o.Store(TensorID{Stamp: 2, ShapeHash: 0xb}, x, 0); err != nil {
 		t.Fatalf("in-capacity store failed: %v", err)
 	}

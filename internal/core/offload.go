@@ -24,12 +24,28 @@ const (
 	spanLoad        = "load"
 )
 
-// Offloader moves tensor payloads between GPU memory and an offload
-// target. Implementations provide two FIFO queues — one for stores, one
-// for loads — matching the cache's two thread pools (§III-C2). All times
-// are virtual; Store/Load return when the transfer's data is fully on the
-// target/GPU.
-type Offloader interface {
+// TierKind classifies a tier's medium for routing, budget planning and
+// reporting.
+type TierKind string
+
+// Tier kinds.
+const (
+	// TierDRAM is a pinned host-memory pool reached over the PCIe host
+	// DMA path.
+	TierDRAM TierKind = "dram"
+	// TierNVMe is an NVMe array reached over the GDS peer-to-peer path.
+	TierNVMe TierKind = "nvme"
+)
+
+// Tier is one rung of the offload hierarchy: a target that moves tensor
+// payloads between GPU memory and its medium. Each rung has two FIFO
+// queues — one for stores, one for loads — matching the cache's two
+// thread pools (§III-C2), exposes its medium, capacity and residency for
+// routing and budget planning, and folds its per-step state for the
+// steady-state fast path. All times are virtual; Store/Load return when
+// the transfer's data is fully on the target/GPU. The SSD and pinned
+// host-memory offloaders implement it; TieredOffloader stacks them.
+type Tier interface {
 	// Name identifies the target (e.g. "/mnt/md1").
 	Name() string
 	// Store writes t to the target under the ID's file name, starting no
@@ -53,36 +69,23 @@ type Offloader interface {
 	BytesRead() units.Bytes
 	// PeakResident is the high-water mark of bytes live on the target.
 	PeakResident() units.Bytes
-}
-
-// TierKind classifies a tier's medium for placement policies, budget
-// planning and reporting.
-type TierKind string
-
-// Tier kinds.
-const (
-	// TierDRAM is a pinned host-memory pool reached over the PCIe host
-	// DMA path.
-	TierDRAM TierKind = "dram"
-	// TierNVMe is an NVMe array reached over the GDS peer-to-peer path.
-	TierNVMe TierKind = "nvme"
-)
-
-// Tier is one rung of the offload hierarchy: an Offloader that also
-// exposes its medium, capacity and current residency so placement
-// policies can route tensors across a stack of tiers, and folds its
-// per-step state for the steady-state fast path. Both single-target
-// offloaders (SSD, pinned host memory) implement it; TieredOffloader
-// composes them.
-type Tier interface {
-	Offloader
-	SteadySupport
 	// Kind classifies the tier's medium.
 	Kind() TierKind
 	// Capacity is the tier's byte capacity; 0 means unbounded.
 	Capacity() units.Bytes
 	// Used is the bytes currently resident on the tier.
 	Used() units.Bytes
+	// FoldCycle folds the tier's state delta since the previous fold into
+	// sig — cumulative counter growth, queue busy growth, and backlog
+	// horizons relative to the step's start (sim.Sig.FoldHorizon) — and
+	// remembers the deltas. Two consecutive steps that fold identically
+	// (together with the executor-side signature) are a steady cycle.
+	FoldCycle(sig *sim.Sig, origin time.Duration)
+	// ExtrapolateCycles advances the cumulative accounting by n further
+	// cycles of the remembered deltas without simulating them. A run with
+	// an armed fault spec never folds: its wear ledger needs the real
+	// write stream, so the harness simulates it in full.
+	ExtrapolateCycles(n int64)
 }
 
 // OverflowError reports a bounded tier refusing a store that would
@@ -182,25 +185,25 @@ func (b *tierBase) reset() {
 // first store.
 func (b *tierBase) Presize(n int) { b.store.Presize(n) }
 
-// Name implements Offloader.
+// Name implements Tier.
 func (b *tierBase) Name() string { return b.name }
 
-// Delete implements Offloader.
+// Delete implements Tier.
 func (b *tierBase) Delete(id TensorID) { b.store.Delete(id) }
 
-// WriteBandwidth implements Offloader.
+// WriteBandwidth implements Tier.
 func (b *tierBase) WriteBandwidth() units.Bandwidth { return b.writeBW }
 
-// ReadBandwidth implements Offloader.
+// ReadBandwidth implements Tier.
 func (b *tierBase) ReadBandwidth() units.Bandwidth { return b.readBW }
 
-// BytesWritten implements Offloader.
+// BytesWritten implements Tier.
 func (b *tierBase) BytesWritten() units.Bytes { return b.store.Written() }
 
-// BytesRead implements Offloader.
+// BytesRead implements Tier.
 func (b *tierBase) BytesRead() units.Bytes { return b.store.Read() }
 
-// PeakResident implements Offloader.
+// PeakResident implements Tier.
 func (b *tierBase) PeakResident() units.Bytes { return b.store.PeakUsed() }
 
 // Used implements Tier.
@@ -376,7 +379,7 @@ func (o *SSDOffloader) Kind() TierKind { return TierNVMe }
 // activation working sets (tens of TB vs tens of GB).
 func (o *SSDOffloader) Capacity() units.Bytes { return 0 }
 
-// Store implements Offloader.
+// Store implements Tier.
 func (o *SSDOffloader) Store(id TensorID, t *tensor.Tensor, ready time.Duration) (time.Duration, time.Duration, error) {
 	n := t.Bytes()
 	bw := o.registry.EffectiveBandwidth(t.Storage(), o.writeBW)
@@ -414,7 +417,7 @@ func (o *SSDOffloader) Store(id TensorID, t *tensor.Tensor, ready time.Duration)
 	return start, finish, nil
 }
 
-// Load implements Offloader.
+// Load implements Tier.
 func (o *SSDOffloader) Load(id TensorID, ready time.Duration) (time.Duration, time.Duration, []byte, error) {
 	n, ok := o.store.Size(id)
 	if !ok {
@@ -469,9 +472,6 @@ func NewCPUOffloader(rec *spans.Recorder, name string, link *pcie.Link, capacity
 	}
 }
 
-// SetCapacity fixes the pool size after profiling.
-func (o *CPUOffloader) SetCapacity(n units.Bytes) { o.capacity = n }
-
 // Reset clears the tier for reuse by a new simulation and installs the
 // new run's pool capacity (0 returns to profiling mode).
 func (o *CPUOffloader) Reset(capacity units.Bytes) {
@@ -487,7 +487,7 @@ func (o *CPUOffloader) Kind() TierKind { return TierDRAM }
 // Capacity implements Tier: the configured pool size (0 = profiling).
 func (o *CPUOffloader) Capacity() units.Bytes { return o.capacity }
 
-// Store implements Offloader.
+// Store implements Tier.
 func (o *CPUOffloader) Store(id TensorID, t *tensor.Tensor, ready time.Duration) (time.Duration, time.Duration, error) {
 	n := t.Bytes()
 	// Overwrites replace the existing file in place, so the capacity
@@ -508,7 +508,7 @@ func (o *CPUOffloader) Store(id TensorID, t *tensor.Tensor, ready time.Duration)
 	return start, finish, nil
 }
 
-// Load implements Offloader.
+// Load implements Tier.
 func (o *CPUOffloader) Load(id TensorID, ready time.Duration) (time.Duration, time.Duration, []byte, error) {
 	n, ok := o.store.Size(id)
 	if !ok {

@@ -34,11 +34,11 @@ func (k OptimKind) StateBytes(param units.Bytes) units.Bytes {
 	return 6 * param
 }
 
-// DefaultHostUpdateBandwidth is the host update engine's effective memory
+// hostUpdateBandwidth is the host update engine's effective memory
 // bandwidth: the streaming rate of a vectorized CPU optimizer (the
 // ZeRO-Offload CPU-Adam regime), well below DRAM peak because the update
 // is a strided read-modify-write over several buffers at once.
-const DefaultHostUpdateBandwidth = 24 * units.GBps
+const hostUpdateBandwidth = 24 * units.GBps
 
 // OptimConfig configures the offloaded-optimizer pipeline for one run.
 type OptimConfig struct {
@@ -48,9 +48,6 @@ type OptimConfig struct {
 	// for resident state; weights that do not fit keep their states on the
 	// NVMe rung.
 	DRAMGrant units.Bytes
-	// HostUpdateBandwidth overrides the update engine's memory bandwidth
-	// (0 = DefaultHostUpdateBandwidth).
-	HostUpdateBandwidth units.Bandwidth
 }
 
 // OptimPlacement summarizes where Register put the optimizer working set
@@ -123,7 +120,6 @@ type OptimOffloader struct {
 	nvme Tier
 
 	cfg     OptimConfig
-	updBW   units.Bandwidth
 	weights []optimWeight
 	states  []*tensor.Tensor        // per registered weight: its reusable state tensor
 	ready   map[int64]time.Duration // storage seq → updated-weight arrival
@@ -172,10 +168,6 @@ func (o *OptimOffloader) Reset(cfg OptimConfig) {
 		cfg.Kind = OptimAdam
 	}
 	o.cfg = cfg
-	o.updBW = cfg.HostUpdateBandwidth
-	if o.updBW <= 0 {
-		o.updBW = DefaultHostUpdateBandwidth
-	}
 	o.update.Reset()
 	o.weights = o.weights[:0]
 	clear(o.ready)
@@ -331,7 +323,7 @@ func (o *OptimOffloader) dispatch(ow *optimWeight) {
 	}
 	// The update streams the gradient, the FP32 state (read and write),
 	// and the fresh FP16 parameter through host memory.
-	dur := o.updBW.TimeFor(2*ow.w.Bytes() + 2*sb)
+	dur := hostUpdateBandwidth.TimeFor(2*ow.w.Bytes() + 2*sb)
 	uf := o.update.Submit(f, dur)
 	if o.rec.Enabled() {
 		o.rec.Span(o.updateT, spans.KindOptimOffload, -1, ow.w.Name(), uf-dur, uf, sb, 0)
@@ -379,10 +371,11 @@ func (o *OptimOffloader) StepEnd(end time.Duration) {
 // including extrapolated cycles.
 func (o *OptimOffloader) UpdateBusy() time.Duration { return o.update.BusyTime() + o.extraBusy }
 
-// FoldCycle implements SteadySupport: the update engine's busy growth and
-// backlog horizon, every weight's updated-arrival horizon (in weights
-// order — the overlap schedule's cross-step state), the drain horizon,
-// and both rungs' tier machinery.
+// FoldCycle folds the pipeline's per-step state for the steady-state
+// fast path: the update engine's busy growth and backlog horizon, every
+// weight's updated-arrival horizon (in weights order — the overlap
+// schedule's cross-step state), the drain horizon, and both rungs' tier
+// machinery.
 func (o *OptimOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 	ub := o.update.BusyTime()
 	sig.FoldDur(ub - o.prevUpdateBusy)
@@ -398,8 +391,8 @@ func (o *OptimOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 	}
 }
 
-// ExtrapolateCycles implements SteadySupport: both rungs' cumulative
-// traffic advances by n cycles of the folded deltas. The shared NVMe
+// ExtrapolateCycles advances both rungs' cumulative traffic by n cycles
+// of the folded deltas. The shared NVMe
 // array's member-device counters are advanced by the activation tier
 // that owns them (see SSDOffloader.SharedArray).
 func (o *OptimOffloader) ExtrapolateCycles(n int64) {
@@ -408,5 +401,3 @@ func (o *OptimOffloader) ExtrapolateCycles(n int64) {
 		t.ExtrapolateCycles(n)
 	}
 }
-
-var _ SteadySupport = (*OptimOffloader)(nil)

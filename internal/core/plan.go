@@ -6,6 +6,10 @@ import (
 	"ssdtrain/internal/units"
 )
 
+// safetyFactor derates the planner's write bandwidths and a bounded last
+// rung's capacity.
+const safetyFactor = 0.9
+
 // ModulePlan describes the graph at module granularity for the planner:
 // parallel slices of per-module saved-activation bytes and backward
 // compute time, in forward order.
@@ -18,8 +22,10 @@ type ModulePlan struct {
 	// ForwardTime/BackwardTime bound the store drain window.
 	ForwardTime  time.Duration
 	BackwardTime time.Duration
-	// SafetyFactor derates bandwidth; zero selects 0.9.
-	SafetyFactor float64
+	// LargestSaved is the graph's largest saved tensor. Alg. 1 checks the
+	// budget before each store, so a micro-batch's offloaded bytes can
+	// pass its budget by up to one such tensor.
+	LargestSaved units.Bytes
 }
 
 // PlanModuleBudget sets the offload amount at module granularity — the
@@ -34,17 +40,13 @@ type ModulePlan struct {
 // GPU memory (Alg. 1's is_offload_amount_reached), which automatically
 // keeps the tail modules — including the last one (Fig 2 ④).
 func PlanModuleBudget(in ModulePlan) units.Bytes {
-	sf := in.SafetyFactor
-	if sf <= 0 || sf > 1 {
-		sf = 0.9
-	}
 	m := len(in.SavedBytes)
 	if m == 0 || m != len(in.BwdTime) {
 		return 0
 	}
 	// The reload deadline check uses the raw read bandwidth: a marginal
 	// miss degrades gracefully (the still-stored tensors forward from
-	// memory), so the safety factor applies only to the store-drain clamp.
+	// memory), so safetyFactor applies only to the store-drain clamp.
 	readBW := float64(in.ReadBandwidth)
 	if readBW <= 0 {
 		return 0
@@ -80,7 +82,7 @@ func PlanModuleBudget(in ModulePlan) units.Bytes {
 	// Store-side clamp: bytes the write path cannot drain before reloads
 	// would need them just waste endurance (they get forwarded anyway).
 	drainWindow := in.ForwardTime + in.BackwardTime/2
-	if writable := units.Bytes(sf * float64(in.WriteBandwidth) * drainWindow.Seconds()); in.WriteBandwidth > 0 && writable < budget {
+	if writable := units.Bytes(safetyFactor * float64(in.WriteBandwidth) * drainWindow.Seconds()); in.WriteBandwidth > 0 && writable < budget {
 		budget = writable
 	}
 	return budget
@@ -88,11 +90,11 @@ func PlanModuleBudget(in ModulePlan) units.Bytes {
 
 // TierPlan describes one rung of an offload hierarchy for budget
 // planning: its path bandwidths, its byte capacity (0 = unbounded) and
-// an optional cap on its share of the planned volume (split placement;
-// 0 = no share cap). Nothing spills below the last rung of a stack, so
-// a bounded last rung (a lone pinned pool) caps the whole budget at its
-// derated capacity — planning more than the pool holds would only
-// overflow it at run time.
+// an optional cap on its share of the planned volume (the DRAM share;
+// 0 = no share cap). TieredOffloader.AppendPlans builds them. Nothing
+// spills below the last rung of a stack, so a bounded last rung (a lone
+// pinned pool) caps the whole budget to fit it (lastRungClamp) —
+// planning more than the pool holds would only overflow it at run time.
 type TierPlan struct {
 	WriteBandwidth units.Bandwidth
 	ReadBandwidth  units.Bandwidth
@@ -148,12 +150,12 @@ func (t TierPlan) volumeCap(v units.Bytes) units.Bytes {
 }
 
 // PlanHierarchyBudget runs the Fig 3 module-granularity workflow over a
-// tier mix: the rungs fill front to back (the dram-first posture; split
-// placement expresses its routing through per-tier Fraction caps), reload
-// deadlines are checked against the blended read bandwidth of the
-// expected placement, and the store-drain clamp sums what each rung's
-// independent PCIe path can drain — capped by the rung's capacity, so a
-// small DRAM pool cannot promise more drain than it can hold.
+// tier mix: the rungs fill front to back, each up to its Fraction cap
+// (the DRAM share), reload deadlines are checked against the blended
+// read bandwidth of the expected placement, and the store-drain clamp
+// sums what each rung's independent PCIe path can drain — capped by the
+// rung's capacity, so a small DRAM pool cannot promise more drain than
+// it can hold.
 //
 // A mix that degenerates to a single used rung reduces, bit for bit, to
 // PlanModuleBudget on that rung's bandwidths (clamped to its capacity
@@ -215,7 +217,7 @@ func PlanHierarchyBudget(in ModulePlan, tiers []TierPlan) units.Bytes {
 		in.WriteBandwidth = tiers[idx].WriteBandwidth
 		budget := PlanModuleBudget(in)
 		if idx == len(tiers)-1 {
-			budget = lastRungClamp(budget, tiers[idx], in.SafetyFactor)
+			budget = lastRungClamp(budget, tiers[idx], in.LargestSaved)
 		}
 		return budget
 	}
@@ -232,10 +234,6 @@ func PlanHierarchyBudget(in ModulePlan, tiers []TierPlan) units.Bytes {
 	if invRead <= 0 {
 		return 0
 	}
-	sf := in.SafetyFactor
-	if sf <= 0 || sf > 1 {
-		sf = 0.9
-	}
 	// Run the module-prefix workflow on the blended read rate with the
 	// write clamp disabled (WriteBandwidth 0), then apply the per-rung
 	// drain clamp.
@@ -245,7 +243,7 @@ func PlanHierarchyBudget(in ModulePlan, tiers []TierPlan) units.Bytes {
 	drainWindow := in.ForwardTime + in.BackwardTime/2
 	var writable units.Bytes
 	for _, i := range live {
-		w := units.Bytes(sf * float64(tiers[i].WriteBandwidth) * drainWindow.Seconds())
+		w := units.Bytes(safetyFactor * float64(tiers[i].WriteBandwidth) * drainWindow.Seconds())
 		if c := tiers[i].volumeCap(total); c < w {
 			w = c
 		}
@@ -254,24 +252,20 @@ func PlanHierarchyBudget(in ModulePlan, tiers []TierPlan) units.Bytes {
 	if writable < budget {
 		budget = writable
 	}
-	return lastRungClamp(budget, tiers[len(tiers)-1], in.SafetyFactor)
+	return lastRungClamp(budget, tiers[len(tiers)-1], in.LargestSaved)
 }
 
-// lastRungClamp caps a budget at the last rung's derated capacity, since
-// nothing spills below it: residency tracks the offloaded volume
-// closely, and the safety factor leaves headroom for the one-tensor
-// budget overshoot and in-flight reload buffers. An unbounded last rung
-// leaves the budget alone.
-func lastRungClamp(budget units.Bytes, tier TierPlan, safetyFactor float64) units.Bytes {
+// lastRungClamp caps a budget so the last rung holds what it offloads,
+// since nothing spills below it. Residency tracks the offloaded volume
+// closely, but Alg. 1 checks the budget before each store, so a
+// micro-batch can pass its budget by up to one whole saved tensor: the
+// cap is the smaller of the derated capacity (headroom for in-flight
+// reload buffers) and the capacity less the largest saved tensor. An
+// unbounded last rung leaves the budget alone.
+func lastRungClamp(budget units.Bytes, tier TierPlan, largest units.Bytes) units.Bytes {
 	if tier.Capacity <= 0 {
 		return budget
 	}
-	sf := safetyFactor
-	if sf <= 0 || sf > 1 {
-		sf = 0.9
-	}
-	if derated := units.Bytes(sf * float64(tier.Capacity)); derated < budget {
-		return derated
-	}
-	return budget
+	limit := min(units.Bytes(safetyFactor*float64(tier.Capacity)), tier.Capacity-largest)
+	return max(min(budget, limit), 0)
 }

@@ -10,24 +10,6 @@ import (
 	"ssdtrain/internal/units"
 )
 
-// SteadySupport is implemented by offloaders that participate in the
-// steady-state fast path. Per executed training step, FoldCycle folds the
-// offloader's state delta since the previous fold into sig — cumulative
-// counter growth, queue busy growth, and backlog horizons relative to the
-// step's start (sim.Sig.FoldHorizon) — and remembers the deltas. Two
-// consecutive steps that fold identically (together with the
-// executor-side signature) are a steady cycle; ExtrapolateCycles then
-// advances the cumulative accounting by n further cycles of the
-// remembered deltas without simulating them.
-//
-// Every tier implements it (Tier embeds it). A run with an armed fault
-// spec never folds: its wear ledger needs the real write stream, so the
-// harness simulates it in full.
-type SteadySupport interface {
-	FoldCycle(sig *sim.Sig, origin time.Duration)
-	ExtrapolateCycles(n int64)
-}
-
 // tierSteady is a tier's fold bookkeeping: the cumulative snapshots the
 // next fold diffs against, and the last cycle's deltas for extrapolation.
 type tierSteady struct {
@@ -91,7 +73,7 @@ type devSteady struct {
 	dWritten, dRead units.Bytes
 }
 
-// FoldCycle implements SteadySupport: the shared tier machinery, the GDS
+// FoldCycle implements Tier: the shared tier machinery, the GDS
 // link, the stripe cursor, and every member device's host counters and
 // queue state.
 func (o *SSDOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
@@ -124,7 +106,7 @@ func (o *SSDOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 	}
 }
 
-// ExtrapolateCycles implements SteadySupport: the tier's store traffic and
+// ExtrapolateCycles implements Tier: the tier's store traffic and
 // every member device's host byte counters — the inputs of the §III-D wear
 // ledger and the fleet's per-drive endurance projection — advance by n
 // cycles of the last folded per-cycle deltas.
@@ -143,20 +125,19 @@ func (o *SSDOffloader) ExtrapolateCycles(n int64) {
 	}
 }
 
-// FoldCycle implements SteadySupport for the pinned host-memory tier.
+// FoldCycle implements Tier for the pinned host-memory tier.
 func (o *CPUOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 	o.tierBase.foldCycle(sig, origin)
 	o.lnSteady.fold(sig, o.link, origin)
 }
 
-// ExtrapolateCycles implements SteadySupport.
+// ExtrapolateCycles implements Tier.
 func (o *CPUOffloader) ExtrapolateCycles(n int64) {
 	o.tierBase.extrapolateCycles(n)
 }
 
-// FoldCycle implements SteadySupport for the hierarchy: its own placement
-// state (residency, per-tier routing deltas) plus every tier in the
-// stack, in stack order.
+// FoldCycle folds the hierarchy's own placement state (residency,
+// per-tier routing deltas) plus every tier in the stack, in stack order.
 func (o *TieredOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 	sig.FoldInt(int64(len(o.where)))
 	sig.FoldInt(int64(o.used))
@@ -172,19 +153,20 @@ func (o *TieredOffloader) FoldCycle(sig *sim.Sig, origin time.Duration) {
 		o.steadyDPlaced[i] = d
 		o.steadyPlaced[i] = p
 	}
-	// A split cycle that routes off the target fraction moves the
-	// balance every step until a decision flips, with every delta above
-	// unchanged: two steps may match only when the balance holds still.
-	if sp, ok := o.policy.(splitPolicy); ok && len(o.placed) > 1 {
-		sig.Fold(math.Float64bits(sp.balance(o.placed)))
+	// A split cycle that routes off the share moves the balance every
+	// step until a decision flips, with every delta above unchanged: two
+	// steps may match only when the balance holds still. Only a share
+	// strictly between 0 and 1 makes routing read the balance (place).
+	if o.share > 0 && o.share < 1 && len(o.placed) > 1 {
+		sig.Fold(math.Float64bits(o.balance()))
 	}
 	for _, t := range o.tiers {
 		t.FoldCycle(sig, origin)
 	}
 }
 
-// ExtrapolateCycles implements SteadySupport: per-tier routing totals and
-// every stacked tier's accounting advance by n cycles.
+// ExtrapolateCycles advances the per-tier routing totals and every
+// stacked tier's accounting by n cycles.
 func (o *TieredOffloader) ExtrapolateCycles(n int64) {
 	if len(o.steadyDPlaced) == len(o.placed) {
 		for i := range o.placed {
@@ -195,5 +177,3 @@ func (o *TieredOffloader) ExtrapolateCycles(n int64) {
 		t.ExtrapolateCycles(n)
 	}
 }
-
-var _ SteadySupport = (*TieredOffloader)(nil)

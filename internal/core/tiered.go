@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"ssdtrain/internal/spans"
@@ -20,144 +19,31 @@ func placeCounter(k TierKind) string {
 	return "tiered.place.nvme"
 }
 
-// StackView is a placement policy's read-only view of the hierarchy: the
-// ordered tier stack (fastest first, by convention DRAM before NVMe) and
-// the cumulative bytes the hierarchy has routed to each tier.
-type StackView struct {
-	Tiers  []Tier
-	Placed []units.Bytes
-}
-
-// fits reports whether tier i can absorb n more bytes right now.
-func (v StackView) fits(i int, n units.Bytes) bool {
-	t := v.Tiers[i]
-	cap := t.Capacity()
-	return cap == 0 || t.Used()+n <= cap
-}
-
-// PlacementPolicy routes each stored tensor to one tier of the stack.
-// Policies are consulted once per store, see the live stack state, and
-// must be deterministic — the simulator's byte-identical replays depend
-// on it.
-type PlacementPolicy interface {
-	// Name identifies the policy (e.g. "dram-first").
-	Name() string
-	// Place returns the index of the tier that should hold a tensor of n
-	// bytes. Returning an index whose tier cannot hold the tensor makes
-	// the store fail with that tier's error.
-	Place(v StackView, n units.Bytes) int
-}
-
-// ssdOnlyPolicy is the paper's placement: everything goes to the NVMe
-// array, ignoring any DRAM rungs in the stack.
-type ssdOnlyPolicy struct{}
-
-func (ssdOnlyPolicy) Name() string { return "ssd-only" }
-
-func (ssdOnlyPolicy) Place(v StackView, n units.Bytes) int {
-	for i := len(v.Tiers) - 1; i >= 0; i-- {
-		if v.Tiers[i].Kind() == TierNVMe {
-			return i
-		}
-	}
-	return len(v.Tiers) - 1
-}
-
-// SSDOnlyPolicy returns the paper's NVMe-only placement.
-func SSDOnlyPolicy() PlacementPolicy { return ssdOnlyPolicy{} }
-
-// dramFirstPolicy fills the stack front to back: each tensor lands on the
-// first tier with room, spilling overflow to the next rung (the
-// 10Cache/ZeRO-Offload posture: DRAM is the first rung, NVMe absorbs the
-// overflow).
-type dramFirstPolicy struct{}
-
-func (dramFirstPolicy) Name() string { return "dram-first" }
-
-func (dramFirstPolicy) Place(v StackView, n units.Bytes) int {
-	for i := range v.Tiers {
-		if v.fits(i, n) {
-			return i
-		}
-	}
-	return len(v.Tiers) - 1
-}
-
-// DRAMFirstPolicy returns the fill-first placement.
-func DRAMFirstPolicy() PlacementPolicy { return dramFirstPolicy{} }
-
-// splitPolicy routes tensors so the first tier holds roughly the target
-// fraction of all placed bytes, keeping both PCIe paths (host DMA and
-// GDS) busy in proportion. A greedy balance against the running totals is
-// deterministic and needs no global knowledge of the step's volume.
-type splitPolicy struct {
-	frac float64
-}
-
-func (p splitPolicy) Name() string { return fmt.Sprintf("split(%.2f)", p.frac) }
-
-func (p splitPolicy) Place(v StackView, n units.Bytes) int {
-	if len(v.Tiers) == 1 {
-		return 0
-	}
-	var total units.Bytes
-	for _, b := range v.Placed {
-		total += b
-	}
-	// Placing n on tier 0 keeps its share at or below the target only if
-	// (placed0 + n) ≤ frac · (total + n); otherwise tier 1+ absorbs it.
-	if float64(v.Placed[0]+n) <= p.frac*float64(total+n) && v.fits(0, n) {
-		return 0
-	}
-	for i := 1; i < len(v.Tiers); i++ {
-		if v.fits(i, n) {
-			return i
-		}
-	}
-	return len(v.Tiers) - 1
-}
-
-// balance is how far the first tier's placed bytes stand above the
-// target fraction of all placed bytes. Place routes a tensor of n bytes
-// to the first tier only while balance + (1−frac)·n ≤ 0, so the
-// decisions read the running totals themselves, not only their growth.
-func (p splitPolicy) balance(placed []units.Bytes) float64 {
-	var total units.Bytes
-	for _, b := range placed {
-		total += b
-	}
-	return float64(placed[0]) - p.frac*float64(total)
-}
-
-// SplitPolicy returns a placement that routes the given fraction of
-// placed bytes to the first tier and the remainder down the stack.
-func SplitPolicy(frac float64) PlacementPolicy {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return splitPolicy{frac: frac}
-}
-
 // placement records where an ID lives and how big it is.
 type placement struct {
 	tier int
 	size units.Bytes
 }
 
-// TieredOffloader composes an ordered stack of tiers under a placement
-// policy, presenting them to the tensor cache as one Offloader. Each
-// store consults the policy, each load and delete routes to the tier
-// that holds the ID, and accounting aggregates across the stack. A
-// one-tier stack is a zero-cost adapter: every call forwards to the tier
-// unchanged, which is what keeps the paper's single-target strategies
-// byte-identical when expressed as degenerate stacks.
+// TieredOffloader composes an ordered stack of tiers (fastest rung
+// first, by convention DRAM before NVMe) under one routing rule and
+// presents them to the tensor cache as one target. The rule reads a
+// DRAM share in [0, 1]: the fraction of offloaded bytes the first rung
+// may take (not the SSD bandwidth share). Each store goes to the first
+// rung while its placed bytes stay within the share of all placed bytes
+// and it has room, else to the first later rung with room, else to the
+// last rung. So share 0 is the paper's NVMe-only placement, share 1 fills
+// DRAM first and spills to NVMe (the 10Cache/ZeRO-Offload posture), and
+// a share between them splits the bytes, keeping both PCIe paths (host
+// DMA and GDS) busy in proportion; the greedy balance against running
+// totals is deterministic and needs no knowledge of the step's volume.
+// Each load and delete routes to the tier that holds the ID. A one-tier
+// stack routes every store to its rung, which is what keeps the paper's
+// single-target strategies byte-identical as degenerate stacks.
 type TieredOffloader struct {
-	name   string
-	tiers  []Tier
-	policy PlacementPolicy
+	name  string
+	tiers []Tier
+	share float64
 
 	// where is made at the first store, sized for hint blocks (Presize),
 	// so a stack nothing is stored to never allocates a table.
@@ -177,18 +63,16 @@ type TieredOffloader struct {
 }
 
 // NewTieredOffloader builds a hierarchy over the given tier stack
-// (fastest rung first). The stack must not be empty.
-func NewTieredOffloader(policy PlacementPolicy, tiers ...Tier) *TieredOffloader {
+// (fastest rung first) with the given DRAM share. The stack must not be
+// empty.
+func NewTieredOffloader(share float64, tiers ...Tier) *TieredOffloader {
 	if len(tiers) == 0 {
 		panic("core: tiered offloader needs at least one tier")
-	}
-	if policy == nil {
-		policy = DRAMFirstPolicy()
 	}
 	return &TieredOffloader{
 		name:   tieredName(tiers),
 		tiers:  tiers,
-		policy: policy,
+		share:  share,
 		placed: make([]units.Bytes, len(tiers)),
 	}
 }
@@ -208,25 +92,22 @@ func tieredName(tiers []Tier) string {
 }
 
 // Reset rebinds the hierarchy to a (possibly different) tier stack and
-// policy and clears all placement state for reuse by a new simulation.
-// A recycled arena owns one offloader whose stack composition can change
-// between runs (a dram-first hybrid with zero DRAM grant degenerates to
-// NVMe-only), so the stack is an argument rather than construction-fixed.
-// The member tiers are reset separately by their owner. Map buckets and
-// slice capacity are retained; the diagnostic name is rebuilt only when
-// the stack actually changed.
-func (o *TieredOffloader) Reset(policy PlacementPolicy, tiers ...Tier) {
+// DRAM share and clears all placement state for reuse by a new
+// simulation. A recycled arena owns one offloader whose stack
+// composition can change between runs (a hybrid with zero DRAM grant
+// degenerates to NVMe-only), so the stack is an argument rather than
+// construction-fixed. The member tiers are reset separately by their
+// owner. Map buckets and slice capacity are retained; the diagnostic name
+// is rebuilt only when the stack actually changed.
+func (o *TieredOffloader) Reset(share float64, tiers ...Tier) {
 	if len(tiers) == 0 {
 		panic("core: tiered offloader needs at least one tier")
-	}
-	if policy == nil {
-		policy = DRAMFirstPolicy()
 	}
 	if !sameTiers(o.tiers, tiers) {
 		o.tiers = append(o.tiers[:0], tiers...)
 		o.name = tieredName(tiers)
 	}
-	o.policy = policy
+	o.share = share
 	clear(o.where)
 	if cap(o.placed) >= len(o.tiers) {
 		o.placed = o.placed[:len(o.tiers)]
@@ -262,11 +143,8 @@ func (o *TieredOffloader) Presize(n int) { o.hint = n }
 // reported to. Like tier wiring, the recorder survives Reset.
 func (o *TieredOffloader) SetRecorder(rec *spans.Recorder) { o.rec = rec }
 
-// Name implements Offloader.
+// Name is the stack's diagnostic name, "tiered(a,b)".
 func (o *TieredOffloader) Name() string { return o.name }
-
-// Policy returns the active placement policy.
-func (o *TieredOffloader) Policy() PlacementPolicy { return o.policy }
 
 // Tiers returns the ordered tier stack.
 func (o *TieredOffloader) Tiers() []Tier { return o.tiers }
@@ -287,16 +165,88 @@ func (o *TieredOffloader) PlacedBytes() []units.Bytes {
 	return out
 }
 
-// Store implements Offloader: route the tensor to the policy's tier.
-// Re-storing a live ID overwrites it; the old copy is dropped only once
-// the new store succeeded, so a refused store leaves the previous data
-// loadable (the error contract the cache relies on).
+// fits reports whether tier i can absorb n more bytes right now.
+func (o *TieredOffloader) fits(i int, n units.Bytes) bool {
+	t := o.tiers[i]
+	cap := t.Capacity()
+	return cap == 0 || t.Used()+n <= cap
+}
+
+// placedTotal is the bytes routed to the whole stack.
+func (o *TieredOffloader) placedTotal() units.Bytes {
+	var total units.Bytes
+	for _, b := range o.placed {
+		total += b
+	}
+	return total
+}
+
+// place is the routing rule: the index of the tier that takes a tensor
+// of n bytes. Placing it on the first tier keeps that tier's share at or
+// below the DRAM share only if placed0 + n ≤ share · (total + n). At
+// share 1 the test always passes (placed0 ≤ total, and the float64
+// conversion keeps order), so the rule fills front to back; at share 0
+// it always fails, since every stored tensor has n > 0.
+func (o *TieredOffloader) place(n units.Bytes) int {
+	if float64(o.placed[0]+n) <= o.share*float64(o.placedTotal()+n) && o.fits(0, n) {
+		return 0
+	}
+	for i := 1; i < len(o.tiers); i++ {
+		if o.fits(i, n) {
+			return i
+		}
+	}
+	return len(o.tiers) - 1
+}
+
+// balance is how far the first tier's placed bytes stand above the DRAM
+// share of all placed bytes. place routes a tensor of n bytes to the
+// first tier only while balance + (1−share)·n ≤ 0, so for a share
+// strictly between 0 and 1 the decisions read the running totals
+// themselves, not only their growth.
+func (o *TieredOffloader) balance() float64 {
+	return float64(o.placed[0]) - o.share*float64(o.placedTotal())
+}
+
+// AppendPlans appends the planner's view of the stack to dst, one
+// TierPlan per rung the share lets take bytes. A zero share routes
+// nothing to the DRAM rung, so it drops out of the plan (a Fraction of 0
+// means no share cap, not nothing); otherwise the DRAM rung's Fraction
+// is the share, and a Fraction of 1 caps nothing. The optimizer
+// placement's per-step shuttle volumes become per-rung reserves,
+// derating the activation plan's bandwidths by the competing traffic;
+// the zero placement leaves the plans untouched.
+func (o *TieredOffloader) AppendPlans(dst []TierPlan, optim OptimPlacement) []TierPlan {
+	for _, t := range o.tiers {
+		tp := TierPlan{
+			WriteBandwidth: t.WriteBandwidth(),
+			ReadBandwidth:  t.ReadBandwidth(),
+			Capacity:       t.Capacity(),
+		}
+		switch t.Kind() {
+		case TierDRAM:
+			if o.share <= 0 {
+				continue
+			}
+			tp.Fraction = o.share
+			tp.WriteReserve = optim.DRAMWritePerStep
+			tp.ReadReserve = optim.DRAMReadPerStep
+		case TierNVMe:
+			tp.WriteReserve = optim.NVMeWritePerStep
+			tp.ReadReserve = optim.NVMeReadPerStep
+		}
+		dst = append(dst, tp)
+	}
+	return dst
+}
+
+// Store routes the tensor by the share rule. Re-storing a live ID
+// overwrites it; the old copy is dropped only once the new store
+// succeeded, so a refused store leaves the previous data loadable (the
+// error contract the cache relies on).
 func (o *TieredOffloader) Store(id TensorID, t *tensor.Tensor, ready time.Duration) (time.Duration, time.Duration, error) {
 	n := t.Bytes()
-	i := o.policy.Place(StackView{Tiers: o.tiers, Placed: o.placed}, n)
-	if i < 0 || i >= len(o.tiers) {
-		return 0, 0, fmt.Errorf("core: policy %s placed %v outside the %d-tier stack", o.policy.Name(), id, len(o.tiers))
-	}
+	i := o.place(n)
 	start, finish, err := o.tiers[i].Store(id, t, ready)
 	if err != nil {
 		// A failed device is a survivable event when another rung has
@@ -308,7 +258,7 @@ func (o *TieredOffloader) Store(id TensorID, t *tensor.Tensor, ready time.Durati
 			return 0, 0, err
 		}
 		for j := range o.tiers {
-			if j == i || !(StackView{Tiers: o.tiers, Placed: o.placed}).fits(j, n) {
+			if j == i || !o.fits(j, n) {
 				continue
 			}
 			if start, finish, err = o.tiers[j].Store(id, t, ready); err == nil {
@@ -341,7 +291,7 @@ func (o *TieredOffloader) Store(id TensorID, t *tensor.Tensor, ready time.Durati
 	return start, finish, nil
 }
 
-// Load implements Offloader: route to the tier that holds the ID.
+// Load routes to the tier that holds the ID.
 func (o *TieredOffloader) Load(id TensorID, ready time.Duration) (time.Duration, time.Duration, []byte, error) {
 	p, ok := o.where[id]
 	if !ok {
@@ -350,7 +300,7 @@ func (o *TieredOffloader) Load(id TensorID, ready time.Duration) (time.Duration,
 	return o.tiers[p.tier].Load(id, ready)
 }
 
-// Delete implements Offloader.
+// Delete routes to the tier that holds the ID.
 func (o *TieredOffloader) Delete(id TensorID) {
 	p, ok := o.where[id]
 	if !ok {
@@ -361,44 +311,7 @@ func (o *TieredOffloader) Delete(id TensorID) {
 	delete(o.where, id)
 }
 
-// WriteBandwidth implements Offloader: the aggregate store-path rate of
-// the stack (the rungs drain over independent PCIe paths).
-func (o *TieredOffloader) WriteBandwidth() units.Bandwidth {
-	var sum units.Bandwidth
-	for _, t := range o.tiers {
-		sum += t.WriteBandwidth()
-	}
-	return sum
-}
-
-// ReadBandwidth implements Offloader: the aggregate load-path rate.
-func (o *TieredOffloader) ReadBandwidth() units.Bandwidth {
-	var sum units.Bandwidth
-	for _, t := range o.tiers {
-		sum += t.ReadBandwidth()
-	}
-	return sum
-}
-
-// BytesWritten implements Offloader.
-func (o *TieredOffloader) BytesWritten() units.Bytes {
-	var sum units.Bytes
-	for _, t := range o.tiers {
-		sum += t.BytesWritten()
-	}
-	return sum
-}
-
-// BytesRead implements Offloader.
-func (o *TieredOffloader) BytesRead() units.Bytes {
-	var sum units.Bytes
-	for _, t := range o.tiers {
-		sum += t.BytesRead()
-	}
-	return sum
-}
-
-// PeakResident implements Offloader: the high-water mark of bytes live
+// PeakResident is the high-water mark of bytes live
 // across the whole stack (not the sum of per-tier peaks, which can
 // overcount when rungs peak at different times).
 func (o *TieredOffloader) PeakResident() units.Bytes {
@@ -407,5 +320,3 @@ func (o *TieredOffloader) PeakResident() units.Bytes {
 	}
 	return o.peak
 }
-
-var _ Offloader = (*TieredOffloader)(nil)

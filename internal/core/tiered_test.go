@@ -14,8 +14,9 @@ import (
 	"ssdtrain/internal/units"
 )
 
-// newStack builds a two-rung DRAM+NVMe hierarchy for direct tier tests.
-func newStack(policy PlacementPolicy, dramCap units.Bytes) (*TieredOffloader, *CPUOffloader, *SSDOffloader) {
+// newStack builds a two-rung DRAM+NVMe hierarchy with the given DRAM
+// share for direct tier tests.
+func newStack(share float64, dramCap units.Bytes) (*TieredOffloader, *CPUOffloader, *SSDOffloader) {
 	rt := autograd.NewRuntime(gpu.A100PCIe(), autograd.Footprint{})
 	host := pcie.NewLink(rt.Rec, "pcie-host", pcie.DefaultGen4x16())
 	dram := NewCPUOffloader(rt.Rec, "/dev/shm", host, dramCap)
@@ -26,7 +27,7 @@ func newStack(policy PlacementPolicy, dramCap units.Bytes) (*TieredOffloader, *C
 	}
 	arr := ssd.NewArray("/mnt/md1", 512*units.KiB, devs...)
 	nvme := NewSSDOffloader(rt.Rec, "/mnt/md1", link, arr, gds.NewRegistry(0))
-	return NewTieredOffloader(policy, dram, nvme), dram, nvme
+	return NewTieredOffloader(share, dram, nvme), dram, nvme
 }
 
 func mib(n int) *tensor.Tensor {
@@ -34,7 +35,7 @@ func mib(n int) *tensor.Tensor {
 }
 
 func TestDRAMFirstFillsThenSpills(t *testing.T) {
-	stack, dram, nvme := newStack(DRAMFirstPolicy(), 5*units.MiB)
+	stack, dram, nvme := newStack(1, 5*units.MiB)
 	// 2 MiB tensors: two fit the 5 MiB pool, the third spills.
 	for i := int64(1); i <= 3; i++ {
 		if _, _, err := stack.Store(TensorID{Stamp: i, ShapeHash: 1}, mib(2), 0); err != nil {
@@ -64,7 +65,7 @@ func TestDRAMFirstFillsThenSpills(t *testing.T) {
 }
 
 func TestSSDOnlyIgnoresDRAMRung(t *testing.T) {
-	stack, dram, nvme := newStack(SSDOnlyPolicy(), 1<<40)
+	stack, dram, nvme := newStack(0, 1<<40)
 	for i := int64(1); i <= 4; i++ {
 		if _, _, err := stack.Store(TensorID{Stamp: i, ShapeHash: 1}, mib(2), 0); err != nil {
 			t.Fatal(err)
@@ -79,7 +80,7 @@ func TestSSDOnlyIgnoresDRAMRung(t *testing.T) {
 }
 
 func TestSplitPolicyBalance(t *testing.T) {
-	stack, dram, nvme := newStack(SplitPolicy(0.5), 1<<40)
+	stack, dram, nvme := newStack(0.5, 1<<40)
 	for i := int64(1); i <= 8; i++ {
 		if _, _, err := stack.Store(TensorID{Stamp: i, ShapeHash: 1}, mib(2), 0); err != nil {
 			t.Fatal(err)
@@ -91,7 +92,7 @@ func TestSplitPolicyBalance(t *testing.T) {
 }
 
 func TestTieredLoadRoutesAndErrors(t *testing.T) {
-	stack, _, _ := newStack(DRAMFirstPolicy(), 3*units.MiB)
+	stack, _, _ := newStack(1, 3*units.MiB)
 	a := TensorID{Stamp: 1, ShapeHash: 1} // lands on DRAM
 	b := TensorID{Stamp: 2, ShapeHash: 1} // spills to NVMe
 	for _, id := range []TensorID{a, b} {
@@ -108,26 +109,28 @@ func TestTieredLoadRoutesAndErrors(t *testing.T) {
 	if _, _, _, err := stack.Load(TensorID{Stamp: 99, ShapeHash: 1}, 0); !errors.As(err, &miss) {
 		t.Fatalf("missing load error = %v, want *MissingBlockError", err)
 	}
-	// A policy that insists on a full bounded tier surfaces the tier's
-	// typed overflow instead of panicking.
-	pinned, _, _ := newStack(pinFirstPolicy{}, 1*units.MiB)
+	// A full bounded last rung surfaces the tier's typed overflow
+	// instead of panicking.
+	pinned := dramOnly(1 * units.MiB)
 	var ovf *OverflowError
 	if _, _, err := pinned.Store(a, mib(2), 0); !errors.As(err, &ovf) {
 		t.Fatalf("overflow store error = %v, want *OverflowError", err)
 	}
 }
 
-// pinFirstPolicy always places on tier 0 regardless of room.
-type pinFirstPolicy struct{}
-
-func (pinFirstPolicy) Name() string                     { return "pin-first" }
-func (pinFirstPolicy) Place(StackView, units.Bytes) int { return 0 }
+// dramOnly is a one-rung stack over a bounded pinned pool: nothing spills
+// below it.
+func dramOnly(dramCap units.Bytes) *TieredOffloader {
+	_, dram, _ := newStack(1, dramCap)
+	return NewTieredOffloader(1, dram)
+}
 
 // TestTieredRestoreErrorKeepsOldCopy: a refused re-store must leave the
 // previous copy loadable (the error contract the cache relies on), and a
 // successful re-store on the same tier must not delete the fresh file.
 func TestTieredRestoreErrorKeepsOldCopy(t *testing.T) {
-	stack, dram, _ := newStack(pinFirstPolicy{}, 3*units.MiB)
+	stack := dramOnly(3 * units.MiB)
+	dram := stack.Tiers()[0]
 	id := TensorID{Stamp: 1, ShapeHash: 1}
 	if _, _, err := stack.Store(id, mib(2), 0); err != nil {
 		t.Fatal(err)
@@ -156,17 +159,14 @@ func TestTieredRestoreErrorKeepsOldCopy(t *testing.T) {
 }
 
 func TestTieredAccountingAggregates(t *testing.T) {
-	stack, dram, nvme := newStack(DRAMFirstPolicy(), 3*units.MiB)
+	stack, dram, nvme := newStack(1, 3*units.MiB)
 	for i := int64(1); i <= 3; i++ {
 		if _, _, err := stack.Store(TensorID{Stamp: i, ShapeHash: 1}, mib(2), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if stack.BytesWritten() != dram.BytesWritten()+nvme.BytesWritten() {
-		t.Error("written total does not aggregate")
-	}
-	if stack.WriteBandwidth() != dram.WriteBandwidth()+nvme.WriteBandwidth() {
-		t.Error("write bandwidth does not aggregate")
+	if stack.PeakResident() != dram.Used()+nvme.Used() {
+		t.Errorf("stack peak %v, rungs hold %v + %v", stack.PeakResident(), dram.Used(), nvme.Used())
 	}
 	placed := stack.PlacedBytes()
 	if placed[0] != 2*units.MiB || placed[1] != 4*units.MiB {
@@ -212,16 +212,26 @@ func TestPlanHierarchyBudgetDegenerates(t *testing.T) {
 	if mixed == 0 {
 		t.Error("mixed budget is zero")
 	}
+	// A bounded last rung caps the budget at 0.9 of its capacity, or
+	// lower when a micro-batch could pass the budget by a saved tensor
+	// larger than the tenth left free.
+	pool := TierPlan{WriteBandwidth: 25 * units.GBps, ReadBandwidth: 25 * units.GBps, Capacity: 5 * gb}
+	for largest, want := range map[units.Bytes]units.Bytes{0: 4.5e9, gb / 2: 4.5e9, 2 * gb: 3 * gb, 6 * gb: 0} {
+		plan.LargestSaved = largest
+		if got := PlanHierarchyBudget(plan, []TierPlan{pool}); got != want {
+			t.Errorf("largest saved %v: budget %v on a %v pool, want %v", largest, got, pool.Capacity, want)
+		}
+	}
 }
 
 // TestTieredName pins the stack's diagnostic name through a rebind to a
 // different stack, and that building it costs one allocation.
 func TestTieredName(t *testing.T) {
-	stack, dram, nvme := newStack(nil, units.GiB)
+	stack, dram, nvme := newStack(1, units.GiB)
 	if got := stack.Name(); got != "tiered(/dev/shm,/mnt/md1)" {
 		t.Errorf("name %q", got)
 	}
-	stack.Reset(nil, nvme)
+	stack.Reset(1, nvme)
 	if got := stack.Name(); got != "tiered(/mnt/md1)" {
 		t.Errorf("rebound name %q", got)
 	}

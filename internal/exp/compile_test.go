@@ -61,11 +61,11 @@ func seedRun(t *testing.T, cfg RunConfig) *RunResult {
 	p := &Plan{
 		shape:       shapeKey(cfg),
 		tmpl:        graph,
-		saved:       blockSavedBytes(graph),
 		bwd:         blockBwdTimes(graph),
 		weightBytes: graph.WeightBytes(),
 		budgetByKey: make(map[budgetKey]units.Bytes),
 	}
+	p.saved, p.largestSaved = blockSavedBytes(graph)
 	p.fwdTime, p.bwdTime = graphTimes(graph)
 	p.eligible, p.lastModule = eligibleBytes(p.saved)
 	res, err := p.Execute(cfg)
@@ -137,7 +137,8 @@ func TestExecuteRejectsShapeMismatch(t *testing.T) {
 // with len(saved) == 0.
 func TestEligibleBytesZeroBlocks(t *testing.T) {
 	g := &autograd.Graph{Name: "empty"}
-	total, last := eligibleBytes(blockSavedBytes(g))
+	saved, _ := blockSavedBytes(g)
+	total, last := eligibleBytes(saved)
 	if total != 0 || last != 0 {
 		t.Fatalf("eligibleBytes(empty) = %v, %v; want 0, 0", total, last)
 	}

@@ -31,13 +31,16 @@ type Plan struct {
 	// knobs zeroed.
 	shape RunConfig
 
-	tmpl        *autograd.Graph
-	saved       []units.Bytes
-	bwd         []time.Duration
-	fwdTime     time.Duration
-	bwdTime     time.Duration
-	weightBytes units.Bytes
-	eligible    units.Bytes
+	tmpl  *autograd.Graph
+	saved []units.Bytes
+	// largestSaved is the template's largest saved tensor, the most a
+	// micro-batch's offloaded bytes can pass its budget by.
+	largestSaved units.Bytes
+	bwd          []time.Duration
+	fwdTime      time.Duration
+	bwdTime      time.Duration
+	weightBytes  units.Bytes
+	eligible     units.Bytes
 	// lastModule is the final block's saved-activation volume — the bytes
 	// the planner always keeps resident because backward consumes them
 	// immediately (Fig 2 ④). The seed threaded this value through Run
@@ -64,12 +67,12 @@ type Plan struct {
 const budgetMemoSize = 64
 
 // budgetKey identifies one planned budget within a plan: every cheap
-// knob that changes the hierarchy's bandwidth/capacity mix.
+// knob that changes the hierarchy's bandwidth/capacity mix. share is the
+// SSD bandwidth share, dramShare the stack's DRAM share (dramShare).
 type budgetKey struct {
 	share     float64
-	placement Placement
+	dramShare float64
 	dramCap   units.Bytes
-	ratio     float64
 	// optim is the OptimOffload optimizer kind: it sets the state volume
 	// claimed out of the DRAM grant and the per-step shuttle reserves the
 	// planner derates activation bandwidth by.
@@ -308,12 +311,12 @@ func compile(key RunConfig) (*Plan, error) {
 	p := &Plan{
 		shape:       key,
 		tmpl:        tmpl,
-		saved:       blockSavedBytes(tmpl),
 		bwd:         blockBwdTimes(tmpl),
 		weightBytes: tmpl.WeightBytes(),
 		budgetByKey: make(map[budgetKey]units.Bytes),
 	}
 	p.devNames = p.deviceNames()
+	p.saved, p.largestSaved = blockSavedBytes(tmpl)
 	p.fwdTime, p.bwdTime = graphTimes(tmpl)
 	p.eligible, p.lastModule = eligibleBytes(p.saved)
 	p.footprint = tmpl.Footprint()
@@ -368,6 +371,7 @@ func (p *Plan) plannedBudget(key budgetKey, tiers []core.TierPlan) units.Bytes {
 		BwdTime:      p.bwd,
 		ForwardTime:  p.fwdTime,
 		BackwardTime: p.bwdTime,
+		LargestSaved: p.largestSaved,
 	}, tiers)
 	if len(p.budgetByKey) >= budgetMemoSize {
 		clear(p.budgetByKey)

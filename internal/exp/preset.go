@@ -2,8 +2,8 @@ package exp
 
 // tierPreset is one strategy's row of the offload tier stack: which
 // rungs its arena builds. Every offloading strategy runs through one
-// core.TieredOffloader, one placement policy and one budget planner;
-// the strategies differ only in this row.
+// core.TieredOffloader, its one routing rule (a DRAM share, dramShare)
+// and one budget planner; the strategies differ only in this row.
 type tierPreset struct {
 	// dram is the pinned host-memory rung, reached over its own PCIe
 	// link named hostLink. Link names become trace track names, so each
@@ -28,7 +28,8 @@ var presets = map[Strategy]tierPreset{
 }
 
 // stacked reports whether the preset stacks a DRAM rung over an NVMe
-// rung — the only stack on which the placement knob has a choice.
+// rung — the only stack on which the placement knob, and so the DRAM
+// share, has a choice.
 func (t tierPreset) stacked() bool { return t.dram && t.nvme }
 
 // OffloadTiers reports which activation rungs the strategy's tier stack

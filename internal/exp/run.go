@@ -43,7 +43,7 @@ const (
 	// CPUOffload offloads activations to pinned host memory.
 	CPUOffload Strategy = "cpu-offload"
 	// HybridOffload offloads activations across a tiered DRAM+NVMe
-	// hierarchy under a placement policy (§III-A generalized: both offload
+	// hierarchy under a placement (§III-A generalized: both offload
 	// targets at once instead of either).
 	HybridOffload Strategy = "hybrid"
 	// OptimOffload extends the hybrid activation hierarchy with offloaded
@@ -67,8 +67,9 @@ const (
 	ScheduleOverlap = "overlap"
 )
 
-// Placement selects the tier-routing policy of the HybridOffload
-// hierarchy.
+// Placement selects how the HybridOffload hierarchy routes offloaded
+// bytes; each placement is a DRAM share of the one routing rule
+// (core.TieredOffloader): ssd-only 0, dram-first 1, split its ratio.
 type Placement string
 
 // Placement policies.
@@ -136,7 +137,7 @@ type RunConfig struct {
 	// Materialize+Verify run byte-backed offloads with checksum checks.
 	Materialize bool
 	Verify      bool
-	// Placement selects the HybridOffload tier-routing policy (default
+	// Placement selects the HybridOffload tier routing (default
 	// dram-first). Only meaningful for the hybrid strategy.
 	Placement Placement
 	// DRAMCapacity bounds the pinned host-memory pool. For HybridOffload
@@ -347,10 +348,10 @@ func (r *RunResult) StepTime() time.Duration { return r.Measured.Stats.StepTime 
 func (r *RunResult) Throughput() units.FLOPSRate { return r.Measured.Stats.ModelThroughput() }
 
 // blockSavedBytes returns the per-block activation bytes the pack hook
-// sees (excluding weights).
-func blockSavedBytes(g *autograd.Graph) []units.Bytes {
+// sees (excluding weights) and the largest tensor among them.
+func blockSavedBytes(g *autograd.Graph) (saved []units.Bytes, largest units.Bytes) {
 	var prevOut units.Bytes
-	saved := make([]units.Bytes, len(g.Blocks))
+	saved = make([]units.Bytes, len(g.Blocks))
 	outs := make([]units.Bytes, len(g.Blocks))
 	var extras []units.Bytes
 	for bi, b := range g.Blocks {
@@ -358,11 +359,13 @@ func blockSavedBytes(g *autograd.Graph) []units.Bytes {
 		for _, src := range b.ExtraIn {
 			extras = append(extras, outs[src])
 		}
-		saved[bi] = b.SavedBytes(prevOut, extras)
+		var l units.Bytes
+		saved[bi], l = b.SavedBytes(prevOut, extras)
+		largest = max(largest, l)
 		prevOut = b.Ops[len(b.Ops)-1].OutBytes()
 		outs[bi] = prevOut
 	}
-	return saved
+	return saved, largest
 }
 
 // eligibleBytes sums the per-block activation bytes the pack hook would

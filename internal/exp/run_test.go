@@ -76,12 +76,12 @@ func TestSSDTrainReducesPeakKeepsTime(t *testing.T) {
 // offloading activations lengthens a step by exactly the time compute
 // waited on reloads, StepTime(offload) − StepTime(no-offload) ==
 // ComputeStall, on the Fig 6 architectures over a grid of geometries, for
-// every activation-offload strategy (hybrid with a 1 GiB DRAM grant,
-// cpu-offload with its unbounded profiling pool).
+// every activation-offload strategy (hybrid and cpu-offload with a 1 GiB
+// DRAM grant).
 func TestOffloadAddsExactlyItsStall(t *testing.T) {
 	offload := []RunConfig{
 		{Strategy: SSDTrain},
-		{Strategy: CPUOffload},
+		{Strategy: CPUOffload, DRAMCapacity: units.GiB},
 		{Strategy: HybridOffload, DRAMCapacity: units.GiB},
 	}
 	for _, arch := range []models.Arch{models.GPT, models.BERT, models.T5} {

@@ -94,10 +94,6 @@ type Session struct {
 	// steady is the arena's steady-state detector, reset by every run
 	// that may extrapolate.
 	steady steadyTracker
-	// split is the last split placement built and splitRatio its ratio;
-	// a run with the same ratio reuses it instead of boxing a new one.
-	split      core.PlacementPolicy
-	splitRatio float64
 }
 
 // NewSession builds an execution arena for the plan. The arena is fully
@@ -170,7 +166,7 @@ func NewSession(p *Plan) (*Session, error) {
 		if s.ssdTier != nil {
 			tiers = append(tiers, s.ssdTier)
 		}
-		s.offloader = core.NewTieredOffloader(nil, tiers...)
+		s.offloader = core.NewTieredOffloader(1, tiers...)
 		s.offloader.SetRecorder(rt.Rec)
 		s.offloader.Presize(fp.Saved)
 		s.cache = core.NewTensorCache(core.Config{
@@ -266,7 +262,7 @@ func (s *Session) Execute(cfg RunConfig) (*RunResult, error) {
 
 	if s.cache != nil {
 		// Rebind the offload stack to this call's knobs: rederated NVMe
-		// spec, this call's DRAM grant, this call's placement policy.
+		// spec, this call's DRAM grant, this call's DRAM share.
 		if s.optimNVMe != nil || s.ssdTier != nil {
 			spec := cfg.SSD.Spec
 			if sh := cfg.SSDBandwidthShare; sh > 0 && sh < 1 {
@@ -316,18 +312,18 @@ func (s *Session) Execute(cfg RunConfig) (*RunResult, error) {
 			stack = append(stack, s.ssdTier)
 		}
 		s.stack = stack
-		s.offloader.Reset(s.placementPolicy(cfg), stack...)
+		share := dramShare(cfg)
+		s.offloader.Reset(share, stack...)
 
 		budget := cfg.Budget
 		if budget == 0 {
 			key := budgetKey{
 				share:     cfg.SSDBandwidthShare,
-				placement: cfg.Placement,
+				dramShare: share,
 				dramCap:   cfg.DRAMCapacity,
-				ratio:     cfg.SplitRatio,
 				optim:     cfg.OptimKind,
 			}
-			budget = p.plannedBudget(key, tierPlans(s.plans[:0], cfg, stack, optimPlaced))
+			budget = p.plannedBudget(key, s.offloader.AppendPlans(s.plans[:0], optimPlaced))
 		}
 		res.PlannedBudget = budget
 
@@ -531,57 +527,18 @@ func appendTierUsage(dst []TierUsage, tiers []core.Tier) []TierUsage {
 	return dst
 }
 
-// placementPolicy maps the placement knob to the stack's routing
-// policy. On a one-rung stack every policy picks rung 0, so the
-// single-rung strategies take the unset knob's dram-first.
-func (s *Session) placementPolicy(cfg RunConfig) core.PlacementPolicy {
+// dramShare maps the placement knobs to the tier stack's DRAM share, in
+// this one place: ssd-only is 0, split is its ratio, and dram-first is 1.
+// The single-rung strategies leave the knob unset and take 1; on a
+// one-rung stack every share routes to rung 0.
+func dramShare(cfg RunConfig) float64 {
 	switch cfg.Placement {
 	case PlacementSSDOnly:
-		return core.SSDOnlyPolicy()
+		return 0
 	case PlacementSplit:
-		if s.split == nil || s.splitRatio != cfg.SplitRatio {
-			s.split, s.splitRatio = core.SplitPolicy(cfg.SplitRatio), cfg.SplitRatio
-		}
-		return s.split
-	default:
-		return core.DRAMFirstPolicy()
+		return cfg.SplitRatio
 	}
-}
-
-// tierPlans appends the planner's view of the live tier stack to dst:
-// the ssd-only placement plans against the NVMe rung alone, split
-// placement caps the DRAM rung's share at the split ratio. A zero split
-// ratio routes every byte to NVMe at runtime, so the DRAM rung must drop
-// out of the plan too (TierPlan.Fraction 0 means "no share cap", not
-// "nothing"). The optimizer placement's per-step shuttle volumes become
-// per-rung reserves, derating the activation plan's bandwidths by the
-// competing traffic; the zero placement leaves the plans untouched.
-func tierPlans(dst []core.TierPlan, cfg RunConfig, tiers []core.Tier, optim core.OptimPlacement) []core.TierPlan {
-	dramless := cfg.Placement == PlacementSSDOnly ||
-		(cfg.Placement == PlacementSplit && cfg.SplitRatio == 0)
-	for _, t := range tiers {
-		if dramless && t.Kind() != core.TierNVMe {
-			continue
-		}
-		tp := core.TierPlan{
-			WriteBandwidth: t.WriteBandwidth(),
-			ReadBandwidth:  t.ReadBandwidth(),
-			Capacity:       t.Capacity(),
-		}
-		switch t.Kind() {
-		case core.TierDRAM:
-			if cfg.Placement == PlacementSplit {
-				tp.Fraction = cfg.SplitRatio
-			}
-			tp.WriteReserve = optim.DRAMWritePerStep
-			tp.ReadReserve = optim.DRAMReadPerStep
-		case core.TierNVMe:
-			tp.WriteReserve = optim.NVMeWritePerStep
-			tp.ReadReserve = optim.NVMeReadPerStep
-		}
-		dst = append(dst, tp)
-	}
-	return dst
+	return 1
 }
 
 // DefaultMaxIdleSessions bounds how many idle arenas a SessionPool

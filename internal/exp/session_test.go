@@ -98,11 +98,13 @@ func TestSessionExecuteMatchesFresh(t *testing.T) {
 		bounded.DRAMCapacity = ref.SSDPeak
 		runSessionSequence(t, "cpu-offload", []RunConfig{base, bounded})
 
-		// A pool smaller than the largest single tensor overflows on both
-		// paths identically, and the session stays usable afterwards (a
-		// failed run may not leak state into the next Execute).
+		// A pinned budget the pool cannot hold overflows on both paths
+		// identically (the planner clamps its own budgets to fit), and the
+		// session stays usable afterwards (a failed run may not leak state
+		// into the next Execute).
 		tight := base
 		tight.DRAMCapacity = ref.SSDPeak / 2
+		tight.Budget = ref.PlannedBudget
 		plan, err := Compile(base)
 		if err != nil {
 			t.Fatal(err)

@@ -267,9 +267,21 @@ var fuzzPresets = []fuzzPreset{
 	{OptimOffload, ScheduleSync}, {OptimOffload, ScheduleOverlap},
 }
 
-// fuzzPlacements are the placements a stacked preset draws from; split
-// always takes the 0.5 ratio steadyVariants uses.
-var fuzzPlacements = []Placement{PlacementDRAMFirst, PlacementSSDOnly, PlacementSplit}
+// fuzzPlacement is a placement and, for split, its ratio.
+type fuzzPlacement struct {
+	placement Placement
+	ratio     float64
+}
+
+// fuzzPlacements are the placements a stacked preset draws from: split
+// at the 0.5 ratio steadyVariants uses, and at the ratios 1 and 0 that
+// are the dram-first and ssd-only shares. Split 0.5 comes last so the
+// corpus input 7e36eac984981bc1, the split cycle whose balance drifted,
+// still decodes to it.
+var fuzzPlacements = []fuzzPlacement{
+	{PlacementDRAMFirst, 0}, {PlacementSSDOnly, 0},
+	{PlacementSplit, 1}, {PlacementSplit, 0}, {PlacementSplit, 0.5},
+}
 
 // unitFrac maps a finite float into [0, 1], keeping values already in
 // it.
@@ -291,10 +303,8 @@ func fuzzSteadyCfg(preset, placement uint8, share float64, dramMiB uint16, steps
 	cfg.Schedule = p.schedule
 	t := presets[p.strategy]
 	if t.stacked() {
-		cfg.Placement = fuzzPlacements[int(placement)%len(fuzzPlacements)]
-		if cfg.Placement == PlacementSplit {
-			cfg.SplitRatio = 0.5
-		}
+		fp := fuzzPlacements[int(placement)%len(fuzzPlacements)]
+		cfg.Placement, cfg.SplitRatio = fp.placement, fp.ratio
 	}
 	if t.dram {
 		cfg.DRAMCapacity = units.Bytes(dramMiB) * units.MiB
@@ -323,11 +333,8 @@ func fuzzPriorCfg(cfg RunConfig, prior uint8) RunConfig {
 	}
 	t := presets[p.Strategy]
 	if t.stacked() {
-		p.Placement = fuzzPlacements[int(prior/8)%len(fuzzPlacements)]
-		p.SplitRatio = 0
-		if p.Placement == PlacementSplit {
-			p.SplitRatio = 0.5
-		}
+		fp := fuzzPlacements[int(prior/8)%len(fuzzPlacements)]
+		p.Placement, p.SplitRatio = fp.placement, fp.ratio
 	}
 	if t.dram && prior&0x40 != 0 {
 		p.DRAMCapacity /= 2
@@ -383,7 +390,7 @@ func FuzzSteadyMatchesFull(f *testing.F) {
 		c := v.cfg.withDefaults()
 		c.Steps = 20
 		preset := slices.Index(fuzzPresets, fuzzPreset{c.Strategy, c.Schedule})
-		placement := max(slices.Index(fuzzPlacements, c.Placement), 0)
+		placement := max(slices.Index(fuzzPlacements, fuzzPlacement{c.Placement, c.SplitRatio}), 0)
 		f.Add(uint8(preset), uint8(placement), c.SSDBandwidthShare, 0.0, uint16(c.DRAMCapacity/units.MiB),
 			uint8(c.Steps-1), uint8(c.Warmup), uint8(c.KeepLastModules-1), uint8(c.MicroBatches-1), uint8(37*i))
 	}

@@ -3,6 +3,7 @@ package exp
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"ssdtrain/internal/core"
@@ -159,12 +160,14 @@ func TestHybridSplitRoutesByRatio(t *testing.T) {
 }
 
 // TestPoolOverflowSurfacesThroughRun: the seed panicked the process on
-// pinned-pool overflow; the typed error now aborts the run cleanly.
+// pinned-pool overflow; the typed error now aborts the run cleanly. The
+// planner clamps its budgets to fit the pool, so the run pins one.
 func TestPoolOverflowSurfacesThroughRun(t *testing.T) {
 	cfg := smallConfig(models.BERT)
 	_, err := Run(RunConfig{
 		Model: cfg, Strategy: CPUOffload,
 		DRAMCapacity: 64 * units.MiB, // far below one block's activations
+		Budget:       units.GiB,
 	})
 	var ovf *core.OverflowError
 	if !errors.As(err, &ovf) {
@@ -172,5 +175,112 @@ func TestPoolOverflowSurfacesThroughRun(t *testing.T) {
 	}
 	if ovf.Capacity != 64*units.MiB {
 		t.Errorf("overflow capacity = %v", ovf.Capacity)
+	}
+}
+
+// shareGridCases are the hybrid and optim-offload configs of the share
+// endpoint grid, placement unset: six geometries × DRAM grant × keep-last
+// × SSD bandwidth share × micro-batches, 12 measured steps each.
+func shareGridCases(t *testing.T) []RunConfig {
+	t.Helper()
+	geoms := []struct {
+		arch          models.Arch
+		hidden, layer int
+		batch         int
+	}{
+		{models.BERT, 2048, 2, 4}, {models.GPT, 2048, 3, 4}, {models.T5, 2048, 4, 4},
+		{models.GPT, 8192, 4, 16}, {models.BERT, 12288, 3, 16}, {models.T5, 16384, 2, 16},
+	}
+	var cfgs []RunConfig
+	for _, g := range geoms {
+		for _, strategy := range []Strategy{HybridOffload, OptimOffload} {
+			base := RunConfig{Model: models.PaperConfig(g.arch, g.hidden, g.layer, g.batch), Strategy: strategy, Steps: 12}
+			plan, err := Compile(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, grant := range []float64{0, 0.1, 0.25, 0.5, 1, 2} {
+				for _, keep := range []int{1, 2} {
+					for _, share := range []float64{0, 0.5} {
+						for _, micro := range []int{1, 2} {
+							cfg := base
+							cfg.DRAMCapacity = units.Bytes(grant * float64(plan.EligibleBytes()))
+							cfg.KeepLastModules = keep
+							cfg.SSDBandwidthShare = share
+							cfg.MicroBatches = micro
+							cfgs = append(cfgs, cfg)
+						}
+					}
+				}
+			}
+		}
+	}
+	return cfgs
+}
+
+// TestSplitEndpointsArePresets: a split placement at ratio 1 is the
+// dram-first placement and at ratio 0 the ssd-only one, in every
+// RunResult field but the config echo, fast-path outcome included, over
+// a grid of hybrid and optim-offload configs whose DRAM grants run from
+// none to twice the eligible bytes. So split at ratio 1 converges
+// wherever dram-first does, also where NVMe takes bytes every step.
+func TestSplitEndpointsArePresets(t *testing.T) {
+	pool := NewSessionPool(4)
+	run := func(cfg RunConfig, placement Placement, ratio float64) *RunResult {
+		t.Helper()
+		cfg.Placement, cfg.SplitRatio = placement, ratio
+		res, err := pool.Execute(cfg)
+		if err != nil {
+			t.Fatalf("%v %s %s %v: %v", cfg.Model, cfg.Strategy, placement, ratio, err)
+		}
+		res.Config = RunConfig{}
+		return res
+	}
+	converged, spilled := 0, 0
+	for _, cfg := range shareGridCases(t) {
+		first, split1 := run(cfg, PlacementDRAMFirst, 0), run(cfg, PlacementSplit, 1)
+		if !reflect.DeepEqual(first, split1) {
+			t.Errorf("%v %s grant %v: split 1 differs from dram-first (steady state %+v vs %+v)",
+				cfg.Model, cfg.Strategy, cfg.DRAMCapacity, split1.SteadyState, first.SteadyState)
+		}
+		if first.SteadyState.Fallback == "" {
+			converged++
+			if n := len(first.Tiers); n > 1 && first.Tiers[0].Kind == core.TierDRAM && first.Tiers[1].Written > 0 {
+				spilled++
+			}
+		}
+		if ssd, split0 := run(cfg, PlacementSSDOnly, 0), run(cfg, PlacementSplit, 0); !reflect.DeepEqual(ssd, split0) {
+			t.Errorf("%v %s grant %v: split 0 differs from ssd-only", cfg.Model, cfg.Strategy, cfg.DRAMCapacity)
+		}
+	}
+	// The grid must hold converging runs whose DRAM rung spills to NVMe
+	// every step: there a split at ratio 1 that folded its balance would
+	// not converge.
+	if spilled == 0 {
+		t.Errorf("no converged dram-first run spilled to NVMe (%d converged)", converged)
+	}
+	t.Logf("%d configs, %d converged, %d of them spilling", len(shareGridCases(t)), converged, spilled)
+}
+
+// TestBoundedPoolNeverOverflows: a planner-driven cpu-offload run never
+// overflows its bounded pool. Alg. 1 lets a micro-batch pass its budget
+// by one saved tensor, so the planner leaves the largest one free.
+func TestBoundedPoolNeverOverflows(t *testing.T) {
+	for _, arch := range []models.Arch{models.GPT, models.BERT, models.T5} {
+		for _, hidden := range []int{4096, 8192, 12288} {
+			for _, layers := range []int{2, 3, 4} {
+				for _, grant := range []units.Bytes{units.GiB, 4 * units.GiB} {
+					cfg := RunConfig{Model: models.PaperConfig(arch, hidden, layers, 16), Strategy: CPUOffload, DRAMCapacity: grant}
+					res, err := Run(cfg)
+					if err != nil {
+						t.Errorf("%v at %v: %v", cfg.Model, grant, err)
+						continue
+					}
+					if res.SSDPeak > grant || res.PlannedBudget == 0 {
+						t.Errorf("%v at %v: budget %v, pool peak %v", cfg.Model, grant, res.PlannedBudget, res.SSDPeak)
+					}
+				}
+			}
+		}
 	}
 }

@@ -123,12 +123,13 @@ func TestSessionTraceMatchesFresh(t *testing.T) {
 	}
 
 	// Dirty the arena: a clean traced run, then a run that fails
-	// mid-simulation on a too-small pinned pool.
+	// mid-simulation on a too-small pinned pool under a pinned budget.
 	if _, err := sess.Execute(cfg); err != nil {
 		t.Fatal(err)
 	}
 	tight := cfg
 	tight.DRAMCapacity = ref.SSDPeak / 2
+	tight.Budget = ref.PlannedBudget
 	if _, err := sess.Execute(tight); err == nil {
 		t.Fatal("overflow not reported")
 	}

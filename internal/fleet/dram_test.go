@@ -136,8 +136,9 @@ func TestFleetDRAMRelievesArray(t *testing.T) {
 // tenant whose thinned DRAM grant cannot hold its working set has no
 // spill rung and overflows its pool — the scheduler must treat that as
 // "cannot co-locate" (like a GPU-memory miss), not abort the simulation.
-// (Planner-driven tenants never hit this: the planner clamps a budget to
-// the capacity of the stack's last rung, which fits it to the grant.)
+// (Planner-driven tenants never hit this: the planner clamps a budget so
+// the stack's last rung holds it even when a micro-batch passes it by the
+// largest saved tensor, which fits it to the grant.)
 func TestCPUOffloadOverflowIsInfeasibleNotFatal(t *testing.T) {
 	node := DefaultNodeSpec()
 	// The working set a tenant insists on offloading: the unbounded

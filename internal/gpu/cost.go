@@ -103,15 +103,3 @@ func (c *CostModel) AllReduceTime(n units.Bytes, tpDegree int) time.Duration {
 	bw := units.Bandwidth(float64(c.Spec.NVLinkBandwidth) * 0.75)
 	return 5*time.Microsecond + bw.TimeFor(moved)
 }
-
-// AllGatherTime models a ring all-gather of n bytes (per-GPU shard) across
-// tpDegree GPUs.
-func (c *CostModel) AllGatherTime(n units.Bytes, tpDegree int) time.Duration {
-	if tpDegree <= 1 {
-		return 0
-	}
-	factor := float64(tpDegree-1) / float64(tpDegree)
-	moved := units.Bytes(float64(n) * factor)
-	bw := units.Bandwidth(float64(c.Spec.NVLinkBandwidth) * 0.75)
-	return 5*time.Microsecond + bw.TimeFor(moved)
-}

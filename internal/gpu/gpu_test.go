@@ -17,9 +17,6 @@ func TestSpecs(t *testing.T) {
 	if A100SXM().Memory <= a.Memory {
 		t.Error("SXM should have more memory")
 	}
-	if H100SXM().PeakFP16 <= a.PeakFP16 {
-		t.Error("H100 should be faster")
-	}
 }
 
 func TestRooflineRegimes(t *testing.T) {
@@ -64,9 +61,6 @@ func TestCollectiveCosts(t *testing.T) {
 	t8 := c.AllReduceTime(units.GB, 8)
 	if t8 <= t2 {
 		t.Error("all-reduce should cost more at higher degree")
-	}
-	if c.AllGatherTime(units.GB, 2) >= t2 {
-		t.Error("all-gather moves half of all-reduce")
 	}
 }
 

@@ -54,16 +54,3 @@ func A100SXM() Spec {
 	s.Memory = 80 * units.GiB
 	return s
 }
-
-// H100SXM is included for forward-looking scaling studies.
-func H100SXM() Spec {
-	return Spec{
-		Name:            "H100-SXM-80GB",
-		PeakFP16:        989 * units.TFLOPS,
-		HBMBandwidth:    3350 * units.GBps,
-		Memory:          80 * units.GiB,
-		NVLinkBandwidth: 900 * units.GBps,
-		KernelLaunch:    2 * time.Microsecond,
-		HostIssue:       6 * time.Microsecond,
-	}
-}

@@ -135,26 +135,6 @@ func (c *Cache[K, V]) PutStamped(k K, v V, at time.Time) {
 	}
 }
 
-// Range calls f for every cached entry from most to least recently used,
-// stopping early when f returns false. It snapshots the entries under the
-// lock first, so f may call back into the cache (a snapshot/fill loop
-// re-Putting entries into another cache does). Values are whatever Put
-// stored — callers sharing mutable values across caches share them here
-// too.
-func (c *Cache[K, V]) Range(f func(K, V, time.Time) bool) {
-	c.mu.Lock()
-	snap := make([]entry[K, V], 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		snap = append(snap, *el.Value.(*entry[K, V]))
-	}
-	c.mu.Unlock()
-	for i := range snap {
-		if !f(snap[i].key, snap[i].val, snap[i].at) {
-			return
-		}
-	}
-}
-
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()

@@ -265,37 +265,3 @@ func TestPeekIsInvisible(t *testing.T) {
 		t.Fatal("Peek promoted the entry it peeked")
 	}
 }
-
-func TestRangeOrderAndEarlyStop(t *testing.T) {
-	c := New[int, int](3)
-	c.Put(1, 10)
-	c.Put(2, 20)
-	c.Put(3, 30)
-	c.Get(1) // promote: MRU order is now 1, 3, 2
-	var keys []int
-	c.Range(func(k, v int, at time.Time) bool {
-		if at.IsZero() {
-			t.Errorf("entry %d has a zero stamp", k)
-		}
-		keys = append(keys, k)
-		return true
-	})
-	if len(keys) != 3 || keys[0] != 1 || keys[1] != 3 || keys[2] != 2 {
-		t.Fatalf("Range order = %v, want [1 3 2]", keys)
-	}
-	n := 0
-	c.Range(func(int, int, time.Time) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("Range ignored early stop: %d calls", n)
-	}
-	// Reentrant fill: Range snapshots first, so f may Put into the same
-	// cache family without deadlocking.
-	dst := New[int, int](3)
-	c.Range(func(k, v int, at time.Time) bool {
-		dst.PutStamped(k, v, at)
-		return true
-	})
-	if dst.Len() != 3 {
-		t.Fatalf("snapshot/fill copied %d entries, want 3", dst.Len())
-	}
-}

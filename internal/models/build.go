@@ -316,7 +316,6 @@ func (b *builder) layerBlock(blk *autograd.Block, m *autograd.Module, causal boo
 	hl := int(h / t)
 	ffnLocal := int(h) * cfg.FFNMult / int(t)
 	hidden := b.hiddenShape(int(h))
-	e := cfg.DType.Size()
 
 	if extraIn != nil {
 		size += 7
@@ -392,7 +391,6 @@ func (b *builder) layerBlock(blk *autograd.Block, m *autograd.Module, causal boo
 	push(b.dropoutOp("drop2", hidden))
 	push(b.addOp("add2", hidden))
 
-	_ = e
 	*blk = autograd.Block{
 		Module:     m,
 		Ops:        ops,

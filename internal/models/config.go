@@ -147,21 +147,6 @@ func (c Config) DecoderLayers() int {
 	}
 }
 
-// ParamCount approximates the full (unsharded) parameter count:
-// 12·L·h² for the transformer plus the embedding table.
-func (c Config) ParamCount() int64 {
-	h := int64(c.Hidden)
-	layers := int64(c.Layers)
-	per := 12 * h * h
-	if c.Arch == T5 {
-		// Decoder layers carry an extra cross-attention block (~4h²).
-		per = 12 * h * h
-		extra := int64(c.DecoderLayers()) * 4 * h * h
-		return layers*per + extra + int64(c.Vocab)*h
-	}
-	return layers*per + int64(c.Vocab)*h
-}
-
 // String renders the configuration the way the paper labels columns,
 // "gpt H8192 L4 B16", in one allocation: the service renders it into
 // every plan response.

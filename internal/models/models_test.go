@@ -108,7 +108,7 @@ func TestSavedBytesMatchKorthikanti(t *testing.T) {
 	g := build(t, cfg)
 	layer := g.Blocks[1] // first transformer layer
 	hiddenBytes := units.Bytes(int64(cfg.Batch) * int64(cfg.SeqLen) * int64(cfg.Hidden) * 2)
-	got := layer.SavedBytes(hiddenBytes, nil)
+	got, _ := layer.SavedBytes(hiddenBytes, nil)
 	sbh := float64(cfg.SeqLen) * float64(cfg.Batch) * float64(cfg.Hidden)
 	want := units.Bytes(sbh * (10 + 24/float64(cfg.TP)))
 	ratio := float64(got) / float64(want)
@@ -123,8 +123,8 @@ func TestUnfusedAttentionHasQuadraticActivations(t *testing.T) {
 	cfg.FlashAttention = false
 	unfused := build(t, cfg)
 	hiddenBytes := units.Bytes(int64(cfg.Batch) * int64(cfg.SeqLen) * int64(cfg.Hidden) * 2)
-	f := fused.Blocks[1].SavedBytes(hiddenBytes, nil)
-	u := unfused.Blocks[1].SavedBytes(hiddenBytes, nil)
+	f, _ := fused.Blocks[1].SavedBytes(hiddenBytes, nil)
+	u, _ := unfused.Blocks[1].SavedBytes(hiddenBytes, nil)
 	if u <= f {
 		t.Errorf("unfused saved bytes %v not above fused %v", u, f)
 	}
@@ -247,16 +247,6 @@ func TestPaperConfig(t *testing.T) {
 	}
 	if len(Fig6Geometries()) != 3 {
 		t.Error("geometry set wrong")
-	}
-}
-
-func TestParamCountScale(t *testing.T) {
-	// GPT-3 geometry should land near 175B.
-	cfg := Config{Arch: GPT, Hidden: 12288, Layers: 96, HeadDim: 128, SeqLen: 2048,
-		Batch: 1, Vocab: 50304, FFNMult: 4, TP: 8, FlashAttention: true}
-	p := cfg.ParamCount()
-	if p < 170e9 || p > 185e9 {
-		t.Errorf("GPT-3 param count = %d", p)
 	}
 }
 

@@ -30,54 +30,6 @@ func TestSpecBasics(t *testing.T) {
 	}
 }
 
-func TestBubbleFraction(t *testing.T) {
-	s := Spec{TP: 1, PP: 12, DP: 1, MicroBatch: 4, MicroBatches: 8}
-	// (p-1)/(m+p-1) = 11/19 ≈ 0.579 — the paper's §IV-D formula; with
-	// BLOOM's 32-sample rank batch and micro-batch 4 the ideal bubble is
-	// at least 11.5% even for very large m.
-	if got := s.BubbleFraction(); got < 0.578 || got > 0.58 {
-		t.Errorf("bubble = %v", got)
-	}
-	s.PP = 1
-	if s.BubbleFraction() != 0 {
-		t.Error("no bubble without PP")
-	}
-}
-
-func TestZeROMemorySharding(t *testing.T) {
-	m := MemoryModel{Params: 1e9, OptimBytesPerParam: 12}
-	base := Spec{TP: 1, PP: 1, DP: 8, MicroBatch: 1, MicroBatches: 1}
-
-	w0, g0, o0 := m.PerGPU(base)
-	if w0 != 2*units.GB || g0 != 2*units.GB || o0 != 12*units.GB {
-		t.Errorf("stage0: %v %v %v", w0, g0, o0)
-	}
-	s1 := base
-	s1.ZeRO = ZeRO1
-	_, _, o1 := m.PerGPU(s1)
-	if o1 != o0/8 {
-		t.Errorf("stage1 optimizer = %v", o1)
-	}
-	s2 := base
-	s2.ZeRO = ZeRO2
-	_, g2, _ := m.PerGPU(s2)
-	if g2 != g0/8 {
-		t.Errorf("stage2 grads = %v", g2)
-	}
-	s3 := base
-	s3.ZeRO = ZeRO3
-	w3, g3, o3 := m.PerGPU(s3)
-	if w3 != w0/8 || g3 != g0/8 || o3 != o0/8 {
-		t.Errorf("stage3: %v %v %v", w3, g3, o3)
-	}
-	// TP/PP shard everything regardless of ZeRO.
-	tp := Spec{TP: 2, PP: 2, DP: 1, MicroBatch: 1, MicroBatches: 1}
-	wt, _, _ := m.PerGPU(tp)
-	if wt != w0/4 {
-		t.Errorf("tp/pp weights = %v", wt)
-	}
-}
-
 func TestCollectives(t *testing.T) {
 	f := DefaultA100Fabric()
 	// Single rank: free.

@@ -1,16 +1,11 @@
 // Package parallel models the three LLM parallelism levels (§II-A) —
 // tensor, pipeline and data parallelism — plus ZeRO's sharded data
 // parallelism: device counts, collective communication costs over NVLink
-// and the inter-node fabric, and per-GPU memory accounting by ZeRO stage.
-// The performance model (Fig 5, Fig 8b) and the upscaling projections are
-// built on it.
+// and the inter-node fabric. The performance model (Fig 5, Fig 8b) and
+// the upscaling projections are built on it.
 package parallel
 
-import (
-	"fmt"
-
-	"ssdtrain/internal/units"
-)
+import "fmt"
 
 // ZeROStage selects what ZeRO shards across data-parallel ranks (§II-A).
 type ZeROStage int
@@ -73,47 +68,4 @@ func (s Spec) String() string {
 		z = fmt.Sprintf(" zero%d", int(s.ZeRO))
 	}
 	return fmt.Sprintf("tp%d pp%d dp%d%s mb%d×%d", s.TP, s.PP, s.DP, z, s.MicroBatch, s.MicroBatches)
-}
-
-// BubbleFraction returns the ideal 1F1B pipeline bubble fraction
-// (p-1)/(m+p-1) — the §IV-D discussion quantity (with micro-batch size 4
-// and BLOOM's 32-sample rank batch, m=8 and p=12 give ≥11.5%... the
-// formula the paper's analysis uses).
-func (s Spec) BubbleFraction() float64 {
-	if s.PP <= 1 {
-		return 0
-	}
-	return float64(s.PP-1) / float64(s.MicroBatches+s.PP-1)
-}
-
-// MemoryModel accounts per-GPU memory for weights/gradients/optimizer by
-// ZeRO stage, in bytes. Weights and gradients are FP16; optimizer states
-// depend on the optimizer (bytes per parameter).
-type MemoryModel struct {
-	// Params is the full model parameter count.
-	Params int64
-	// OptimBytesPerParam is optimizer state per parameter (Adam mixed
-	// precision: 12; FP16 SGD: 0).
-	OptimBytesPerParam int
-}
-
-// PerGPU returns (weights, gradients, optimizer) bytes per GPU.
-func (m MemoryModel) PerGPU(s Spec) (w, g, o units.Bytes) {
-	shard := int64(s.TP * s.PP)
-	w = units.Bytes(2 * m.Params / shard)
-	g = units.Bytes(2 * m.Params / shard)
-	o = units.Bytes(int64(m.OptimBytesPerParam) * m.Params / shard)
-	if s.DP > 1 {
-		dp := int64(s.DP)
-		if s.ZeRO >= ZeRO1 {
-			o /= units.Bytes(dp)
-		}
-		if s.ZeRO >= ZeRO2 {
-			g /= units.Bytes(dp)
-		}
-		if s.ZeRO >= ZeRO3 {
-			w /= units.Bytes(dp)
-		}
-	}
-	return w, g, o
 }

@@ -4,7 +4,6 @@ import (
 	"ssdtrain/internal/gpu"
 	"ssdtrain/internal/parallel"
 	"ssdtrain/internal/ssd"
-	"ssdtrain/internal/units"
 )
 
 // Fig8bCase is one bar of Fig 8(b): upscaling the 3-layer hidden-12K BERT
@@ -90,16 +89,4 @@ func Fig8bReference() Projection {
 	par := parallel.Spec{TP: 2, PP: 1, DP: 1, MicroBatch: 16, MicroBatches: 1, SeqParallel: true}
 	sys := System{LLM: llm, Par: par, GPU: gpu.A100PCIe(), Fabric: parallel.DefaultA100Fabric()}
 	return Project(sys, model)
-}
-
-// TableIIIEstimate is the analytic offload-amount estimate the paper
-// compares against measurement (Table III): the activation formula
-// applied to the evaluation geometry, minus the kept last layer and the
-// head, for one micro-batch.
-func TableIIIEstimate(hidden, layers, batch, seq, tp int) units.Bytes {
-	sbh := float64(seq) * float64(batch) * float64(hidden)
-	perLayer := sbh * (10 + 24/float64(tp))
-	embed := sbh * 3 // embedding output + dropout mask
-	// All layers but the last are offloaded; the head stays resident.
-	return units.Bytes(perLayer*float64(layers-1) + embed)
 }

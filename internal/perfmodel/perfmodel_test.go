@@ -159,15 +159,6 @@ func TestZeROCommDominatesAtScale(t *testing.T) {
 	}
 }
 
-func TestTableIIIEstimateMagnitude(t *testing.T) {
-	// H8192 L4 B16 TP2: the paper's estimate is 11.13 GB.
-	est := TableIIIEstimate(8192, 4, 16, 1024, 2)
-	gb := est.GBf()
-	if gb < 9 || gb > 14 {
-		t.Errorf("estimate = %.2f GB, paper ballpark 11.13", gb)
-	}
-}
-
 func TestGrowthFitExact(t *testing.T) {
 	// A perfect doubling-per-year series fits exactly.
 	pts := []TrendPoint{{"a", 2000, 1}, {"b", 2001, 2}, {"c", 2002, 4}, {"d", 2003, 8}}

@@ -115,7 +115,7 @@ func TestPlanByteIdentityConcurrent(t *testing.T) {
 	// arenas) as the healthy cpu-offload entries, but its pinned pool
 	// cannot hold one block — the run errors mid-simulation, and the
 	// arena it dirtied must still serve byte-identical healthy runs.
-	overflow := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "cpu-offload", DRAMCapacityBytes: 1 << 20}}}
+	overflow := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "cpu-offload", DRAMCapacityBytes: 1 << 20, BudgetBytes: 1 << 30}}}
 	// Invalid config: rejected at validation (400), never executed.
 	invalid := PlanRequest{Spec: SpecRequest{Model: smallModel(), Offload: OffloadRequest{Strategy: "ssdtrain", SplitRatio: 0.5}}}
 

@@ -147,15 +147,5 @@ func (b *BlockStore[K]) AdvanceTraffic(written, read, deleted units.Bytes) {
 	b.deleted += deleted
 }
 
-// Files returns the stored keys in unspecified order; callers needing a
-// stable listing sort the result.
-func (b *BlockStore[K]) Files() []K {
-	paths := make([]K, 0, len(b.files))
-	for p := range b.files {
-		paths = append(paths, p)
-	}
-	return paths
-}
-
 // Count returns the number of stored files.
 func (b *BlockStore[K]) Count() int { return len(b.files) }

@@ -85,9 +85,3 @@ func (w *ArrayWear) ProjectedYears() float64 {
 	}
 	return years
 }
-
-// ProjectedLifespan is ProjectedYears as a duration, capped at a century
-// to keep the arithmetic inside time.Duration's range.
-func (w *ArrayWear) ProjectedLifespan() time.Duration {
-	return time.Duration(w.ProjectedYears() * secondsPerYear * float64(time.Second))
-}

@@ -51,7 +51,7 @@ const (
 	// StrategyCPUOffload offloads activations to pinned host memory.
 	StrategyCPUOffload = exp.CPUOffload
 	// StrategyHybridOffload offloads across a tiered DRAM+NVMe hierarchy
-	// under a placement policy (OffloadSpec.Placement, DRAMCapacity,
+	// under a placement (OffloadSpec.Placement, DRAMCapacity,
 	// SplitRatio).
 	StrategyHybridOffload = exp.HybridOffload
 	// StrategyOptimOffload offloads optimizer states and gradients to the
@@ -71,7 +71,8 @@ const (
 	ScheduleOverlap = exp.ScheduleOverlap
 )
 
-// Tier placement policies for StrategyHybridOffload.
+// Tier placements for StrategyHybridOffload: each is a DRAM share of the
+// stack's one routing rule.
 const (
 	// PlacementSSDOnly routes everything to the NVMe rung (the paper's
 	// placement expressed on the tiered stack).
