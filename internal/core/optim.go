@@ -106,11 +106,17 @@ type optimWeight struct {
 // of the FIFO and serialize the whole drain onto the first op.)
 //
 // The optimizer rungs are separate tier instances (own FIFO queues, own
-// block stores) that share the PCIe links and the NVMe array with the
-// activation tiers, so optimizer traffic contends with activation
-// offload on the physical paths and lands in the same §III-D wear
-// ledger. Transfers take the host-mediated path (no GDS): the CPU owns
-// the update, exactly as ZeRO-Offload's architecture prescribes.
+// block stores) wired to the PCIe links and the NVMe array the
+// activation tiers use. Each rung's own store and load queues set its
+// transfer times; the shared links and devices only account the traffic
+// (byte counters, busy time, trace spans), so optimizer writes reach the
+// device byte counters of the §III-D wear ledger but never delay an
+// activation transfer in simulated time. The one place the two kinds of
+// traffic contend is the budget planner, which derates the activation
+// rungs' bandwidths by the optimizer's per-step shuttle volumes
+// (TierPlan.WriteReserve/ReadReserve). Transfers take the host-mediated
+// path (no GDS): the CPU owns the update, exactly as ZeRO-Offload's
+// architecture prescribes.
 type OptimOffloader struct {
 	update  sim.Server
 	rec     *spans.Recorder

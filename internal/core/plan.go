@@ -51,29 +51,31 @@ func PlanModuleBudget(in ModulePlan) units.Bytes {
 	if readBW <= 0 {
 		return 0
 	}
-	// bwdAfter[i] = Σ_{k>i} bwd_k.
-	bwdAfter := make([]float64, m)
-	var cum float64
-	for i := m - 1; i >= 0; i-- {
-		bwdAfter[i] = cum
-		cum += in.BwdTime[i].Seconds()
-	}
-	feasible := func(j int) bool { // offload modules [0, j)
+	// feasible reports whether modules [0, j) can all be offloaded; after
+	// is Σ_{k≥j} bwd_k. Here and in the search below, backward sums add
+	// the modules in one fixed order, from the last one down: a deadline
+	// is then the same float64 whichever j is tried, and the planner needs
+	// no table of them.
+	feasible := func(j int, after float64) bool {
 		var load float64 // seconds of reload from module i to j-1
 		for i := j - 1; i >= 0; i-- {
+			bwd := in.BwdTime[i].Seconds()
 			load += float64(in.SavedBytes[i]) / readBW
 			// A module's tensors are consumed spread across its own
 			// backward, so half of it extends the deadline window.
-			if load > bwdAfter[i]+in.BwdTime[i].Seconds()/2 {
+			if load > after+bwd/2 {
 				return false
 			}
+			after += bwd
 		}
 		return true
 	}
 	// The last module is never offloaded (backward needs it immediately).
 	j := m - 1
-	for j > 0 && !feasible(j) {
+	after := in.BwdTime[j].Seconds()
+	for j > 0 && !feasible(j, after) {
 		j--
+		after += in.BwdTime[j].Seconds()
 	}
 	var budget units.Bytes
 	for i := 0; i < j; i++ {
@@ -151,11 +153,17 @@ func (t TierPlan) volumeCap(v units.Bytes) units.Bytes {
 
 // PlanHierarchyBudget runs the Fig 3 module-granularity workflow over a
 // tier mix: the rungs fill front to back, each up to its Fraction cap
-// (the DRAM share), reload deadlines are checked against the blended
-// read bandwidth of the expected placement, and the store-drain clamp
-// sums what each rung's independent PCIe path can drain — capped by the
-// rung's capacity, so a small DRAM pool cannot promise more drain than
-// it can hold.
+// (the DRAM share), and the last rung takes whatever is left, since
+// nothing spills below it. Reload deadlines are checked against the
+// blended read bandwidth of that expected placement, and the store-drain
+// clamp sums what each rung's independent PCIe path can drain — capped
+// by the rung's capacity, so a small DRAM pool cannot promise more
+// drain than it can hold.
+//
+// Rungs carrying reserved competing traffic (optimizer shuttles) plan
+// against derated bandwidths: PlanHierarchyBudget derates the caller's
+// tiers in place, so on return each holds what derate left of it. A
+// rung with no reserve is left as it was. It allocates nothing.
 //
 // A mix that degenerates to a single used rung reduces, bit for bit, to
 // PlanModuleBudget on that rung's bandwidths (clamped to its capacity
@@ -165,73 +173,56 @@ func PlanHierarchyBudget(in ModulePlan, tiers []TierPlan) units.Bytes {
 	if len(tiers) == 0 {
 		return 0
 	}
-	// Rungs carrying reserved competing traffic (optimizer shuttles) plan
-	// against derated bandwidths. The caller's slice is copied only when a
-	// reserve is present, so reserve-free plans keep their exact arithmetic.
-	for i := range tiers {
-		if tiers[i].WriteReserve > 0 || tiers[i].ReadReserve > 0 {
-			window := in.ForwardTime + in.BackwardTime
-			derated := make([]TierPlan, len(tiers))
-			for j, t := range tiers {
-				derated[j] = t.derate(window)
-			}
-			tiers = derated
-			break
-		}
-	}
 	var total units.Bytes
 	for _, sb := range in.SavedBytes {
 		total += sb
 	}
-	// Expected fill at full eligible volume, front to back. Rungs that
-	// would take nothing drop out; one surviving rung is the degenerate
-	// case.
-	take := make([]units.Bytes, len(tiers))
+	// One pass, front to back, over the expected fill at full eligible
+	// volume. The rungs that take bytes are live: the pass counts them,
+	// keeps the last one (the rung a degenerate mix plans on), and sums
+	// their share-weighted inverse read rates and their drain.
+	window := in.ForwardTime + in.BackwardTime
+	drainWindow := in.ForwardTime + in.BackwardTime/2
+	last := len(tiers) - 1
 	remaining := total
-	var live []int
-	for i, t := range tiers {
-		take[i] = t.volumeCap(total)
-		if take[i] > remaining {
-			take[i] = remaining
+	live, used := 0, last
+	readable := true
+	var invRead float64
+	var writable units.Bytes
+	for i := range tiers {
+		t := &tiers[i]
+		*t = t.derate(window)
+		take := remaining
+		if i < last {
+			take = min(t.volumeCap(total), remaining)
 		}
-		remaining -= take[i]
-		if take[i] > 0 {
-			live = append(live, i)
+		remaining -= take
+		if take <= 0 {
+			continue
 		}
+		live++
+		used = i
+		// Reloads of a mixed placement drain each rung in proportion, so
+		// the harmonic mean over placed fractions is the conservative
+		// effective rate.
+		if t.ReadBandwidth <= 0 {
+			readable = false
+		} else {
+			invRead += float64(take) / float64(total) / float64(t.ReadBandwidth)
+		}
+		w := units.Bytes(safetyFactor * float64(t.WriteBandwidth) * drainWindow.Seconds())
+		writable += min(w, t.volumeCap(total))
 	}
-	// Whatever no rung claimed lands on the last one (unbounded NVMe in
-	// practice); keep the accounting consistent for degenerate detection.
-	if remaining > 0 {
-		last := len(tiers) - 1
-		if take[last] == 0 {
-			live = append(live, last)
-		}
-		take[last] += remaining
-	}
-	if len(live) <= 1 {
-		idx := len(tiers) - 1
-		if len(live) == 1 {
-			idx = live[0]
-		}
-		in.ReadBandwidth = tiers[idx].ReadBandwidth
-		in.WriteBandwidth = tiers[idx].WriteBandwidth
+	if live <= 1 {
+		in.ReadBandwidth = tiers[used].ReadBandwidth
+		in.WriteBandwidth = tiers[used].WriteBandwidth
 		budget := PlanModuleBudget(in)
-		if idx == len(tiers)-1 {
-			budget = lastRungClamp(budget, tiers[idx], in.LargestSaved)
+		if used == last {
+			budget = lastRungClamp(budget, tiers[used], in.LargestSaved)
 		}
 		return budget
 	}
-	// Blended read bandwidth: reloads of a mixed placement drain each
-	// rung in proportion, so the harmonic mean over placed fractions is
-	// the conservative effective rate.
-	var invRead float64
-	for _, i := range live {
-		if tiers[i].ReadBandwidth <= 0 {
-			return 0
-		}
-		invRead += float64(take[i]) / float64(total) / float64(tiers[i].ReadBandwidth)
-	}
-	if invRead <= 0 {
+	if !readable || invRead <= 0 {
 		return 0
 	}
 	// Run the module-prefix workflow on the blended read rate with the
@@ -239,20 +230,8 @@ func PlanHierarchyBudget(in ModulePlan, tiers []TierPlan) units.Bytes {
 	// drain clamp.
 	in.ReadBandwidth = units.Bandwidth(1 / invRead)
 	in.WriteBandwidth = 0
-	budget := PlanModuleBudget(in)
-	drainWindow := in.ForwardTime + in.BackwardTime/2
-	var writable units.Bytes
-	for _, i := range live {
-		w := units.Bytes(safetyFactor * float64(tiers[i].WriteBandwidth) * drainWindow.Seconds())
-		if c := tiers[i].volumeCap(total); c < w {
-			w = c
-		}
-		writable += w
-	}
-	if writable < budget {
-		budget = writable
-	}
-	return lastRungClamp(budget, tiers[len(tiers)-1], in.LargestSaved)
+	budget := min(PlanModuleBudget(in), writable)
+	return lastRungClamp(budget, tiers[last], in.LargestSaved)
 }
 
 // lastRungClamp caps a budget so the last rung holds what it offloads,

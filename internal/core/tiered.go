@@ -149,22 +149,6 @@ func (o *TieredOffloader) Name() string { return o.name }
 // Tiers returns the ordered tier stack.
 func (o *TieredOffloader) Tiers() []Tier { return o.tiers }
 
-// TierOf reports which tier holds the ID (-1 if none).
-func (o *TieredOffloader) TierOf(id TensorID) int {
-	p, ok := o.where[id]
-	if !ok {
-		return -1
-	}
-	return p.tier
-}
-
-// PlacedBytes returns cumulative bytes routed to each tier.
-func (o *TieredOffloader) PlacedBytes() []units.Bytes {
-	out := make([]units.Bytes, len(o.placed))
-	copy(out, o.placed)
-	return out
-}
-
 // fits reports whether tier i can absorb n more bytes right now.
 func (o *TieredOffloader) fits(i int, n units.Bytes) bool {
 	t := o.tiers[i]

@@ -42,11 +42,11 @@ func TestDRAMFirstFillsThenSpills(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := stack.TierOf(TensorID{Stamp: 1, ShapeHash: 1}); got != 0 {
-		t.Errorf("first tensor on tier %d, want DRAM", got)
+	if got, ok := stack.where[TensorID{Stamp: 1, ShapeHash: 1}]; !ok || got.tier != 0 {
+		t.Errorf("first tensor on tier %+v (held %v), want DRAM", got, ok)
 	}
-	if got := stack.TierOf(TensorID{Stamp: 3, ShapeHash: 1}); got != 1 {
-		t.Errorf("third tensor on tier %d, want NVMe spill", got)
+	if got, ok := stack.where[TensorID{Stamp: 3, ShapeHash: 1}]; !ok || got.tier != 1 {
+		t.Errorf("third tensor on tier %+v (held %v), want NVMe spill", got, ok)
 	}
 	if dram.Used() != 4*units.MiB || nvme.Used() != 2*units.MiB {
 		t.Errorf("residency dram=%v nvme=%v", dram.Used(), nvme.Used())
@@ -56,8 +56,8 @@ func TestDRAMFirstFillsThenSpills(t *testing.T) {
 	if _, _, err := stack.Store(TensorID{Stamp: 4, ShapeHash: 1}, mib(2), 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := stack.TierOf(TensorID{Stamp: 4, ShapeHash: 1}); got != 0 {
-		t.Errorf("post-delete store on tier %d, want DRAM", got)
+	if got, ok := stack.where[TensorID{Stamp: 4, ShapeHash: 1}]; !ok || got.tier != 0 {
+		t.Errorf("post-delete store on tier %+v (held %v), want DRAM", got, ok)
 	}
 	if stack.PeakResident() != 6*units.MiB {
 		t.Errorf("stack peak = %v, want 6 MiB", stack.PeakResident())
@@ -168,9 +168,8 @@ func TestTieredAccountingAggregates(t *testing.T) {
 	if stack.PeakResident() != dram.Used()+nvme.Used() {
 		t.Errorf("stack peak %v, rungs hold %v + %v", stack.PeakResident(), dram.Used(), nvme.Used())
 	}
-	placed := stack.PlacedBytes()
-	if placed[0] != 2*units.MiB || placed[1] != 4*units.MiB {
-		t.Errorf("placed = %v", placed)
+	if dram.BytesWritten() != 2*units.MiB || nvme.BytesWritten() != 4*units.MiB {
+		t.Errorf("written dram=%v nvme=%v", dram.BytesWritten(), nvme.BytesWritten())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"ssdtrain/internal/autograd"
 	"ssdtrain/internal/models"
-	"ssdtrain/internal/units"
 )
 
 func smallCfg(strategy Strategy) RunConfig {
@@ -58,16 +57,7 @@ func seedRun(t *testing.T, cfg RunConfig) *RunResult {
 		t.Fatal(err)
 	}
 	// Compile from a plan built around this uncached graph.
-	p := &Plan{
-		shape:       shapeKey(cfg),
-		tmpl:        graph,
-		bwd:         blockBwdTimes(graph),
-		weightBytes: graph.WeightBytes(),
-		budgetByKey: make(map[budgetKey]units.Bytes),
-	}
-	p.saved, p.largestSaved = blockSavedBytes(graph)
-	p.fwdTime, p.bwdTime = graphTimes(graph)
-	p.eligible, p.lastModule = eligibleBytes(p.saved)
+	p := newPlan(shapeKey(cfg), graph)
 	res, err := p.Execute(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +127,7 @@ func TestExecuteRejectsShapeMismatch(t *testing.T) {
 // with len(saved) == 0.
 func TestEligibleBytesZeroBlocks(t *testing.T) {
 	g := &autograd.Graph{Name: "empty"}
-	saved, _ := blockSavedBytes(g)
-	total, last := eligibleBytes(saved)
+	total, last := eligibleBytes(modulePlan(g).SavedBytes)
 	if total != 0 || last != 0 {
 		t.Fatalf("eligibleBytes(empty) = %v, %v; want 0, 0", total, last)
 	}

@@ -3,9 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"ssdtrain/internal/autograd"
 	"ssdtrain/internal/core"
@@ -17,34 +14,30 @@ import (
 )
 
 // Plan is a compiled measurement: the pure, config-shape-dependent work
-// of Run — the model graph template, the per-block activation and
-// backward-time vectors, and the Fig 3 offload budget — memoized so a
-// sweep that varies only the cheap knobs pays graph construction and
-// analysis once. The cheap knobs are the fields shapeKey zeroes: Budget,
-// Steps, Warmup, SSDBandwidthShare, SteadyState, Placement,
-// DRAMCapacity, SplitRatio, OptimKind, Schedule, Trace and Faults. A Plan is immutable after
-// Compile and safe for concurrent Execute calls: each execution runs on
-// its own arena (a Session), either single-use (Plan.Execute) or
-// recycled (Session.Execute via a SessionPool).
+// of Run — the model graph template and the per-module activation and
+// backward-time vectors the Fig 3 planner reads — built once so a sweep
+// that varies only the cheap knobs pays graph construction and analysis
+// once. The cheap knobs are the fields shapeKey zeroes: Budget, Steps,
+// Warmup, SSDBandwidthShare, SteadyState, Placement, DRAMCapacity,
+// SplitRatio, OptimKind, Schedule, Trace and Faults. A Plan is immutable
+// data: nothing writes to it after Compile, so concurrent Execute calls
+// share it freely. Each execution runs on its own arena (a Session),
+// either single-use (Plan.Execute) or recycled (Session.Execute via a
+// SessionPool), and plans its own budget.
 type Plan struct {
 	// shape is the plan's identity: the defaulted config with the cheap
 	// knobs zeroed.
 	shape RunConfig
 
-	tmpl  *autograd.Graph
-	saved []units.Bytes
-	// largestSaved is the template's largest saved tensor, the most a
-	// micro-batch's offloaded bytes can pass its budget by.
-	largestSaved units.Bytes
-	bwd          []time.Duration
-	fwdTime      time.Duration
-	bwdTime      time.Duration
-	weightBytes  units.Bytes
-	eligible     units.Bytes
+	tmpl *autograd.Graph
+	// modules is the template at module granularity, the planner's input
+	// but for the tiers' bandwidths, which each Execute supplies.
+	modules     core.ModulePlan
+	weightBytes units.Bytes
+	eligible    units.Bytes
 	// lastModule is the final block's saved-activation volume — the bytes
 	// the planner always keeps resident because backward consumes them
-	// immediately (Fig 2 ④). The seed threaded this value through Run
-	// without using it; the Plan owns it now.
+	// immediately (Fig 2 ④).
 	lastModule units.Bytes
 	// devNames are the per-GPU array's member device names ("nvme0"...),
 	// rendered once at compile so arena construction never formats
@@ -53,30 +46,6 @@ type Plan struct {
 	// footprint is the template's per-step device footprint, which sizes
 	// a fresh arena's scratch before its first step.
 	footprint autograd.Footprint
-
-	// budgetByKey memoizes the Fig 3 budget per budgetKey; mu guards it
-	// and is held while the planner runs.
-	mu             sync.Mutex
-	budgetByKey    map[budgetKey]units.Bytes
-	budgetComputes atomic.Int64
-}
-
-// budgetMemoSize bounds a plan's budget memo, which lives as long as the
-// plan: 64 keys hold a sweep grid's (24 per shape in the benchmark), and
-// clearing a full memo keeps inserts allocation-free.
-const budgetMemoSize = 64
-
-// budgetKey identifies one planned budget within a plan: every cheap
-// knob that changes the hierarchy's bandwidth/capacity mix. share is the
-// SSD bandwidth share, dramShare the stack's DRAM share (dramShare).
-type budgetKey struct {
-	share     float64
-	dramShare float64
-	dramCap   units.Bytes
-	// optim is the OptimOffload optimizer kind: it sets the state volume
-	// claimed out of the DRAM grant and the per-step shuttle reserves the
-	// planner derates activation bandwidth by.
-	optim string
 }
 
 // shapeKey reduces a defaulted config to plan identity by zeroing the
@@ -147,6 +116,8 @@ var planFlight lru.Singleflight[RunConfig, *Plan]
 // Compile builds the run plan for a configuration. The returned plan can
 // Execute any config that differs from cfg only in the cheap knobs.
 // Plans are cached: compiling the same shape twice returns the same plan.
+// The plan holds no budget: every Execute with Budget 0 runs the Fig 3
+// planner on its own tier mix, which costs less than a microsecond.
 func Compile(cfg RunConfig) (*Plan, error) {
 	cfg = cfg.withDefaults()
 	if err := validateKnobs(cfg); err != nil {
@@ -307,34 +278,25 @@ func compile(key RunConfig) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newPlan(key, tmpl), nil
+}
 
+// newPlan builds the plan of shape key around a graph template: the one
+// constructor, so every Plan holds its device names and module plan.
+func newPlan(key RunConfig, tmpl *autograd.Graph) *Plan {
 	p := &Plan{
 		shape:       key,
 		tmpl:        tmpl,
-		bwd:         blockBwdTimes(tmpl),
+		modules:     modulePlan(tmpl),
 		weightBytes: tmpl.WeightBytes(),
-		budgetByKey: make(map[budgetKey]units.Bytes),
+		devNames:    make([]string, key.SSD.Count),
+		footprint:   tmpl.Footprint(),
 	}
-	p.devNames = p.deviceNames()
-	p.saved, p.largestSaved = blockSavedBytes(tmpl)
-	p.fwdTime, p.bwdTime = graphTimes(tmpl)
-	p.eligible, p.lastModule = eligibleBytes(p.saved)
-	p.footprint = tmpl.Footprint()
-	return p, nil
-}
-
-// deviceNames returns the precomputed member-device names, formatting
-// them on the spot for plans assembled outside compile (tests build bare
-// literals).
-func (p *Plan) deviceNames() []string {
-	if len(p.devNames) == p.shape.SSD.Count {
-		return p.devNames
+	for i := range p.devNames {
+		p.devNames[i] = fmt.Sprintf("nvme%d", i)
 	}
-	names := make([]string, p.shape.SSD.Count)
-	for i := range names {
-		names[i] = fmt.Sprintf("nvme%d", i)
-	}
-	return names
+	p.eligible, p.lastModule = eligibleBytes(p.modules.SavedBytes)
+	return p
 }
 
 // Shape returns the plan's identity config (defaulted, cheap knobs
@@ -352,60 +314,17 @@ func (p *Plan) LastModuleBytes() units.Bytes { return p.lastModule }
 // WeightBytes returns the per-GPU parameter volume.
 func (p *Plan) WeightBytes() units.Bytes { return p.weightBytes }
 
-// plannedBudget returns the Fig 3 budget for a tier mix, memoized per
-// budget key: the tiers are read only on a memo miss. The planner runs
-// under p.mu, so concurrent callers of one uncached key (a fleet Prime
-// fans the same (share, grant) keys across its workers) run it once. A
-// planner run costs microseconds, the simulation that asks for its
-// budget milliseconds, so holding the lock costs nothing that
-// coalescing outside it would save.
-func (p *Plan) plannedBudget(key budgetKey, tiers []core.TierPlan) units.Bytes {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b, ok := p.budgetByKey[key]; ok {
-		return b
-	}
-	p.budgetComputes.Add(1)
-	b := core.PlanHierarchyBudget(core.ModulePlan{
-		SavedBytes:   p.saved,
-		BwdTime:      p.bwd,
-		ForwardTime:  p.fwdTime,
-		BackwardTime: p.bwdTime,
-		LargestSaved: p.largestSaved,
-	}, tiers)
-	if len(p.budgetByKey) >= budgetMemoSize {
-		clear(p.budgetByKey)
-	}
-	p.budgetByKey[key] = b
-	return b
-}
-
-// BudgetComputes reports how many Fig 3 planner executions the plan has
-// performed, independent of concurrency; a key the bounded memo forgot
-// runs the planner again, so it can exceed the distinct keys requested.
-func (p *Plan) BudgetComputes() int64 { return p.budgetComputes.Load() }
-
 // Execute runs one measurement under the plan on a fresh, single-use
 // arena. cfg must match the plan's shape in everything except the cheap
-// knobs listed on Plan; Execute rejects mismatched configs rather than
-// silently measuring the wrong model. The arena is built at size (see
-// Session): its tables come sized from the plan's footprint and its event
-// log from the steps the run simulates, so a first-seen shape pays for
-// each once instead of regrowing it from empty. Callers that Execute one
-// shape repeatedly should hold a Session (or route through a SessionPool)
-// instead: a recycled arena produces byte-identical results at a
-// fraction of the allocations.
+// knobs listed on Plan; Session.Execute rejects mismatched configs and
+// bad knobs rather than silently measuring the wrong model. The arena is
+// built at size (see Session): its tables come sized from the plan's
+// footprint and its event log from the steps the run simulates, so a
+// first-seen shape pays for each once instead of regrowing it from
+// empty. Callers that Execute one shape repeatedly should hold a Session
+// (or route through a SessionPool) instead: a recycled arena produces
+// byte-identical results at a fraction of the allocations.
 func (p *Plan) Execute(cfg RunConfig) (*RunResult, error) {
-	// Fail fast: reject bad knobs and mismatched shapes before paying
-	// arena construction. Session.Execute re-validates (it is also a
-	// public entry point); validation is idempotent and cheap.
-	d := cfg.withDefaults()
-	if err := validateKnobs(d); err != nil {
-		return nil, err
-	}
-	if key := shapeKey(d); key != p.shape {
-		return nil, fmt.Errorf("exp: config shape %+v does not match compiled plan %+v", key, p.shape)
-	}
 	s, err := NewSession(p)
 	if err != nil {
 		return nil, err

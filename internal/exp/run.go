@@ -6,10 +6,11 @@
 // the numbers they print come from one code path.
 //
 // Measurements are two-phase: Compile turns a RunConfig into a *Plan
-// holding all the pure config-shape-dependent work (graph template,
-// activation vectors, budget plan), and Plan.Execute runs one simulation
-// under it. Run composes the two behind a shared plan cache, so naive
-// per-point sweeps get the memoization for free.
+// holding all the pure config-shape-dependent work (graph template and
+// the per-module vectors the budget planner reads), and Plan.Execute runs
+// one simulation under it, planning its budget on the way. Run composes
+// the two behind a shared plan cache, so naive per-point sweeps get the
+// memoization for free.
 package exp
 
 import (
@@ -347,11 +348,17 @@ func (r *RunResult) StepTime() time.Duration { return r.Measured.Stats.StepTime 
 // Throughput returns the steady-state model throughput.
 func (r *RunResult) Throughput() units.FLOPSRate { return r.Measured.Stats.ModelThroughput() }
 
-// blockSavedBytes returns the per-block activation bytes the pack hook
-// sees (excluding weights) and the largest tensor among them.
-func blockSavedBytes(g *autograd.Graph) (saved []units.Bytes, largest units.Bytes) {
+// modulePlan reads the graph at module (block) granularity for the Fig 3
+// planner: each block's saved-activation bytes as the pack hook sees
+// them (excluding weights) and its backward kernel time, the largest
+// saved tensor, and the kernel time per direction. The tiers' bandwidths
+// are left for each Execute to fill in.
+func modulePlan(g *autograd.Graph) core.ModulePlan {
+	mp := core.ModulePlan{
+		SavedBytes: make([]units.Bytes, len(g.Blocks)),
+		BwdTime:    make([]time.Duration, len(g.Blocks)),
+	}
 	var prevOut units.Bytes
-	saved = make([]units.Bytes, len(g.Blocks))
 	outs := make([]units.Bytes, len(g.Blocks))
 	var extras []units.Bytes
 	for bi, b := range g.Blocks {
@@ -360,16 +367,21 @@ func blockSavedBytes(g *autograd.Graph) (saved []units.Bytes, largest units.Byte
 			extras = append(extras, outs[src])
 		}
 		var l units.Bytes
-		saved[bi], l = b.SavedBytes(prevOut, extras)
-		largest = max(largest, l)
+		mp.SavedBytes[bi], l = b.SavedBytes(prevOut, extras)
+		mp.LargestSaved = max(mp.LargestSaved, l)
 		prevOut = b.Ops[len(b.Ops)-1].OutBytes()
 		outs[bi] = prevOut
+		for i := range b.Ops {
+			mp.BwdTime[bi] += b.Ops[i].BwdTime
+			mp.ForwardTime += b.Ops[i].FwdTime
+			mp.BackwardTime += b.Ops[i].BwdTime
+		}
 	}
-	return saved, largest
+	return mp
 }
 
 // eligibleBytes sums the per-block activation bytes the pack hook would
-// offload (blockSavedBytes: small tensors' stats are counted, they are
+// offload (modulePlan: small tensors' stats are counted, they are
 // noise; weights never reach the budget), and returns the final block's
 // volume (the bytes the planner keeps resident). A graph with no blocks
 // has nothing to offload and nothing to keep: (0, 0).
@@ -381,28 +393,6 @@ func eligibleBytes(saved []units.Bytes) (total, last units.Bytes) {
 		total += sb
 	}
 	return total, saved[len(saved)-1]
-}
-
-// blockBwdTimes returns per-block backward kernel time.
-func blockBwdTimes(g *autograd.Graph) []time.Duration {
-	out := make([]time.Duration, len(g.Blocks))
-	for bi, b := range g.Blocks {
-		for i := range b.Ops {
-			out[bi] += b.Ops[i].BwdTime
-		}
-	}
-	return out
-}
-
-// graphTimes sums kernel times per direction.
-func graphTimes(g *autograd.Graph) (fwd, bwd time.Duration) {
-	for _, b := range g.Blocks {
-		for i := range b.Ops {
-			fwd += b.Ops[i].FwdTime
-			bwd += b.Ops[i].BwdTime
-		}
-	}
-	return fwd, bwd
 }
 
 // Run executes one measurement: Compile (hitting the shared plan cache)

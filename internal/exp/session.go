@@ -72,18 +72,20 @@ type Session struct {
 	// stack and plans are the per-call tier assembly and budget-planner
 	// scratch; plans is an array because an arena has at most two
 	// activation rungs, so even a single-use arena plans without
-	// allocating.
+	// allocating. The planner derates plans in place.
 	stack []core.Tier
 	plans [2]core.TierPlan
 
 	// optim and its rungs exist only when the strategy's preset has
 	// optimizer rungs (OptimOffload): the offloaded-optimizer pipeline's
-	// DRAM and NVMe tiers share the arena's PCIe links and NVMe array
-	// (optimizer traffic contends with activation offload and lands in
-	// the same wear ledger) but keep their own queues, block stores, and
-	// — for NVMe — an empty GDS registry, so optimizer shuttles ride the
-	// host-mediated bounce path as ZeRO-Offload's CPU-owned update
-	// prescribes.
+	// DRAM and NVMe tiers are wired to the arena's PCIe links and NVMe
+	// array, which count their bytes (the devices' wear counters
+	// included), but keep their own queues, which alone time their
+	// transfers, so optimizer traffic never delays activation offload in
+	// simulated time; only the planner's reserves model that contention.
+	// They also keep their own block stores and — for NVMe — an empty GDS
+	// registry, so optimizer shuttles ride the host-mediated bounce path
+	// as ZeRO-Offload's CPU-owned update prescribes.
 	optim     *core.OptimOffloader
 	optimDRAM *core.CPUOffloader
 	optimNVMe *core.SSDOffloader
@@ -129,7 +131,7 @@ func NewSession(p *Plan) (*Session, error) {
 			// array, malloc-hook registry. Devices are built with the base
 			// spec; Execute re-derates them per call's bandwidth share.
 			link = pcie.NewLink(rt.Rec, "pcie0", pcie.DefaultGen4x16())
-			array = ssd.NewArray("/mnt/md1", shape.SSD.Stripe, ssd.NewDevices(rt.Rec, shape.SSD.Spec, p.deviceNames()...)...)
+			array = ssd.NewArray("/mnt/md1", shape.SSD.Stripe, ssd.NewDevices(rt.Rec, shape.SSD.Spec, p.devNames...)...)
 			// The malloc hook registers every allocation, so the registry
 			// mirrors the allocator's live set unless GDS is off.
 			live := fp.Live
@@ -312,18 +314,11 @@ func (s *Session) Execute(cfg RunConfig) (*RunResult, error) {
 			stack = append(stack, s.ssdTier)
 		}
 		s.stack = stack
-		share := dramShare(cfg)
-		s.offloader.Reset(share, stack...)
+		s.offloader.Reset(dramShare(cfg), stack...)
 
 		budget := cfg.Budget
 		if budget == 0 {
-			key := budgetKey{
-				share:     cfg.SSDBandwidthShare,
-				dramShare: share,
-				dramCap:   cfg.DRAMCapacity,
-				optim:     cfg.OptimKind,
-			}
-			budget = p.plannedBudget(key, s.offloader.AppendPlans(s.plans[:0], optimPlaced))
+			budget = core.PlanHierarchyBudget(p.modules, s.offloader.AppendPlans(s.plans[:0], optimPlaced))
 		}
 		res.PlannedBudget = budget
 

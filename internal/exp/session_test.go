@@ -3,12 +3,8 @@ package exp
 import (
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"weak"
-
-	"ssdtrain/internal/core"
-	"ssdtrain/internal/units"
 )
 
 // runSessionSequence executes every config in order on one reused
@@ -276,99 +272,6 @@ func TestSessionPoolEvictsOldest(t *testing.T) {
 		t.Errorf("pool not drained: %d keys, %d fifo entries", len(sp.free), len(sp.fifo))
 	}
 	sp.mu.Unlock()
-}
-
-// TestMemoBudgetSingleflight asserts concurrent uncached budget requests
-// for one key are coalesced into a single Fig 3 planner execution (run
-// under -race in CI, this also proves the memo path is data-race free).
-// The plan is built by compile, bypassing the shared plan cache, so every
-// run of the test starts from an empty memo.
-func TestMemoBudgetSingleflight(t *testing.T) {
-	plan, err := compile(shapeKey(smallCfg(SSDTrain).withDefaults()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := budgetKey{share: 0.5}
-	tiers := []core.TierPlan{{WriteBandwidth: 10 * units.GBps, ReadBandwidth: 10 * units.GBps}}
-	const workers = 8
-	results := make([]units.Bytes, workers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			results[i] = plan.plannedBudget(key, tiers)
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	if got := plan.BudgetComputes(); got != 1 {
-		t.Errorf("planner ran %d times for one key, want 1", got)
-	}
-	for i := 1; i < workers; i++ {
-		if results[i] != results[0] {
-			t.Errorf("worker %d got budget %v, worker 0 got %v", i, results[i], results[0])
-		}
-	}
-}
-
-// TestBudgetMemoBounded: a plan asked about more distinct budget keys
-// than its memo holds keeps at most budgetMemoSize of them, and every
-// answer, first asked or recomputed after eviction, equals a fresh
-// planner run.
-func TestBudgetMemoBounded(t *testing.T) {
-	cfg := smallCfg(SSDTrain)
-	cfg.Model.Layers = 12 // enough modules for many distinct budgets
-	plan, err := compile(shapeKey(cfg.withDefaults()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp := core.ModulePlan{
-		SavedBytes:   plan.saved,
-		BwdTime:      plan.bwd,
-		ForwardTime:  plan.fwdTime,
-		BackwardTime: plan.bwdTime,
-	}
-	// Key i plans against a tier of i+1 times 100 MB/s, so the keys span
-	// many budgets and a wrong memo entry would show.
-	budgets := make(map[units.Bytes]bool)
-	ask := func(i int) {
-		t.Helper()
-		bw := units.Bandwidth(i+1) * 100 * units.MBps
-		tiers := []core.TierPlan{{WriteBandwidth: bw, ReadBandwidth: bw}}
-		got := plan.plannedBudget(budgetKey{share: float64(i+1) / 1000}, tiers)
-		if want := core.PlanHierarchyBudget(mp, tiers); got != want {
-			t.Fatalf("key %d: memoized budget %v, fresh planner %v", i, got, want)
-		}
-		plan.mu.Lock()
-		n := len(plan.budgetByKey)
-		plan.mu.Unlock()
-		if n > budgetMemoSize {
-			t.Fatalf("memo holds %d keys, cap %d", n, budgetMemoSize)
-		}
-		budgets[got] = true
-	}
-	const keys = 3 * budgetMemoSize
-	for i := range keys {
-		ask(i)
-	}
-	if got := plan.BudgetComputes(); got != keys {
-		t.Fatalf("planner ran %d times for %d distinct keys", got, keys)
-	}
-	if len(budgets) < 10 {
-		t.Fatalf("keys span only %d budgets; the check cannot tell entries apart", len(budgets))
-	}
-	// The most recent key is resident; the first was forgotten and reruns.
-	ask(keys - 1)
-	if got := plan.BudgetComputes(); got != keys {
-		t.Errorf("resident key recomputed: %d planner runs", got)
-	}
-	ask(0)
-	if got := plan.BudgetComputes(); got != keys+1 {
-		t.Errorf("forgotten key: %d planner runs, want %d", got, keys+1)
-	}
 }
 
 // TestPlanHoldsSharedTemplate: plans of equal model configs hold the one

@@ -6,27 +6,24 @@ import (
 	"ssdtrain/internal/units"
 )
 
-// Fabric describes the communication substrate available to a GPU.
+// Fabric describes the inter-node communication substrate available to
+// a GPU. Intra-node TP all-reduces over NVLink are the GPU cost model's
+// (gpu.CostModel.AllReduceTime), the formula the op graph uses too.
 type Fabric struct {
-	// NVLink is per-GPU aggregate NVLink bandwidth (intra-node, TP).
-	NVLink units.Bandwidth
 	// Interconnect is per-GPU inter-node bandwidth (IB/RoCE; DP and PP).
 	Interconnect units.Bandwidth
-	// NVLinkLatency/InterconnectLatency are per-operation latencies.
-	NVLinkLatency       time.Duration
+	// InterconnectLatency is the per-operation latency.
 	InterconnectLatency time.Duration
 	// Efficiency derates achievable collective bandwidth (NCCL typically
 	// reaches 70–85% of line rate on large payloads).
 	Efficiency float64
 }
 
-// DefaultA100Fabric is an A100 cluster node: NVLink 600 GB/s, 8×200 Gb/s
-// HDR InfiniBand per node (≈25 GB/s per GPU on 8-GPU nodes).
+// DefaultA100Fabric is an A100 cluster node's 8×200 Gb/s HDR InfiniBand
+// (≈25 GB/s per GPU on 8-GPU nodes).
 func DefaultA100Fabric() Fabric {
 	return Fabric{
-		NVLink:              600 * units.GBps,
 		Interconnect:        25 * units.GBps,
-		NVLinkLatency:       5 * time.Microsecond,
 		InterconnectLatency: 15 * time.Microsecond,
 		Efficiency:          0.75,
 	}
@@ -52,14 +49,6 @@ func ringMoved(payload units.Bytes, n int, allReduce bool) units.Bytes {
 		factor *= 2
 	}
 	return units.Bytes(factor * float64(payload))
-}
-
-// AllReduceNVLink is a TP all-reduce inside the node.
-func (f Fabric) AllReduceNVLink(payload units.Bytes, ranks int) time.Duration {
-	if ranks <= 1 {
-		return 0
-	}
-	return f.NVLinkLatency + f.eff(f.NVLink).TimeFor(ringMoved(payload, ranks, true))
 }
 
 // AllReduceIB is a DP gradient all-reduce across nodes.

@@ -33,7 +33,7 @@ func TestSpecBasics(t *testing.T) {
 func TestCollectives(t *testing.T) {
 	f := DefaultA100Fabric()
 	// Single rank: free.
-	if f.AllReduceNVLink(units.GB, 1) != 0 || f.AllReduceIB(units.GB, 1) != 0 {
+	if f.AllReduceIB(units.GB, 1) != 0 {
 		t.Error("single-rank collective not free")
 	}
 	// All-reduce moves 2(n-1)/n, all-gather (n-1)/n: AR ≈ 2× AG.
@@ -42,10 +42,6 @@ func TestCollectives(t *testing.T) {
 	ratio := float64(ar-f.InterconnectLatency) / float64(ag-f.InterconnectLatency)
 	if ratio < 1.99 || ratio > 2.01 {
 		t.Errorf("AR/AG = %v", ratio)
-	}
-	// NVLink is much faster than IB for the same payload.
-	if f.AllReduceNVLink(units.GB, 8) >= ar {
-		t.Error("NVLink not faster than IB")
 	}
 	// More ranks move asymptotically more data.
 	if f.AllReduceIB(units.GB, 128) <= f.AllReduceIB(units.GB, 2) {

@@ -1,8 +1,9 @@
 // Package parallel models the three LLM parallelism levels (§II-A) —
 // tensor, pipeline and data parallelism — plus ZeRO's sharded data
-// parallelism: device counts, collective communication costs over NVLink
-// and the inter-node fabric. The performance model (Fig 5, Fig 8b) and
-// the upscaling projections are built on it.
+// parallelism: device counts and collective communication costs over
+// the inter-node fabric (TP's NVLink all-reduce is the GPU cost model's).
+// The performance model (Fig 5, Fig 8b) and the upscaling projections
+// are built on it.
 package parallel
 
 import "fmt"

@@ -96,7 +96,7 @@ func (s System) LayerTimes(cost *gpu.CostModel) (fwd, bwd time.Duration) {
 	}
 	addBoth(cost.MemoryBound(14*lnBytes), cost.MemoryBound(16*lnBytes))
 	// TP collectives: one all-reduce per direction per sublayer.
-	ar := s.Fabric.AllReduceNVLink(hiddenBytes, s.Par.TP)
+	ar := cost.AllReduceTime(hiddenBytes, s.Par.TP)
 	fwd += 2 * ar
 	bwd += 2 * ar
 
